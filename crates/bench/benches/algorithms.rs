@@ -38,6 +38,7 @@ fn bench_solvers(c: &mut Criterion) {
 
 fn bench_algorithm1(c: &mut Criterion) {
     use muerp_core::algorithms::{max_rate_channel, ChannelFinder};
+    use qnet_graph::DijkstraWorkspace;
     let mut group = c.benchmark_group("algorithm1");
     for &switches in &[50usize, 200, 800] {
         let net = scaled_network(switches, 7);
@@ -51,7 +52,8 @@ fn bench_algorithm1(c: &mut Criterion) {
             &net,
             |b, n| {
                 b.iter(|| {
-                    let finder = ChannelFinder::from_source(n, &cap, users[0]);
+                    let mut ws = DijkstraWorkspace::new();
+                    let finder = ChannelFinder::from_source_in(&mut ws, n, &cap, users[0], None);
                     for &dst in &users[1..] {
                         std::hint::black_box(finder.channel_to(dst));
                     }

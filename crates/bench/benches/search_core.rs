@@ -1,60 +1,44 @@
-//! Fresh-alloc vs workspace vs cached vs CSR vs pooled search paths.
+//! Fresh-alloc vs workspace vs cached search paths.
 //!
 //! Every MUERP algorithm bottoms out in Algorithm 1's Dijkstra search;
-//! this bench quantifies the ways of invoking it that the search
-//! workspace, CSR adjacency, and worker-pool layers introduced:
+//! this bench quantifies the ways of invoking the one search kernel:
 //!
-//! * **fresh** — the compatibility wrappers (`dijkstra`,
-//!   `ChannelFinder::from_source`, `k_shortest_paths`): a private
-//!   workspace is allocated per call and the result is materialized into
-//!   owned buffers.
-//! * **workspace** — the `_in` entry points on one long-lived
+//! * **fresh** — a new [`DijkstraWorkspace`] per call (`dijkstra_into`,
+//!   `ChannelFinder::from_source_in`, `k_shortest_paths_in`), with the
+//!   result materialized into owned buffers.
+//! * **workspace** — the same entry points on one long-lived
 //!   [`DijkstraWorkspace`]: generation-stamped O(1) reset, zero
 //!   steady-state allocation, borrowed result views.
-//! * **csr** — the same workspace entry points traversing a
-//!   [`CsrGraph`] structure-of-arrays adjacency instead of the
-//!   per-node `Vec` lists (one contiguous arena, offset-indexed).
 //! * **cached** — [`ChannelFinderCache`] keyed by `(source, capacity
 //!   epoch)`: repeat queries under unchanged capacity skip the search
 //!   entirely; a `refresh` row shows the in-place re-run cost after an
 //!   epoch bump, and a `fill` row the same misses served into freshly
 //!   allocated entries (the refresh ≤ fill invariant's denominator).
-//! * **parallel** — `ChannelFinderCache::warm` batching all stale user
-//!   sources across a [`Pool`] of N workers, measured at 1/2/4/8
-//!   threads (results are bitwise identical at every width; only the
-//!   wall clock moves).
 //!
 //! Run with `cargo bench -p muerp-bench --bench search_core`. Writes the
 //! tracked baseline `BENCH_pr7.json` at the repo root (all numbers in
 //! ns/op; each op covers *all* user sources, so per-search cost is
-//! op / 10). `MUERP_BENCH_QUICK=1` shrinks the measurement window for CI
-//! smoke runs — the file is still produced, the numbers are only good
-//! for "did it run". Thread-scaling speedups are only meaningful when
-//! the recorded `host.available_parallelism` exceeds the thread count;
-//! on a single-core host every width measures the same work plus
-//! hand-off overhead.
+//! op / 10), with a `host` block naming the CPU it ran on.
+//! `MUERP_BENCH_QUICK=1` shrinks the measurement window for CI smoke
+//! runs — the file is still produced, the numbers are only good for
+//! "did it run".
 
 use muerp_bench::{
     measure_ns_median, measure_ns_paired, quick_mode, scaled_network, write_bench_report,
 };
 use muerp_core::algorithms::{ChannelFinder, ChannelFinderCache};
 use muerp_core::prelude::*;
-use qnet_graph::ksp::{k_shortest_paths, k_shortest_paths_adj_in, k_shortest_paths_in};
-use qnet_graph::paths::{
-    dijkstra, dijkstra_csr_into, dijkstra_into, DijkstraConfig, DijkstraWorkspace,
-};
-use qnet_graph::{CsrGraph, EdgeRef, NodeId};
-use qnet_pool::Pool;
+use qnet_graph::ksp::k_shortest_paths_in;
+use qnet_graph::paths::{dijkstra_into, DijkstraConfig, DijkstraWorkspace};
+use qnet_graph::{EdgeRef, NodeId};
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::hint::black_box;
 
 const KSP_K: usize = 5;
-/// Pool widths of the `finder_parallel_*` scaling rows.
-const SCALING_THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// The MUERP edge cost and relay filter, spelled out at the graph layer
-/// (mirrors `ChannelFinder::from_source`) so the raw-Dijkstra rows
+/// (mirrors `ChannelFinder::from_source_in`) so the raw-Dijkstra rows
 /// measure the same search the finder performs.
 fn muerp_config<'a>(
     net: &'a QuantumNetwork,
@@ -68,29 +52,23 @@ fn muerp_config<'a>(
     }
 }
 
-fn bench_topology(label: &str, switches: usize, seed: u64, scaling: bool) -> Value {
+fn bench_topology(label: &str, switches: usize, seed: u64) -> Value {
     let net = scaled_network(switches, seed);
     let capacity = CapacityMap::new(&net);
     let users = net.users().to_vec();
     let cfg = muerp_config(&net, &capacity);
-    let csr = CsrGraph::from_graph(net.graph());
 
     // --- Raw Dijkstra: one all-sources sweep per op. ---
     let dijkstra_fresh = measure_ns_median(|| {
         for &u in &users {
-            black_box(dijkstra(net.graph(), u, &cfg));
+            let mut fresh = DijkstraWorkspace::new();
+            black_box(dijkstra_into(&mut fresh, net.graph(), u, &cfg, None).to_run());
         }
     });
     let mut ws = DijkstraWorkspace::with_capacity(net.graph().node_count());
     let dijkstra_workspace = measure_ns_median(|| {
         for &u in &users {
-            let view = dijkstra_into(&mut ws, net.graph(), u, &cfg);
-            black_box(view.distance(users[0]));
-        }
-    });
-    let dijkstra_csr = measure_ns_median(|| {
-        for &u in &users {
-            let view = dijkstra_csr_into(&mut ws, &csr, net.graph(), u, &cfg);
+            let view = dijkstra_into(&mut ws, net.graph(), u, &cfg, None);
             black_box(view.distance(users[0]));
         }
     });
@@ -98,7 +76,7 @@ fn bench_topology(label: &str, switches: usize, seed: u64, scaling: bool) -> Val
     // --- Algorithm 1 finder: sweep + one channel recovery per source. ---
     let finder_workspace = measure_ns_median(|| {
         for &u in &users {
-            let finder = ChannelFinder::from_source_in(&mut ws, &net, &capacity, u);
+            let finder = ChannelFinder::from_source_in(&mut ws, &net, &capacity, u, None);
             black_box(finder.channel_to(users[0]));
         }
     });
@@ -114,7 +92,8 @@ fn bench_topology(label: &str, switches: usize, seed: u64, scaling: bool) -> Val
     });
     let finder_fresh = measure_ns_median(|| {
         for &u in &users {
-            let finder = ChannelFinder::from_source(&net, &capacity, u);
+            let mut fresh = DijkstraWorkspace::new();
+            let finder = ChannelFinder::from_source_in(&mut fresh, &net, &capacity, u, None);
             black_box(finder.channel_to(users[0]));
         }
     });
@@ -128,7 +107,7 @@ fn bench_topology(label: &str, switches: usize, seed: u64, scaling: bool) -> Val
     // capacity map; the closures never run reentrantly.
     let cache = std::cell::RefCell::new(cache);
     let refresh_capacity = std::cell::RefCell::new(capacity.clone());
-    let probe = ChannelFinder::from_source(&net, &capacity, users[0])
+    let probe = ChannelFinder::from_source_in(&mut ws, &net, &capacity, users[0], None)
         .channel_to(users[1])
         .expect("paper-default networks connect their users");
     let (finder_fill, finder_refresh) = measure_ns_paired(
@@ -156,12 +135,11 @@ fn bench_topology(label: &str, switches: usize, seed: u64, scaling: bool) -> Val
     // write-out) copies the result in one pass — it must not cost more
     // than the fill path that allocates those buffers from scratch. The
     // fill op is the *only* sound denominator for a tight gate here:
-    // fresh (`ChannelFinder::from_source`) runs a differently
-    // monomorphized search (graph adjacency, not CSR), and on this
-    // host's single core the relative alignment luck of the two loops
-    // swings their ratio by ±20% per compiled binary. Refresh-vs-fresh
-    // is still reported (and loosely bounded) below; refresh-vs-fill is
-    // the invariant. Quick mode's tiny windows are too noisy for either.
+    // fresh runs outside the cache, and on a single-core host the
+    // relative alignment luck of the two loops swings their ratio by
+    // ±20% per compiled binary. Refresh-vs-fresh is still reported (and
+    // loosely bounded) below; refresh-vs-fill is the invariant. Quick
+    // mode's tiny windows are too noisy for either.
     if !quick_mode() {
         assert!(
             finder_refresh <= finder_fill * 1.05,
@@ -180,15 +158,9 @@ fn bench_topology(label: &str, switches: usize, seed: u64, scaling: bool) -> Val
     // --- Yen KSP between the first user pair. ---
     let (a, b) = (users[0], users[1]);
     let ksp_fresh = measure_ns_median(|| {
-        black_box(k_shortest_paths(net.graph(), a, b, KSP_K, &cfg));
-    });
-    let ksp_workspace = measure_ns_median(|| {
-        black_box(k_shortest_paths_in(&mut ws, net.graph(), a, b, KSP_K, &cfg));
-    });
-    let ksp_csr = measure_ns_median(|| {
-        black_box(k_shortest_paths_adj_in(
-            &mut ws,
-            &csr,
+        let mut fresh = DijkstraWorkspace::new();
+        black_box(k_shortest_paths_in(
+            &mut fresh,
             net.graph(),
             a,
             b,
@@ -196,11 +168,13 @@ fn bench_topology(label: &str, switches: usize, seed: u64, scaling: bool) -> Val
             &cfg,
         ));
     });
+    let ksp_workspace = measure_ns_median(|| {
+        black_box(k_shortest_paths_in(&mut ws, net.graph(), a, b, KSP_K, &cfg));
+    });
 
     let rows = [
         ("dijkstra_fresh_ns", dijkstra_fresh),
         ("dijkstra_workspace_ns", dijkstra_workspace),
-        ("dijkstra_csr_ns", dijkstra_csr),
         ("finder_fresh_ns", finder_fresh),
         ("finder_workspace_ns", finder_workspace),
         ("finder_cached_ns", finder_cached),
@@ -208,7 +182,6 @@ fn bench_topology(label: &str, switches: usize, seed: u64, scaling: bool) -> Val
         ("finder_refresh_ns", finder_refresh),
         ("ksp_fresh_ns", ksp_fresh),
         ("ksp_workspace_ns", ksp_workspace),
-        ("ksp_csr_ns", ksp_csr),
     ];
     println!("search_core/{label} ({switches} switches):");
     for (name, ns) in rows {
@@ -226,41 +199,10 @@ fn bench_topology(label: &str, switches: usize, seed: u64, scaling: bool) -> Val
         Value::from(dijkstra_fresh / dijkstra_workspace),
     );
     obj.insert(
-        "speedup_csr_vs_workspace".into(),
-        Value::from(dijkstra_workspace / dijkstra_csr),
-    );
-    obj.insert(
         "speedup_cached_vs_fresh".into(),
         Value::from(finder_fresh / finder_cached),
     );
 
-    // --- Pooled multi-source warm: all stale user sources per op. ---
-    // Each op bumps the capacity epoch (invalidating every entry), then
-    // `warm` refreshes the whole batch across the pool. Output is
-    // thread-count-invariant; the rows measure pure wall-clock scaling.
-    if scaling {
-        let mut one_thread_ns = f64::NAN;
-        for t in SCALING_THREADS {
-            let mut cache = ChannelFinderCache::with_pool(&net, Pool::with_threads(t));
-            let mut warm_capacity = capacity.clone();
-            let ns = measure_ns_median(|| {
-                warm_capacity.reserve(&probe);
-                warm_capacity.release(&probe);
-                cache.warm(&warm_capacity, &users);
-                black_box(cache.finder(&warm_capacity, users[0]).channel_to(users[1]));
-            });
-            println!("  finder_parallel_{t}t_ns  {ns:>14.1} ns/op");
-            obj.insert(format!("finder_parallel_{t}t_ns"), Value::from(ns));
-            if t == 1 {
-                one_thread_ns = ns;
-            } else {
-                obj.insert(
-                    format!("speedup_parallel_{t}t_vs_1t"),
-                    Value::from(one_thread_ns / ns),
-                );
-            }
-        }
-    }
     Value::Object(obj)
 }
 
@@ -269,26 +211,32 @@ fn main() {
     qnet_obs::set_level(qnet_obs::ObsLevel::Off);
 
     let mut topologies: BTreeMap<String, Value> = BTreeMap::new();
-    topologies.insert(
-        "paper_default".into(),
-        bench_topology("paper_default", 50, 42, false),
-    );
-    // The quick (CI smoke) run keeps the large tiers — the thread-pool
-    // path must demonstrably run there — it only shrinks the windows.
-    topologies.insert(
-        "waxman_240".into(),
-        bench_topology("waxman_240", 240, 42, true),
-    );
-    topologies.insert(
-        "waxman_2400".into(),
-        bench_topology("waxman_2400", 2400, 42, true),
-    );
+    // The quick (CI smoke) run keeps every tier; it only shrinks the
+    // measurement windows.
+    for (label, switches) in [
+        ("paper_default", 50),
+        ("waxman_240", 240),
+        ("waxman_2400", 2400),
+    ] {
+        topologies.insert(label.into(), bench_topology(label, switches, 42));
+    }
 
     let mut host: BTreeMap<String, Value> = BTreeMap::new();
     host.insert(
         "available_parallelism".into(),
         Value::from(std::thread::available_parallelism().map_or(1, |n| n.get()) as u64),
     );
+    // The first `model name` line of /proc/cpuinfo; "unknown" elsewhere.
+    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, model)| model.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into());
+    host.insert("cpu_model".into(), Value::from(cpu_model));
 
     let mut report: BTreeMap<String, Value> = BTreeMap::new();
     report.insert("bench".into(), Value::from("search_core"));
@@ -296,10 +244,6 @@ fn main() {
     report.insert("quick".into(), Value::from(quick_mode()));
     report.insert("unit".into(), Value::from("ns per all-user-sources op"));
     report.insert("host".into(), Value::Object(host));
-    report.insert(
-        "scaling_threads".into(),
-        Value::from(SCALING_THREADS.map(|t| t as u64).to_vec()),
-    );
     report.insert("topologies".into(), Value::Object(topologies));
 
     let path = write_bench_report("BENCH_pr7.json", &Value::Object(report));

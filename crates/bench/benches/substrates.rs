@@ -1,7 +1,9 @@
 //! Substrate micro-benches: the primitives every routing run leans on.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use qnet_graph::{dijkstra, DijkstraConfig, EdgeRef, Graph, NodeId, UnionFind};
+use qnet_graph::{
+    dijkstra_into, DijkstraConfig, DijkstraWorkspace, EdgeRef, Graph, NodeId, UnionFind,
+};
 use qnet_sim::engine::{SimPhysics, Simulator};
 use qnet_sim::plan::{ChannelSpec, RoutingPlan};
 use qnet_topology::{TopologyKind, TopologySpec};
@@ -36,11 +38,16 @@ fn bench_dijkstra(c: &mut Criterion) {
         let g = spec.generate(11);
         group.bench_with_input(BenchmarkId::from_parameter(nodes), &g, |b, g| {
             b.iter(|| {
-                std::hint::black_box(dijkstra(
-                    g,
-                    NodeId::new(0),
-                    &DijkstraConfig::all_nodes(|e: EdgeRef<'_, f64>| *e.payload),
-                ))
+                std::hint::black_box(
+                    dijkstra_into(
+                        &mut DijkstraWorkspace::new(),
+                        g,
+                        NodeId::new(0),
+                        &DijkstraConfig::all_nodes(|e: EdgeRef<'_, f64>| *e.payload),
+                        None,
+                    )
+                    .to_run(),
+                )
             })
         });
     }
@@ -97,7 +104,7 @@ fn bench_monte_carlo(c: &mut Criterion) {
 }
 
 fn bench_ksp(c: &mut Criterion) {
-    use qnet_graph::ksp::k_shortest_paths;
+    use qnet_graph::ksp::k_shortest_paths_in;
     let spec = TopologySpec {
         kind: TopologyKind::Waxman,
         nodes: 60,
@@ -109,7 +116,8 @@ fn bench_ksp(c: &mut Criterion) {
     for &k in &[1usize, 4, 8] {
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
             b.iter(|| {
-                std::hint::black_box(k_shortest_paths(
+                std::hint::black_box(k_shortest_paths_in(
+                    &mut DijkstraWorkspace::new(),
                     &g,
                     NodeId::new(0),
                     NodeId::new(59),

@@ -21,7 +21,7 @@
 use muerp_core::algorithms::{ChannelFinder, ChannelFinderCache};
 use muerp_core::channel::CapacityMap;
 use muerp_core::model::QuantumNetwork;
-use qnet_graph::NodeId;
+use qnet_graph::{DijkstraWorkspace, NodeId};
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
 use rand::{Rng, SeedableRng};
@@ -104,12 +104,13 @@ pub fn delta_check_ops(net: &QuantumNetwork, ops: &[DeltaOp]) -> Result<(), Conf
     let users = net.users().to_vec();
     let mut capacity = CapacityMap::new(net);
     let mut cache = ChannelFinderCache::new(net);
+    let mut ws = DijkstraWorkspace::new();
     cache.warm(&capacity, &users);
     for (step, op) in ops.iter().enumerate() {
         op.apply(&mut capacity);
         for (source, &u) in users.iter().enumerate() {
             let cached = cache.finder(&capacity, u).run().clone();
-            let cold = ChannelFinder::from_source(net, &capacity, u);
+            let cold = ChannelFinder::from_source_in(&mut ws, net, &capacity, u, None);
             if &cached != cold.run() {
                 return Err(ConformanceError::DeltaDiverged {
                     step,

@@ -12,38 +12,31 @@
 
 use std::cell::Cell;
 
-use qnet_graph::paths::{dijkstra_adj_into, DijkstraConfig, DijkstraRun, DijkstraWorkspace};
+use qnet_graph::paths::{dijkstra_into, DijkstraConfig, DijkstraRun, DijkstraWorkspace};
 use qnet_graph::{
-    dijkstra_repair_into, Adjacency, CsrGraph, DeltaClassifier, EdgeRef, NodeId, RepairScratch,
-    SearchMask, SsspDelta,
+    dijkstra_repair_into, DeltaClassifier, EdgeRef, NodeId, RepairScratch, SearchMask, SsspDelta,
 };
-use qnet_pool::Pool;
 
 use crate::channel::{CapacityMap, Channel};
 use crate::model::QuantumNetwork;
 
-/// The search half of [`run_algorithm1`]: runs Algorithm 1 from
-/// `source` over any [`Adjacency`] view of the network's graph and
-/// returns the borrowed view plus the run's full-switch rejection
-/// tally — **without** touching the flight recorder or flushing the
-/// rejection counter.
+/// Runs the Algorithm-1 search from `source` and leaves the result in
+/// `ws`; the caller materializes it however it likes (fresh
+/// [`DijkstraRun`] or in-place refresh of an existing one).
 ///
-/// That restraint is what makes the function safe to call from pool
-/// workers: the flight-recorder ring orders events by arrival, so
-/// worker-side emission would make trace contents depend on thread
-/// scheduling. Callers flush via [`finish_finder_run`] on the
-/// submitting thread, in a deterministic order. The per-run span and
-/// the `core.channel.finder_runs` counter *are* recorded here (span
-/// parentage is safe cross-thread through the pool's span-context
-/// adoption, and counter totals are order-independent).
-fn run_algorithm1_quiet<'w, A: Adjacency + ?Sized>(
+/// This is the one place the `α·L − ln q` cost and the capacity-aware
+/// relay filter are defined; [`ChannelFinder`] and
+/// [`ChannelFinderCache`] both route through it. A failure `mask`
+/// excludes dead edges and vertices (survivability repair); `None`
+/// searches the intact network. Each run flushes its full-switch
+/// rejection tally and emits one `FinderRun` trace event.
+fn run_algorithm1<'w>(
     ws: &'w mut DijkstraWorkspace,
-    adj: &A,
     net: &QuantumNetwork,
     capacity: &CapacityMap,
     source: NodeId,
     mask: Option<&SearchMask>,
-) -> (qnet_graph::DijkstraView<'w>, u64) {
+) -> qnet_graph::DijkstraView<'w> {
     let q = net.physics().swap_success;
     let alpha = net.physics().attenuation;
     // Edge cost α·L − ln q (non-negative since q ≤ 1). A degenerate
@@ -54,20 +47,12 @@ fn run_algorithm1_quiet<'w, A: Adjacency + ?Sized>(
     let swaps_possible = q > 0.0;
     // Dijkstra consults the relay filter at most once per vertex per run
     // (settled vertices are never re-queried), so this tally counts
-    // *distinct* full switches for this run — returned to the caller
-    // instead of paying an atomic per rejection inside the search.
+    // *distinct* full switches for this run — flushed once below instead
+    // of paying an atomic per rejection inside the search.
     let rejected_full = Cell::new(0u64);
     let cfg = DijkstraConfig {
-        edge_cost: move |e: EdgeRef<'_, f64>| {
-            if mask.is_some_and(|m| m.blocks(e.id, e.a, e.b)) {
-                return f64::INFINITY;
-            }
-            alpha * *e.payload + neg_ln_q
-        },
+        edge_cost: move |e: EdgeRef<'_, f64>| alpha * *e.payload + neg_ln_q,
         can_relay: |v: NodeId| {
-            if mask.is_some_and(|m| m.node_dead(v)) {
-                return false;
-            }
             if !(swaps_possible && net.kind(v).is_switch()) {
                 return false;
             }
@@ -79,18 +64,11 @@ fn run_algorithm1_quiet<'w, A: Adjacency + ?Sized>(
         },
     };
     qnet_obs::counter!("core.channel.finder_runs");
-    let _span = qnet_obs::span!("core.channel.finder_run");
-    let view = dijkstra_adj_into(ws, adj, net.graph(), source, &cfg);
-    let n = rejected_full.get();
-    (view, n)
-}
-
-/// The bookkeeping half of [`run_algorithm1`]: flushes a run's
-/// rejection tally and emits its `FinderRun` trace event. Call on the
-/// submitting thread, in source order, after a (possibly parallel)
-/// batch of [`run_algorithm1_quiet`] searches — the flight-recorder
-/// contents then never depend on worker scheduling.
-fn finish_finder_run(source: NodeId, rejected_full: u64, epoch: u64) {
+    let view = {
+        let _span = qnet_obs::span!("core.channel.finder_run");
+        dijkstra_into(ws, net.graph(), source, &cfg, mask)
+    };
+    let rejected_full = rejected_full.get();
     if rejected_full > 0 {
         qnet_obs::counter!("core.channel.rejected", reason = "qubit_capacity"; rejected_full);
     }
@@ -98,30 +76,9 @@ fn finish_finder_run(source: NodeId, rejected_full: u64, epoch: u64) {
         qnet_obs::record_event(qnet_obs::TraceEvent::FinderRun {
             source: source.index() as u32,
             rejected_full,
-            epoch,
+            epoch: capacity.epoch(),
         });
     }
-}
-
-/// Runs the Algorithm-1 search from `source` and leaves the result in
-/// `ws`; the caller materializes it however it likes (fresh
-/// [`DijkstraRun`] or in-place refresh of an existing one).
-///
-/// This is the one place the `α·L − ln q` cost and the capacity-aware
-/// relay filter are defined; [`ChannelFinder`] and
-/// [`ChannelFinderCache`] both route through it (the cache via the
-/// split [`run_algorithm1_quiet`]/[`finish_finder_run`] halves and its
-/// frozen CSR adjacency). A failure `mask` excludes dead edges and
-/// vertices (survivability repair); `None` searches the intact network.
-fn run_algorithm1<'w>(
-    ws: &'w mut DijkstraWorkspace,
-    net: &QuantumNetwork,
-    capacity: &CapacityMap,
-    source: NodeId,
-    mask: Option<&SearchMask>,
-) -> qnet_graph::DijkstraView<'w> {
-    let (view, rejected) = run_algorithm1_quiet(ws, net.graph(), net, capacity, source, mask);
-    finish_finder_run(source, rejected, capacity.epoch());
     view
 }
 
@@ -145,32 +102,14 @@ impl<'n> ChannelFinder<'n> {
     ///
     /// Every interior vertex of any returned channel is a switch with at
     /// least 2 free qubits *in the given map*; the map is not mutated
-    /// (reservation is the caller's decision).
+    /// (reservation is the caller's decision). With a failure `mask`,
+    /// channels never use a dead edge nor touch a dead vertex (not even
+    /// as an endpoint); `None` means no failures.
     ///
-    /// Allocates a private search workspace; callers in a loop should
-    /// hold a [`DijkstraWorkspace`] and use
-    /// [`ChannelFinder::from_source_in`] — or better, a
-    /// [`ChannelFinderCache`].
-    pub fn from_source(net: &'n QuantumNetwork, capacity: &CapacityMap, source: NodeId) -> Self {
-        let mut ws = DijkstraWorkspace::new();
-        Self::from_source_in(&mut ws, net, capacity, source)
-    }
-
-    /// [`ChannelFinder::from_source`] on a caller-provided workspace: the
-    /// search itself allocates nothing, only the materialized run does.
+    /// The search runs on the caller's workspace and allocates nothing;
+    /// only the materialized run does. Callers that revisit sources
+    /// under a changing capacity map should use a [`ChannelFinderCache`].
     pub fn from_source_in(
-        ws: &mut DijkstraWorkspace,
-        net: &'n QuantumNetwork,
-        capacity: &CapacityMap,
-        source: NodeId,
-    ) -> Self {
-        Self::from_source_masked_in(ws, net, capacity, source, None)
-    }
-
-    /// [`ChannelFinder::from_source_in`] with failed network elements
-    /// masked out: channels never use a dead edge nor touch a dead
-    /// vertex (not even as an endpoint). `None` means no failures.
-    pub fn from_source_masked_in(
         ws: &mut DijkstraWorkspace,
         net: &'n QuantumNetwork,
         capacity: &CapacityMap,
@@ -259,7 +198,8 @@ pub fn max_rate_channel(
     a: NodeId,
     b: NodeId,
 ) -> Option<Channel> {
-    ChannelFinder::from_source(net, capacity, a).channel_to(b)
+    ChannelFinder::from_source_in(&mut DijkstraWorkspace::new(), net, capacity, a, None)
+        .channel_to(b)
 }
 
 /// In-place delta repair of a memoized Algorithm-1 run: reloads `run`
@@ -267,8 +207,8 @@ pub fn max_rate_channel(
 /// set instead of re-running the search from scratch.
 ///
 /// The configuration is the exact Algorithm-1 cost/relay pair of
-/// [`run_algorithm1_quiet`] minus the mask branch (repairs only serve
-/// unmasked entries) and the rejection tally (a repair consults only
+/// [`run_algorithm1`] without a mask (repairs only serve unmasked
+/// entries) and without the rejection tally (a repair consults only
 /// the shrunken region, so its tally would not be comparable to a full
 /// run's); `capacity` must already reflect the blocked nodes, which is
 /// guaranteed because the blocked set is derived by diffing relay
@@ -276,7 +216,6 @@ pub fn max_rate_channel(
 fn repair_algorithm1(
     ws: &mut DijkstraWorkspace,
     scratch: &mut RepairScratch,
-    csr: &CsrGraph,
     net: &QuantumNetwork,
     capacity: &CapacityMap,
     run: &mut DijkstraRun,
@@ -295,7 +234,7 @@ fn repair_algorithm1(
         delta.block_node(v);
     }
     ws.load_run(run);
-    let (view, stats) = dijkstra_repair_into(ws, scratch, csr, net.graph(), &cfg, &delta);
+    let (view, stats) = dijkstra_repair_into(ws, scratch, net.graph(), &cfg, &delta);
     view.write_run(run);
     stats
 }
@@ -409,17 +348,7 @@ struct Entry<'n> {
 /// [`search_count`]: ChannelFinderCache::search_count
 pub struct ChannelFinderCache<'n> {
     net: &'n QuantumNetwork,
-    /// The network graph's adjacency frozen into CSR form at cache
-    /// construction: every search this cache runs — sequential misses
-    /// and pooled [`warm`](ChannelFinderCache::warm) batches alike —
-    /// iterates this flat, thread-shareable layout instead of chasing
-    /// the graph's per-node `Vec`s.
-    csr: CsrGraph,
-    /// Fans [`warm`](ChannelFinderCache::warm) batches out over worker
-    /// threads; sized by `MUERP_THREADS`/available parallelism. Results
-    /// are merged in source order, so the cache's observable state is
-    /// identical at every thread count.
-    pool: Pool,
+    /// The one workspace every search and repair of this cache runs in.
     ws: DijkstraWorkspace,
     /// Indexed by source node; each entry stores the (epoch, mask hash)
     /// key its run was computed under plus its pending dirty state.
@@ -483,21 +412,10 @@ impl CacheEfficiency {
 
 impl<'n> ChannelFinderCache<'n> {
     /// An empty cache for `net`; entries populate lazily per source.
-    /// The pool width comes from `MUERP_THREADS`/available parallelism
-    /// (see [`qnet_pool::threads_from_env`]).
     pub fn new(net: &'n QuantumNetwork) -> Self {
-        Self::with_pool(net, Pool::from_env())
-    }
-
-    /// [`ChannelFinderCache::new`] with an explicit pool — the hook the
-    /// thread-scaling bench and the determinism tests use to pin the
-    /// worker count regardless of environment.
-    pub fn with_pool(net: &'n QuantumNetwork, pool: Pool) -> Self {
         let nodes = net.graph().node_count();
         ChannelFinderCache {
             net,
-            csr: CsrGraph::from_graph(net.graph()),
-            pool,
             ws: DijkstraWorkspace::with_capacity(nodes),
             entries: (0..nodes).map(|_| None).collect(),
             classifier: DeltaClassifier::new(net.graph()),
@@ -613,22 +531,40 @@ impl<'n> ChannelFinderCache<'n> {
         source: NodeId,
     ) -> &ChannelFinder<'n> {
         self.observe(capacity);
-        let idx = source.index();
+        if self.update(capacity, mask, source) {
+            qnet_obs::counter!("core.channel.cache_hits");
+            self.efficiency.hits += 1;
+        }
+        &self.entries[source.index()]
+            .as_ref()
+            .expect("entry just populated")
+            .finder
+    }
+
+    /// Brings `source`'s entry up to date with `(capacity, mask)`, which
+    /// [`observe`](Self::observe) must already have seen. Returns `true`
+    /// when no work was needed — the stored key matched, or no relay flip
+    /// reached the run (an O(1) revalidation) — which lookups tally as a
+    /// hit and warm batches do not tally at all. Otherwise the entry is
+    /// repaired in place, re-searched over its own buffers (refresh) or
+    /// filled for the first time, with the matching tallies.
+    fn update(
+        &mut self,
+        capacity: &CapacityMap,
+        mask: Option<&SearchMask>,
+        source: NodeId,
+    ) -> bool {
         let epoch = capacity.epoch();
         let key = (epoch, mask.map_or(0, |m| m.hash()));
-        match &mut self.entries[idx] {
-            Some(entry) if entry.key == key => {
-                qnet_obs::counter!("core.channel.cache_hits");
-                self.efficiency.hits += 1;
-            }
+        match &mut self.entries[source.index()] {
+            Some(entry) if entry.key == key => true,
             Some(entry) if entry.key.1 == key.1 && entry.pending == Pending::Clean => {
                 // Capacity moved, but no relay flip can reach this run:
                 // revalidate in O(1), no search.
-                qnet_obs::counter!("core.channel.cache_hits");
                 qnet_obs::counter!("graph.delta.clean");
-                self.efficiency.hits += 1;
                 entry.key = key;
                 entry.finder.epoch = epoch;
+                true
             }
             Some(entry)
                 if entry.key.1 == key.1
@@ -645,7 +581,6 @@ impl<'n> ChannelFinderCache<'n> {
                 repair_algorithm1(
                     &mut self.ws,
                     &mut self.scratch,
-                    &self.csr,
                     self.net,
                     capacity,
                     &mut entry.finder.run,
@@ -653,6 +588,7 @@ impl<'n> ChannelFinderCache<'n> {
                 );
                 entry.key = key;
                 entry.finder.epoch = epoch;
+                false
             }
             Some(entry) => {
                 qnet_obs::counter!("core.channel.cache_misses");
@@ -664,54 +600,42 @@ impl<'n> ChannelFinderCache<'n> {
                     qnet_obs::counter!("graph.delta.recomputed");
                 }
                 self.efficiency.refreshes += 1;
-                let (view, rejected) =
-                    run_algorithm1_quiet(&mut self.ws, &self.csr, self.net, capacity, source, mask);
-                view.write_run(&mut entry.finder.run);
+                run_algorithm1(&mut self.ws, self.net, capacity, source, mask)
+                    .write_run(&mut entry.finder.run);
                 entry.finder.epoch = epoch;
-                finish_finder_run(source, rejected, epoch);
                 entry.key = key;
                 entry.pending = Pending::Clean;
                 self.searches += 1;
+                false
             }
-            entry @ None => {
+            slot @ None => {
                 qnet_obs::counter!("core.channel.cache_misses");
                 self.efficiency.fills += 1;
-                let (view, rejected) =
-                    run_algorithm1_quiet(&mut self.ws, &self.csr, self.net, capacity, source, mask);
-                let finder = ChannelFinder {
-                    net: self.net,
-                    run: view.to_run(),
-                    epoch,
-                };
-                finish_finder_run(source, rejected, epoch);
-                *entry = Some(Entry {
+                let run = run_algorithm1(&mut self.ws, self.net, capacity, source, mask).to_run();
+                *slot = Some(Entry {
                     key,
                     pending: Pending::Clean,
-                    finder,
+                    finder: ChannelFinder {
+                        net: self.net,
+                        run,
+                        epoch,
+                    },
                 });
                 self.searches += 1;
+                false
             }
         }
-        &self.entries[idx]
-            .as_ref()
-            .expect("entry just populated")
-            .finder
     }
 
-    /// Batch-refreshes the entries for `sources` under `(capacity,
-    /// mask)` — **Algorithm 1 as a multi-source batch**. Sources whose
-    /// entry is already fresh are skipped; the rest are searched
-    /// concurrently on the cache's [`Pool`] over the frozen CSR
-    /// adjacency, each stale entry's result buffers recycled as the
-    /// staging target. Subsequent [`finder`](ChannelFinderCache::finder)
-    /// calls for these sources at the same epoch are then cache hits.
-    ///
-    /// Determinism: results are installed — and their trace events
-    /// emitted — in `sources` order on the calling thread, so cache
-    /// state, counters tied to search results, and the flight recorder
-    /// are bitwise identical for every pool width (the property
-    /// `tests/parallel_equivalence.rs` locks in). Warm searches tally
-    /// as misses (refresh or fill) exactly like the lazy path.
+    /// Brings the entries for `sources` up to date under `capacity` —
+    /// **Algorithm 1 as a multi-source batch**. Sources whose entry is
+    /// already fresh are skipped; the rest are repaired or searched in
+    /// `sources` order on the cache's workspace, each stale entry's
+    /// result buffers recycled. Subsequent
+    /// [`finder`](ChannelFinderCache::finder) calls for these sources at
+    /// the same epoch are then cache hits. Warm searches tally as misses
+    /// (refresh or fill) exactly like the lazy path; fresh entries are
+    /// not tallied as hits.
     pub fn warm(&mut self, capacity: &CapacityMap, sources: &[NodeId]) {
         self.warm_masked(capacity, None, sources)
     }
@@ -723,121 +647,14 @@ impl<'n> ChannelFinderCache<'n> {
         mask: Option<&SearchMask>,
         sources: &[NodeId],
     ) {
-        // One coherent snapshot *before* any classification or fan-out.
-        // Every key installed below — including by the pooled merge — is
-        // keyed to this observed epoch, and `capacity` cannot mutate
-        // while the call borrows it, so a delta can never land between
-        // the snapshot and the install (the warm staleness hazard
-        // `tests/delta_cache.rs` locks down).
+        // One coherent snapshot before any entry is touched: every key
+        // installed below is keyed to this observed epoch, and
+        // `capacity` cannot mutate while the call borrows it, so a delta
+        // can never land between the snapshot and the install (the warm
+        // staleness hazard `tests/delta_cache.rs` locks down).
         self.observe(capacity);
-        let epoch = capacity.epoch();
-        let key = (epoch, mask.map_or(0, |m| m.hash()));
-        // Resolve delta-classified entries inline, in source order and
-        // on the calling thread (repairs share the cache's workspace and
-        // are cheap); collect the remaining stale sources in input order
-        // (first occurrence wins), recycling each stale entry's run as
-        // the staging buffer for the pooled searches.
-        let mut jobs: Vec<(NodeId, DijkstraRun)> = Vec::new();
         for &src in sources {
-            let entry_slot = &mut self.entries[src.index()];
-            match entry_slot {
-                Some(entry) if entry.key == key => {}
-                Some(entry) if entry.key.1 == key.1 && entry.pending == Pending::Clean => {
-                    qnet_obs::counter!("graph.delta.clean");
-                    entry.key = key;
-                    entry.finder.epoch = epoch;
-                }
-                Some(entry)
-                    if entry.key.1 == key.1
-                        && key.1 == 0
-                        && matches!(entry.pending, Pending::Repair(_)) =>
-                {
-                    let Pending::Repair(blocked) =
-                        std::mem::replace(&mut entry.pending, Pending::Clean)
-                    else {
-                        unreachable!("guard matched Repair");
-                    };
-                    qnet_obs::counter!("core.channel.cache_repairs");
-                    self.efficiency.repairs += 1;
-                    repair_algorithm1(
-                        &mut self.ws,
-                        &mut self.scratch,
-                        &self.csr,
-                        self.net,
-                        capacity,
-                        &mut entry.finder.run,
-                        &blocked,
-                    );
-                    entry.key = key;
-                    entry.finder.epoch = epoch;
-                }
-                taken => {
-                    if jobs.iter().any(|(s, _)| *s == src) {
-                        continue;
-                    }
-                    let run = match taken.take() {
-                        Some(entry) => {
-                            qnet_obs::counter!("core.channel.cache_misses");
-                            qnet_obs::counter!("core.channel.cache_refreshes");
-                            if entry.key.1 == key.1 {
-                                qnet_obs::counter!("graph.delta.recomputed");
-                            }
-                            self.efficiency.refreshes += 1;
-                            entry.finder.run
-                        }
-                        None => {
-                            qnet_obs::counter!("core.channel.cache_misses");
-                            self.efficiency.fills += 1;
-                            DijkstraRun::default()
-                        }
-                    };
-                    jobs.push((src, run));
-                }
-            }
-        }
-        if jobs.is_empty() {
-            return;
-        }
-        self.searches += jobs.len() as u64;
-
-        let results: Vec<(NodeId, DijkstraRun, u64)> = if self.pool.is_sequential() {
-            // Inline path: reuse the cache's own workspace, no spawns.
-            let mut out = Vec::with_capacity(jobs.len());
-            for (src, mut run) in jobs {
-                let (view, rejected) =
-                    run_algorithm1_quiet(&mut self.ws, &self.csr, self.net, capacity, src, mask);
-                view.write_run(&mut run);
-                out.push((src, run, rejected));
-            }
-            out
-        } else {
-            let net = self.net;
-            let csr = &self.csr;
-            let order = csr.node_count();
-            self.pool.map(
-                jobs,
-                || DijkstraWorkspace::with_capacity(order),
-                |ws, (src, mut run), _| {
-                    let (view, rejected) = run_algorithm1_quiet(ws, csr, net, capacity, src, mask);
-                    view.write_run(&mut run);
-                    (src, run, rejected)
-                },
-            )
-        };
-
-        // Merge on the calling thread, in source order: install entries
-        // and emit the deferred per-run events deterministically.
-        for (src, run, rejected) in results {
-            finish_finder_run(src, rejected, epoch);
-            self.entries[src.index()] = Some(Entry {
-                key,
-                pending: Pending::Clean,
-                finder: ChannelFinder {
-                    net: self.net,
-                    run,
-                    epoch,
-                },
-            });
+            self.update(capacity, mask, src);
         }
     }
 
@@ -893,11 +710,11 @@ impl<'n> ChannelFinderCache<'n> {
         self.efficiency
     }
 
-    /// Drops every memoized entry (the frozen CSR adjacency, pool, and
-    /// tallies are kept): the next lookup per source is a *fill*, not a
-    /// refresh. This is how the search-core bench measures the fill path
-    /// in isolation — refreshes and fills run the identical search; only
-    /// the result buffers differ (recycled vs freshly allocated).
+    /// Drops every memoized entry (the workspace and tallies are kept):
+    /// the next lookup per source is a *fill*, not a refresh. This is how
+    /// the search-core bench measures the fill path in isolation —
+    /// refreshes and fills run the identical search; only the result
+    /// buffers differ (recycled vs freshly allocated).
     pub fn clear(&mut self) {
         self.entries.iter_mut().for_each(|e| *e = None);
     }
@@ -992,7 +809,8 @@ mod tests {
         let net = crate::model::NetworkSpec::paper_default().build(11);
         let cap = CapacityMap::new(&net);
         let users = net.users().to_vec();
-        let finder = ChannelFinder::from_source(&net, &cap, users[0]);
+        let mut ws = DijkstraWorkspace::new();
+        let finder = ChannelFinder::from_source_in(&mut ws, &net, &cap, users[0], None);
         for &dst in &users[1..] {
             let via_run = finder.channel_to(dst);
             let via_pair = max_rate_channel(&net, &cap, users[0], dst);
@@ -1022,7 +840,7 @@ mod tests {
         let mut mask = SearchMask::new();
         mask.kill_edge(e_as1);
         let mut ws = DijkstraWorkspace::new();
-        let c = ChannelFinder::from_source_masked_in(&mut ws, &net, &cap, a, Some(&mask))
+        let c = ChannelFinder::from_source_in(&mut ws, &net, &cap, a, Some(&mask))
             .channel_to(b)
             .unwrap();
         assert_eq!(c.link_count(), 1, "masked edge forces the direct fiber");
@@ -1030,7 +848,7 @@ mod tests {
         // Kill the switch instead: same outcome, and s1 is untouchable.
         let mut mask = SearchMask::new();
         mask.kill_node(s1);
-        let finder = ChannelFinder::from_source_masked_in(&mut ws, &net, &cap, a, Some(&mask));
+        let finder = ChannelFinder::from_source_in(&mut ws, &net, &cap, a, Some(&mask));
         let c = finder.channel_to(b).unwrap();
         assert_eq!(c.link_count(), 1);
         assert!(finder.channel_to(s1).is_none(), "dead vertex unreachable");

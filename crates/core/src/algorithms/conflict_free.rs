@@ -131,8 +131,8 @@ impl RoutingAlgorithm for ConflictFree {
         while !all_connected(&mut uf, users) {
             round += 1;
             qnet_obs::counter!("core.conflict_free.reconnections");
-            // Batch-refresh all user sources on the cache's pool before
-            // the pairwise scan (which then hits on every lookup).
+            // Batch-refresh all user sources before the pairwise scan
+            // (which then hits on every lookup).
             cache.warm(&capacity, users);
             let mut best: Option<Channel> = None;
             for (i, &src) in users.iter().enumerate() {

@@ -22,8 +22,7 @@
 
 use std::collections::HashSet;
 
-use qnet_graph::{CsrGraph, DijkstraWorkspace, NodeId, UnionFind};
-use qnet_pool::Pool;
+use qnet_graph::{DijkstraWorkspace, NodeId, UnionFind};
 use serde::{Deserialize, Serialize};
 
 use crate::channel::{CapacityMap, Channel};
@@ -33,45 +32,7 @@ use crate::rate::Rate;
 use crate::solver::{RoutingAlgorithm, Solution, SolutionStyle};
 use crate::tree::EntanglementTree;
 
-use super::k_channels::{k_best_channels_pooled_in, YEN_POOL_MIN_NODES};
-
-/// Shared search state for every k-best-channels query of a refine run:
-/// one reusable Dijkstra workspace, the CSR adjacency snapshot, and the
-/// worker pool the Yen spur searches fan out on.
-struct SearchCtx {
-    ws: DijkstraWorkspace,
-    csr: CsrGraph,
-    pool: Pool,
-}
-
-impl SearchCtx {
-    fn new(net: &QuantumNetwork) -> Self {
-        let n = net.graph().node_count();
-        SearchCtx {
-            ws: DijkstraWorkspace::with_capacity(n),
-            csr: CsrGraph::from_graph(net.graph()),
-            // Spur searches on small graphs finish faster than a task
-            // hand-off; keep those sequential. Output is identical either
-            // way (the pooled Yen merge is order-deterministic).
-            pool: if n >= YEN_POOL_MIN_NODES {
-                Pool::from_env()
-            } else {
-                Pool::with_threads(1)
-            },
-        }
-    }
-
-    fn k_best(
-        &mut self,
-        net: &QuantumNetwork,
-        capacity: &CapacityMap,
-        a: NodeId,
-        b: NodeId,
-        k: usize,
-    ) -> Vec<Channel> {
-        k_best_channels_pooled_in(&self.pool, &mut self.ws, &self.csr, net, capacity, a, b, k)
-    }
-}
+use super::k_channels::k_best_channels_in;
 
 /// Local-search configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -105,15 +66,14 @@ pub fn refine(net: &QuantumNetwork, solution: Solution, options: LocalSearchOpti
     let mut tree = EntanglementTree {
         channels: solution.channels,
     };
-    // One search context (workspace + CSR + pool) serves every
-    // k-best-channels query of every move.
-    let mut ctx = SearchCtx::new(net);
+    // One workspace serves every k-best-channels query of every move.
+    let mut ws = DijkstraWorkspace::with_capacity(net.graph().node_count());
     for _ in 0..options.max_rounds {
         let _round = qnet_obs::span!("core.local_search.round");
         qnet_obs::counter!("core.local_search.rounds");
-        let mut improved = improve_once(net, &mut tree, 1, options.k_candidates, &mut ctx);
+        let mut improved = improve_once(net, &mut tree, 1, options.k_candidates, &mut ws);
         if options.pair_moves {
-            improved |= improve_once(net, &mut tree, 2, options.k_candidates, &mut ctx);
+            improved |= improve_once(net, &mut tree, 2, options.k_candidates, &mut ws);
         }
         if !improved {
             break;
@@ -128,7 +88,7 @@ fn improve_once(
     tree: &mut EntanglementTree,
     arity: usize,
     k: usize,
-    ctx: &mut SearchCtx,
+    ws: &mut DijkstraWorkspace,
 ) -> bool {
     let n = tree.channels.len();
     if n < arity {
@@ -152,7 +112,7 @@ fn improve_once(
     };
 
     for removal in index_sets {
-        if let Some(better) = try_move(net, tree, &removal, k, ctx) {
+        if let Some(better) = try_move(net, tree, &removal, k, ws) {
             if qnet_obs::trace_enabled() {
                 let old_rate: Rate = removal.iter().map(|&i| tree.channels[i].rate).product();
                 let new_rate: Rate = better.iter().map(|c| c.rate).product();
@@ -187,7 +147,7 @@ fn try_move(
     tree: &EntanglementTree,
     removal: &[usize],
     k: usize,
-    ctx: &mut SearchCtx,
+    ws: &mut DijkstraWorkspace,
 ) -> Option<Vec<Channel>> {
     let removed: HashSet<usize> = removal.iter().copied().collect();
     let kept: Vec<&Channel> = tree
@@ -239,7 +199,7 @@ fn try_move(
             let mut all = Vec::new();
             for &a in &components[x] {
                 for &b in &components[y] {
-                    all.extend(ctx.k_best(net, &capacity, a, b, k));
+                    all.extend(k_best_channels_in(ws, net, &capacity, a, b, k));
                 }
             }
             all.sort_by_key(|p| std::cmp::Reverse(p.rate));

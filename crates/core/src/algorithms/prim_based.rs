@@ -79,8 +79,7 @@ impl PrimBased {
         for round in 1..users.len() {
             let _round_span = qnet_obs::span!("core.prim_based.round");
             qnet_obs::counter!("core.prim_based.rounds");
-            // Batch-refresh every in-tree source first: the stale runs
-            // execute concurrently on the cache's pool (Algorithm 1 as a
+            // Batch-refresh every in-tree source first (Algorithm 1 as a
             // multi-source batch), then the per-pair scan below is all
             // cache hits.
             let sources: Vec<NodeId> = users

@@ -22,8 +22,7 @@
 //! per-window admission-latency histogram. Latency is measured in
 //! **finder searches per admission decision** (the
 //! [`ChannelFinderCache::search_count`] delta), not wall-clock — the
-//! repo's deterministic latency proxy, byte-identical across machines
-//! and thread counts.
+//! repo's deterministic latency proxy, byte-identical across machines.
 //!
 //! `Blocked` decision points are sampled 1-in-N through a
 //! [`TraceSampler`] so a long saturated run cannot flood the flight
@@ -393,8 +392,7 @@ struct Session {
 /// consuming the open-loop [`RequestStream`] one request at a time.
 ///
 /// Deterministic for a given `seed`: the virtual clock, the RNG, and
-/// the search-count latency proxy are all independent of wall-clock
-/// and thread count (admission routing is sequential by design).
+/// the search-count latency proxy are all independent of wall-clock.
 ///
 /// # Panics
 ///

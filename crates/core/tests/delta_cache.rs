@@ -1,16 +1,19 @@
 //! Differential battery for the dirty-set cache: every lookup served
 //! after a sequence of capacity deltas — by O(1) revalidation, in-place
 //! SSSP repair, or full recompute — must be **bitwise identical** to a
-//! cold, cache-free `ChannelFinder` under the same capacity map, at
-//! every pool width, and the warm path must never install an entry a
-//! concurrent-looking delta could leave stale (the snapshot/install
-//! hazard).
+//! cold, cache-free `ChannelFinder` under the same capacity map, and
+//! the warm path must never install an entry a delta could leave stale
+//! (the snapshot/install hazard).
 
 use muerp_core::algorithms::{ChannelFinder, ChannelFinderCache};
 use muerp_core::channel::CapacityMap;
 use muerp_core::model::{NetworkSpec, QuantumNetwork};
-use qnet_graph::NodeId;
-use qnet_pool::Pool;
+use qnet_graph::{DijkstraWorkspace, NodeId};
+
+/// A cold, cache-free Algorithm-1 run from `src` under `capacity`.
+fn cold<'n>(net: &'n QuantumNetwork, capacity: &CapacityMap, src: NodeId) -> ChannelFinder<'n> {
+    ChannelFinder::from_source_in(&mut DijkstraWorkspace::new(), net, capacity, src, None)
+}
 
 /// Asserts every cached per-source run equals a cold from-scratch run
 /// under `capacity` — distances, predecessors, reachability.
@@ -23,10 +26,9 @@ fn assert_matches_cold(
 ) {
     for &src in sources {
         let cached = cache.finder(capacity, src).run().clone();
-        let cold = ChannelFinder::from_source(net, capacity, src);
         assert_eq!(
             &cached,
-            cold.run(),
+            cold(net, capacity, src).run(),
             "cached run for source {src} diverged from cold recomputation ({context})"
         );
     }
@@ -72,7 +74,7 @@ fn delta_sequence_matches_cold_cache_at_every_step() {
     let net = NetworkSpec::paper_default().build(42);
     let users = net.users().to_vec();
     let mut capacity = CapacityMap::new(&net);
-    let mut cache = ChannelFinderCache::with_pool(&net, Pool::with_threads(1));
+    let mut cache = ChannelFinderCache::new(&net);
     cache.warm(&capacity, &users);
     assert_matches_cold(&net, &mut cache, &capacity, &users, "initial warm");
 
@@ -94,49 +96,50 @@ fn delta_sequence_matches_cold_cache_at_every_step() {
 }
 
 #[test]
-fn warm_batches_are_width_invariant_under_deltas() {
-    // The same warm-then-delta-then-warm sequence must leave identical
-    // cache state and identical deterministic tallies at widths 1 and 3.
-    let run = |threads: usize| {
-        let net = NetworkSpec::paper_default().build(7);
-        let users = net.users().to_vec();
-        let mut capacity = CapacityMap::new(&net);
-        let mut cache = ChannelFinderCache::with_pool(&net, Pool::with_threads(threads));
-        let mut runs = Vec::new();
+fn warm_after_each_delta_matches_cold_finders() {
+    // `delta_sequence_matches_cold_cache_at_every_step` warms once and
+    // then looks up lazily; here every delta is followed by a `warm`, and
+    // every run it leaves must equal a cold finder. The lookups must all
+    // be hits, so the runs compared are exactly the ones warm installed.
+    let net = NetworkSpec::paper_default().build(7);
+    let users = net.users().to_vec();
+    let mut capacity = CapacityMap::new(&net);
+    let mut cache = ChannelFinderCache::new(&net);
+    cache.warm(&capacity, &users);
+    for (step, &delta) in delta_schedule(&net).iter().enumerate() {
+        apply(&mut capacity, delta);
         cache.warm(&capacity, &users);
-        for &delta in &delta_schedule(&net) {
-            apply(&mut capacity, delta);
-            cache.warm(&capacity, &users);
-            for &src in &users {
-                runs.push(cache.finder(&capacity, src).run().clone());
-            }
-        }
-        (runs, cache.search_count(), cache.efficiency())
-    };
-    let narrow = run(1);
-    let wide = run(3);
-    assert_eq!(
-        narrow.0, wide.0,
-        "cached runs must not depend on pool width"
+        let searches = cache.search_count();
+        let before = cache.efficiency();
+        let context = format!("warm after delta #{step} {delta:?}");
+        assert_matches_cold(&net, &mut cache, &capacity, &users, &context);
+        let after = cache.efficiency();
+        assert_eq!(cache.search_count(), searches, "{context}: lookup searched");
+        assert_eq!(
+            after.hits - before.hits,
+            users.len() as u64,
+            "{context}: every lookup after a warm must be a hit"
+        );
+        assert_eq!(after.repairs, before.repairs, "{context}: lookup repaired");
+    }
+    let eff = cache.efficiency();
+    assert!(
+        eff.repairs > 0 && eff.refreshes > 0,
+        "the schedule must reach warm's repair and recompute arms, got {eff:?}"
     );
-    assert_eq!(
-        narrow.1, wide.1,
-        "search counts must not depend on pool width"
-    );
-    assert_eq!(narrow.2, wide.2, "tallies must not depend on pool width");
 }
 
 #[test]
 fn warm_snapshot_cannot_leave_stale_entry_marked_clean() {
-    // Satellite-4 regression: `warm` snapshots the epoch before worker
-    // fan-out and installs entries keyed to it afterwards. A delta
+    // Regression: `warm` snapshots the epoch before touching any entry
+    // and installs entries keyed to it. A delta
     // "landing between snapshot and install" — i.e. any mutation the
     // cache has not observed when the entries are consulted next — must
     // be classified against those entries, never absorbed silently.
     let net = NetworkSpec::paper_default().build(11);
     let users = net.users().to_vec();
     let capacity = CapacityMap::new(&net);
-    let mut cache = ChannelFinderCache::with_pool(&net, Pool::with_threads(3));
+    let mut cache = ChannelFinderCache::new(&net);
     cache.warm(&capacity, &users);
     let warmed_searches = cache.search_count();
 
@@ -184,7 +187,7 @@ fn kill_and_restore_cancels_pending_repairs() {
     let users = net.users().to_vec();
     assert!(users.len() >= 2);
     let mut capacity = CapacityMap::new(&net);
-    let mut cache = ChannelFinderCache::with_pool(&net, Pool::with_threads(1));
+    let mut cache = ChannelFinderCache::new(&net);
     cache.warm(&capacity, &users);
 
     let victim = net
@@ -200,7 +203,7 @@ fn kill_and_restore_cancels_pending_repairs() {
     // Kill the relay and consult only the first user: that entry is
     // repaired now; every other entry keeps a pending repair for victim.
     capacity.withdraw(victim, 1_000);
-    let cold = ChannelFinder::from_source(&net, &capacity, users[0]);
+    let cold = cold(&net, &capacity, users[0]);
     assert_eq!(cache.finder(&capacity, users[0]).run(), cold.run());
 
     // Restore before anyone else looks: their pending repairs cancel.
@@ -224,7 +227,7 @@ fn threshold_preserving_ping_pong_never_searches() {
     let net = NetworkSpec::paper_default().with_qubits(8).build(3);
     let users = net.users().to_vec();
     let mut capacity = CapacityMap::new(&net);
-    let mut cache = ChannelFinderCache::with_pool(&net, Pool::with_threads(1));
+    let mut cache = ChannelFinderCache::new(&net);
 
     let baseline: Vec<_> = users
         .iter()

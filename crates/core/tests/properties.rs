@@ -8,14 +8,14 @@
 use proptest::prelude::*;
 
 use muerp_core::algorithms::{
-    k_best_channels, max_rate_channel, refine, ConflictFree, LocalSearchOptions, OptimalSufficient,
-    PrimBased,
+    k_best_channels_in, max_rate_channel, refine, ConflictFree, LocalSearchOptions,
+    OptimalSufficient, PrimBased,
 };
 use muerp_core::channel::CapacityMap;
 use muerp_core::feasibility::{enumerate_channels, exhaustive_optimal};
 use muerp_core::model::{NodeKind, PhysicsParams, QuantumNetwork};
 use muerp_core::solver::{validate_solution, RoutingAlgorithm};
-use qnet_graph::{Graph, NodeId};
+use qnet_graph::{DijkstraWorkspace, Graph, NodeId};
 
 /// A random small instance: `users` user nodes, `switches` switch nodes
 /// with `qubits` qubits, random edges with lengths in [100, 5000].
@@ -149,7 +149,7 @@ proptest! {
         let cap = CapacityMap::new(&net);
         let users = net.users().to_vec();
         let (a, b) = (users[0], users[1]);
-        let channels = k_best_channels(&net, &cap, a, b, 4);
+        let channels = k_best_channels_in(&mut DijkstraWorkspace::new(), &net, &cap, a, b, 4);
         for w in channels.windows(2) {
             prop_assert!(w[0].rate >= w[1].rate);
             prop_assert_ne!(&w[0].path.edges, &w[1].path.edges);
@@ -224,7 +224,8 @@ proptest! {
                 // be a pure cache hit and still agree.
                 for _ in 0..2 {
                     let cached = cache.finder(&cap, src);
-                    let uncached = ChannelFinder::from_source(&net, &cap, src);
+                    let mut ws = DijkstraWorkspace::new();
+                    let uncached = ChannelFinder::from_source_in(&mut ws, &net, &cap, src, None);
                     for &dst in &users {
                         let (a, b) = (cached.channel_to(dst), uncached.channel_to(dst));
                         prop_assert_eq!(a.is_some(), b.is_some());

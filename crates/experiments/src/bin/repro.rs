@@ -62,8 +62,7 @@
 //! and delta-engine departure restores. Artifacts mirror `stream`:
 //! `serve-rounds.csv`, `serve-summary.csv`, `serve.metrics.jsonl`, a
 //! schema-4 `serve.json` report, and `serve.prom` — all
-//! byte-deterministic for a fixed seed, with the decision-level
-//! artifacts additionally thread-count invariant.
+//! byte-deterministic for a fixed seed.
 //!
 //! `profile` runs one scenario single-threaded at `MUERP_OBS=trace`
 //! and writes the perf-attribution artifacts: deterministic facts to

@@ -39,40 +39,14 @@ pub fn scenario_spec(id: &str) -> Option<NetworkSpec> {
             spec.topology.nodes = 240 + spec.users;
             Some(spec)
         }
-        // The parallel-search bench tier: 2400 switches + 10 users —
-        // big enough that the CSR layout and the pooled multi-source
-        // batches dominate the profile.
+        // The large search tier: 2400 switches + 10 users — big enough
+        // that the multi-source warm batches dominate the profile.
         "waxman-2400" => {
             let mut spec = NetworkSpec::paper_default();
             spec.topology.nodes = 2400 + spec.users;
             Some(spec)
         }
         _ => None,
-    }
-}
-
-/// RAII guard pinning the default pool width to 1 for the duration of a
-/// profiled run; a no-op when `MUERP_THREADS` is set (explicit override
-/// wins — the operator has opted out of deterministic alloc facts).
-struct PinnedPool {
-    engaged: bool,
-}
-
-impl PinnedPool {
-    fn engage() -> Self {
-        let engaged = std::env::var_os(qnet_pool::THREADS_ENV).is_none();
-        if engaged {
-            qnet_pool::set_default_threads(Some(1));
-        }
-        PinnedPool { engaged }
-    }
-}
-
-impl Drop for PinnedPool {
-    fn drop(&mut self) {
-        if self.engaged {
-            qnet_pool::set_default_threads(None);
-        }
     }
 }
 
@@ -108,24 +82,14 @@ pub struct ProfileRun {
 ///
 /// Forces [`qnet_obs::ObsLevel::Trace`] and resets the global registry,
 /// span store, and flight recorder first, so the report is a pure
-/// per-run delta. Single-threaded unless `MUERP_THREADS` is set: the
-/// worker pool is pinned to width 1 for the duration so every algorithm
-/// runs on the caller's thread and the allocation facts stay
-/// byte-deterministic.
+/// per-run delta. Every algorithm runs on the caller's thread, so the
+/// allocation facts stay byte-deterministic.
 ///
 /// # Errors
 ///
 /// Returns a message for unknown scenario ids.
 pub fn run_scenario(scenario: &str, seed: u64) -> Result<ProfileRun, String> {
     let spec = scenario_spec(scenario).ok_or_else(|| format!("unknown scenario: {scenario}"))?;
-    // Pin the worker pool to one thread unless the user explicitly set
-    // MUERP_THREADS: the allocation tallies below come from a
-    // process-global counting allocator, so worker-thread allocations
-    // would land in the deterministic CSV in a machine-dependent way.
-    // With the pool pinned, every solver runs on this thread and the
-    // facts byte-compare across runs and hosts. (Search *results* are
-    // thread-count-invariant regardless; only alloc attribution isn't.)
-    let _pin = PinnedPool::engage();
     qnet_obs::set_level(qnet_obs::ObsLevel::Trace);
     qnet_obs::global().reset();
     qnet_obs::reset_spans();
@@ -528,21 +492,6 @@ mod tests {
         let spec = scenario_spec("waxman-2400").unwrap();
         assert_eq!(spec.topology.nodes, 2400 + spec.users);
         assert_eq!(spec.users, NetworkSpec::paper_default().users);
-    }
-
-    #[test]
-    fn profile_pin_respects_explicit_thread_override() {
-        // With MUERP_THREADS unset, engaging the pin forces width 1 and
-        // dropping it restores the host default.
-        if std::env::var_os(qnet_pool::THREADS_ENV).is_some() {
-            return; // operator override active: the guard must no-op
-        }
-        {
-            let _pin = PinnedPool::engage();
-            assert_eq!(qnet_pool::threads_from_env(), 1);
-        }
-        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-        assert_eq!(qnet_pool::threads_from_env(), host);
     }
 
     #[test]

@@ -17,14 +17,9 @@
 //!   counters and histogram summaries.
 //!
 //! Everything written is deterministic for a fixed seed: the round
-//! timeline, the bounded queue, the policy orders, and the warm-batch
-//! merge are all wall-clock- and thread-count-independent (the
-//! differential battery in `muerp-serve` pins the thread-invariance
-//! bitwise), so CI byte-compares double runs, and the decision-level
-//! artifacts additionally at `MUERP_THREADS=1` vs `4` — only the pool
-//! scheduling counters inside `serve.json`/`serve.prom` (batch and
-//! task counts, per-thread workspace growth) legitimately vary with
-//! width. Wall-clock throughput exists only on stderr, via
+//! timeline, the bounded queue, the policy orders, and the warm batches
+//! are all wall-clock-independent, so CI byte-compares double runs.
+//! Wall-clock throughput exists only on stderr, via
 //! [`ServeRun::render_throughput`].
 
 use std::path::{Path, PathBuf};

@@ -17,8 +17,8 @@
 //!
 //! Everything written is deterministic for a fixed seed: the virtual
 //! clock, the search-count latency proxy, and the sequential admission
-//! loop are all wall-clock- and thread-count-independent, so CI
-//! byte-compares double runs (and `MUERP_THREADS=1` vs `4`).
+//! loop are all wall-clock-independent, so CI byte-compares double
+//! runs.
 //! Wall-clock throughput (admissions/sec) exists only on stderr, via
 //! [`StreamRun::render_throughput`].
 

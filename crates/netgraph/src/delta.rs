@@ -18,7 +18,7 @@
 //! 3. **Re-run** — unaffected nodes bordering the affected region are
 //!    re-seeded into the heap at their exact final distances, and the
 //!    *standard* relaxation loop (the same code shape as
-//!    [`dijkstra_adj_into`](crate::paths::dijkstra_adj_into)) runs to
+//!    [`dijkstra_into`](crate::paths::dijkstra_into)) runs to
 //!    completion over the affected region only.
 //!
 //! The result is not merely equal-cost: it is **bitwise identical** to
@@ -44,7 +44,6 @@
 //! sources a delta can possibly affect before any per-run work.
 
 use crate::connectivity::{bridges, connected_components};
-use crate::csr::Adjacency;
 use crate::graph::{EdgeId, EdgeRef, Graph, NodeId};
 use crate::paths::{DijkstraConfig, DijkstraView, DijkstraWorkspace, HeapEntry};
 
@@ -238,7 +237,7 @@ impl RepairScratch {
 
 /// Repairs the run held in `ws` against a worsening `delta`, in place.
 ///
-/// `ws` must hold a completed run over `adj` (same vertex count), and
+/// `ws` must hold a completed run over `g` (same vertex count), and
 /// `config` must be the **post-delta** configuration: `edge_cost`
 /// returns `INFINITY` for every blocked edge and `can_relay` is `false`
 /// for every blocked node (on top of whatever else it filters). The
@@ -251,26 +250,21 @@ impl RepairScratch {
 ///
 /// # Panics
 ///
-/// Panics when `ws` holds no run sized for `adj`, or if `edge_cost`
+/// Panics when `ws` holds no run sized for `g`, or if `edge_cost`
 /// produces a negative or NaN cost during the repair.
-pub fn dijkstra_repair_into<'w, A, N, E, FC, FR>(
+pub fn dijkstra_repair_into<'w, N, E, FC, FR>(
     ws: &'w mut DijkstraWorkspace,
     scratch: &mut RepairScratch,
-    adj: &A,
     g: &Graph<N, E>,
     config: &DijkstraConfig<FC, FR>,
     delta: &SsspDelta,
 ) -> (DijkstraView<'w>, RepairStats)
 where
-    A: Adjacency + ?Sized,
     FC: Fn(EdgeRef<'_, E>) -> f64,
     FR: Fn(NodeId) -> bool,
 {
-    let n = adj.order();
-    assert_eq!(
-        ws.active_len, n,
-        "workspace holds no run over this adjacency"
-    );
+    let n = g.node_count();
+    assert_eq!(ws.active_len, n, "workspace holds no run over this graph");
     let _span = qnet_obs::span!("graph.delta.repair");
     scratch.reset(n, g.edge_count(), delta);
     let source = ws.source;
@@ -333,7 +327,7 @@ where
         if scratch.state[i] != AFFECTED {
             continue;
         }
-        for &(p, _) in adj.neighbors_of(NodeId::new(i)) {
+        for &(p, _) in g.neighbor_slice(NodeId::new(i)) {
             let pi = p.index();
             if scratch.state[pi] == KEEP && ws.settled[pi] {
                 ws.settled[pi] = false;
@@ -345,8 +339,8 @@ where
         }
     }
 
-    // Phase 3 — the standard relaxation loop (mirrors
-    // `dijkstra_adj_into` exactly) over the seeded frontier.
+    // Phase 3 — the standard relaxation loop (mirrors `dijkstra_into`
+    // exactly) over the seeded frontier.
     let mut costs_ok = true;
     while let Some(HeapEntry { cost, node }) = ws.heap.pop() {
         if ws.settled[node.index()] {
@@ -359,7 +353,7 @@ where
             continue;
         }
 
-        for &(next, eid) in adj.neighbors_of(node) {
+        for &(next, eid) in g.neighbor_slice(node) {
             if ws.settled_at(next.index()) {
                 continue;
             }
@@ -434,14 +428,14 @@ mod tests {
             can_relay: |v: NodeId| Some(v) != blocked_node,
         };
         let mut ws = DijkstraWorkspace::new();
-        dijkstra_into(&mut ws, g, source, &cfg).to_run()
+        dijkstra_into(&mut ws, g, source, &cfg, None).to_run()
     }
 
     #[test]
     fn blocking_a_relay_reroutes_its_subtree() {
         let (g, [a, b, c], _) = diamond();
         let mut ws = DijkstraWorkspace::new();
-        dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost));
+        dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost), None);
         let mut delta = SsspDelta::new();
         delta.block_node(b);
         let cfg = DijkstraConfig {
@@ -449,7 +443,7 @@ mod tests {
             can_relay: |v: NodeId| v != b,
         };
         let mut scratch = RepairScratch::new();
-        let (view, stats) = dijkstra_repair_into(&mut ws, &mut scratch, &g, &g, &cfg, &delta);
+        let (view, stats) = dijkstra_repair_into(&mut ws, &mut scratch, &g, &cfg, &delta);
         assert_eq!(stats.affected, 1, "only c relayed through b");
         assert_eq!(view.to_run(), fresh(&g, a, Some(b), None));
         assert_eq!(view.distance(c), Some(5.0));
@@ -464,7 +458,7 @@ mod tests {
     fn blocking_an_edge_reroutes_through_the_detour() {
         let (g, [a, _b, c], [_, bc, _]) = diamond();
         let mut ws = DijkstraWorkspace::new();
-        dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost));
+        dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost), None);
         let mut delta = SsspDelta::new();
         delta.block_edge(bc);
         let cfg = DijkstraConfig::all_nodes(|e: EdgeRef<'_, f64>| {
@@ -475,7 +469,7 @@ mod tests {
             }
         });
         let mut scratch = RepairScratch::new();
-        let (view, stats) = dijkstra_repair_into(&mut ws, &mut scratch, &g, &g, &cfg, &delta);
+        let (view, stats) = dijkstra_repair_into(&mut ws, &mut scratch, &g, &cfg, &delta);
         assert!(!stats.is_clean());
         assert_eq!(view.to_run(), fresh(&g, a, None, Some(bc)));
         assert_eq!(view.distance(c), Some(5.0));
@@ -485,7 +479,7 @@ mod tests {
     fn a_miss_is_clean_and_does_no_work() {
         let (g, [a, b, _c], [_, _, ac]) = diamond();
         let mut ws = DijkstraWorkspace::new();
-        dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost));
+        dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost), None);
         // The direct a-c edge carries no shortest path; blocking it
         // leaves the stored tree untouched.
         let mut delta = SsspDelta::new();
@@ -498,7 +492,7 @@ mod tests {
             }
         });
         let mut scratch = RepairScratch::new();
-        let (view, stats) = dijkstra_repair_into(&mut ws, &mut scratch, &g, &g, &cfg, &delta);
+        let (view, stats) = dijkstra_repair_into(&mut ws, &mut scratch, &g, &cfg, &delta);
         assert!(stats.is_clean());
         assert_eq!(stats.resettled, 0);
         assert_eq!(view.to_run(), fresh(&g, a, None, Some(ac)));
@@ -517,7 +511,7 @@ mod tests {
         let classifier = DeltaClassifier::new(&g);
         assert!(classifier.is_bridge(bc));
         let mut ws = DijkstraWorkspace::new();
-        dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost));
+        dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost), None);
         let mut delta = SsspDelta::new();
         delta.block_edge(bc);
         let cfg = DijkstraConfig::all_nodes(|e: EdgeRef<'_, f64>| {
@@ -528,7 +522,7 @@ mod tests {
             }
         });
         let mut scratch = RepairScratch::new();
-        let (view, stats) = dijkstra_repair_into(&mut ws, &mut scratch, &g, &g, &cfg, &delta);
+        let (view, stats) = dijkstra_repair_into(&mut ws, &mut scratch, &g, &cfg, &delta);
         assert_eq!(stats.affected, 1);
         assert_eq!(view.distance(c), None);
         assert_eq!(view.to_run(), fresh(&g, a, None, Some(bc)));
@@ -538,7 +532,7 @@ mod tests {
     fn repairs_compose_across_sequential_deltas() {
         let (g, [a, b, c], [ab, _, _]) = diamond();
         let mut ws = DijkstraWorkspace::new();
-        dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost));
+        dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost), None);
         let mut scratch = RepairScratch::new();
         // First delta: b stops relaying.
         let mut d1 = SsspDelta::new();
@@ -547,7 +541,7 @@ mod tests {
             edge_cost: cost,
             can_relay: |v: NodeId| v != b,
         };
-        dijkstra_repair_into(&mut ws, &mut scratch, &g, &g, &cfg1, &d1);
+        dijkstra_repair_into(&mut ws, &mut scratch, &g, &cfg1, &d1);
         // Second delta on top: the a-b edge goes away entirely.
         let mut d2 = SsspDelta::new();
         d2.block_edge(ab);
@@ -561,9 +555,9 @@ mod tests {
             },
             can_relay: |v: NodeId| v != b,
         };
-        let (view, _) = dijkstra_repair_into(&mut ws, &mut scratch, &g, &g, &cfg2, &d2);
+        let (view, _) = dijkstra_repair_into(&mut ws, &mut scratch, &g, &cfg2, &d2);
         let mut fresh_ws = DijkstraWorkspace::new();
-        let fresh = dijkstra_into(&mut fresh_ws, &g, a, &cfg2).to_run();
+        let fresh = dijkstra_into(&mut fresh_ws, &g, a, &cfg2, None).to_run();
         assert_eq!(view.to_run(), fresh);
         assert_eq!(
             view.distance(b),
@@ -572,7 +566,7 @@ mod tests {
         );
         assert_eq!(view.distance(c), Some(5.0));
         // And the workspace is still a perfectly good workspace.
-        let run = dijkstra_into(&mut ws, &g, c, &DijkstraConfig::all_nodes(cost)).to_run();
+        let run = dijkstra_into(&mut ws, &g, c, &DijkstraConfig::all_nodes(cost), None).to_run();
         assert_eq!(run.distance(a), Some(2.0));
     }
 
@@ -580,7 +574,7 @@ mod tests {
     fn merged_delta_repairs_in_one_shot() {
         let (g, [a, b, _c], [_, bc, _]) = diamond();
         let mut ws = DijkstraWorkspace::new();
-        dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost));
+        dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost), None);
         let mut delta = SsspDelta::new();
         delta.block_node(b);
         delta.block_edge(bc);
@@ -597,9 +591,9 @@ mod tests {
             can_relay: |v: NodeId| v != b,
         };
         let mut scratch = RepairScratch::new();
-        let (view, _) = dijkstra_repair_into(&mut ws, &mut scratch, &g, &g, &cfg, &delta);
+        let (view, _) = dijkstra_repair_into(&mut ws, &mut scratch, &g, &cfg, &delta);
         let mut fresh_ws = DijkstraWorkspace::new();
-        let fresh = dijkstra_into(&mut fresh_ws, &g, a, &cfg).to_run();
+        let fresh = dijkstra_into(&mut fresh_ws, &g, a, &cfg, None).to_run();
         assert_eq!(view.to_run(), fresh);
     }
 
@@ -607,7 +601,7 @@ mod tests {
     fn load_run_round_trips_through_the_workspace() {
         let (g, [a, ..], _) = diamond();
         let mut ws = DijkstraWorkspace::new();
-        let run = dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost)).to_run();
+        let run = dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost), None).to_run();
         let mut other = DijkstraWorkspace::new();
         other.load_run(&run);
         assert_eq!(DijkstraView::over(&other).to_run(), run);
@@ -620,7 +614,7 @@ mod tests {
             can_relay: move |v: NodeId| v != b,
         };
         let mut scratch = RepairScratch::new();
-        let (view, _) = dijkstra_repair_into(&mut other, &mut scratch, &g, &g, &cfg, &delta);
+        let (view, _) = dijkstra_repair_into(&mut other, &mut scratch, &g, &cfg, &delta);
         assert_eq!(view.to_run(), fresh(&g, a, Some(b), None));
     }
 
@@ -663,7 +657,7 @@ mod tests {
         g.add_edge(a, e, 0.5);
         g.add_edge(e, d, 0.5); // shortest route pre-delta: a-e-d at 1.0
         let mut ws = DijkstraWorkspace::new();
-        dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost));
+        dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost), None);
         let mut delta = SsspDelta::new();
         delta.block_node(e);
         let cfg = DijkstraConfig {
@@ -671,9 +665,9 @@ mod tests {
             can_relay: move |v: NodeId| v != e,
         };
         let mut scratch = RepairScratch::new();
-        let (view, _) = dijkstra_repair_into(&mut ws, &mut scratch, &g, &g, &cfg, &delta);
+        let (view, _) = dijkstra_repair_into(&mut ws, &mut scratch, &g, &cfg, &delta);
         let mut fresh_ws = DijkstraWorkspace::new();
-        let fresh = dijkstra_into(&mut fresh_ws, &g, a, &cfg).to_run();
+        let fresh = dijkstra_into(&mut fresh_ws, &g, a, &cfg, None).to_run();
         let repaired = view.to_run();
         assert_eq!(repaired, fresh);
         assert_eq!(
@@ -684,7 +678,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no run over this adjacency")]
+    #[should_panic(expected = "no run over this graph")]
     fn repairing_a_foreign_workspace_panics() {
         let (g, _, _) = diamond();
         let mut ws = DijkstraWorkspace::new();
@@ -693,7 +687,6 @@ mod tests {
         dijkstra_repair_into(
             &mut ws,
             &mut scratch,
-            &g,
             &g,
             &DijkstraConfig::all_nodes(cost),
             &delta,

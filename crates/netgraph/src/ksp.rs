@@ -5,18 +5,15 @@
 //! needs more than the single best channel Algorithm 1 yields.
 //!
 //! The implementation honors the same vertex semantics as
-//! [`crate::dijkstra`]: a `can_relay` filter restricts which vertices may
-//! appear in a path's *interior*, so the k-best channels all remain valid
-//! MUERP channels.
+//! [`crate::dijkstra_into`]: a `can_relay` filter restricts which
+//! vertices may appear in a path's *interior*, so the k-best channels all
+//! remain valid MUERP channels.
 
 use std::cmp::Ordering;
 use std::collections::HashSet;
 
-use qnet_pool::Pool;
-
-use crate::csr::Adjacency;
 use crate::graph::{EdgeId, EdgeRef, Graph, NodeId};
-use crate::paths::{dijkstra_adj_into, DijkstraConfig, DijkstraWorkspace, Path};
+use crate::paths::{dijkstra_into, DijkstraConfig, DijkstraWorkspace, Path};
 
 /// Candidate ordering: cheapest first, ties broken by the edge sequence
 /// for determinism.
@@ -28,38 +25,14 @@ fn path_order(a: &Path, b: &Path) -> Ordering {
 }
 
 /// The `k` cheapest loopless paths from `source` to `target` under the
-/// given cost and relay filter, sorted by cost ascending.
-///
-/// Convenience wrapper over [`k_shortest_paths_in`] that allocates a
-/// private [`DijkstraWorkspace`]; callers issuing many KSP queries
-/// should hold a workspace and use the `_in` variant.
+/// given cost and relay filter, sorted by cost ascending: Yen's
+/// algorithm on a caller-provided [`DijkstraWorkspace`]. Every spur
+/// search reuses the workspace's arrays and heap, so one KSP query
+/// performs no per-spur allocation beyond the paths it reports.
 ///
 /// Fewer than `k` paths are returned when the graph does not contain
 /// that many distinct admissible simple paths. `k = 0` returns an empty
 /// vector.
-///
-/// # Panics
-///
-/// Panics if `edge_cost` produces negative or NaN values (inherited from
-/// [`crate::dijkstra`]).
-pub fn k_shortest_paths<N, E, FC, FR>(
-    g: &Graph<N, E>,
-    source: NodeId,
-    target: NodeId,
-    k: usize,
-    config: &DijkstraConfig<FC, FR>,
-) -> Vec<Path>
-where
-    FC: Fn(EdgeRef<'_, E>) -> f64,
-    FR: Fn(NodeId) -> bool,
-{
-    let mut ws = DijkstraWorkspace::new();
-    k_shortest_paths_in(&mut ws, g, source, target, k, config)
-}
-
-/// Yen's algorithm on a caller-provided [`DijkstraWorkspace`]: every
-/// spur search reuses the workspace's arrays and heap, so one KSP query
-/// performs no per-spur allocation beyond the paths it reports.
 ///
 /// Two further optimizations over the textbook formulation:
 ///
@@ -72,6 +45,11 @@ where
 ///   contribute an accepted path (every future pick is at most that
 ///   bound), so the spur search is skipped entirely. The strict
 ///   inequality keeps equal-cost path sets intact.
+///
+/// # Panics
+///
+/// Panics if `edge_cost` produces negative or NaN values (inherited from
+/// [`crate::dijkstra_into`]).
 pub fn k_shortest_paths_in<N, E, FC, FR>(
     ws: &mut DijkstraWorkspace,
     g: &Graph<N, E>,
@@ -81,27 +59,6 @@ pub fn k_shortest_paths_in<N, E, FC, FR>(
     config: &DijkstraConfig<FC, FR>,
 ) -> Vec<Path>
 where
-    FC: Fn(EdgeRef<'_, E>) -> f64,
-    FR: Fn(NodeId) -> bool,
-{
-    k_shortest_paths_adj_in(ws, g, g, source, target, k, config)
-}
-
-/// [`k_shortest_paths_in`] over an explicit [`Adjacency`] (the graph
-/// itself or a [`crate::CsrGraph`] frozen from it): identical semantics
-/// and bitwise-identical results, since every spur search iterates
-/// neighbors in the same order on either layout.
-pub fn k_shortest_paths_adj_in<A, N, E, FC, FR>(
-    ws: &mut DijkstraWorkspace,
-    adj: &A,
-    g: &Graph<N, E>,
-    source: NodeId,
-    target: NodeId,
-    k: usize,
-    config: &DijkstraConfig<FC, FR>,
-) -> Vec<Path>
-where
-    A: Adjacency + ?Sized,
     FC: Fn(EdgeRef<'_, E>) -> f64,
     FR: Fn(NodeId) -> bool,
 {
@@ -125,7 +82,7 @@ where
     // bitwise identical to the sequential sum Dijkstra itself computes.
     let mut root_cost: Vec<f64> = Vec::new();
 
-    let Some(first) = dijkstra_adj_into(ws, adj, g, source, config).path_to(target) else {
+    let Some(first) = dijkstra_into(ws, g, source, config, None).path_to(target) else {
         return Vec::new();
     };
     accepted.push(first);
@@ -196,8 +153,7 @@ where
                 can_relay: |n: NodeId| !banned_nodes.contains(&n) && (config.can_relay)(n),
             };
             expansions += 1;
-            let Some(spur_path) =
-                dijkstra_adj_into(ws, adj, g, spur_node, &spur_cfg).path_to(target)
+            let Some(spur_path) = dijkstra_into(ws, g, spur_node, &spur_cfg, None).path_to(target)
             else {
                 continue;
             };
@@ -237,205 +193,26 @@ where
     accepted
 }
 
-/// Yen's algorithm with each round's spur searches fanned out over a
-/// [`Pool`] — **bitwise identical** to [`k_shortest_paths_adj_in`] at
-/// every thread count.
-///
-/// Why parallel spurs are safe: within one round every spur search is a
-/// function of the *round-start snapshot* (accepted paths, pending
-/// candidates, the latest accepted path). In the sequential algorithm a
-/// candidate produced at spur `i` could in principle influence later
-/// spurs `j > i` through three couplings, and each one provably cannot
-/// fire or is replayed exactly:
-///
-/// 1. **Ban sets.** A spur-`i` candidate deviates from the previous
-///    path at edge `i` (its own root edge is banned during the spur
-///    search), so its `..j` edge prefix differs from spur `j`'s root at
-///    position `i < j` — it never matches the prefix filter and never
-///    contributes a ban. Snapshot ban sets therefore equal live ones.
-/// 2. **Pruning.** The root-cost bound only *tightens* as candidates
-///    accumulate, so a spur admitted under the snapshot may still be
-///    pruned live — the merge below replays the exact sequential prune
-///    check, in spur order, against the live candidate list, and
-///    discards the already-computed search result of any spur the
-///    sequential algorithm would have skipped (tallied under
-///    `graph.ksp.spur_wasted`). A spur pruned under the snapshot is
-///    pruned live a fortiori, so skipping its search is always sound.
-/// 3. **Deduplication.** Two same-round candidates deviate from the
-///    previous path at different positions, so their edge sequences
-///    differ; duplicates can only involve snapshot paths, and the merge
-///    replays the live dedup check in spur order anyway.
-///
-/// The merge therefore evolves the candidate list exactly as the
-/// sequential loop does; only the (side-effect-free) spur searches run
-/// concurrently. Worker scratch workspaces come from the pool's
-/// per-worker context factory. With a sequential pool this function
-/// simply delegates to [`k_shortest_paths_adj_in`] on the caller's
-/// workspace.
-///
-/// # Panics
-///
-/// Panics if `edge_cost` produces negative or NaN values (inherited
-/// from [`crate::dijkstra`]) and propagates worker panics.
-#[allow(clippy::too_many_arguments)]
-pub fn k_shortest_paths_pooled_in<A, N, E, FC, FR>(
-    pool: &Pool,
-    ws: &mut DijkstraWorkspace,
-    adj: &A,
-    g: &Graph<N, E>,
-    source: NodeId,
-    target: NodeId,
-    k: usize,
-    config: &DijkstraConfig<FC, FR>,
-) -> Vec<Path>
-where
-    A: Adjacency + Sync + ?Sized,
-    N: Sync,
-    E: Sync,
-    FC: Fn(EdgeRef<'_, E>) -> f64 + Sync,
-    FR: Fn(NodeId) -> bool + Sync,
-{
-    if pool.is_sequential() {
-        return k_shortest_paths_adj_in(ws, adj, g, source, target, k, config);
-    }
-    qnet_obs::counter!("graph.ksp.calls");
-    let _span = qnet_obs::span!("graph.ksp.solve");
-    if k == 0 || source == target {
-        return Vec::new();
-    }
-    let mut accepted: Vec<Path> = Vec::with_capacity(k);
-    let mut candidates: Vec<Path> = Vec::new();
-    let mut expansions: u64 = 0;
-    let mut pruned: u64 = 0;
-    let mut wasted: u64 = 0;
-    let mut root_cost: Vec<f64> = Vec::new();
-
-    let Some(first) = dijkstra_adj_into(ws, adj, g, source, config).path_to(target) else {
-        return Vec::new();
-    };
-    accepted.push(first);
-
-    while accepted.len() < k {
-        let _round = qnet_obs::span!("graph.ksp.spur_round");
-        let prev = accepted.last().expect("at least one accepted path");
-        root_cost.clear();
-        root_cost.push(0.0);
-        for &e in &prev.edges {
-            root_cost.push(root_cost.last().unwrap() + (config.edge_cost)(g.edge(e)));
-        }
-        let remaining = k - accepted.len();
-
-        // Snapshot phase: select the spurs worth searching. Inadmissible
-        // spur nodes are skipped outright; the snapshot prune is a sound
-        // pre-filter (see the function docs) whose tally is finalized in
-        // the merge below.
-        let mut jobs: Vec<usize> = Vec::new();
-        for (spur_idx, &spur_node) in prev.nodes[..prev.nodes.len() - 1].iter().enumerate() {
-            if spur_idx > 0 && !(config.can_relay)(spur_node) {
-                continue;
-            }
-            if candidates.len() >= remaining
-                && root_cost[spur_idx] > candidates[candidates.len() - remaining].cost
-            {
-                pruned += 1;
-                continue;
-            }
-            jobs.push(spur_idx);
-        }
-
-        // Parallel phase: every selected spur searched against the
-        // snapshot, each worker on its own workspace.
-        let order = adj.order();
-        let (accepted_s, candidates_s, prev_s, root_cost_s) =
-            (&accepted, &candidates, prev, &root_cost);
-        let spur_results: Vec<(usize, Option<Path>)> = pool.map(
-            jobs,
-            || DijkstraWorkspace::with_capacity(order),
-            |sws, spur_idx, _| {
-                let spur_node = prev_s.nodes[spur_idx];
-                let root_edges = &prev_s.edges[..spur_idx];
-                let mut banned_edges: HashSet<EdgeId> = HashSet::new();
-                for p in accepted_s.iter().chain(candidates_s.iter()) {
-                    if p.edges.len() > spur_idx && p.edges[..spur_idx] == *root_edges {
-                        banned_edges.insert(p.edges[spur_idx]);
-                    }
-                }
-                let banned_nodes: HashSet<NodeId> =
-                    prev_s.nodes[..spur_idx].iter().copied().collect();
-                let spur_cfg = DijkstraConfig {
-                    edge_cost: |e: EdgeRef<'_, E>| {
-                        if banned_edges.contains(&e.id)
-                            || banned_nodes.contains(&e.a)
-                            || banned_nodes.contains(&e.b)
-                        {
-                            f64::INFINITY
-                        } else {
-                            (config.edge_cost)(e)
-                        }
-                    },
-                    can_relay: |n: NodeId| !banned_nodes.contains(&n) && (config.can_relay)(n),
-                };
-                let candidate = dijkstra_adj_into(sws, adj, g, spur_node, &spur_cfg)
-                    .path_to(target)
-                    .map(|spur_path| {
-                        let mut nodes = prev_s.nodes[..=spur_idx].to_vec();
-                        nodes.extend_from_slice(&spur_path.nodes[1..]);
-                        let mut edges = prev_s.edges[..spur_idx].to_vec();
-                        edges.extend_from_slice(&spur_path.edges);
-                        Path {
-                            nodes,
-                            edges,
-                            cost: root_cost_s[spur_idx] + spur_path.cost,
-                        }
-                    });
-                (spur_idx, candidate)
-            },
-        );
-
-        // Merge phase: replay the sequential prune/dedup/insert, in spur
-        // order, against the live candidate list.
-        for (spur_idx, candidate) in spur_results {
-            if candidates.len() >= remaining
-                && root_cost[spur_idx] > candidates[candidates.len() - remaining].cost
-            {
-                // Sequential would have skipped this search; its result
-                // was computed speculatively and is discarded.
-                pruned += 1;
-                wasted += 1;
-                continue;
-            }
-            expansions += 1;
-            let Some(candidate) = candidate else { continue };
-            let duplicate = accepted
-                .iter()
-                .chain(candidates.iter())
-                .any(|p| p.edges == candidate.edges);
-            if !duplicate {
-                let at = candidates
-                    .binary_search_by(|p| path_order(&candidate, p))
-                    .unwrap_or_else(|i| i);
-                candidates.insert(at, candidate);
-            }
-        }
-
-        let Some(next) = candidates.pop() else {
-            break;
-        };
-        accepted.push(next);
-    }
-    qnet_obs::counter!("graph.ksp.spur_expansions"; expansions);
-    qnet_obs::counter!("graph.ksp.spur_pruned"; pruned);
-    qnet_obs::counter!("graph.ksp.spur_wasted"; wasted);
-    qnet_obs::counter!("graph.ksp.paths_generated"; accepted.len() as u64);
-    accepted
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn cost(e: EdgeRef<'_, f64>) -> f64 {
         *e.payload
+    }
+
+    fn k_shortest_paths<FC, FR>(
+        g: &Graph<(), f64>,
+        s: NodeId,
+        t: NodeId,
+        k: usize,
+        cfg: &DijkstraConfig<FC, FR>,
+    ) -> Vec<Path>
+    where
+        FC: Fn(EdgeRef<'_, f64>) -> f64,
+        FR: Fn(NodeId) -> bool,
+    {
+        k_shortest_paths_in(&mut DijkstraWorkspace::new(), g, s, t, k, cfg)
     }
 
     /// Classic Yen example shape: multiple routes of distinct costs.
@@ -548,50 +325,6 @@ mod tests {
         let a = g.add_node(());
         let b = g.add_node(());
         assert!(k_shortest_paths(&g, a, b, 3, &DijkstraConfig::all_nodes(cost)).is_empty());
-    }
-
-    #[test]
-    fn pooled_matches_sequential_bitwise() {
-        let (g, [s, _, _, t]) = diamond();
-        let csr = crate::CsrGraph::from_graph(&g);
-        let cfg = DijkstraConfig::all_nodes(cost);
-        for k in [1, 3, 10] {
-            let mut ws = DijkstraWorkspace::new();
-            let seq = k_shortest_paths_in(&mut ws, &g, s, t, k, &cfg);
-            for threads in [1, 2, 4] {
-                let pool = Pool::with_threads(threads);
-                let mut ws = DijkstraWorkspace::new();
-                let pooled = k_shortest_paths_pooled_in(&pool, &mut ws, &csr, &g, s, t, k, &cfg);
-                assert_eq!(seq, pooled, "k={k} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn pooled_respects_relay_filter_and_edge_cases() {
-        let (g, [s, n1, _, t]) = diamond();
-        let cfg = DijkstraConfig {
-            edge_cost: cost,
-            can_relay: |n: NodeId| n != n1,
-        };
-        let pool = Pool::with_threads(3);
-        let mut ws = DijkstraWorkspace::new();
-        let paths = k_shortest_paths_pooled_in(&pool, &mut ws, &g, &g, s, t, 10, &cfg);
-        let mut ws2 = DijkstraWorkspace::new();
-        assert_eq!(paths, k_shortest_paths_in(&mut ws2, &g, s, t, 10, &cfg));
-        assert!(k_shortest_paths_pooled_in(&pool, &mut ws, &g, &g, s, t, 0, &cfg).is_empty());
-        assert!(k_shortest_paths_pooled_in(&pool, &mut ws, &g, &g, s, s, 4, &cfg).is_empty());
-    }
-
-    #[test]
-    fn csr_adjacency_matches_graph_adjacency() {
-        let (g, [s, _, _, t]) = diamond();
-        let csr = crate::CsrGraph::from_graph(&g);
-        let cfg = DijkstraConfig::all_nodes(cost);
-        let mut ws = DijkstraWorkspace::new();
-        let on_graph = k_shortest_paths_in(&mut ws, &g, s, t, 10, &cfg);
-        let on_csr = k_shortest_paths_adj_in(&mut ws, &csr, &g, s, t, 10, &cfg);
-        assert_eq!(on_graph, on_csr);
     }
 
     #[test]

@@ -1,19 +1,25 @@
 //! Single-source shortest paths with pluggable costs and relay filters.
 //!
-//! [`dijkstra`] is the engine behind the paper's **Algorithm 1** (maximum
-//! entanglement-rate channel): after the [`crate::NegLog`] transform the
-//! max-rate channel is the min-cost path, with the twist that only quantum
-//! switches *with at least two free qubits* may appear in the interior of a
-//! channel. That twist is expressed here as the `can_relay` vertex filter:
-//! edges are relaxed out of a vertex only if it is the source or the filter
-//! admits it, so every reported path has all interior vertices admitted
-//! while source and destination are unconstrained.
+//! [`dijkstra_into`] is the engine behind the paper's **Algorithm 1**
+//! (maximum entanglement-rate channel): after the [`crate::NegLog`]
+//! transform the max-rate channel is the min-cost path, with the twist
+//! that only quantum switches *with at least two free qubits* may appear
+//! in the interior of a channel. That twist is expressed here as the
+//! `can_relay` vertex filter: edges are relaxed out of a vertex only if
+//! it is the source or the filter admits it, so every reported path has
+//! all interior vertices admitted while source and destination are
+//! unconstrained. An optional [`SearchMask`] removes failed edges and
+//! vertices from the same search.
+//!
+//! This is the crate's one Dijkstra: [`crate::ksp`]'s Yen spur searches
+//! and every Algorithm-1 caller run through [`dijkstra_into`], and
+//! [`crate::delta::dijkstra_repair_into`] patches its results in place.
 
 use core::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::csr::{Adjacency, CsrGraph};
 use crate::graph::{EdgeId, EdgeRef, Graph, NodeId};
+use crate::mask::SearchMask;
 
 /// A simple path through the graph: node sequence, the edges between them,
 /// and the total additive cost.
@@ -93,7 +99,8 @@ impl<FC> DijkstraConfig<FC, fn(NodeId) -> bool> {
     }
 }
 
-/// The result of a [`dijkstra`] run from one source.
+/// The owned result of a [`dijkstra_into`] run from one source
+/// ([`DijkstraView::to_run`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct DijkstraRun {
     source: NodeId,
@@ -101,22 +108,9 @@ pub struct DijkstraRun {
     prev: Vec<Option<(NodeId, EdgeId)>>,
 }
 
-impl Default for DijkstraRun {
-    /// An empty staging run (no vertices, placeholder source) for
-    /// [`DijkstraView::write_run`] to fill — what batch-refresh paths
-    /// use to recycle result buffers through a thread pool.
-    fn default() -> Self {
-        DijkstraRun {
-            source: NodeId::new(0),
-            dist: Vec::new(),
-            prev: Vec::new(),
-        }
-    }
-}
-
 /// Reusable scratch state for repeated Dijkstra runs.
 ///
-/// Every [`dijkstra`] call needs `dist`/`prev`/`settled` arrays and a
+/// Every [`dijkstra_into`] call needs `dist`/`prev`/`settled` arrays and a
 /// binary heap; allocating them fresh per call dominates the cost of
 /// searches on small-to-medium graphs, and the MUERP solvers issue
 /// hundreds of such searches per solve. A workspace owns those buffers
@@ -401,7 +395,7 @@ impl DijkstraRun {
         self.dist.len()
     }
 
-    /// `true` when the run covers no vertices (a default staging run).
+    /// `true` when the run covers no vertices.
     pub fn is_empty(&self) -> bool {
         self.dist.is_empty()
     }
@@ -434,13 +428,18 @@ impl PartialOrd for HeapEntry {
 }
 
 /// Dijkstra's algorithm from `source` under `config`, writing into a
-/// reusable [`DijkstraWorkspace`] — the zero-allocation entry point.
+/// reusable [`DijkstraWorkspace`] — the crate's one search kernel.
 ///
 /// The returned [`DijkstraView`] borrows the workspace; query it (or
 /// materialize a [`DijkstraRun`] via [`DijkstraView::to_run`]) before
 /// starting the next run. Complexity `O((|E| + |V|) log |V|)` with a
 /// binary heap, matching the `O(|E| + |V| log |V|)` the paper quotes for
 /// Algorithm 1 up to the usual binary-heap log factor.
+///
+/// A failure `mask` removes dead elements from the search without
+/// touching the graph: a dead edge is never traversed, and a dead
+/// vertex blocks every incident edge, so it is never reached (not even
+/// as a destination) and never relays. `None` searches the intact graph.
 ///
 /// # Panics
 ///
@@ -455,64 +454,15 @@ pub fn dijkstra_into<'w, N, E, FC, FR>(
     g: &Graph<N, E>,
     source: NodeId,
     config: &DijkstraConfig<FC, FR>,
+    mask: Option<&SearchMask>,
 ) -> DijkstraView<'w>
 where
-    FC: Fn(EdgeRef<'_, E>) -> f64,
-    FR: Fn(NodeId) -> bool,
-{
-    dijkstra_adj_into(ws, g, g, source, config)
-}
-
-/// [`dijkstra_into`] over a frozen [`CsrGraph`] adjacency: identical
-/// semantics and bitwise-identical results (CSR preserves neighbor
-/// order), with edge payloads still read from the originating graph.
-///
-/// # Panics
-///
-/// Panics on negative/NaN edge costs (see [`dijkstra_into`]), and
-/// debug-asserts that `csr` covers `g`'s vertex space.
-pub fn dijkstra_csr_into<'w, N, E, FC, FR>(
-    ws: &'w mut DijkstraWorkspace,
-    csr: &CsrGraph,
-    g: &Graph<N, E>,
-    source: NodeId,
-    config: &DijkstraConfig<FC, FR>,
-) -> DijkstraView<'w>
-where
-    FC: Fn(EdgeRef<'_, E>) -> f64,
-    FR: Fn(NodeId) -> bool,
-{
-    debug_assert_eq!(
-        csr.node_count(),
-        g.node_count(),
-        "CSR adjacency must be built from this graph"
-    );
-    dijkstra_adj_into(ws, csr, g, source, config)
-}
-
-/// The generic search engine behind [`dijkstra_into`] and
-/// [`dijkstra_csr_into`]: adjacency comes from `adj` (either the graph
-/// itself or a [`CsrGraph`] frozen from it), edge payloads from `g`.
-///
-/// # Panics
-///
-/// Panics if `edge_cost` returns a negative or NaN value (see
-/// [`dijkstra_into`] for when the check fires).
-pub fn dijkstra_adj_into<'w, A, N, E, FC, FR>(
-    ws: &'w mut DijkstraWorkspace,
-    adj: &A,
-    g: &Graph<N, E>,
-    source: NodeId,
-    config: &DijkstraConfig<FC, FR>,
-) -> DijkstraView<'w>
-where
-    A: Adjacency + ?Sized,
     FC: Fn(EdgeRef<'_, E>) -> f64,
     FR: Fn(NodeId) -> bool,
 {
     qnet_obs::counter!("graph.dijkstra.calls");
     let _span = qnet_obs::span!("graph.dijkstra.run");
-    ws.begin(adj.order());
+    ws.begin(g.node_count());
     ws.source = source;
     // Tally locally; flush once at the end so the hot loop stays free of
     // shared-state traffic.
@@ -546,8 +496,14 @@ where
             continue;
         }
 
-        for &(next, eid) in adj.neighbors_of(node) {
+        for &(next, eid) in g.neighbor_slice(node) {
             if ws.settled_at(next.index()) {
+                continue;
+            }
+            // The mask rule: an edge that is dead or touches a dead vertex
+            // is skipped, so a dead vertex is never reached and therefore
+            // never relays.
+            if mask.is_some_and(|m| m.blocks(eid, node, next)) {
                 continue;
             }
             let w = (config.edge_cost)(g.edge(eid));
@@ -581,30 +537,6 @@ where
     qnet_obs::counter!("graph.dijkstra.settled"; settled_n);
     qnet_obs::counter!("graph.dijkstra.relaxations"; relaxed_n);
     DijkstraView { ws }
-}
-
-/// Dijkstra's algorithm from `source` under `config`.
-///
-/// Compatibility wrapper over [`dijkstra_into`] that allocates a private
-/// [`DijkstraWorkspace`] per call and returns an owned [`DijkstraRun`].
-/// Hot paths issuing many searches should hold a workspace and call
-/// [`dijkstra_into`] instead.
-///
-/// # Panics
-///
-/// Panics if `edge_cost` returns a negative or NaN value (see
-/// [`dijkstra_into`] for when the check fires).
-pub fn dijkstra<N, E, FC, FR>(
-    g: &Graph<N, E>,
-    source: NodeId,
-    config: &DijkstraConfig<FC, FR>,
-) -> DijkstraRun
-where
-    FC: Fn(EdgeRef<'_, E>) -> f64,
-    FR: Fn(NodeId) -> bool,
-{
-    let mut ws = DijkstraWorkspace::new();
-    dijkstra_into(&mut ws, g, source, config).to_run()
 }
 
 /// Breadth-first shortest path by hop count, ignoring weights.
@@ -665,6 +597,18 @@ mod tests {
 
     fn cost(e: EdgeRef<'_, f64>) -> f64 {
         *e.payload
+    }
+
+    fn dijkstra<FC, FR>(
+        g: &Graph<(), f64>,
+        source: NodeId,
+        cfg: &DijkstraConfig<FC, FR>,
+    ) -> DijkstraRun
+    where
+        FC: Fn(EdgeRef<'_, f64>) -> f64,
+        FR: Fn(NodeId) -> bool,
+    {
+        dijkstra_into(&mut DijkstraWorkspace::new(), g, source, cfg, None).to_run()
     }
 
     #[test]

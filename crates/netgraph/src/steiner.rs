@@ -12,7 +12,7 @@ use std::collections::HashSet;
 
 use crate::graph::{EdgeId, EdgeRef, Graph, NodeId};
 use crate::mst::kruskal;
-use crate::paths::{dijkstra, DijkstraConfig};
+use crate::paths::{dijkstra_into, DijkstraConfig, DijkstraWorkspace};
 
 /// An approximate Steiner tree: the chosen edges and their total weight.
 #[derive(Clone, Debug, PartialEq)]
@@ -48,9 +48,10 @@ where
     }
 
     // 1. Metric closure over the terminals.
+    let mut ws = DijkstraWorkspace::new();
     let runs: Vec<_> = terminals
         .iter()
-        .map(|&t| dijkstra(g, t, &DijkstraConfig::all_nodes(weight)))
+        .map(|&t| dijkstra_into(&mut ws, g, t, &DijkstraConfig::all_nodes(weight), None).to_run())
         .collect();
     let mut closure: Graph<NodeId, (f64, usize, usize)> = Graph::new();
     for &t in terminals {

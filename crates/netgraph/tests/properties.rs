@@ -10,9 +10,8 @@ use qnet_graph::dcmst::{degree_constrained_kruskal, exact_dcmst};
 use qnet_graph::mst::{kruskal, prim};
 use qnet_graph::steiner::steiner_approximation;
 use qnet_graph::{
-    dijkstra, dijkstra_csr_into, dijkstra_into, dijkstra_masked_adj_into, dijkstra_masked_into,
-    CsrGraph, DijkstraConfig, DijkstraWorkspace, EdgeId, EdgeRef, Graph, NegLog, NodeId,
-    SearchMask, UnionFind,
+    dijkstra_into, k_shortest_paths_in, DijkstraConfig, DijkstraRun, DijkstraWorkspace, EdgeId,
+    EdgeRef, Graph, NegLog, NodeId, Path, SearchMask, UnionFind,
 };
 
 /// A random undirected weighted graph: `n` nodes, edge list with weights.
@@ -36,6 +35,30 @@ fn arb_graph(max_nodes: usize, max_edges: usize) -> impl Strategy<Value = Graph<
 
 fn w(e: EdgeRef<'_, f64>) -> f64 {
     *e.payload
+}
+
+/// One run on a brand-new workspace.
+fn dijkstra<FC, FR>(g: &Graph<(), f64>, source: NodeId, cfg: &DijkstraConfig<FC, FR>) -> DijkstraRun
+where
+    FC: Fn(EdgeRef<'_, f64>) -> f64,
+    FR: Fn(NodeId) -> bool,
+{
+    dijkstra_into(&mut DijkstraWorkspace::new(), g, source, cfg, None).to_run()
+}
+
+/// One Yen query on a brand-new workspace.
+fn k_shortest_paths<FC, FR>(
+    g: &Graph<(), f64>,
+    s: NodeId,
+    t: NodeId,
+    k: usize,
+    cfg: &DijkstraConfig<FC, FR>,
+) -> Vec<Path>
+where
+    FC: Fn(EdgeRef<'_, f64>) -> f64,
+    FR: Fn(NodeId) -> bool,
+{
+    k_shortest_paths_in(&mut DijkstraWorkspace::new(), g, s, t, k, cfg)
 }
 
 /// Bellman-Ford oracle for Dijkstra (no relay filter).
@@ -187,7 +210,6 @@ proptest! {
 
     #[test]
     fn yen_matches_bruteforce_on_random_graphs(g in arb_graph(7, 14)) {
-        use qnet_graph::ksp::k_shortest_paths;
         let (s, t) = (NodeId::new(0), NodeId::new(g.node_count() - 1));
         // Brute-force all simple paths.
         fn all_paths(
@@ -239,7 +261,7 @@ proptest! {
                 let forbidden = NodeId::new((forbid + round) % g.node_count());
                 let cfg = DijkstraConfig { edge_cost: w, can_relay: |n: NodeId| n != forbidden };
                 let fresh = dijkstra(g, source, &cfg);
-                let view = dijkstra_into(&mut ws, g, source, &cfg);
+                let view = dijkstra_into(&mut ws, g, source, &cfg, None);
                 for v in g.node_ids() {
                     prop_assert_eq!(view.distance(v), fresh.distance(v));
                     let (a, b) = (view.path_to(v), fresh.path_to(v));
@@ -265,12 +287,11 @@ proptest! {
         warmup in arb_graph(12, 30),
         k in 1usize..6,
     ) {
-        use qnet_graph::ksp::{k_shortest_paths, k_shortest_paths_in};
         let (s, t) = (NodeId::new(0), NodeId::new(g.node_count() - 1));
         let cfg = DijkstraConfig::all_nodes(w);
         // Dirty the workspace on an unrelated, larger graph first.
         let mut ws = DijkstraWorkspace::new();
-        let _ = dijkstra_into(&mut ws, &warmup, NodeId::new(0), &cfg);
+        let _ = dijkstra_into(&mut ws, &warmup, NodeId::new(0), &cfg, None);
         let reused = k_shortest_paths_in(&mut ws, &g, s, t, k, &cfg);
         let fresh = k_shortest_paths(&g, s, t, k, &cfg);
         prop_assert_eq!(reused.len(), fresh.len());
@@ -282,33 +303,17 @@ proptest! {
     }
 
     #[test]
-    fn csr_dijkstra_matches_graph_dijkstra(
-        g in arb_graph(12, 40),
-        src in 0usize..12,
-        forbid in 0usize..12,
-    ) {
-        // The CSR arena must be a faithful re-encoding of the adjacency
-        // lists: same distances, same predecessors (hence bitwise-equal
-        // paths), filtered or not.
-        let csr = CsrGraph::from_graph(&g);
-        let source = NodeId::new(src % g.node_count());
-        let forbidden = NodeId::new(forbid % g.node_count());
-        let cfg = DijkstraConfig { edge_cost: w, can_relay: |n: NodeId| n != forbidden };
-        let mut ws1 = DijkstraWorkspace::new();
-        let mut ws2 = DijkstraWorkspace::new();
-        let lists = dijkstra_into(&mut ws1, &g, source, &cfg).to_run();
-        let arena = dijkstra_csr_into(&mut ws2, &csr, &g, source, &cfg).to_run();
-        prop_assert_eq!(lists, arena);
-    }
-
-    #[test]
-    fn csr_masked_dijkstra_matches_graph_masked_dijkstra(
+    fn masked_dijkstra_matches_the_mask_folded_into_the_config(
         g in arb_graph(12, 40),
         src in 0usize..12,
         dead_edges in proptest::collection::vec(0usize..40, 0..6),
         dead_node in 0usize..12,
+        forbid in 0usize..12,
     ) {
-        let csr = CsrGraph::from_graph(&g);
+        // The kernel's one mask rule (skip dead edges and every edge of a
+        // dead vertex) must equal the mask spelled out in the config: dead
+        // edges cost +inf and dead vertices never relay. Bitwise, so the
+        // predecessor choices agree too.
         let source = NodeId::new(src % g.node_count());
         let mut mask = SearchMask::new();
         for e in dead_edges {
@@ -316,56 +321,18 @@ proptest! {
                 mask.kill_edge(EdgeId::new(e));
             }
         }
-        let killed = NodeId::new(dead_node % g.node_count());
-        if killed != source {
-            mask.kill_node(killed);
-        }
-        let cfg = DijkstraConfig::all_nodes(w);
-        let mut ws1 = DijkstraWorkspace::new();
-        let mut ws2 = DijkstraWorkspace::new();
-        let lists = dijkstra_masked_into(&mut ws1, &g, source, &cfg, &mask).to_run();
-        let arena = dijkstra_masked_adj_into(&mut ws2, &csr, &g, source, &cfg, &mask).to_run();
-        prop_assert_eq!(lists, arena);
-    }
-
-    #[test]
-    fn csr_yen_matches_graph_yen(
-        g in arb_graph(8, 20),
-        k in 1usize..6,
-        forbid in 0usize..8,
-    ) {
-        use qnet_graph::ksp::{k_shortest_paths_adj_in, k_shortest_paths_in};
-        let csr = CsrGraph::from_graph(&g);
-        let (s, t) = (NodeId::new(0), NodeId::new(g.node_count() - 1));
+        mask.kill_node(NodeId::new(dead_node % g.node_count()));
         let forbidden = NodeId::new(forbid % g.node_count());
         let cfg = DijkstraConfig { edge_cost: w, can_relay: |n: NodeId| n != forbidden };
-        let mut ws1 = DijkstraWorkspace::new();
-        let mut ws2 = DijkstraWorkspace::new();
-        let lists = k_shortest_paths_in(&mut ws1, &g, s, t, k, &cfg);
-        let arena = k_shortest_paths_adj_in(&mut ws2, &csr, &g, s, t, k, &cfg);
-        prop_assert_eq!(lists, arena);
-    }
-
-    #[test]
-    fn pooled_yen_is_thread_count_invariant(
-        g in arb_graph(8, 20),
-        k in 1usize..6,
-    ) {
-        use qnet_graph::ksp::{k_shortest_paths_in, k_shortest_paths_pooled_in};
-        use qnet_pool::Pool;
-        // The pooled Yen merge replays the sequential candidate order, so
-        // the ranked list must be bitwise identical at every pool width.
-        let csr = CsrGraph::from_graph(&g);
-        let (s, t) = (NodeId::new(0), NodeId::new(g.node_count() - 1));
-        let cfg = DijkstraConfig::all_nodes(w);
+        let folded = DijkstraConfig {
+            edge_cost: |e: EdgeRef<'_, f64>| {
+                if mask.blocks(e.id, e.a, e.b) { f64::INFINITY } else { w(e) }
+            },
+            can_relay: |n: NodeId| !mask.node_dead(n) && n != forbidden,
+        };
         let mut ws = DijkstraWorkspace::new();
-        let sequential = k_shortest_paths_in(&mut ws, &g, s, t, k, &cfg);
-        for threads in [1usize, 3] {
-            let pool = Pool::with_threads(threads);
-            let pooled =
-                k_shortest_paths_pooled_in(&pool, &mut ws, &csr, &g, s, t, k, &cfg);
-            prop_assert_eq!(&pooled, &sequential, "width {} diverged", threads);
-        }
+        let masked = dijkstra_into(&mut ws, &g, source, &cfg, Some(&mask)).to_run();
+        prop_assert_eq!(masked, dijkstra(&g, source, &folded));
     }
 
     #[test]

@@ -91,10 +91,7 @@ pub use registry::{
 };
 pub use report::{write_report, RunReport, SpanSnapshot, SCHEMA_VERSION};
 pub use sample::TraceSampler;
-pub use span::{
-    adopt_span_context, enter, reset_spans, span_context, SpanContext, SpanContextGuard, SpanGuard,
-    DEFAULT_SPAN_CAP,
-};
+pub use span::{enter, reset_spans, SpanGuard, DEFAULT_SPAN_CAP};
 pub use timeseries::{
     prometheus_text, write_metrics_jsonl, write_prometheus, TimeSeries, TimeSeriesConfig,
     TimeSeriesSection, WindowHistogram, WindowSnapshot,

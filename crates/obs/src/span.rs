@@ -180,50 +180,6 @@ impl Drop for SpanGuard {
     }
 }
 
-/// An opaque capture of one thread's innermost open span, taken with
-/// [`span_context`] on the submitting thread and re-installed with
-/// [`adopt_span_context`] on a worker thread — the handoff that keeps a
-/// thread pool's spans in *one* causal tree instead of per-worker roots.
-///
-/// The capture is a plain value (`Copy + Send`): carry it into the pool
-/// task by value. It is only meaningful within the span store it was
-/// captured from, i.e. don't hold one across [`reset_spans`].
-#[derive(Clone, Copy, Debug)]
-pub struct SpanContext {
-    current: Option<usize>,
-}
-
-/// Captures the calling thread's innermost open span (or `None` at top
-/// level / below [`ObsLevel::Full`]) for adoption on another thread.
-pub fn span_context() -> SpanContext {
-    SpanContext {
-        current: CURRENT.with(|c| c.get()),
-    }
-}
-
-/// Guard returned by [`adopt_span_context`]; restores the thread's own
-/// span stack when dropped.
-#[must_use = "the adopted parent is popped when this guard drops"]
-pub struct SpanContextGuard {
-    prev: Option<usize>,
-}
-
-/// Installs `ctx` as the calling thread's innermost open span, so spans
-/// this thread opens next parent under the *submitting* thread's span.
-/// The returned guard restores the previous state on drop; drop it on
-/// the adopting thread (pool workers do, naturally, as the adoption is
-/// scoped to one task or one worker loop).
-pub fn adopt_span_context(ctx: SpanContext) -> SpanContextGuard {
-    let prev = CURRENT.with(|c| c.replace(ctx.current));
-    SpanContextGuard { prev }
-}
-
-impl Drop for SpanContextGuard {
-    fn drop(&mut self) {
-        CURRENT.with(|c| c.set(self.prev));
-    }
-}
-
 /// Copies out every recorded span (open spans have `duration_us: None`).
 pub(crate) fn snapshot_spans() -> Vec<SpanRecord> {
     store().spans.lock().clone()

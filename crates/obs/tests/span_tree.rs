@@ -137,88 +137,6 @@ fn concurrent_spans_export_to_balanced_chrome_tracks() {
     qnet_obs::reset_spans();
 }
 
-#[test]
-fn adopted_context_parents_worker_spans_under_the_submitter() {
-    let _serial = serial();
-    qnet_obs::set_level(ObsLevel::Full);
-    qnet_obs::global().reset();
-    qnet_obs::reset_spans();
-
-    // The thread-pool handoff: the submitting thread captures its
-    // innermost open span, each worker adopts it for the duration of a
-    // task, and the worker's own spans graft under the submitter's —
-    // one causal tree instead of per-worker roots.
-    {
-        let _batch = qnet_obs::span!("test.adopt.batch");
-        let ctx = qnet_obs::span_context();
-        crossbeam::scope(|scope| {
-            for _ in 0..3 {
-                scope.spawn(|_| {
-                    let _adopted = qnet_obs::adopt_span_context(ctx);
-                    let _task = qnet_obs::span!("test.adopt.task");
-                    let _leaf = qnet_obs::span!("test.adopt.leaf");
-                });
-                scope.spawn(|_| {
-                    // A worker that never adopts stays a root.
-                    let _orphan = qnet_obs::span!("test.adopt.orphan");
-                });
-            }
-        })
-        .expect("no worker panicked");
-        // After the scope, this thread's stack is intact: a sibling
-        // still parents under the batch span.
-        let _sibling = qnet_obs::span!("test.adopt.sibling");
-    }
-
-    let report = RunReport::capture("span-adoption");
-    let spans = &report.spans;
-    qnet_obs::set_level(ObsLevel::Counters);
-    qnet_obs::reset_spans();
-
-    let batch = spans
-        .iter()
-        .position(|s| s.name == "test.adopt.batch")
-        .expect("batch span recorded");
-    assert_eq!(spans[batch].parent, None);
-    let mut tasks = 0;
-    for s in spans.iter() {
-        match s.name.as_str() {
-            "test.adopt.task" => {
-                tasks += 1;
-                assert_eq!(
-                    s.parent,
-                    Some(batch),
-                    "worker task must parent under the submitting span"
-                );
-                assert_ne!(
-                    s.thread, spans[batch].thread,
-                    "the adopted parent link crosses threads by design"
-                );
-            }
-            "test.adopt.leaf" => {
-                let p = s.parent.expect("leaf nests under its task");
-                assert_eq!(spans[p].name, "test.adopt.task");
-                assert_eq!(
-                    spans[p].thread, s.thread,
-                    "nesting within one worker stays on that worker"
-                );
-            }
-            "test.adopt.orphan" => {
-                assert_eq!(s.parent, None, "non-adopting workers stay roots");
-            }
-            "test.adopt.sibling" => {
-                assert_eq!(
-                    s.parent,
-                    Some(batch),
-                    "submitter's stack survives the workers' adoption"
-                );
-            }
-            _ => {}
-        }
-    }
-    assert_eq!(tasks, 3, "every adopted task span recorded");
-}
-
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")

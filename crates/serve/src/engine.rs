@@ -10,7 +10,7 @@
 //! 2. arrivals with `slot < end` not yet collected are offered to the
 //!    bounded queue; overflow is shed with a [`Verdict::Shed`] decision;
 //! 3. the cache is warmed once for every distinct member of the kept
-//!    queue (the qnet-pool batch path — one parallel fan-out per round);
+//!    queue (one multi-source batch per round);
 //! 4. the queue is ordered by the policy and each request admitted or
 //!    blocked against shared capacity, sequentially in that order.
 //!
@@ -23,7 +23,6 @@ use std::collections::HashSet;
 
 use qnet_graph::{NodeId, UnionFind};
 use qnet_obs::{TimeSeries, TimeSeriesConfig, TimeSeriesSection};
-use qnet_pool::Pool;
 
 use muerp_core::algorithms::{CacheEfficiency, ChannelFinderCache};
 use muerp_core::channel::CapacityMap;
@@ -235,25 +234,13 @@ pub fn serve(net: &QuantumNetwork, cfg: &ServeConfig, seed: u64) -> ServeOutcome
     serve_requests(net, cfg, &requests)
 }
 
-/// [`serve`] over an explicit request script, with the pool width taken
-/// from the environment (`MUERP_THREADS`).
+/// [`serve`] over an explicit request script.
 pub fn serve_requests(
     net: &QuantumNetwork,
     cfg: &ServeConfig,
     requests: &[Request],
 ) -> ServeOutcome {
     serve_with_cache(net, cfg, requests, ChannelFinderCache::new(net))
-}
-
-/// [`serve_requests`] with an explicit pool — the hook the differential
-/// battery uses to pin widths 1 and 4.
-pub fn serve_requests_with_pool(
-    net: &QuantumNetwork,
-    cfg: &ServeConfig,
-    requests: &[Request],
-    pool: Pool,
-) -> ServeOutcome {
-    serve_with_cache(net, cfg, requests, ChannelFinderCache::with_pool(net, pool))
 }
 
 fn serve_with_cache<'n>(
@@ -342,8 +329,8 @@ fn serve_with_cache<'n>(
         }
         stats.peak_queue = stats.peak_queue.max(kept.len());
 
-        // 3. Warm the cache once for every distinct member (the
-        // qnet-pool batch path: one parallel fan-out per round).
+        // 3. Warm the cache once for every distinct member (one
+        // multi-source batch per round).
         let mut sources: Vec<NodeId> = kept
             .iter()
             .flat_map(|r| r.members.iter().copied())

@@ -13,7 +13,7 @@
 //! 2. collects the round's arrivals into a [`BoundedQueue`], shedding
 //!    the over-capacity suffix with an exact tally (backpressure);
 //! 3. warms the [`ChannelFinderCache`] **once** for all distinct
-//!    members of the queued requests via the qnet-pool batch path;
+//!    members of the queued requests (one multi-source batch);
 //! 4. orders the queue under a pluggable [`PolicyKind`] — FCFS,
 //!    smallest-group-first, or deficit-weighted fairness — and admits
 //!    sequentially against shared switch capacity.
@@ -21,11 +21,10 @@
 //! The headline correctness claim is differential: under FCFS, the
 //! batched engine is **decision-equivalent** to the cold sequential
 //! per-request oracle ([`sequential_fcfs`]) — the same admit/block
-//! sequence with bitwise-identical entanglement trees, at every pool
-//! width. That holds because the warm path installs bitwise-identical
-//! runs in source order regardless of thread count, and the delta
-//! engine's repaired/revalidated entries are bitwise equal to cold
-//! recomputation (the PR 9 battery).
+//! sequence with bitwise-identical entanglement trees. That holds
+//! because every entry the warm path installs, repairs or revalidates
+//! is bitwise equal to cold recomputation (the delta-cache battery in
+//! `muerp-core`).
 //!
 //! [`ChannelFinderCache`]: muerp_core::algorithms::ChannelFinderCache
 //! [`ChannelFinderCache::absorb`]: muerp_core::algorithms::ChannelFinderCache::absorb
@@ -40,8 +39,8 @@ pub mod policy;
 pub mod queue;
 
 pub use engine::{
-    audit_group_tree, serve, serve_requests, serve_requests_with_pool, ClassTally, Decision,
-    RoundReport, ServeConfig, ServeOutcome, ServeStats, Verdict,
+    audit_group_tree, serve, serve_requests, ClassTally, Decision, RoundReport, ServeConfig,
+    ServeOutcome, ServeStats, Verdict,
 };
 pub use oracle::sequential_fcfs;
 pub use policy::{DeficitState, PolicyKind, CLASS_WEIGHTS};

@@ -3,7 +3,7 @@
 //!
 //! Same round timeline, bounded queue, shed rule, and departure points
 //! as the batched engine — but every admission routes **cold**: a fresh
-//! [`ChannelFinder`] per growth step, no cache, no warm batch, no pool.
+//! [`ChannelFinder`] per growth step, no cache, no warm batch.
 //! Decision equivalence between [`sequential_fcfs`] and the engine
 //! under [`PolicyKind::Fcfs`](crate::policy::PolicyKind::Fcfs) is
 //! therefore a real claim about the delta/warm machinery: the cached
@@ -12,7 +12,7 @@
 
 use std::collections::HashSet;
 
-use qnet_graph::NodeId;
+use qnet_graph::{DijkstraWorkspace, NodeId};
 
 use muerp_core::algorithms::ChannelFinder;
 use muerp_core::channel::{CapacityMap, Channel};
@@ -121,10 +121,11 @@ fn route_group_cold(
     in_tree[members[0].index()] = true;
     let mut tree = EntanglementTree::new();
     let mut trial_capacity = capacity.clone();
+    let mut ws = DijkstraWorkspace::new();
     for _ in 1..members.len() {
         let mut best: Option<Channel> = None;
         for &src in members.iter().filter(|u| in_tree[u.index()]) {
-            let finder = ChannelFinder::from_source(net, &trial_capacity, src);
+            let finder = ChannelFinder::from_source_in(&mut ws, net, &trial_capacity, src, None);
             for &dst in members.iter().filter(|u| !in_tree[u.index()]) {
                 if let Some(c) = finder.channel_to(dst) {
                     if best.as_ref().is_none_or(|b| c.rate > b.rate) {

@@ -1,15 +1,12 @@
 //! The differential battery: batched admission must be
 //! decision-equivalent to the sequential cold-routing FCFS oracle —
 //! same admit/block sequence, bitwise-identical entanglement trees —
-//! at pool widths 1 and 4, and the whole [`ServeOutcome`] must be
-//! bitwise invariant across widths.
-
-use qnet_pool::Pool;
+//! and every admitted tree must audit clean.
 
 use muerp_core::extensions::{Request, RequestStream, StreamConfig};
 use muerp_core::model::NetworkSpec;
 use muerp_serve::{
-    audit_group_tree, sequential_fcfs, serve_requests_with_pool, PolicyKind, ServeConfig, Verdict,
+    audit_group_tree, sequential_fcfs, serve_requests, PolicyKind, ServeConfig, Verdict,
 };
 
 const SEEDS: [u64; 3] = [3, 11, 29];
@@ -41,27 +38,11 @@ fn batched_fcfs_is_decision_equivalent_to_the_sequential_oracle() {
             requests.len(),
             "every request gets a decision"
         );
-        for width in [1, 4] {
-            let out = serve_requests_with_pool(&net, &cfg, &requests, Pool::with_threads(width));
-            assert_eq!(
-                out.decisions, oracle,
-                "seed {seed}, width {width}: batched decisions diverged from the oracle"
-            );
-        }
-    }
-}
-
-#[test]
-fn outcome_is_bitwise_identical_across_pool_widths() {
-    let cfg = battery_cfg();
-    for seed in SEEDS {
-        let net = NetworkSpec::paper_default().build(seed);
-        let requests: Vec<Request> = RequestStream::new(&net, cfg.stream, seed).collect();
-        let narrow = serve_requests_with_pool(&net, &cfg, &requests, Pool::with_threads(1));
-        let wide = serve_requests_with_pool(&net, &cfg, &requests, Pool::with_threads(4));
-        // The whole outcome — stats, decisions, rounds, time series,
-        // deficits — not just the decision log.
-        assert_eq!(narrow, wide, "seed {seed}: outcome depends on pool width");
+        let out = serve_requests(&net, &cfg, &requests);
+        assert_eq!(
+            out.decisions, oracle,
+            "seed {seed}: batched decisions diverged from the oracle"
+        );
     }
 }
 
@@ -71,7 +52,7 @@ fn every_admitted_solution_audits_clean_and_accounting_closes() {
     for seed in SEEDS {
         let net = NetworkSpec::paper_default().build(seed);
         let requests: Vec<Request> = RequestStream::new(&net, cfg.stream, seed).collect();
-        let out = serve_requests_with_pool(&net, &cfg, &requests, Pool::with_threads(4));
+        let out = serve_requests(&net, &cfg, &requests);
 
         let mut admitted = 0u64;
         let mut blocked = 0u64;
@@ -107,7 +88,7 @@ fn warm_batching_actually_saves_searches_over_the_oracle() {
     let seed = SEEDS[0];
     let net = NetworkSpec::paper_default().build(seed);
     let requests: Vec<Request> = RequestStream::new(&net, cfg.stream, seed).collect();
-    let out = serve_requests_with_pool(&net, &cfg, &requests, Pool::with_threads(1));
+    let out = serve_requests(&net, &cfg, &requests);
     assert!(
         out.stats.cache.hits > 0,
         "the batch warm path must convert repeat lookups into cache hits"
