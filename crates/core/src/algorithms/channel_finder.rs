@@ -720,6 +720,21 @@ impl<'n> ChannelFinderCache<'n> {
     }
 }
 
+/// Where a Prim growth step gets its Algorithm-1 runs. The
+/// [`ChannelFinderCache`] serves memoized, delta-repaired runs; a cold
+/// source that searches afresh on every call is the reference the
+/// serve differential battery compares it against.
+pub trait ChannelSource<'n> {
+    /// The Algorithm-1 run from `source` under `capacity`.
+    fn finder(&mut self, capacity: &CapacityMap, source: NodeId) -> &ChannelFinder<'n>;
+}
+
+impl<'n> ChannelSource<'n> for ChannelFinderCache<'n> {
+    fn finder(&mut self, capacity: &CapacityMap, source: NodeId) -> &ChannelFinder<'n> {
+        self.finder_masked(capacity, None, source)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -19,9 +19,12 @@ mod optimal;
 mod prim_based;
 
 pub use beam::BeamSearch;
-pub use channel_finder::{max_rate_channel, CacheEfficiency, ChannelFinder, ChannelFinderCache};
+pub use channel_finder::{
+    max_rate_channel, CacheEfficiency, ChannelFinder, ChannelFinderCache, ChannelSource,
+};
 pub use conflict_free::{ConflictFree, RetentionPolicy};
 pub use k_channels::k_best_channels_in;
 pub use local_search::{refine, LocalSearchOptions, Refined};
 pub use optimal::{all_pairs_best_channels, OptimalSufficient};
+pub(crate) use prim_based::{attach, best_cross_channel};
 pub use prim_based::{PrimBased, SeedChoice};

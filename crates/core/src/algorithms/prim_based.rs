@@ -16,7 +16,53 @@ use crate::model::QuantumNetwork;
 use crate::solver::{RoutingAlgorithm, Solution};
 use crate::tree::EntanglementTree;
 
-use super::channel_finder::ChannelFinderCache;
+use super::channel_finder::{ChannelFinderCache, ChannelSource};
+
+/// Algorithm 4's growth step: the maximum-rate channel on `capacity`
+/// between an in-tree member and an out-of-tree one, or `None` when no
+/// member outside the tree is reachable.
+///
+/// In-tree sources are scanned in `members` order, and each source's
+/// out-of-tree targets in `members` order; the strict `>` keeps the
+/// first maximum, so ties resolve identically whatever `source` serves
+/// the runs.
+pub(crate) fn best_cross_channel<'n>(
+    source: &mut impl ChannelSource<'n>,
+    capacity: &CapacityMap,
+    members: &[NodeId],
+    in_tree: &[bool],
+) -> Option<Channel> {
+    let mut best: Option<Channel> = None;
+    for &src in members.iter().filter(|u| in_tree[u.index()]) {
+        let finder = source.finder(capacity, src);
+        for &dst in members.iter().filter(|u| !in_tree[u.index()]) {
+            if let Some(c) = finder.channel_to(dst) {
+                if best.as_ref().is_none_or(|b| c.rate > b.rate) {
+                    best = Some(c);
+                }
+            }
+        }
+    }
+    best
+}
+
+/// Reserves `c` on `capacity` and grows the tree by it: the endpoint
+/// still outside the tree moves in.
+pub(crate) fn attach(
+    c: Channel,
+    capacity: &mut CapacityMap,
+    in_tree: &mut [bool],
+    tree: &mut EntanglementTree,
+) {
+    capacity.reserve(&c);
+    let newcomer = if in_tree[c.source().index()] {
+        c.destination()
+    } else {
+        c.source()
+    };
+    in_tree[newcomer.index()] = true;
+    tree.push(c);
+}
 
 /// How Algorithm 4 picks its seed user `u₀`.
 ///
@@ -88,18 +134,7 @@ impl PrimBased {
                 .filter(|u| in_tree[u.index()])
                 .collect();
             cache.warm(&capacity, &sources);
-            let mut best: Option<Channel> = None;
-            for &src in &sources {
-                let finder = cache.finder(&capacity, src);
-                for &dst in users.iter().filter(|u| !in_tree[u.index()]) {
-                    if let Some(c) = finder.channel_to(dst) {
-                        if best.as_ref().is_none_or(|b| c.rate > b.rate) {
-                            best = Some(c);
-                        }
-                    }
-                }
-            }
-            let Some(c) = best else {
+            let Some(c) = best_cross_channel(&mut cache, &capacity, users, &in_tree) else {
                 let stranded = users
                     .iter()
                     .copied()
@@ -117,15 +152,7 @@ impl PrimBased {
                     epoch: capacity.epoch(),
                 });
             }
-            capacity.reserve(&c);
-            // The destination is whichever endpoint was still in U₂.
-            let newcomer = if in_tree[c.source().index()] {
-                c.destination()
-            } else {
-                c.source()
-            };
-            in_tree[newcomer.index()] = true;
-            tree.push(c);
+            attach(c, &mut capacity, &mut in_tree, &mut tree);
         }
         Ok(Solution::from_tree(tree))
     }

@@ -17,13 +17,12 @@
 use qnet_graph::NodeId;
 use serde::{Deserialize, Serialize};
 
-use crate::channel::{CapacityMap, Channel};
+use crate::algorithms::{attach, best_cross_channel, ChannelFinderCache};
+use crate::channel::CapacityMap;
 use crate::error::RoutingError;
 use crate::model::QuantumNetwork;
 use crate::rate::Rate;
 use crate::tree::EntanglementTree;
-
-use crate::algorithms::ChannelFinderCache;
 
 /// Scheduling strategy across groups.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -79,28 +78,8 @@ impl GroupState {
     /// marks the group failed when none exists.
     fn grow_once(&mut self, capacity: &mut CapacityMap, cache: &mut ChannelFinderCache<'_>) {
         debug_assert!(!self.done());
-        let mut best: Option<Channel> = None;
-        for &src in self.members.iter().filter(|u| self.in_tree[u.index()]) {
-            let finder = cache.finder(capacity, src);
-            for &dst in self.members.iter().filter(|u| !self.in_tree[u.index()]) {
-                if let Some(c) = finder.channel_to(dst) {
-                    if best.as_ref().is_none_or(|b| c.rate > b.rate) {
-                        best = Some(c);
-                    }
-                }
-            }
-        }
-        match best {
-            Some(c) => {
-                capacity.reserve(&c);
-                let newcomer = if self.in_tree[c.source().index()] {
-                    c.destination()
-                } else {
-                    c.source()
-                };
-                self.in_tree[newcomer.index()] = true;
-                self.tree.push(c);
-            }
+        match best_cross_channel(cache, capacity, &self.members, &self.in_tree) {
+            Some(c) => attach(c, capacity, &mut self.in_tree, &mut self.tree),
             None => {
                 let stranded = self
                     .members

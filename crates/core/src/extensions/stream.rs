@@ -1,9 +1,12 @@
-//! Sustained-load streaming workload — the telemetry-driving sibling of
-//! [`online`](crate::extensions::online).
+//! Sustained-load streaming workload — online entanglement sessions
+//! over time.
 //!
-//! Where `simulate_online` answers "what is the blocking ratio of this
-//! workload", this module answers "what does the run look like *while
-//! it happens*": the same admit/hold/release session model, but with a
+//! Group requests arrive, hold their tree's switch qubits for a sampled
+//! session, and depart. Admission routes each request Prim-style over
+//! the residual capacity ([`route_group`]) and blocks it when a member
+//! is still in a session or no capacity-respecting tree exists. The
+//! module answers both "what is the blocking ratio of this workload"
+//! and "what does the run look like *while it happens*", with a
 //! trace-realistic arrival process and full streaming instrumentation:
 //!
 //! * **diurnal modulation** — the per-slot arrival probability follows
@@ -41,8 +44,6 @@
 //! request scripts — the property the serve differential battery rests
 //! on.
 
-use std::collections::HashSet;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -51,9 +52,9 @@ use qnet_graph::NodeId;
 use qnet_obs::{TimeSeries, TimeSeriesConfig, TimeSeriesSection, TraceSampler};
 
 use crate::algorithms::{CacheEfficiency, ChannelFinderCache};
-use crate::channel::{CapacityMap, Channel};
+use crate::channel::CapacityMap;
+use crate::extensions::admission::{free_qubit_total, route_group, Sessions};
 use crate::model::QuantumNetwork;
-use crate::tree::EntanglementTree;
 
 /// Workload, service, and telemetry parameters of a streaming run.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -382,12 +383,6 @@ pub struct StreamOutcome {
     pub series: TimeSeriesSection,
 }
 
-struct Session {
-    tree: EntanglementTree,
-    expires_at: u64,
-    members: Vec<NodeId>,
-}
-
 /// Runs the streaming workload for [`StreamConfig::slots`] slots,
 /// consuming the open-loop [`RequestStream`] one request at a time.
 ///
@@ -432,7 +427,7 @@ pub fn simulate_stream(net: &QuantumNetwork, cfg: StreamConfig, seed: u64) -> St
     // Outstanding churn withdrawals: (restore_at, switch, qubits).
     let mut maintenance: Vec<(u64, NodeId, u32)> = Vec::new();
 
-    let mut active: Vec<Session> = Vec::new();
+    let mut sessions = Sessions::default();
     let mut stats = StreamStats::default();
     let mut session_rate_sum = 0.0f64;
     let mut active_slot_sum = 0u64;
@@ -440,9 +435,19 @@ pub fn simulate_stream(net: &QuantumNetwork, cfg: StreamConfig, seed: u64) -> St
     for now in 0..cfg.slots {
         series.advance_to(now);
 
-        // Departures first: free the qubits of expired sessions and let
-        // the finder cache absorb the restores eagerly.
-        apply_departures(&mut active, &mut capacity, &mut cache, now);
+        // Departures first: free the qubits of expired sessions, then
+        // absorb the restores into the finder cache eagerly. The eager
+        // absorb is the departure half of the delta engine's
+        // restore-cancellation path: a departing group's releases flip
+        // its relays back on, and absorbing that delta while it is
+        // still adjacent to the kill cancels the pending repairs queued
+        // for exactly those relays. Left to the next lookup, the restore
+        // would be interleaved with whatever else changed by then, and
+        // an unclassifiable improving flip escalates the entry to a full
+        // recompute instead of an O(1) revalidation.
+        if sessions.depart(now, &mut capacity) > 0 {
+            cache.absorb(&capacity);
+        }
 
         // Capacity churn: restore expired withdrawals, then maybe take
         // a new switch down. Runs before the arrival so admission sees
@@ -472,27 +477,23 @@ pub fn simulate_stream(net: &QuantumNetwork, cfg: StreamConfig, seed: u64) -> St
             }
         }
 
-        while requests.peek().is_some_and(|r| r.slot == now) {
-            let req = requests.next().expect("peeked");
+        while let Some(req) = requests.next_if(|r| r.slot == now) {
             stats.arrived += 1;
             series.rate_add("arrivals", 1);
             qnet_obs::counter!("core.stream.arrivals");
             let size = req.members.len();
-            let busy: HashSet<NodeId> = active
-                .iter()
-                .flat_map(|s| s.members.iter().copied())
-                .collect();
-            if req.members.iter().any(|m| busy.contains(m)) {
+            if sessions.is_busy(&req.members) {
                 // Open-loop arrivals name their members up front, so a
-                // request whose member is still in a session blocks —
-                // the closed-loop "too few free users" reason is gone.
+                // request whose member is still in a session blocks.
+                // The `no_users` keys keep the name of the retired
+                // closed-loop model's "too few free users" reason.
                 stats.blocked_no_users += 1;
                 series.rate_add("blocked_no_users", 1);
                 qnet_obs::counter!("core.stream.blocked", reason = "no_users");
                 emit_block(&mut sampler, "member-busy", size, now);
             } else {
                 let before = cache.search_count();
-                let routed = route_group_cached(net, &mut cache, &mut capacity, &req.members);
+                let routed = route_group(net, &mut cache, &mut capacity, &req.members);
                 let searches = cache.search_count() - before;
                 series.latency("admission_searches", searches);
                 qnet_obs::histogram!("core.stream.admission_searches", searches);
@@ -502,11 +503,7 @@ pub fn simulate_stream(net: &QuantumNetwork, cfg: StreamConfig, seed: u64) -> St
                         series.rate_add("admitted", 1);
                         qnet_obs::counter!("core.stream.admitted");
                         session_rate_sum += tree.rate().value();
-                        active.push(Session {
-                            tree,
-                            expires_at: now + req.hold,
-                            members: req.members,
-                        });
+                        sessions.admit(tree, req.members, now + req.hold);
                     }
                     None => {
                         stats.blocked_capacity += 1;
@@ -518,9 +515,9 @@ pub fn simulate_stream(net: &QuantumNetwork, cfg: StreamConfig, seed: u64) -> St
             }
         }
 
-        active_slot_sum += active.len() as u64;
-        stats.peak_active_sessions = stats.peak_active_sessions.max(active.len());
-        series.gauge("active_sessions", active.len() as f64);
+        active_slot_sum += sessions.len() as u64;
+        stats.peak_active_sessions = stats.peak_active_sessions.max(sessions.len());
+        series.gauge("active_sessions", sessions.len() as f64);
         series.gauge("free_qubits", free_qubit_total(net, &capacity));
         series.gauge("cache_hit_rate", cache.efficiency().hit_rate());
     }
@@ -538,44 +535,6 @@ pub fn simulate_stream(net: &QuantumNetwork, cfg: StreamConfig, seed: u64) -> St
         stats,
         series: series.finish(),
     }
-}
-
-/// Releases every expired session's channels and — when anything was
-/// released — immediately absorbs the restored capacity into the finder
-/// cache. Returns the number of departed sessions.
-///
-/// The eager [`ChannelFinderCache::absorb`] is the departure half of
-/// the delta engine's restore-cancellation path: a departing group's
-/// releases flip its relays back on, and absorbing that delta while it
-/// is still adjacent to the kill cancels the pending repairs queued for
-/// exactly those relays. Without it, the restore would ride along to
-/// the next lookup, interleaved with whatever else changed by then, and
-/// an unclassifiable improving flip escalates the entry to a full
-/// recompute instead of an O(1) revalidation.
-fn apply_departures(
-    active: &mut Vec<Session>,
-    capacity: &mut CapacityMap,
-    cache: &mut ChannelFinderCache<'_>,
-    now: u64,
-) -> u64 {
-    let before = active.len();
-    let mut released = false;
-    let mut kept = Vec::with_capacity(active.len());
-    for session in active.drain(..) {
-        if session.expires_at <= now {
-            for c in &session.tree.channels {
-                capacity.release(c);
-            }
-            released = true;
-        } else {
-            kept.push(session);
-        }
-    }
-    *active = kept;
-    if released {
-        cache.absorb(capacity);
-    }
-    (before - active.len()) as u64
 }
 
 /// Consults the sampler on every block (so the cadence and the
@@ -640,56 +599,10 @@ fn sample_members(
     members
 }
 
-/// Total free qubits across the network's switches.
-fn free_qubit_total(net: &QuantumNetwork, capacity: &CapacityMap) -> f64 {
-    net.switches().map(|s| capacity.free(s) as u64).sum::<u64>() as f64
-}
-
-/// Prim-style group routing over shared residual capacity, served
-/// through the finder cache (epoch-keyed, so trial capacities never
-/// alias); reserves the qubits on success, touches nothing on failure.
-///
-/// Public because the batched admission service (`muerp-serve`) routes
-/// through the identical growth loop — any divergence between the two
-/// consumers would void the serve differential battery.
-pub fn route_group_cached<'n>(
-    net: &'n QuantumNetwork,
-    cache: &mut ChannelFinderCache<'n>,
-    capacity: &mut CapacityMap,
-    members: &[NodeId],
-) -> Option<EntanglementTree> {
-    let mut in_tree = vec![false; net.graph().node_count()];
-    in_tree[members[0].index()] = true;
-    let mut tree = EntanglementTree::new();
-    let mut trial_capacity = capacity.clone();
-    for _ in 1..members.len() {
-        let mut best: Option<Channel> = None;
-        for &src in members.iter().filter(|u| in_tree[u.index()]) {
-            let finder = cache.finder(&trial_capacity, src);
-            for &dst in members.iter().filter(|u| !in_tree[u.index()]) {
-                if let Some(c) = finder.channel_to(dst) {
-                    if best.as_ref().is_none_or(|b| c.rate > b.rate) {
-                        best = Some(c);
-                    }
-                }
-            }
-        }
-        let c = best?;
-        trial_capacity.reserve(&c);
-        let newcomer = if in_tree[c.source().index()] {
-            c.destination()
-        } else {
-            c.source()
-        };
-        in_tree[newcomer.index()] = true;
-        tree.push(c);
-    }
-    *capacity = trial_capacity;
-    Some(tree)
-}
-
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
     use crate::model::NetworkSpec;
 
@@ -921,8 +834,8 @@ mod tests {
         let mut cache = ChannelFinderCache::new(&net);
 
         // Admission reserves both of s's qubits: s's relay bit flips off.
-        let tree = route_group_cached(&net, &mut cache, &mut capacity, &[a, b])
-            .expect("relayed route feasible");
+        let tree =
+            route_group(&net, &mut cache, &mut capacity, &[a, b]).expect("relayed route feasible");
         assert_eq!(tree.channels[0].link_count(), 2, "route goes via s");
         // Absorb the kill: the cached entry for `a` now carries a
         // pending repair for s.
@@ -930,17 +843,14 @@ mod tests {
         let searches = cache.search_count();
         let hits = cache.efficiency().hits;
 
-        // The session departs through the real departure path: the
+        // The session departs the way `simulate_stream` departs it: the
         // release flips s back on and the eager absorb nets the restore
         // out against the queued repair.
-        let mut active = vec![Session {
-            tree,
-            expires_at: 3,
-            members: vec![a, b],
-        }];
-        let departed = apply_departures(&mut active, &mut capacity, &mut cache, 5);
-        assert_eq!(departed, 1);
-        assert!(active.is_empty());
+        let mut sessions = Sessions::default();
+        sessions.admit(tree, vec![a, b], 3);
+        assert_eq!(sessions.depart(5, &mut capacity), 1);
+        assert!(sessions.is_empty());
+        cache.absorb(&capacity);
 
         // The next lookup must be an O(1) revalidation: no repair ran,
         // no search ran, and the restored relay is visible again.
@@ -950,6 +860,139 @@ mod tests {
         assert_eq!(eff.repairs, 0, "pending repair was cancelled, not run");
         assert_eq!(cache.search_count(), searches, "no full search either");
         assert_eq!(eff.hits, hits + 1, "served as a clean revalidation");
+    }
+
+    #[test]
+    fn no_arrivals_no_sessions() {
+        let out = simulate_stream(
+            &net(),
+            StreamConfig {
+                base_arrival: 0.0,
+                ..short_cfg()
+            },
+            1,
+        );
+        assert_eq!(out.stats.arrived, 0);
+        assert_eq!(out.stats.blocking_ratio(), 0.0);
+        assert_eq!(out.stats.peak_active_sessions, 0);
+        assert_eq!(out.stats.total_searches, 0);
+    }
+
+    #[test]
+    fn heavier_load_blocks_more() {
+        let flat = StreamConfig {
+            slots: 4_000,
+            diurnal_amplitude: 0.0,
+            ..StreamConfig::default()
+        };
+        let light = simulate_stream(
+            &net(),
+            StreamConfig {
+                base_arrival: 0.05,
+                hold_slots: (2, 4),
+                ..flat
+            },
+            3,
+        );
+        let heavy = simulate_stream(
+            &net(),
+            StreamConfig {
+                base_arrival: 0.9,
+                hold_slots: (30, 60),
+                ..flat
+            },
+            3,
+        );
+        assert!(
+            heavy.stats.blocking_ratio() > light.stats.blocking_ratio(),
+            "heavy {} vs light {}",
+            heavy.stats.blocking_ratio(),
+            light.stats.blocking_ratio()
+        );
+        assert!(heavy.stats.mean_active_sessions > light.stats.mean_active_sessions);
+    }
+
+    #[test]
+    fn sessions_release_their_qubits() {
+        // With short holds and long gaps, capacity returns to full:
+        // admissions late in the run succeed as easily as early ones.
+        let out = simulate_stream(
+            &net(),
+            StreamConfig {
+                slots: 8_000,
+                base_arrival: 0.02,
+                diurnal_amplitude: 0.0,
+                group_size: (2, 2),
+                hold_slots: (1, 2),
+                ..StreamConfig::default()
+            },
+            4,
+        );
+        assert!(out.stats.arrived > 50);
+        // Pairs on an otherwise idle default network are almost always
+        // routable.
+        assert!(
+            out.stats.blocking_ratio() < 0.05,
+            "blocking {} too high for an idle network",
+            out.stats.blocking_ratio()
+        );
+    }
+
+    #[test]
+    fn sampled_blocks_land_in_the_flight_recorder() {
+        qnet_obs::set_level(qnet_obs::ObsLevel::Trace);
+        qnet_obs::reset_trace();
+        // Tag this thread with a sentinel so the assertion stays exact
+        // even if a concurrent test emits trace events into the shared
+        // ring.
+        qnet_obs::record_event(qnet_obs::TraceEvent::Blocked {
+            reason: "sentinel",
+            group_size: 0,
+            at_slot: u64::MAX,
+        });
+        // Forty users on 2-qubit switches: both block reasons occur.
+        let cfg = StreamConfig {
+            slots: 1_024,
+            ..StreamConfig::default()
+        };
+        let net = NetworkSpec::paper_default()
+            .with_users(40)
+            .build(52)
+            .with_uniform_switch_qubits(2);
+        let out = simulate_stream(&net, cfg, 7);
+        let events = qnet_obs::trace_snapshot();
+        qnet_obs::set_level(qnet_obs::ObsLevel::Counters);
+        qnet_obs::reset_trace();
+
+        let me = events
+            .iter()
+            .find_map(|s| match s.event {
+                qnet_obs::TraceEvent::Blocked {
+                    reason: "sentinel", ..
+                } => Some(s.thread),
+                _ => None,
+            })
+            .expect("sentinel event recorded");
+        let mut recorded = 0u64;
+        for s in events.iter().filter(|s| s.thread == me) {
+            if let qnet_obs::TraceEvent::Blocked {
+                reason,
+                group_size,
+                at_slot,
+            } = s.event
+            {
+                match reason {
+                    "sentinel" => continue,
+                    "member-busy" | "capacity" => recorded += 1,
+                    other => panic!("unexpected block reason {other}"),
+                }
+                assert!(at_slot < cfg.slots, "block stamped with its slot");
+                assert!(group_size >= 2, "block carries the group size");
+            }
+        }
+        let stats = out.stats;
+        assert!(stats.blocked_no_users > 0 && stats.blocked_capacity > 0);
+        assert_eq!(recorded, stats.blocked() - stats.sampled_out);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! Wall-clock throughput exists only on stderr, via
 //! [`ServeRun::render_throughput`].
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Duration;
 
 use muerp_core::extensions::SloClass;
@@ -30,6 +30,7 @@ use muerp_core::model::NetworkSpec;
 use muerp_serve::{serve, ServeConfig, ServeOutcome};
 
 use crate::cli::ServeArgs;
+use crate::stream::{reset_obs, write_artifacts};
 use crate::table::FigureTable;
 
 /// Everything one serve run produces in memory.
@@ -175,19 +176,10 @@ pub fn serve_tables(cfg: &ServeConfig, seed: u64, outcome: &ServeOutcome) -> Vec
 }
 
 /// Runs the admission service in memory: resets the process-global
-/// observability state, serves, and captures the schema-4 report with
-/// the round series attached.
-///
-/// Unless `MUERP_OBS` pins a level, runs at `counters` — the report
-/// then carries no spans (and thus no wall-clock), keeping every
-/// artifact byte-deterministic.
+/// observability state ([`reset_obs`]), serves, and captures the
+/// schema-4 report with the round series attached.
 pub fn run_workload(cfg: ServeConfig, seed: u64) -> ServeRun {
-    if std::env::var_os("MUERP_OBS").is_none() {
-        qnet_obs::set_level(qnet_obs::ObsLevel::Counters);
-    }
-    qnet_obs::global().reset();
-    qnet_obs::reset_spans();
-    qnet_obs::reset_trace();
+    reset_obs();
 
     let net = NetworkSpec::paper_default().build(seed);
     let started = std::time::Instant::now();
@@ -214,34 +206,8 @@ pub fn run_workload(cfg: ServeConfig, seed: u64) -> ServeRun {
 /// or any artifact cannot be written.
 pub fn run_serve(args: &ServeArgs) -> Result<(ServeRun, Vec<PathBuf>), String> {
     let run = run_workload(args.config()?, args.seed);
-    let written = write_artifacts(&args.out, &run)?;
+    let written = write_artifacts(&args.out, &run.tables, &run.outcome.series, &run.report)?;
     Ok((run, written))
-}
-
-/// Writes the CSVs, metrics stream, run report, and Prometheus
-/// exposition into `dir`.
-fn write_artifacts(dir: &Path, run: &ServeRun) -> Result<Vec<PathBuf>, String> {
-    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-    let mut written = Vec::new();
-    for table in &run.tables {
-        let path = dir.join(format!("{}.csv", table.id));
-        std::fs::write(&path, table.to_csv())
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        written.push(path);
-    }
-    written.push(
-        qnet_obs::write_metrics_jsonl(dir, "serve", &run.outcome.series)
-            .map_err(|e| format!("cannot write metrics stream: {e}"))?,
-    );
-    written.push(
-        qnet_obs::write_report(dir, &run.report)
-            .map_err(|e| format!("cannot write run report: {e}"))?,
-    );
-    written.push(
-        qnet_obs::write_prometheus(dir, "serve", &run.report)
-            .map_err(|e| format!("cannot write prometheus exposition: {e}"))?,
-    );
-    Ok(written)
 }
 
 #[cfg(test)]

@@ -170,20 +170,26 @@ pub fn stream_tables(cfg: &StreamConfig, seed: u64, outcome: &StreamOutcome) -> 
     ]
 }
 
-/// Runs the streaming workload in memory: resets the process-global
-/// observability state, simulates, and captures the schema-4 report
-/// with the time-series section attached.
+/// Resets the process-global observability state before a pipeline
+/// run (`repro stream` and `repro serve`).
 ///
 /// Unless `MUERP_OBS` pins a level, runs at `counters` — the report
 /// then carries no spans (and thus no wall-clock), keeping every
 /// artifact byte-deterministic.
-pub fn run_workload(cfg: StreamConfig, seed: u64) -> StreamRun {
+pub(crate) fn reset_obs() {
     if std::env::var_os("MUERP_OBS").is_none() {
         qnet_obs::set_level(qnet_obs::ObsLevel::Counters);
     }
     qnet_obs::global().reset();
     qnet_obs::reset_spans();
     qnet_obs::reset_trace();
+}
+
+/// Runs the streaming workload in memory: resets the process-global
+/// observability state ([`reset_obs`]), simulates, and captures the
+/// schema-4 report with the time-series section attached.
+pub fn run_workload(cfg: StreamConfig, seed: u64) -> StreamRun {
+    reset_obs();
 
     let net = NetworkSpec::paper_default().build(seed);
     let started = std::time::Instant::now();
@@ -210,31 +216,37 @@ pub fn run_workload(cfg: StreamConfig, seed: u64) -> StreamRun {
 /// be written.
 pub fn run_stream(args: &StreamArgs) -> Result<(StreamRun, Vec<PathBuf>), String> {
     let run = run_workload(args.config(), args.seed);
-    let written = write_artifacts(&args.out, &run)?;
+    let written = write_artifacts(&args.out, &run.tables, &run.outcome.series, &run.report)?;
     Ok((run, written))
 }
 
-/// Writes the CSVs, metrics stream, run report, and Prometheus
-/// exposition into `dir`.
-fn write_artifacts(dir: &Path, run: &StreamRun) -> Result<Vec<PathBuf>, String> {
+/// Writes a pipeline's artifacts into `dir`: one CSV per table, then
+/// `<run>.metrics.jsonl` (the raw `series`), the run report, and the
+/// Prometheus exposition `<run>.prom`, where `<run>` is the report's
+/// run name.
+pub(crate) fn write_artifacts(
+    dir: &Path,
+    tables: &[FigureTable],
+    series: &qnet_obs::TimeSeriesSection,
+    report: &qnet_obs::RunReport,
+) -> Result<Vec<PathBuf>, String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     let mut written = Vec::new();
-    for table in &run.tables {
+    for table in tables {
         let path = dir.join(format!("{}.csv", table.id));
         std::fs::write(&path, table.to_csv())
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
         written.push(path);
     }
     written.push(
-        qnet_obs::write_metrics_jsonl(dir, "stream", &run.outcome.series)
+        qnet_obs::write_metrics_jsonl(dir, &report.run, series)
             .map_err(|e| format!("cannot write metrics stream: {e}"))?,
     );
     written.push(
-        qnet_obs::write_report(dir, &run.report)
-            .map_err(|e| format!("cannot write run report: {e}"))?,
+        qnet_obs::write_report(dir, report).map_err(|e| format!("cannot write run report: {e}"))?,
     );
     written.push(
-        qnet_obs::write_prometheus(dir, "stream", &run.report)
+        qnet_obs::write_prometheus(dir, &report.run, report)
             .map_err(|e| format!("cannot write prometheus exposition: {e}"))?,
     );
     Ok(written)

@@ -26,7 +26,9 @@ use qnet_obs::{TimeSeries, TimeSeriesConfig, TimeSeriesSection};
 
 use muerp_core::algorithms::{CacheEfficiency, ChannelFinderCache};
 use muerp_core::channel::CapacityMap;
-use muerp_core::extensions::{route_group_cached, Request, RequestStream, SloClass, StreamConfig};
+use muerp_core::extensions::{
+    free_qubit_total, route_group, Request, RequestStream, Sessions, SloClass, StreamConfig,
+};
 use muerp_core::model::QuantumNetwork;
 use muerp_core::tree::EntanglementTree;
 
@@ -118,6 +120,20 @@ pub struct Decision {
     pub size: usize,
     /// The verdict (with the routed tree when admitted).
     pub verdict: Verdict,
+}
+
+impl Decision {
+    /// `request`'s decision in `round`.
+    pub(crate) fn new(request: &Request, round: u64, verdict: Verdict) -> Self {
+        Decision {
+            request: request.id,
+            arrived_slot: request.slot,
+            round,
+            class: request.class,
+            size: request.members.len(),
+            verdict,
+        }
+    }
 }
 
 /// Per-round accounting, also mirrored into the time series (one
@@ -220,12 +236,6 @@ pub struct ServeOutcome {
     pub deficits: [u64; 3],
 }
 
-struct Session {
-    tree: EntanglementTree,
-    expires_at: u64,
-    members: Vec<NodeId>,
-}
-
 /// Runs the full service over the seeded request stream: draws the
 /// script via [`RequestStream`] and batches it through
 /// [`serve_requests`].
@@ -269,12 +279,12 @@ fn serve_with_cache<'n>(
 
     let mut queue = BoundedQueue::new(cfg.queue_capacity);
     let mut deficit = DeficitState::new();
-    let mut active: Vec<Session> = Vec::new();
+    let mut sessions = Sessions::default();
     let mut stats = ServeStats::default();
     let mut decisions: Vec<Decision> = Vec::new();
     let mut rounds: Vec<RoundReport> = Vec::new();
     let mut session_rate_sum = 0.0f64;
-    let mut next = 0usize;
+    let mut arrivals = requests.iter().peekable();
 
     for round in 0..rounds_total {
         let start = round * cfg.round_slots;
@@ -284,33 +294,19 @@ fn serve_with_cache<'n>(
         // 1. Departures due by the decision slot, applied as delta
         // restores: release, then absorb so pending repairs queued for
         // the departing relays are cancelled eagerly.
-        let mut departed = 0u64;
-        let mut kept_sessions = Vec::with_capacity(active.len());
-        for session in active.drain(..) {
-            if session.expires_at <= end {
-                for c in &session.tree.channels {
-                    capacity.release(c);
-                }
-                departed += 1;
-            } else {
-                kept_sessions.push(session);
-            }
-        }
-        active = kept_sessions;
+        let departed = sessions.depart(end, &mut capacity);
         if departed > 0 {
             cache.absorb(&capacity);
         }
         stats.departures += departed;
 
         // 2. Collect the round's arrivals into the bounded queue.
-        while next < requests.len() && requests[next].slot < end {
-            let r = requests[next].clone();
-            next += 1;
+        while let Some(r) = arrivals.next_if(|r| r.slot < end) {
             stats.arrived += 1;
             stats.per_class[r.class.index()].arrived += 1;
             series.rate_add("arrivals", 1);
             qnet_obs::counter!("serve.arrivals");
-            queue.offer(r);
+            queue.offer(r.clone());
         }
         let (kept, shed) = queue.drain();
         for r in &shed {
@@ -318,14 +314,7 @@ fn serve_with_cache<'n>(
             stats.per_class[r.class.index()].shed += 1;
             series.rate_add("shed", 1);
             qnet_obs::counter!("serve.shed");
-            decisions.push(Decision {
-                request: r.id,
-                arrived_slot: r.slot,
-                round,
-                class: r.class,
-                size: r.members.len(),
-                verdict: Verdict::Shed,
-            });
+            decisions.push(Decision::new(r, round, Verdict::Shed));
         }
         stats.peak_queue = stats.peak_queue.max(kept.len());
 
@@ -342,10 +331,6 @@ fn serve_with_cache<'n>(
 
         // 4. Policy order, then sequential admission against shared
         // capacity.
-        let mut busy: HashSet<NodeId> = active
-            .iter()
-            .flat_map(|s| s.members.iter().copied())
-            .collect();
         let order = order_requests(cfg.policy, &kept, &mut deficit);
         let mut report = RoundReport {
             round,
@@ -358,7 +343,7 @@ fn serve_with_cache<'n>(
         };
         for idx in order {
             let r = &kept[idx];
-            let verdict = if r.members.iter().any(|m| busy.contains(m)) {
+            let verdict = if sessions.is_busy(&r.members) {
                 stats.blocked_busy += 1;
                 stats.per_class[r.class.index()].blocked += 1;
                 report.blocked_busy += 1;
@@ -366,7 +351,7 @@ fn serve_with_cache<'n>(
                 qnet_obs::counter!("serve.blocked", reason = "busy");
                 Verdict::BlockedBusy
             } else {
-                match route_group_cached(net, &mut cache, &mut capacity, &r.members) {
+                match route_group(net, &mut cache, &mut capacity, &r.members) {
                     Some(tree) => {
                         stats.admitted += 1;
                         stats.per_class[r.class.index()].admitted += 1;
@@ -374,12 +359,7 @@ fn serve_with_cache<'n>(
                         series.rate_add("admitted", 1);
                         qnet_obs::counter!("serve.admitted");
                         session_rate_sum += tree.rate().value();
-                        busy.extend(r.members.iter().copied());
-                        active.push(Session {
-                            tree: tree.clone(),
-                            expires_at: end + r.hold,
-                            members: r.members.clone(),
-                        });
+                        sessions.admit(tree.clone(), r.members.clone(), end + r.hold);
                         Verdict::Admitted { tree }
                     }
                     None => {
@@ -392,23 +372,16 @@ fn serve_with_cache<'n>(
                     }
                 }
             };
-            decisions.push(Decision {
-                request: r.id,
-                arrived_slot: r.slot,
-                round,
-                class: r.class,
-                size: r.members.len(),
-                verdict,
-            });
+            decisions.push(Decision::new(r, round, verdict));
         }
 
         report.searches = cache.search_count() - searches_before;
         series.rate_add("departures", departed);
         series.latency("round_searches", report.searches);
         qnet_obs::histogram!("serve.round_searches", report.searches);
-        stats.peak_active_sessions = stats.peak_active_sessions.max(active.len());
+        stats.peak_active_sessions = stats.peak_active_sessions.max(sessions.len());
         series.gauge("queue_depth", kept.len() as f64);
-        series.gauge("active_sessions", active.len() as f64);
+        series.gauge("active_sessions", sessions.len() as f64);
         series.gauge("free_qubits", free_qubit_total(net, &capacity));
         series.gauge("cache_hit_rate", cache.efficiency().hit_rate());
         rounds.push(report);
@@ -428,11 +401,6 @@ fn serve_with_cache<'n>(
         series: series.finish(),
         deficits: deficit.deficits(),
     }
-}
-
-/// Total free qubits across the network's switches.
-fn free_qubit_total(net: &QuantumNetwork, capacity: &CapacityMap) -> f64 {
-    net.switches().map(|s| capacity.free(s) as u64).sum::<u64>() as f64
 }
 
 /// Audits one admitted group solution independently of the engine:

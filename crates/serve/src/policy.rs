@@ -200,8 +200,8 @@ mod tests {
         assert_eq!(order, [1, 3, 2, 0]);
         // Between rounds every balance is capped at one round's
         // earnings.
-        for c in 0..3 {
-            assert!(d.deficits()[c] <= CLASS_WEIGHTS[c]);
+        for (balance, weight) in d.deficits().into_iter().zip(CLASS_WEIGHTS) {
+            assert!(balance <= weight);
         }
     }
 

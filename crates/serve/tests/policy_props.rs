@@ -91,8 +91,8 @@ proptest! {
             }
             // Between rounds every balance is capped at one round's
             // earnings.
-            for c in 0..3 {
-                prop_assert!(deficit.deficits()[c] <= CLASS_WEIGHTS[c]);
+            for (balance, weight) in deficit.deficits().into_iter().zip(CLASS_WEIGHTS) {
+                prop_assert!(balance <= weight);
             }
         }
     }
