@@ -1,8 +1,7 @@
 //! JSON fixtures of solved networks — golden inputs for the validator.
 //!
-//! The vendored `serde` is a no-op marker stub, so fixtures use an
-//! explicit hand-rolled [`serde_json::Value`] schema (the same approach
-//! as `qnet-obs` run reports):
+//! Fixtures use an explicit hand-rolled [`serde_json::Value`] schema
+//! (the same approach as `qnet-obs` run reports):
 //!
 //! ```json
 //! {

@@ -19,7 +19,6 @@
 //! center yielding the best total rate wins.
 
 use qnet_graph::NodeId;
-use serde::{Deserialize, Serialize};
 
 use crate::channel::{CapacityMap, Channel};
 use crate::error::RoutingError;
@@ -30,7 +29,7 @@ use crate::solver::{RoutingAlgorithm, Solution, SolutionStyle};
 use crate::algorithms::channel_finder::ChannelFinder;
 
 /// Success model of the n-qubit GHZ projective measurement.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum FusionSuccess {
     /// `q^(n−1)`: the BSM success rate compounded per fused qubit beyond
     /// the first; `n = 2` recovers plain BSM swapping.
@@ -68,7 +67,7 @@ impl FusionSuccess {
 /// }
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct NFusion {
     /// GHZ measurement success model.
     pub fusion: FusionSuccess,

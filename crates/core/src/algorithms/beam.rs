@@ -10,8 +10,6 @@
 //! Algorithm 4 exactly; already width 2–3 escapes the canonical greedy
 //! trap (see the tests and `tests/hardness_witness.rs`).
 
-use serde::{Deserialize, Serialize};
-
 use crate::channel::{CapacityMap, Channel};
 use crate::error::RoutingError;
 use crate::model::QuantumNetwork;
@@ -22,7 +20,7 @@ use crate::tree::EntanglementTree;
 use super::channel_finder::ChannelFinderCache;
 
 /// Beam-search tree growth.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BeamSearch {
     /// Number of partial trees carried per round (≥ 1).
     pub width: usize,

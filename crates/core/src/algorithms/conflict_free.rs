@@ -16,7 +16,6 @@
 //! reconnect unions with the maximum-rate channels.
 
 use qnet_graph::UnionFind;
-use serde::{Deserialize, Serialize};
 
 use crate::channel::{CapacityMap, Channel};
 use crate::error::RoutingError;
@@ -54,7 +53,7 @@ pub struct ConflictFree {
 /// The paper adopts the greedy max-rate policy; the alternative exists
 /// for the ablation study (a channel through fewer switches frees more
 /// capacity for later channels, trading individual rate for feasibility).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RetentionPolicy {
     /// Keep channels in descending entanglement-rate order (the paper's
     /// choice).

@@ -23,7 +23,6 @@
 use std::collections::HashSet;
 
 use qnet_graph::{DijkstraWorkspace, NodeId, UnionFind};
-use serde::{Deserialize, Serialize};
 
 use crate::channel::{CapacityMap, Channel};
 use crate::error::RoutingError;
@@ -35,7 +34,7 @@ use crate::tree::EntanglementTree;
 use super::k_channels::k_best_channels_in;
 
 /// Local-search configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LocalSearchOptions {
     /// Alternative channels considered per user pair in a move.
     pub k_candidates: usize,

@@ -8,7 +8,6 @@
 //! switches without 2 free qubits are excluded by construction.
 
 use qnet_graph::NodeId;
-use serde::{Deserialize, Serialize};
 
 use crate::channel::{CapacityMap, Channel};
 use crate::error::RoutingError;
@@ -68,7 +67,7 @@ pub(crate) fn attach(
 ///
 /// The paper picks uniformly at random; the extra strategies exist for
 /// the seed-sensitivity ablation bench.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SeedChoice {
     /// The first user in the network's user list (deterministic default).
     #[default]
@@ -95,7 +94,7 @@ pub enum SeedChoice {
 /// }
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PrimBased {
     /// Seed-user strategy.
     pub seed: SeedChoice,

@@ -19,7 +19,6 @@
 
 use qnet_graph::paths::Path;
 use qnet_graph::{EdgeId, NodeId};
-use serde::{Deserialize, Serialize};
 
 use crate::channel::{CapacityMap, Channel};
 use crate::error::RoutingError;
@@ -43,7 +42,7 @@ pub fn werner_swap_fidelity(f1: f64, f2: f64) -> f64 {
 }
 
 /// The uniform-link Werner fidelity model.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FidelityModel {
     /// Fidelity of a fresh link-level Werner pair.
     pub link_fidelity: f64,
@@ -171,7 +170,7 @@ pub fn max_rate_channel_bounded(
 
 /// Fidelity-aware Prim-based routing: Algorithm 4 with every channel
 /// restricted to the hop bound implied by the fidelity floor.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FidelityAwarePrim {
     /// The Werner fidelity model supplying the hop bound.
     pub model: FidelityModel,

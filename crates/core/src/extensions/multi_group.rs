@@ -15,7 +15,6 @@
 //! relay foreign channels.
 
 use qnet_graph::NodeId;
-use serde::{Deserialize, Serialize};
 
 use crate::algorithms::{attach, best_cross_channel, ChannelFinderCache};
 use crate::channel::CapacityMap;
@@ -25,7 +24,7 @@ use crate::rate::Rate;
 use crate::tree::EntanglementTree;
 
 /// Scheduling strategy across groups.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum GroupStrategy {
     /// Route groups one at a time, in the given order.
     #[default]

@@ -22,8 +22,6 @@
 //! is scored by its effective rate after the *cheapest sufficient*
 //! number of purification rounds.
 
-use serde::{Deserialize, Serialize};
-
 use crate::channel::{CapacityMap, Channel};
 use crate::error::RoutingError;
 use crate::model::QuantumNetwork;
@@ -107,7 +105,7 @@ pub fn purification_plan(
 /// the `2^k` raw pairs are delivered sequentially through the same
 /// reserved qubits in the synchronized-model idealization. The solution's
 /// reported rate is the product of effective rates.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PurifiedPrim {
     /// Fidelity model (link fidelity + floor).
     pub model: FidelityModel,

@@ -46,7 +46,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use qnet_graph::NodeId;
 use qnet_obs::{TimeSeries, TimeSeriesConfig, TimeSeriesSection, TraceSampler};
@@ -57,7 +56,7 @@ use crate::extensions::admission::{free_qubit_total, route_group, Sessions};
 use crate::model::QuantumNetwork;
 
 /// Workload, service, and telemetry parameters of a streaming run.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct StreamConfig {
     /// Total virtual-time slots to simulate.
     pub slots: u64,
@@ -89,24 +88,13 @@ pub struct StreamConfig {
     /// [`churn_hold`](Self::churn_hold) slots (maintenance windows,
     /// calibration downtime). `0` disables churn. Churn draws from its
     /// own RNG stream, so enabling it never perturbs the base workload.
-    #[serde(default)]
     pub churn_every: u64,
     /// Qubits withdrawn per churn event (capped at the switch's free
     /// count so the later restore is exact).
-    #[serde(default = "default_churn_qubits")]
     pub churn_qubits: u32,
     /// Slots a churn withdrawal lasts before the qubits are granted
     /// back.
-    #[serde(default = "default_churn_hold")]
     pub churn_hold: u64,
-}
-
-fn default_churn_qubits() -> u32 {
-    2
-}
-
-fn default_churn_hold() -> u64 {
-    64
 }
 
 impl Default for StreamConfig {
@@ -124,8 +112,8 @@ impl Default for StreamConfig {
             hotspot_weight: 4.0,
             sample_every: 8,
             churn_every: 0,
-            churn_qubits: default_churn_qubits(),
-            churn_hold: default_churn_hold(),
+            churn_qubits: 2,
+            churn_hold: 64,
         }
     }
 }
@@ -182,7 +170,7 @@ impl StreamConfig {
 /// weighted-fairness policy schedules by. Drawn per request from the
 /// workload RNG (Gold 1/8, Silver 2/8, Bronze 5/8), so class mix is
 /// part of the seeded script, not of the consumer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SloClass {
     /// Highest tier (rarest, largest fairness weight).
     Gold,

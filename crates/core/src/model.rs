@@ -7,12 +7,11 @@
 
 use qnet_graph::{EdgeId, Graph, NodeId};
 use qnet_topology::{SpatialGraph, TopologyKind, TopologySpec};
-use serde::{Deserialize, Serialize};
 
 use crate::rate::Rate;
 
 /// The role of a node in the quantum internet.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NodeKind {
     /// A quantum user (processor / computing node); assumed to have
     /// sufficient quantum memory (paper §II-A).
@@ -48,7 +47,7 @@ impl NodeKind {
 }
 
 /// Physical-layer parameters (paper §II-A / §V-A).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PhysicsParams {
     /// Successful BSM swapping rate `q ∈ [0, 1]` (paper default 0.9).
     pub swap_success: f64,
@@ -316,7 +315,7 @@ impl QuantumNetwork {
 }
 
 /// Declarative MUERP instance specification — everything §V-A varies.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NetworkSpec {
     /// Topology generator and size (switches + users all placed randomly).
     pub topology: TopologySpec,

@@ -10,9 +10,8 @@ use muerp_core::algorithms::{
 };
 use muerp_core::model::NetworkSpec;
 use muerp_core::solver::RoutingAlgorithm;
-use parking_lot::Mutex;
 
-use crate::runner::TrialConfig;
+use crate::runner::{trials, TrialConfig};
 use crate::table::FigureTable;
 
 /// Per-trial seed-choice policy used by the [`seed_choice`] ablation.
@@ -20,37 +19,22 @@ type SeedPolicy = Box<dyn Fn(u64) -> SeedChoice + Sync>;
 
 /// Mean rate of `solve` over the trial networks (0 on failure), plus the
 /// fraction of feasible trials.
-fn sweep<A: RoutingAlgorithm + Sync>(
+pub(crate) fn sweep<A: RoutingAlgorithm>(
     spec: NetworkSpec,
     algo_for_trial: impl Fn(u64) -> A + Sync,
     cfg: TrialConfig,
 ) -> (f64, f64) {
-    let acc = Mutex::new((0.0f64, 0u64));
-    let next = std::sync::atomic::AtomicU64::new(0);
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(cfg.trials.max(1) as usize);
-    crossbeam::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| loop {
-                let t = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if t >= cfg.trials {
-                    break;
-                }
-                let seed = cfg.base_seed + t;
-                let net = spec.build(seed);
-                let outcome = algo_for_trial(seed).solve(&net);
-                let mut lock = acc.lock();
-                if let Ok(sol) = outcome {
-                    lock.0 += sol.rate.value();
-                    lock.1 += 1;
-                }
-            });
-        }
-    })
-    .expect("worker panicked");
-    let (total, feasible) = acc.into_inner();
+    let rates = trials(cfg, |seed| {
+        let net = spec.build(seed);
+        algo_for_trial(seed)
+            .solve(&net)
+            .ok()
+            .map(|sol| sol.rate.value())
+    });
+    // Fold from +0.0 (`Sum` starts at -0.0, which would print "-0"
+    // for a cell no trial solves).
+    let total = rates.iter().flatten().fold(0.0, |acc, r| acc + r);
+    let feasible = rates.iter().flatten().count();
     (
         total / cfg.trials as f64,
         feasible as f64 / cfg.trials as f64,

@@ -4,45 +4,11 @@
 
 use muerp_core::algorithms::{BeamSearch, ConflictFree, LocalSearchOptions, PrimBased, Refined};
 use muerp_core::model::NetworkSpec;
-use muerp_core::solver::RoutingAlgorithm;
-use parking_lot::Mutex;
 use qnet_topology::TopologyKind;
 
-use crate::runner::TrialConfig;
+use crate::ablations::sweep;
+use crate::runner::{trials, TrialConfig};
 use crate::table::FigureTable;
-
-fn mean_rate<A: RoutingAlgorithm + Sync>(
-    spec: NetworkSpec,
-    make: impl Fn(u64) -> A + Sync,
-    cfg: TrialConfig,
-) -> f64 {
-    // Per-worker accumulators, merged under the lock once per worker.
-    let total = Mutex::new(0.0f64);
-    let next = std::sync::atomic::AtomicU64::new(0);
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(cfg.trials.max(1) as usize);
-    crossbeam::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| {
-                let mut local = 0.0f64;
-                loop {
-                    let t = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if t >= cfg.trials {
-                        break;
-                    }
-                    let seed = cfg.base_seed + t;
-                    let net = spec.build(seed);
-                    local += make(seed).solve(&net).map_or(0.0, |s| s.rate.value());
-                }
-                *total.lock() += local;
-            });
-        }
-    })
-    .expect("worker panicked");
-    total.into_inner() / cfg.trials as f64
-}
 
 /// The paper's heuristics vs. this reproduction's improvement
 /// algorithms, across the three stressed cells (tight capacity and
@@ -59,10 +25,10 @@ pub fn beyond_paper(cfg: TrialConfig) -> FigureTable {
         let mut spec = NetworkSpec::paper_default();
         spec.topology.kind = kind;
         spec.qubits_per_switch = qubits;
-        let alg3 = mean_rate(spec, |_| ConflictFree::default(), cfg);
-        let alg4 = mean_rate(spec, PrimBased::with_seed, cfg);
-        let beam = mean_rate(spec, |_| BeamSearch::default(), cfg);
-        let refined = mean_rate(
+        let (alg3, _) = sweep(spec, |_| ConflictFree::default(), cfg);
+        let (alg4, _) = sweep(spec, PrimBased::with_seed, cfg);
+        let (beam, _) = sweep(spec, |_| BeamSearch::default(), cfg);
+        let (refined, _) = sweep(
             spec,
             |_| Refined {
                 inner: ConflictFree::default(),
@@ -97,54 +63,33 @@ pub fn multi_group_concurrency(cfg: TrialConfig) -> FigureTable {
     let mut rows = Vec::new();
     for (label, sizes) in splits {
         for strategy in [GroupStrategy::Sequential, GroupStrategy::RoundRobin] {
-            let acc = Mutex::new((0.0f64, 0.0f64));
-            let next = std::sync::atomic::AtomicU64::new(0);
-            let workers = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-                .min(cfg.trials.max(1) as usize);
-            crossbeam::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|_| {
-                        let mut local = (0.0f64, 0.0f64);
-                        loop {
-                            let t = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if t >= cfg.trials {
-                                break;
-                            }
-                            let net = spec.build(cfg.base_seed + t);
-                            let users = net.users();
-                            let mut groups = Vec::new();
-                            let mut start = 0;
-                            for &size in sizes {
-                                groups.push(users[start..start + size].to_vec());
-                                start += size;
-                            }
-                            let outcomes = route_groups(&net, &groups, strategy);
-                            let rates: Vec<f64> =
-                                outcomes.iter().map(|o| o.rate().value()).collect();
-                            let geo = if rates.contains(&0.0) {
-                                0.0
-                            } else {
-                                rates
-                                    .iter()
-                                    .map(|r| r.ln())
-                                    .sum::<f64>()
-                                    .exp()
-                                    .powf(1.0 / rates.len() as f64)
-                            };
-                            let worst = rates.iter().copied().fold(f64::INFINITY, f64::min);
-                            local.0 += geo;
-                            local.1 += worst;
-                        }
-                        let mut lock = acc.lock();
-                        lock.0 += local.0;
-                        lock.1 += local.1;
-                    });
+            let per_trial = trials(cfg, |seed| {
+                let net = spec.build(seed);
+                let users = net.users();
+                let mut groups = Vec::new();
+                let mut start = 0;
+                for &size in sizes {
+                    groups.push(users[start..start + size].to_vec());
+                    start += size;
                 }
-            })
-            .expect("worker panicked");
-            let (geo_sum, worst_sum) = acc.into_inner();
+                let outcomes = route_groups(&net, &groups, strategy);
+                let rates: Vec<f64> = outcomes.iter().map(|o| o.rate().value()).collect();
+                let geo = if rates.contains(&0.0) {
+                    0.0
+                } else {
+                    rates
+                        .iter()
+                        .map(|r| r.ln())
+                        .sum::<f64>()
+                        .exp()
+                        .powf(1.0 / rates.len() as f64)
+                };
+                let worst = rates.iter().copied().fold(f64::INFINITY, f64::min);
+                (geo, worst)
+            });
+            let (geo_sum, worst_sum) = per_trial
+                .iter()
+                .fold((0.0, 0.0), |(g, w), (geo, worst)| (g + geo, w + worst));
             rows.push((
                 format!("{label} / {strategy:?}"),
                 vec![geo_sum / cfg.trials as f64, worst_sum / cfg.trials as f64],

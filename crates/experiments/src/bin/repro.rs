@@ -81,7 +81,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use muerp_experiments::cli::{
-    self, ChurnArgs, Command, FuzzArgs, ObsDiffArgs, ProfileArgs, ServeArgs, StreamArgs,
+    self, Command, FuzzArgs, ObsDiffArgs, ProfileArgs, ServeArgs, StreamArgs,
 };
 use muerp_experiments::{ablations, beyond, churn, convergence, figures, profile, serve, stream};
 use muerp_experiments::{FigureTable, TrialConfig};
@@ -222,59 +222,58 @@ fn run_fuzz(args: &FuzzArgs) -> ExitCode {
     ExitCode::from(2)
 }
 
-fn run_churn(args: &ChurnArgs) -> ExitCode {
-    if let Some(dir) = &args.out {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
+/// The flow shared by the experiment runner and `churn`: print
+/// `header`, then per suite reset obs (with `--obs-report`), run it,
+/// print each table and write its CSV into `out`, and write the suite's
+/// obs report (plus the trace at `MUERP_OBS=trace`) into `results/obs/`.
+fn run_suites<S: AsRef<str>>(
+    header: &str,
+    ids: &[S],
+    run: impl Fn(&str) -> Vec<FigureTable>,
+    out: Option<&Path>,
+    obs_report: bool,
+) -> Result<(), String> {
+    if let Some(dir) = out {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     }
-    if args.obs_report && std::env::var_os("MUERP_OBS").is_none() {
+    if obs_report && std::env::var_os("MUERP_OBS").is_none() {
+        // Reports want the span tree; respect an explicit MUERP_OBS.
         qnet_obs::set_level(qnet_obs::ObsLevel::Full);
     }
-    if args.obs_report {
-        qnet_obs::global().reset();
-        qnet_obs::reset_spans();
-        qnet_obs::reset_trace();
-    }
-    let started = std::time::Instant::now();
-    println!(
-        "MUERP survivability — {} trial(s), {} failure(s) each, base seed {}\n",
-        args.cfg.trials, args.cfg.failures, args.cfg.base_seed
-    );
-    for table in churn::churn_tables(args.cfg) {
-        println!("{}", table.render_text());
-        if let Some(dir) = &args.out {
-            let path = dir.join(format!("{}.csv", table.id));
-            if let Err(e) = std::fs::write(&path, table.to_csv()) {
-                eprintln!("cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
+    println!("{header}\n");
+    for id in ids.iter().map(AsRef::as_ref) {
+        let started = std::time::Instant::now();
+        if obs_report {
+            // Per-suite deltas: zero everything before each suite runs.
+            qnet_obs::global().reset();
+            qnet_obs::reset_spans();
+            qnet_obs::reset_trace();
+        }
+        for table in run(id) {
+            println!("{}", table.render_text());
+            if let Some(dir) = out {
+                let path = dir.join(format!("{}.csv", table.id));
+                std::fs::write(&path, table.to_csv())
+                    .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+                println!("wrote {}", path.display());
             }
+        }
+        if obs_report {
+            let report = qnet_obs::RunReport::capture(id);
+            warn_on_trace_drops(&report, id);
+            let path = qnet_obs::write_report(Path::new("results/obs"), &report)
+                .map_err(|e| format!("cannot write obs report for {id}: {e}"))?;
             println!("wrote {}", path.display());
-        }
-    }
-    if args.obs_report {
-        let report = qnet_obs::RunReport::capture("churn");
-        warn_on_trace_drops(&report, "churn");
-        match qnet_obs::write_report(Path::new("results/obs"), &report) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("cannot write obs report for churn: {e}");
-                return ExitCode::FAILURE;
+            if qnet_obs::trace_enabled() {
+                let path = qnet_obs::write_trace_jsonl(Path::new("results/obs"), id)
+                    .map_err(|e| format!("cannot write trace for {id}: {e}"))?;
+                println!("wrote {}", path.display());
             }
         }
-        if qnet_obs::trace_enabled() {
-            match qnet_obs::write_trace_jsonl(Path::new("results/obs"), "churn") {
-                Ok(path) => println!("wrote {}", path.display()),
-                Err(e) => {
-                    eprintln!("cannot write trace for churn: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
+        println!("({id} took {:.1?})\n", started.elapsed());
     }
-    println!("(churn took {:.1?})", started.elapsed());
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 fn run_profile_cmd(args: &ProfileArgs) -> ExitCode {
@@ -337,73 +336,39 @@ fn run_serve_cmd(args: &ServeArgs) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args = match cli::parse_command(std::env::args().skip(1)) {
-        Ok(Command::Run(a)) => a,
+    let outcome = match cli::parse_command(std::env::args().skip(1)) {
+        Ok(Command::Run(a)) => run_suites(
+            &format!(
+                "MUERP reproduction — {} trial(s) per cell, base seed {}",
+                a.cfg.trials, a.cfg.base_seed
+            ),
+            &a.which,
+            |id| run_one(id, a.cfg),
+            a.out.as_deref(),
+            a.obs_report,
+        ),
+        Ok(Command::Churn(c)) => run_suites(
+            &format!(
+                "MUERP survivability — {} trial(s), {} failure(s) each, base seed {}",
+                c.cfg.trials, c.cfg.failures, c.cfg.base_seed
+            ),
+            &["churn"],
+            |_| churn::churn_tables(c.cfg),
+            c.out.as_deref(),
+            c.obs_report,
+        ),
         Ok(Command::ObsDiff(d)) => return run_obs_diff(&d),
         Ok(Command::Fuzz(f)) => return run_fuzz(&f),
-        Ok(Command::Churn(c)) => return run_churn(&c),
         Ok(Command::Profile(p)) => return run_profile_cmd(&p),
         Ok(Command::Stream(st)) => return run_stream_cmd(&st),
         Ok(Command::Serve(sv)) => return run_serve_cmd(&sv),
+        Err(e) => Err(e),
+    };
+    match outcome {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(dir) = &args.out {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
     }
-    if args.obs_report && std::env::var_os("MUERP_OBS").is_none() {
-        // Reports want the span tree; respect an explicit MUERP_OBS.
-        qnet_obs::set_level(qnet_obs::ObsLevel::Full);
-    }
-    println!(
-        "MUERP reproduction — {} trial(s) per cell, base seed {}\n",
-        args.cfg.trials, args.cfg.base_seed
-    );
-    for id in &args.which {
-        let started = std::time::Instant::now();
-        if args.obs_report {
-            // Per-suite deltas: zero everything before each suite runs.
-            qnet_obs::global().reset();
-            qnet_obs::reset_spans();
-            qnet_obs::reset_trace();
-        }
-        for table in run_one(id, args.cfg) {
-            println!("{}", table.render_text());
-            if let Some(dir) = &args.out {
-                let path = dir.join(format!("{}.csv", table.id));
-                if let Err(e) = std::fs::write(&path, table.to_csv()) {
-                    eprintln!("cannot write {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-                println!("wrote {}", path.display());
-            }
-        }
-        if args.obs_report {
-            let report = qnet_obs::RunReport::capture(id);
-            warn_on_trace_drops(&report, id);
-            match qnet_obs::write_report(Path::new("results/obs"), &report) {
-                Ok(path) => println!("wrote {}", path.display()),
-                Err(e) => {
-                    eprintln!("cannot write obs report for {id}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            if qnet_obs::trace_enabled() {
-                match qnet_obs::write_trace_jsonl(Path::new("results/obs"), id) {
-                    Ok(path) => println!("wrote {}", path.display()),
-                    Err(e) => {
-                        eprintln!("cannot write trace for {id}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-        }
-        println!("({id} took {:.1?})\n", started.elapsed());
-    }
-    ExitCode::SUCCESS
 }

@@ -249,31 +249,88 @@ where
     I: IntoIterator<Item = String>,
 {
     let mut argv = argv.into_iter().peekable();
-    if argv.peek().map(String::as_str) == Some("obs-diff") {
-        argv.next();
-        return parse_obs_diff(argv).map(Command::ObsDiff);
+    let first = argv.peek().cloned();
+    match first.as_deref() {
+        Some("obs-diff") => parse_obs_diff(argv.skip(1)).map(Command::ObsDiff),
+        Some("fuzz") => parse_fuzz(argv.skip(1)).map(Command::Fuzz),
+        Some("churn") => parse_churn(argv.skip(1)).map(Command::Churn),
+        Some("profile") => parse_profile(argv.skip(1)).map(Command::Profile),
+        Some("stream") => parse_stream(argv.skip(1)).map(Command::Stream),
+        Some("serve") => parse_serve(argv.skip(1)).map(Command::Serve),
+        _ => parse(argv).map(Command::Run),
     }
-    if argv.peek().map(String::as_str) == Some("fuzz") {
-        argv.next();
-        return parse_fuzz(argv).map(Command::Fuzz);
+}
+
+/// Reads flag values off an argument list, with the messages every
+/// parser shares ("--slots needs a value", "bad --slots: …", "--slots
+/// must be positive"). Iterating yields the next argument.
+pub struct Flags<I> {
+    argv: I,
+}
+
+impl<I: Iterator<Item = String>> Flags<I> {
+    /// Wraps an argument list (without the program name).
+    pub fn new(argv: impl IntoIterator<IntoIter = I>) -> Self {
+        Flags {
+            argv: argv.into_iter(),
+        }
     }
-    if argv.peek().map(String::as_str) == Some("churn") {
-        argv.next();
-        return parse_churn(argv).map(Command::Churn);
+
+    /// Parses the argument after `flag`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming `flag` when the value is missing or does
+    /// not parse.
+    pub fn value<T>(&mut self, flag: &str) -> Result<T, String>
+    where
+        T: std::str::FromStr,
+        T::Err: std::fmt::Display,
+    {
+        let v = self
+            .argv
+            .next()
+            .ok_or_else(|| format!("{flag} needs a value"))?;
+        v.parse().map_err(|e| format!("bad {flag}: {e}"))
     }
-    if argv.peek().map(String::as_str) == Some("profile") {
-        argv.next();
-        return parse_profile(argv).map(Command::Profile);
+
+    /// Like [`Flags::value`], but also rejects zero.
+    ///
+    /// # Errors
+    ///
+    /// As [`Flags::value`], plus "<flag> must be positive" for zero.
+    pub fn positive<T>(&mut self, flag: &str) -> Result<T, String>
+    where
+        T: std::str::FromStr + Default + PartialEq,
+        T::Err: std::fmt::Display,
+    {
+        let v: T = self.value(flag)?;
+        if v == T::default() {
+            return Err(format!("{flag} must be positive"));
+        }
+        Ok(v)
     }
-    if argv.peek().map(String::as_str) == Some("stream") {
-        argv.next();
-        return parse_stream(argv).map(Command::Stream);
+
+    /// The path after `flag`; `what` names it in the missing-value
+    /// message ("directory", "file path").
+    ///
+    /// # Errors
+    ///
+    /// Returns "<flag> needs a <what>" when the value is missing.
+    pub fn path(&mut self, flag: &str, what: &str) -> Result<PathBuf, String> {
+        self.argv
+            .next()
+            .map(PathBuf::from)
+            .ok_or_else(|| format!("{flag} needs a {what}"))
     }
-    if argv.peek().map(String::as_str) == Some("serve") {
-        argv.next();
-        return parse_serve(argv).map(Command::Serve);
+}
+
+impl<I: Iterator<Item = String>> Iterator for Flags<I> {
+    type Item = String;
+
+    fn next(&mut self) -> Option<String> {
+        self.argv.next()
     }
-    parse(argv).map(Command::Run)
 }
 
 fn parse_serve<I>(argv: I) -> Result<ServeArgs, String>
@@ -287,51 +344,26 @@ where
     let mut seed = 7u64;
     let mut arrival = 0.35f64;
     let mut out = PathBuf::from("results/serve");
-    let mut argv = argv.into_iter();
+    let mut argv = Flags::new(argv);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--slots" => {
-                let v = argv.next().ok_or("--slots needs a value")?;
-                slots = v.parse().map_err(|e| format!("bad --slots: {e}"))?;
-                if slots == 0 {
-                    return Err("--slots must be positive".into());
-                }
-            }
-            "--round" => {
-                let v = argv.next().ok_or("--round needs a value")?;
-                round = v.parse().map_err(|e| format!("bad --round: {e}"))?;
-                if round == 0 {
-                    return Err("--round must be positive".into());
-                }
-            }
-            "--queue" => {
-                let v = argv.next().ok_or("--queue needs a value")?;
-                queue = v.parse().map_err(|e| format!("bad --queue: {e}"))?;
-                if queue == 0 {
-                    return Err("--queue must be positive".into());
-                }
-            }
+            "--slots" => slots = argv.positive(&arg)?,
+            "--round" => round = argv.positive(&arg)?,
+            "--queue" => queue = argv.positive(&arg)?,
             "--policy" => {
-                policy = argv.next().ok_or("--policy needs a value")?;
+                policy = argv.value(&arg)?;
                 if muerp_serve::PolicyKind::parse(&policy).is_none() {
                     return Err(format!("unknown policy: {policy} (fcfs|smallest|weighted)"));
                 }
             }
-            "--seed" => {
-                let v = argv.next().ok_or("--seed needs a value")?;
-                seed = v.parse().map_err(|e| format!("bad --seed: {e}"))?;
-            }
+            "--seed" => seed = argv.value(&arg)?,
             "--arrival" => {
-                let v = argv.next().ok_or("--arrival needs a value")?;
-                arrival = v.parse().map_err(|e| format!("bad --arrival: {e}"))?;
+                arrival = argv.value(&arg)?;
                 if !(0.0..=1.0).contains(&arrival) {
                     return Err("--arrival must be in [0, 1]".into());
                 }
             }
-            "--out" => {
-                let v = argv.next().ok_or("--out needs a directory")?;
-                out = PathBuf::from(v);
-            }
+            "--out" => out = argv.path(&arg, "directory")?,
             other => {
                 return Err(format!(
                     "unknown serve argument: {other}\nusage: repro serve [--slots N] \
@@ -363,49 +395,21 @@ where
     let mut sample_every = 8u64;
     let mut churn_every = 0u64;
     let mut out = PathBuf::from("results/stream");
-    let mut argv = argv.into_iter();
+    let mut argv = Flags::new(argv);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--slots" => {
-                let v = argv.next().ok_or("--slots needs a value")?;
-                slots = v.parse().map_err(|e| format!("bad --slots: {e}"))?;
-                if slots == 0 {
-                    return Err("--slots must be positive".into());
-                }
-            }
-            "--window" => {
-                let v = argv.next().ok_or("--window needs a value")?;
-                window = v.parse().map_err(|e| format!("bad --window: {e}"))?;
-                if window == 0 {
-                    return Err("--window must be positive".into());
-                }
-            }
-            "--seed" => {
-                let v = argv.next().ok_or("--seed needs a value")?;
-                seed = v.parse().map_err(|e| format!("bad --seed: {e}"))?;
-            }
+            "--slots" => slots = argv.positive(&arg)?,
+            "--window" => window = argv.positive(&arg)?,
+            "--seed" => seed = argv.value(&arg)?,
             "--arrival" => {
-                let v = argv.next().ok_or("--arrival needs a value")?;
-                arrival = v.parse().map_err(|e| format!("bad --arrival: {e}"))?;
+                arrival = argv.value(&arg)?;
                 if !(0.0..=1.0).contains(&arrival) {
                     return Err("--arrival must be in [0, 1]".into());
                 }
             }
-            "--sample-every" => {
-                let v = argv.next().ok_or("--sample-every needs a value")?;
-                sample_every = v.parse().map_err(|e| format!("bad --sample-every: {e}"))?;
-                if sample_every == 0 {
-                    return Err("--sample-every must be positive".into());
-                }
-            }
-            "--churn-every" => {
-                let v = argv.next().ok_or("--churn-every needs a value")?;
-                churn_every = v.parse().map_err(|e| format!("bad --churn-every: {e}"))?;
-            }
-            "--out" => {
-                let v = argv.next().ok_or("--out needs a directory")?;
-                out = PathBuf::from(v);
-            }
+            "--sample-every" => sample_every = argv.positive(&arg)?,
+            "--churn-every" => churn_every = argv.value(&arg)?,
+            "--out" => out = argv.path(&arg, "directory")?,
             other => {
                 return Err(format!(
                     "unknown stream argument: {other}\nusage: repro stream [--slots N] \
@@ -441,28 +445,13 @@ where
     let mut out = PathBuf::from("results/profile");
     let mut top = 15usize;
     let mut bench_out = None;
-    let mut argv = argv.into_iter();
+    let mut argv = Flags::new(argv);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--seed" => {
-                let v = argv.next().ok_or("--seed needs a value")?;
-                seed = v.parse().map_err(|e| format!("bad --seed: {e}"))?;
-            }
-            "--out" => {
-                let v = argv.next().ok_or("--out needs a directory")?;
-                out = PathBuf::from(v);
-            }
-            "--top" => {
-                let v = argv.next().ok_or("--top needs a value")?;
-                top = v.parse().map_err(|e| format!("bad --top: {e}"))?;
-                if top == 0 {
-                    return Err("--top must be positive".into());
-                }
-            }
-            "--bench-out" => {
-                let v = argv.next().ok_or("--bench-out needs a file path")?;
-                bench_out = Some(PathBuf::from(v));
-            }
+            "--seed" => seed = argv.value(&arg)?,
+            "--out" => out = argv.path(&arg, "directory")?,
+            "--top" => top = argv.positive(&arg)?,
+            "--bench-out" => bench_out = Some(argv.path(&arg, "file path")?),
             id if PROFILE_SCENARIOS.contains(&id) => {
                 if scenario.is_some() {
                     return Err("profile takes exactly one scenario".into());
@@ -489,38 +478,14 @@ where
     let mut cfg = crate::churn::ChurnConfig::default();
     let mut out = None;
     let mut obs_report = false;
-    let mut argv = argv.into_iter();
+    let mut argv = Flags::new(argv);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--trials" => {
-                let v = argv.next().ok_or("--trials needs a value")?;
-                cfg.trials = v.parse().map_err(|e| format!("bad --trials: {e}"))?;
-                if cfg.trials == 0 {
-                    return Err("--trials must be positive".into());
-                }
-            }
-            "--failures" => {
-                let v = argv.next().ok_or("--failures needs a value")?;
-                cfg.failures = v.parse().map_err(|e| format!("bad --failures: {e}"))?;
-                if cfg.failures == 0 {
-                    return Err("--failures must be positive".into());
-                }
-            }
-            "--seed" => {
-                let v = argv.next().ok_or("--seed needs a value")?;
-                cfg.base_seed = v.parse().map_err(|e| format!("bad --seed: {e}"))?;
-            }
-            "--slots" => {
-                let v = argv.next().ok_or("--slots needs a value")?;
-                cfg.sim_slots = v.parse().map_err(|e| format!("bad --slots: {e}"))?;
-                if cfg.sim_slots == 0 {
-                    return Err("--slots must be positive".into());
-                }
-            }
-            "--out" => {
-                let v = argv.next().ok_or("--out needs a directory")?;
-                out = Some(PathBuf::from(v));
-            }
+            "--trials" => cfg.trials = argv.positive(&arg)?,
+            "--failures" => cfg.failures = argv.positive(&arg)?,
+            "--seed" => cfg.base_seed = argv.value(&arg)?,
+            "--slots" => cfg.sim_slots = argv.positive(&arg)?,
+            "--out" => out = Some(argv.path(&arg, "directory")?),
             "--obs-report" => obs_report = true,
             other => return Err(format!("unknown churn argument: {other}")),
         }
@@ -542,28 +507,15 @@ where
     let mut delta = false;
     let mut serve = false;
     let mut out = PathBuf::from("fuzz-counterexample.json");
-    let mut argv = argv.into_iter();
+    let mut argv = Flags::new(argv);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
             "--churn" => churn = true,
             "--delta" => delta = true,
             "--serve" => serve = true,
-            "--budget" => {
-                let v = argv.next().ok_or("--budget needs a value")?;
-                let n: usize = v.parse().map_err(|e| format!("bad --budget: {e}"))?;
-                if n == 0 {
-                    return Err("--budget must be positive".into());
-                }
-                budget = Some(n);
-            }
-            "--seed" => {
-                let v = argv.next().ok_or("--seed needs a value")?;
-                base_seed = v.parse().map_err(|e| format!("bad --seed: {e}"))?;
-            }
-            "--out" => {
-                let v = argv.next().ok_or("--out needs a file path")?;
-                out = PathBuf::from(v);
-            }
+            "--budget" => budget = Some(argv.positive(&arg)?),
+            "--seed" => base_seed = argv.value(&arg)?,
+            "--out" => out = argv.path(&arg, "file path")?,
             other => return Err(format!("unknown fuzz argument: {other}")),
         }
     }
@@ -592,30 +544,24 @@ where
     let mut min_span_us = defaults.min_span_us;
     let mut warn_only = false;
     let mut hist_ratio = None;
-    let mut argv = argv.into_iter();
+    let mut argv = Flags::new(argv);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
             "--span-ratio" => {
-                let v = argv.next().ok_or("--span-ratio needs a value")?;
-                span_ratio = v.parse().map_err(|e| format!("bad --span-ratio: {e}"))?;
+                span_ratio = argv.value(&arg)?;
                 if !span_ratio.is_finite() || span_ratio <= 1.0 {
                     return Err("--span-ratio must be greater than 1".into());
                 }
             }
             "--counter-ratio" => {
-                let v = argv.next().ok_or("--counter-ratio needs a value")?;
-                counter_ratio = v.parse().map_err(|e| format!("bad --counter-ratio: {e}"))?;
+                counter_ratio = argv.value(&arg)?;
                 if !counter_ratio.is_finite() || counter_ratio <= 1.0 {
                     return Err("--counter-ratio must be greater than 1".into());
                 }
             }
-            "--min-span-us" => {
-                let v = argv.next().ok_or("--min-span-us needs a value")?;
-                min_span_us = v.parse().map_err(|e| format!("bad --min-span-us: {e}"))?;
-            }
+            "--min-span-us" => min_span_us = argv.value(&arg)?,
             "--hist-ratio" => {
-                let v = argv.next().ok_or("--hist-ratio needs a value")?;
-                let r: f64 = v.parse().map_err(|e| format!("bad --hist-ratio: {e}"))?;
+                let r: f64 = argv.value(&arg)?;
                 if !r.is_finite() || r <= 1.0 {
                     return Err("--hist-ratio must be greater than 1".into());
                 }
@@ -661,24 +607,12 @@ where
     let mut cfg = TrialConfig::default();
     let mut out = None;
     let mut obs_report = false;
-    let mut argv = argv.into_iter();
+    let mut argv = Flags::new(argv);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--trials" => {
-                let v = argv.next().ok_or("--trials needs a value")?;
-                cfg.trials = v.parse().map_err(|e| format!("bad --trials: {e}"))?;
-                if cfg.trials == 0 {
-                    return Err("--trials must be positive".into());
-                }
-            }
-            "--seed" => {
-                let v = argv.next().ok_or("--seed needs a value")?;
-                cfg.base_seed = v.parse().map_err(|e| format!("bad --seed: {e}"))?;
-            }
-            "--out" => {
-                let v = argv.next().ok_or("--out needs a directory")?;
-                out = Some(PathBuf::from(v));
-            }
+            "--trials" => cfg.trials = argv.positive(&arg)?,
+            "--seed" => cfg.base_seed = argv.value(&arg)?,
+            "--out" => out = Some(argv.path(&arg, "directory")?),
             "--obs-report" => obs_report = true,
             "all" => which.extend(ALL_IDS.iter().map(|s| s.to_string())),
             id if ALL_IDS.contains(&id) => which.push(id.to_string()),
@@ -706,6 +640,23 @@ mod tests {
 
     fn s(items: &[&str]) -> Vec<String> {
         items.iter().map(|x| x.to_string()).collect()
+    }
+
+    #[test]
+    fn flags_read_values_with_the_shared_messages() {
+        let mut f = Flags::new(s(&["7", "0", "x", "dir"]));
+        assert_eq!(f.value::<u64>("--a"), Ok(7));
+        assert_eq!(
+            f.positive::<u64>("--b").unwrap_err(),
+            "--b must be positive"
+        );
+        assert!(f.value::<u64>("--c").unwrap_err().starts_with("bad --c: "));
+        assert_eq!(f.path("--out", "directory"), Ok(PathBuf::from("dir")));
+        assert_eq!(f.value::<u64>("--d").unwrap_err(), "--d needs a value");
+        assert_eq!(
+            f.path("--out", "file path").unwrap_err(),
+            "--out needs a file path"
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@ use qnet_topology::{SpatialGraph, TopologyKind};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::runner::{mean_rates, TrialConfig};
+use crate::runner::{mean_rates, trials, TrialConfig};
 use crate::suite::AlgoKind;
 use crate::table::FigureTable;
 
@@ -110,41 +110,45 @@ pub fn fig7b(cfg: TrialConfig) -> FigureTable {
     let step = 30usize;
     let steps: Vec<usize> = (0..=19).collect(); // ratios 0.00 … 0.95
 
-    let mut rows: Vec<(String, Vec<f64>)> = steps
-        .iter()
-        .map(|k| {
-            let ratio = (k * step) as f64 / total_edges as f64;
-            (format!("{ratio:.2}"), vec![0.0; AlgoKind::ALL.len()])
-        })
-        .collect();
-
     // One topology + removal order per trial; all steps share it so the
     // removal is cumulative, as the paper describes.
-    for t in 0..cfg.trials {
-        let seed = cfg.base_seed + t;
+    let per_trial = trials(cfg, |seed| {
         let spatial = spec.topology.generate(seed);
         debug_assert_eq!(spatial.edge_count(), total_edges);
         let mut order: Vec<usize> = (0..spatial.edge_count()).collect();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5bd1_e995);
         order.shuffle(&mut rng);
+        steps
+            .iter()
+            .map(|&k| {
+                let removed: std::collections::HashSet<usize> = order
+                    [..(k * step).min(order.len())]
+                    .iter()
+                    .copied()
+                    .collect();
+                let pruned: SpatialGraph =
+                    spatial.filter_edges(|e| !removed.contains(&e.id.index()));
+                let net = spec.build_from_spatial(&pruned, seed);
+                AlgoKind::ALL.map(|algo| algo.rate_on(&net, seed))
+            })
+            .collect::<Vec<_>>()
+    });
 
-        for (row, &k) in rows.iter_mut().zip(&steps) {
-            let removed: std::collections::HashSet<usize> = order[..(k * step).min(order.len())]
-                .iter()
-                .copied()
-                .collect();
-            let pruned: SpatialGraph = spatial.filter_edges(|e| !removed.contains(&e.id.index()));
-            let net = spec.build_from_spatial(&pruned, seed);
-            for (acc, algo) in row.1.iter_mut().zip(&AlgoKind::ALL) {
-                *acc += algo.rate_on(&net, seed);
+    let rows = steps
+        .iter()
+        .enumerate()
+        .map(|(i, k)| {
+            let ratio = (k * step) as f64 / total_edges as f64;
+            let mut sums = vec![0.0f64; AlgoKind::ALL.len()];
+            for trial in &per_trial {
+                for (acc, r) in sums.iter_mut().zip(trial[i]) {
+                    *acc += r;
+                }
             }
-        }
-    }
-    for row in &mut rows {
-        for v in &mut row.1 {
-            *v /= cfg.trials as f64;
-        }
-    }
+            let means = sums.into_iter().map(|v| v / cfg.trials as f64).collect();
+            (format!("{ratio:.2}"), means)
+        })
+        .collect();
 
     FigureTable {
         id: "fig7b",

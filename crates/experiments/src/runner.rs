@@ -3,10 +3,12 @@
 //! Every figure cell is an average over `trials` random networks
 //! (paper §V-A: 20). Trials are deterministic — trial `t` uses seed
 //! `base_seed + t` for both network generation and Algorithm 4's random
-//! seed user — and run in parallel across threads with crossbeam's
-//! scoped threads.
+//! seed user. [`trials`] is the one fan-out: it runs them across scoped
+//! threads and hands the results back in trial order, and every caller
+//! folds them in that order on its own thread, so each table is bitwise
+//! the same at any core count.
 
-use parking_lot::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use muerp_core::model::QuantumNetwork;
 
@@ -30,6 +32,66 @@ impl Default for TrialConfig {
     }
 }
 
+/// Runs `f(base_seed + t)` for every trial `t` of `cfg` and returns the
+/// results in trial order, one worker per available core (4 when the
+/// count is unknown), never more workers than trials.
+///
+/// `f` must be a pure function of the seed.
+pub fn trials<T, F>(cfg: TrialConfig, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(u64) -> T + Sync,
+{
+    let workers = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4);
+    trials_on(workers, cfg, f)
+}
+
+/// [`trials`] on exactly `workers` threads (capped at the trial count).
+/// Workers claim trial indices from one counter and return their
+/// `(trial, result)` pairs through their join handles; a panic in `f`
+/// resumes on the caller.
+pub(crate) fn trials_on<T, F>(workers: usize, cfg: TrialConfig, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(u64) -> T + Sync,
+{
+    let n = cfg.trials as usize;
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let t = next.fetch_add(1, Ordering::Relaxed);
+            if t >= n {
+                return done;
+            }
+            qnet_obs::counter!("exp.runner.trials");
+            done.push((t, f(cfg.base_seed + t as u64)));
+        }
+    };
+    let mut done: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers.min(n)).map(|_| scope.spawn(work)).collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(t, _)| t);
+    done.into_iter().map(|(_, result)| result).collect()
+}
+
+/// One row per trial: every algorithm's rate on that trial's network.
+fn rate_rows<F>(build: F, algos: &[AlgoKind], cfg: TrialConfig) -> Vec<Vec<f64>>
+where
+    F: Fn(u64) -> QuantumNetwork + Sync,
+{
+    trials(cfg, |seed| {
+        let net = build(seed);
+        algos.iter().map(|a| a.rate_on(&net, seed)).collect()
+    })
+}
+
 /// Runs every algorithm over `trials` networks produced by `build` and
 /// returns the mean entanglement rate per algorithm, in `algos` order.
 ///
@@ -39,43 +101,8 @@ where
     F: Fn(u64) -> QuantumNetwork + Sync,
 {
     let _span = qnet_obs::span!("exp.runner.mean_rates");
-    // Workers buffer their trials locally and take the lock once at
-    // exit; the final sum runs in trial order on the caller's thread so
-    // the result is bitwise independent of scheduling.
-    let rows = Mutex::new(vec![Vec::new(); cfg.trials as usize]);
-    let next = std::sync::atomic::AtomicU64::new(0);
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(cfg.trials.max(1) as usize);
-
-    crossbeam::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| {
-                let mut local: Vec<(usize, Vec<f64>)> = Vec::new();
-                loop {
-                    let t = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if t >= cfg.trials {
-                        break;
-                    }
-                    qnet_obs::counter!("exp.runner.trials");
-                    let seed = cfg.base_seed + t;
-                    let net = build(seed);
-                    let rates: Vec<f64> = algos.iter().map(|a| a.rate_on(&net, seed)).collect();
-                    local.push((t as usize, rates));
-                }
-                let mut lock = rows.lock();
-                for (t, rates) in local {
-                    lock[t] = rates;
-                }
-            });
-        }
-    })
-    .expect("worker thread panicked");
-
-    let rows = rows.into_inner();
     let mut totals = vec![0.0f64; algos.len()];
-    for rates in &rows {
+    for rates in rate_rows(build, algos, cfg) {
         for (acc, r) in totals.iter_mut().zip(rates) {
             *acc += r;
         }
@@ -94,29 +121,7 @@ where
     F: Fn(u64) -> QuantumNetwork + Sync,
 {
     let _span = qnet_obs::span!("exp.runner.per_trial_rates");
-    let rows = Mutex::new(vec![Vec::new(); cfg.trials as usize]);
-    let next = std::sync::atomic::AtomicU64::new(0);
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(cfg.trials.max(1) as usize);
-    crossbeam::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| loop {
-                let t = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if t >= cfg.trials {
-                    break;
-                }
-                qnet_obs::counter!("exp.runner.trials");
-                let seed = cfg.base_seed + t;
-                let net = build(seed);
-                let rates: Vec<f64> = algos.iter().map(|a| a.rate_on(&net, seed)).collect();
-                rows.lock()[t as usize] = rates;
-            });
-        }
-    })
-    .expect("worker thread panicked");
-    rows.into_inner()
+    rate_rows(build, algos, cfg)
 }
 
 #[cfg(test)]
@@ -128,6 +133,41 @@ mod tests {
         TrialConfig {
             trials: 4,
             base_seed: 100,
+        }
+    }
+
+    #[test]
+    fn trials_come_back_in_trial_order_at_any_width() {
+        use std::sync::atomic::AtomicBool;
+        let cfg = TrialConfig {
+            trials: 12,
+            base_seed: 40,
+        };
+        let value = |seed: u64| seed * seed + 1;
+        let expected: Vec<u64> = (0..cfg.trials).map(|t| value(cfg.base_seed + t)).collect();
+        for workers in [1, 2, 4] {
+            // With two or more workers every even trial waits for the odd
+            // trial after it, so trials finish out of trial order.
+            let done: Vec<AtomicBool> = (0..cfg.trials).map(|_| AtomicBool::new(false)).collect();
+            let finished = AtomicUsize::new(0);
+            let results = trials_on(workers, cfg, |seed| {
+                let t = (seed - cfg.base_seed) as usize;
+                if workers > 1 && t.is_multiple_of(2) {
+                    while !done[t + 1].load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                }
+                done[t].store(true, Ordering::SeqCst);
+                (value(seed), finished.fetch_add(1, Ordering::SeqCst))
+            });
+            let values: Vec<u64> = results.iter().map(|r| r.0).collect();
+            assert_eq!(values, expected, "{workers} worker(s)");
+            let order: Vec<usize> = results.iter().map(|r| r.1).collect();
+            assert_eq!(
+                order.windows(2).all(|w| w[0] < w[1]),
+                workers == 1,
+                "{workers} worker(s) finished in order {order:?}"
+            );
         }
     }
 

@@ -13,9 +13,6 @@
 
 use core::fmt;
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a node within one [`Graph`].
 ///
 /// Ids are dense indices: the `i`-th added node has id `NodeId::new(i)`.
@@ -23,7 +20,6 @@ use serde::{Deserialize, Serialize};
 /// deliberately aligned copies (e.g. [`Graph::filter_edges`] preserves node
 /// ids).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct NodeId(u32);
 
 impl NodeId {
@@ -54,7 +50,6 @@ impl fmt::Display for NodeId {
 
 /// Identifier of an edge within one [`Graph`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct EdgeId(u32);
 
 impl EdgeId {
@@ -84,7 +79,6 @@ impl fmt::Display for EdgeId {
 }
 
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 struct Edge<E> {
     a: NodeId,
     b: NodeId,
@@ -150,7 +144,6 @@ impl<'g, E> EdgeRef<'g, E> {
 /// assert_eq!(g.degree(a), 1);
 /// ```
 #[derive(Clone, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct Graph<N, E> {
     nodes: Vec<N>,
     edges: Vec<Edge<E>>,

@@ -12,9 +12,6 @@ use core::cmp::Ordering;
 use core::fmt;
 use core::ops::{Add, AddAssign};
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-
 /// An additive cost equal to `−ln` of a success probability.
 ///
 /// `NegLog(0.0)` corresponds to probability `1` (a free hop);
@@ -32,7 +29,6 @@ use serde::{Deserialize, Serialize};
 /// assert!(NegLog::from_prob(0.9) < NegLog::from_prob(0.5)); // higher prob = lower cost
 /// ```
 #[derive(Clone, Copy, PartialEq, PartialOrd)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct NegLog(f64);
 
 impl NegLog {

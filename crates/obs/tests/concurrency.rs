@@ -24,16 +24,15 @@ fn concurrent_counter_increments_are_exact() {
     qnet_obs::set_level(ObsLevel::Counters);
     global().reset();
 
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..THREADS {
-            scope.spawn(|_| {
+            scope.spawn(|| {
                 for _ in 0..INCREMENTS {
                     qnet_obs::counter!("test.concurrency.hits");
                 }
             });
         }
-    })
-    .expect("no worker panicked");
+    });
 
     let report = qnet_obs::RunReport::capture("concurrency");
     assert_eq!(
@@ -49,9 +48,9 @@ fn concurrent_labeled_counters_stay_separate() {
     qnet_obs::set_level(ObsLevel::Counters);
     global().reset();
 
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for t in 0..THREADS {
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for _ in 0..INCREMENTS {
                     if t % 2 == 0 {
                         qnet_obs::counter!("test.concurrency.rejected", reason = "even");
@@ -61,8 +60,7 @@ fn concurrent_labeled_counters_stay_separate() {
                 }
             });
         }
-    })
-    .expect("no worker panicked");
+    });
 
     let per_label = (THREADS as u64 / 2) * INCREMENTS;
     let even = global()
@@ -93,16 +91,15 @@ fn concurrent_histogram_records_are_exact() {
     qnet_obs::set_level(ObsLevel::Counters);
     global().reset();
 
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..THREADS {
-            scope.spawn(|_| {
+            scope.spawn(|| {
                 for v in 0..INCREMENTS {
                     qnet_obs::histogram!("test.concurrency.latency_us", v);
                 }
             });
         }
-    })
-    .expect("no worker panicked");
+    });
 
     let h = global().histogram(MetricKey {
         name: "test.concurrency.latency_us",
@@ -121,17 +118,16 @@ fn off_level_records_nothing() {
     qnet_obs::set_level(ObsLevel::Off);
     global().reset();
 
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..THREADS {
-            scope.spawn(|_| {
+            scope.spawn(|| {
                 for _ in 0..100 {
                     qnet_obs::counter!("test.concurrency.dark");
                     qnet_obs::histogram!("test.concurrency.dark_us", 1);
                 }
             });
         }
-    })
-    .expect("no worker panicked");
+    });
 
     let report = qnet_obs::RunReport::capture("off");
     assert_eq!(report.counter_total("test.concurrency.dark"), 0);

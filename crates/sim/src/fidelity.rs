@@ -7,8 +7,6 @@
 //! under swapping — the identity `muerp-core`'s fidelity-aware extension
 //! relies on.
 
-use serde::{Deserialize, Serialize};
-
 /// Fidelity of the pair obtained by swapping two Werner pairs.
 pub fn swap_fidelity(f1: f64, f2: f64) -> f64 {
     f1 * f2 + (1.0 - f1) * (1.0 - f2) / 3.0
@@ -36,7 +34,7 @@ pub fn chain_fidelity(link_fidelity: f64, links: usize) -> f64 {
 }
 
 /// A per-link fidelity annotation for fidelity-tracked simulations.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FidelityParams {
     /// Fidelity of every fresh link-level Werner pair.
     pub link_fidelity: f64,

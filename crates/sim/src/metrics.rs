@@ -1,9 +1,7 @@
 //! Success-rate estimation with Wilson confidence intervals.
 
-use serde::{Deserialize, Serialize};
-
 /// A closed interval on the probability line.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Interval {
     /// Lower bound.
     pub lo: f64,
@@ -28,7 +26,7 @@ impl Interval {
 }
 
 /// A Bernoulli success-rate estimate.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RateEstimate {
     /// Number of successful trials.
     pub successes: u64,

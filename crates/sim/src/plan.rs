@@ -7,11 +7,9 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 /// One quantum channel (or fusion-star arm): a node path with per-link
 /// fiber lengths and a switch flag per node.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ChannelSpec {
     /// Node indices along the path.
     pub nodes: Vec<usize>,
@@ -81,7 +79,7 @@ impl ChannelSpec {
 }
 
 /// What the plan's structure is.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum PlanKind {
     /// An entanglement tree: channels connect user pairs; BSM only.
     Tree,
@@ -97,7 +95,7 @@ pub enum PlanKind {
 }
 
 /// A complete routing plan for one entanglement attempt per slot.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RoutingPlan {
     /// The channels (tree edges or star arms).
     pub channels: Vec<ChannelSpec>,

@@ -11,12 +11,10 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::plan::{PlanKind, RoutingPlan};
 
 /// One physical memory slot at a node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Slot {
     /// The node owning the memory.
     pub node: usize,
@@ -25,7 +23,7 @@ pub struct Slot {
 }
 
 /// Where a slot is used.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SlotUse {
     /// Serving link `link` of channel `channel` on the side toward the
     /// channel head (`left = true`) or tail.
@@ -46,7 +44,7 @@ pub enum SlotUse {
 }
 
 /// A complete assignment: which slot serves which protocol role.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Assignment {
     /// Slot → role, covering every qubit the plan consumes.
     pub uses: Vec<(Slot, SlotUse)>,

@@ -6,10 +6,8 @@
 //! [`crate::Simulator::run_slot_observed`]; this module defines the event
 //! vocabulary and a small recording observer.
 
-use serde::{Deserialize, Serialize};
-
 /// One protocol event within a slot.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Event {
     /// A heralded link-generation attempt on channel `channel`, link
     /// index `link`.

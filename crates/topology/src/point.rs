@@ -1,10 +1,8 @@
 //! 2-D geometry for spatial network placement.
 
-use serde::{Deserialize, Serialize};
-
 /// A point in the simulation plane (units ≈ kilometers, per §V-A of the
 /// paper: a 10 000 × 10 000 unit area with 1 unit ≈ 1 km).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Point {
     /// Horizontal coordinate.
     pub x: f64,

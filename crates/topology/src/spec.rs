@@ -4,7 +4,6 @@
 use qnet_graph::Graph;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::point::Point;
 use crate::volchenkov::{volchenkov, VolchenkovParams};
@@ -17,7 +16,7 @@ pub type SpatialGraph = Graph<Point, f64>;
 
 /// Which random-network generation method to use (paper §V-A lists all
 /// three).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TopologyKind {
     /// Waxman 1988 geometric random graph (the paper's default).
     Waxman,
@@ -52,7 +51,7 @@ impl std::fmt::Display for TopologyKind {
 }
 
 /// Full topology specification: generator kind plus size parameters.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TopologySpec {
     /// Generation method.
     pub kind: TopologyKind,
@@ -189,13 +188,6 @@ mod tests {
         assert_eq!(TopologyKind::Waxman.to_string(), "Waxman");
         assert_eq!(TopologyKind::WattsStrogatz.to_string(), "Watts-Strogatz");
         assert_eq!(TopologyKind::Volchenkov.to_string(), "Volchenkov");
-    }
-
-    #[test]
-    fn spec_types_are_serde() {
-        fn assert_serde<T: serde::Serialize + for<'de> serde::Deserialize<'de>>() {}
-        assert_serde::<TopologySpec>();
-        assert_serde::<TopologyKind>();
     }
 
     #[test]

@@ -14,6 +14,7 @@ use std::process::ExitCode;
 
 use muerp::core::algorithms::{refine, BeamSearch, LocalSearchOptions};
 use muerp::core::prelude::*;
+use muerp::experiments::cli::Flags;
 use muerp::graph::dot::{to_dot, DotOptions};
 use muerp::graph::EdgeId;
 use muerp::topology::TopologyKind;
@@ -35,49 +36,24 @@ fn parse() -> Result<Args, String> {
     let mut want_refine = false;
     let mut dot = false;
 
-    let mut argv = std::env::args().skip(1);
+    let mut argv = Flags::new(std::env::args().skip(1));
     while let Some(arg) = argv.next() {
-        let mut value = |name: &str| argv.next().ok_or_else(|| format!("{name} needs a value"));
         match arg.as_str() {
             "--topology" => {
-                spec.topology.kind = match value("--topology")?.as_str() {
+                spec.topology.kind = match argv.value::<String>(&arg)?.as_str() {
                     "waxman" => TopologyKind::Waxman,
                     "watts-strogatz" => TopologyKind::WattsStrogatz,
                     "volchenkov" => TopologyKind::Volchenkov,
                     other => return Err(format!("unknown topology: {other}")),
                 }
             }
-            "--switches" => {
-                switches = value("--switches")?
-                    .parse()
-                    .map_err(|e| format!("bad --switches: {e}"))?
-            }
-            "--users" => {
-                users = value("--users")?
-                    .parse()
-                    .map_err(|e| format!("bad --users: {e}"))?
-            }
-            "--qubits" => {
-                spec.qubits_per_switch = value("--qubits")?
-                    .parse()
-                    .map_err(|e| format!("bad --qubits: {e}"))?
-            }
-            "--degree" => {
-                spec.topology.avg_degree = value("--degree")?
-                    .parse()
-                    .map_err(|e| format!("bad --degree: {e}"))?
-            }
-            "--swap" => {
-                spec.physics.swap_success = value("--swap")?
-                    .parse()
-                    .map_err(|e| format!("bad --swap: {e}"))?
-            }
-            "--seed" => {
-                seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("bad --seed: {e}"))?
-            }
-            "--algo" => algo = value("--algo")?,
+            "--switches" => switches = argv.value(&arg)?,
+            "--users" => users = argv.value(&arg)?,
+            "--qubits" => spec.qubits_per_switch = argv.value(&arg)?,
+            "--degree" => spec.topology.avg_degree = argv.value(&arg)?,
+            "--swap" => spec.physics.swap_success = argv.value(&arg)?,
+            "--seed" => seed = argv.value(&arg)?,
+            "--algo" => algo = argv.value(&arg)?,
             "--refine" => want_refine = true,
             "--dot" => dot = true,
             other => {
