@@ -10,10 +10,11 @@
 //!   [`DijkstraWorkspace`]: generation-stamped O(1) reset, zero
 //!   steady-state allocation, borrowed result views.
 //! * **cached** — [`ChannelFinderCache`] keyed by `(source, capacity
-//!   epoch)`: repeat queries under unchanged capacity skip the search
-//!   entirely; a `refresh` row shows the in-place re-run cost after an
-//!   epoch bump, and a `fill` row the same misses served into freshly
-//!   allocated entries (the refresh ≤ fill invariant's denominator).
+//!   epoch, mask hash)`: repeat queries under unchanged capacity skip
+//!   the search entirely; a `refresh` row shows the cost of full
+//!   in-place re-runs over each entry's buffers, and a `fill` row the
+//!   same misses served into freshly allocated entries (the refresh ≤
+//!   fill invariant's denominator).
 //!
 //! Run with `cargo bench -p muerp-bench --bench search_core`. Writes the
 //! tracked baseline `BENCH_pr7.json` at the repo root (all numbers in
@@ -30,8 +31,9 @@ use muerp_core::algorithms::{ChannelFinder, ChannelFinderCache};
 use muerp_core::prelude::*;
 use qnet_graph::ksp::k_shortest_paths_in;
 use qnet_graph::paths::{dijkstra_into, DijkstraConfig, DijkstraWorkspace};
-use qnet_graph::{EdgeRef, NodeId};
+use qnet_graph::{EdgeId, EdgeRef, NodeId, SearchMask};
 use serde_json::Value;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::hint::black_box;
 
@@ -98,37 +100,63 @@ fn bench_topology(label: &str, switches: usize, seed: u64) -> Value {
         }
     });
     // Fill vs refresh, measured as an interleaved pair because the
-    // assertion below is about their *ratio*. Both ops bump the epoch
-    // and re-search every source through the identical cache-miss code
-    // path; the only difference is the result buffers — `clear()` makes
-    // every miss a fill (fresh allocations), while the refresh op reuses
-    // each entry's existing buffers in place.
-    // RefCell because both halves of the pair mutate the same cache and
-    // capacity map; the closures never run reentrantly.
-    let cache = std::cell::RefCell::new(cache);
-    let refresh_capacity = std::cell::RefCell::new(capacity.clone());
-    let probe = ChannelFinder::from_source_in(&mut ws, &net, &capacity, users[0], None)
-        .channel_to(users[1])
-        .expect("paper-default networks connect their users");
+    // assertion below is about their *ratio*. Both ops re-search every
+    // source through the identical cache-miss code path; the only
+    // difference is the result buffers — `clear()` makes every miss a
+    // fill (fresh allocations), while the refresh op reuses each entry's
+    // existing buffers in place. Consecutive ops alternate between two
+    // one-edge failure masks. A masked entry is keyed by its mask's
+    // hash, so after the switch a lookup can be neither a hit nor an
+    // O(1) revalidation: every refresh lookup is a full in-place
+    // search. The tallies checked on every op, quick mode included,
+    // hold the rows to exactly that.
+    // RefCell because both halves of the pair mutate the same cache;
+    // the closures never run reentrantly.
+    let masks = [0, 1].map(|e| {
+        let mut mask = SearchMask::new();
+        mask.kill_edge(EdgeId::new(e));
+        mask
+    });
+    let cache = RefCell::new(cache);
+    let flips = Cell::new(0usize);
+    let sources = users.len() as u64;
+    let sweep = |clear: bool| {
+        let mut cache = cache.borrow_mut();
+        let mask = &masks[flips.get() % 2];
+        flips.set(flips.get() + 1);
+        if clear {
+            cache.clear();
+        }
+        let before = cache.efficiency();
+        for &u in &users {
+            black_box(
+                cache
+                    .finder_masked(&capacity, Some(mask), u)
+                    .channel_to(users[0]),
+            );
+        }
+        (before, cache.efficiency())
+    };
     let (finder_fill, finder_refresh) = measure_ns_paired(
         || {
-            let mut cache = cache.borrow_mut();
-            let mut cap = refresh_capacity.borrow_mut();
-            cap.reserve(&probe);
-            cap.release(&probe);
-            cache.clear();
-            for &u in &users {
-                black_box(cache.finder(&cap, u).channel_to(users[0]));
-            }
+            let (before, after) = sweep(true);
+            assert_eq!(
+                after.fills - before.fills,
+                sources,
+                "{label}: a fill op must fill every source"
+            );
         },
         || {
-            let mut cache = cache.borrow_mut();
-            let mut cap = refresh_capacity.borrow_mut();
-            cap.reserve(&probe);
-            cap.release(&probe);
-            for &u in &users {
-                black_box(cache.finder(&cap, u).channel_to(users[0]));
-            }
+            let (before, after) = sweep(false);
+            assert_eq!(
+                after.refreshes - before.refreshes,
+                sources,
+                "{label}: a refresh op must re-search every source in place"
+            );
+            assert_eq!(
+                after.repairs, before.repairs,
+                "{label}: a refresh op must not repair"
+            );
         },
     );
     // A cache refresh recycles the entry's buffers and (since the fused

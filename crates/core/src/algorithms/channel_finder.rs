@@ -45,10 +45,11 @@ fn run_algorithm1<'w>(
     // relaying while keeping single edges finite.
     let neg_ln_q = if q > 0.0 { -(q.ln()) } else { 0.0 };
     let swaps_possible = q > 0.0;
-    // Dijkstra consults the relay filter at most once per vertex per run
-    // (settled vertices are never re-queried), so this tally counts
-    // *distinct* full switches for this run — flushed once below instead
-    // of paying an atomic per rejection inside the search.
+    // Dijkstra consults the relay filter exactly once per reached vertex
+    // per run, when the vertex is first reached (later improvements
+    // reuse the answer), so this tally counts the *distinct* full
+    // switches this run reached — flushed once below instead of paying
+    // an atomic per rejection inside the search.
     let rejected_full = Cell::new(0u64);
     let cfg = DijkstraConfig {
         edge_cost: move |e: EdgeRef<'_, f64>| alpha * *e.payload + neg_ln_q,

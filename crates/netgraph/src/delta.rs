@@ -16,22 +16,26 @@
 //!    (`∞` distance, no predecessor); unaffected slots keep their
 //!    distances and predecessors bitwise intact.
 //! 3. **Re-run** — unaffected nodes bordering the affected region are
-//!    re-seeded into the heap at their exact final distances, and the
-//!    *standard* relaxation loop (the same code shape as
-//!    [`dijkstra_into`](crate::paths::dijkstra_into)) runs to
-//!    completion over the affected region only.
+//!    re-seeded at their exact final distances, and the relaxation loop
+//!    of [`dijkstra_into`](crate::paths::dijkstra_into) — the same
+//!    crate-private function, called without a mask — runs to
+//!    completion over the affected region only. A boundary node that
+//!    does not relay under the post-delta configuration would pop and
+//!    expand nothing, so, as in a fresh search, it stays off the heap
+//!    and is counted as resettled when seeded.
 //!
 //! The result is not merely equal-cost: it is **bitwise identical** to
 //! a from-scratch run under the post-delta configuration — same
 //! distances, same predecessor choices under floating-point cost ties.
-//! That holds because (a) heap tie-breaking is a pure function of
-//! `(cost, node index)`, (b) every neighbor that offers a relaxation
-//! into the affected region in the fresh run either is affected itself
-//! or is a boundary seed popping at the same final distance, and (c)
-//! offers therefore arrive with identical values in an identical
-//! relative order. `tests/delta_equivalence.rs` pits the repair against
-//! fresh runs over arbitrary topologies, delta sequences, and masked
-//! overlays.
+//! That holds because (a) the heap order is a pure function of
+//! `(cost, node index)` — minimum cost first, larger index first on a
+//! tie, the contract in [`crate::paths`] — (b) every neighbor that
+//! offers a relaxation into the affected region in the fresh run either
+//! is affected itself or is a boundary seed popping at the same final
+//! distance, and (c) offers therefore arrive with identical values in
+//! an identical relative order. `tests/delta_equivalence.rs` pits the
+//! repair against fresh runs over arbitrary topologies, delta
+//! sequences, and masked overlays.
 //!
 //! *Improving* deltas (a blocked element coming back) can flip
 //! predecessor choices on exact cost ties in ways no local patch can
@@ -45,7 +49,7 @@
 
 use crate::connectivity::{bridges, connected_components};
 use crate::graph::{EdgeId, EdgeRef, Graph, NodeId};
-use crate::paths::{DijkstraConfig, DijkstraView, DijkstraWorkspace, HeapEntry};
+use crate::paths::{relax, DijkstraConfig, DijkstraView, DijkstraWorkspace, HeapEntry};
 
 /// A batch of *worsening* changes to apply against a completed run:
 /// edges that became unusable and vertices that lost relay permission.
@@ -201,6 +205,8 @@ impl RepairStats {
 const UNKNOWN: u8 = 0;
 const KEEP: u8 = 1;
 const AFFECTED: u8 = 2;
+/// A kept node already seeded by phase 2.
+const SEED: u8 = 3;
 
 /// Reusable buffers for [`dijkstra_repair_into`]; hold one per thread
 /// or cache and repairs allocate nothing in steady state.
@@ -312,9 +318,11 @@ where
     }
 
     // Phase 2 — clear the affected slots and seed the boundary: every
-    // kept node adjacent to an affected one re-enters the heap at its
-    // exact final distance (settled flag dropped so the standard loop
-    // re-relaxes out of it verbatim).
+    // kept node adjacent to an affected one re-enters the loop at its
+    // exact final distance. A seed that relays goes on the heap with its
+    // settled flag dropped, so the loop re-relaxes out of it verbatim; a
+    // seed that does not relay would pop and expand nothing, so it is
+    // counted here and stays settled.
     ws.heap.clear();
     for i in 0..n {
         if scratch.state[i] == AFFECTED {
@@ -329,62 +337,25 @@ where
         }
         for &(p, _) in g.neighbor_slice(NodeId::new(i)) {
             let pi = p.index();
-            if scratch.state[pi] == KEEP && ws.settled[pi] {
+            if scratch.state[pi] != KEEP {
+                continue;
+            }
+            scratch.state[pi] = SEED;
+            if p == source || (config.can_relay)(p) {
                 ws.settled[pi] = false;
-                ws.heap.push(HeapEntry {
-                    cost: ws.dist[pi],
-                    node: p,
-                });
+                ws.heap.push(HeapEntry::new(ws.dist[pi], p));
+            } else {
+                ws.settled[pi] = true;
+                stats.resettled += 1;
             }
         }
     }
 
-    // Phase 3 — the standard relaxation loop (mirrors `dijkstra_into`
-    // exactly) over the seeded frontier.
-    let mut costs_ok = true;
-    while let Some(HeapEntry { cost, node }) = ws.heap.pop() {
-        if ws.settled[node.index()] {
-            continue;
-        }
-        ws.settled[node.index()] = true;
-        stats.resettled += 1;
+    // Phase 3 — the search's own relaxation loop over the seeded frontier.
+    let tally = relax(ws, g, config, None);
+    stats.resettled += tally.settled;
+    stats.relaxations += tally.relaxations;
 
-        if node != source && !(config.can_relay)(node) {
-            continue;
-        }
-
-        for &(next, eid) in g.neighbor_slice(node) {
-            if ws.settled_at(next.index()) {
-                continue;
-            }
-            let w = (config.edge_cost)(g.edge(eid));
-            debug_assert!(
-                w >= 0.0 && !w.is_nan(),
-                "edge cost must be non-negative and not NaN, got {w} for {eid}"
-            );
-            costs_ok &= w >= 0.0;
-            if w.is_infinite() {
-                continue;
-            }
-            let cand = cost + w;
-            if cand < ws.dist_at(next.index()) {
-                ws.touch(next.index());
-                ws.dist[next.index()] = cand;
-                ws.prev[next.index()] = Some((node, eid));
-                stats.relaxations += 1;
-                ws.heap.push(HeapEntry {
-                    cost: cand,
-                    node: next,
-                });
-            }
-        }
-    }
-
-    assert!(
-        costs_ok,
-        "edge cost must be non-negative and not NaN (repair from {source}; \
-         rebuild with debug assertions to locate the offending edge)"
-    );
     qnet_obs::counter!("graph.delta.repaired");
     qnet_obs::counter!("graph.delta.resettled"; stats.resettled);
     (DijkstraView::over(ws), stats)

@@ -14,8 +14,25 @@
 //! This is the crate's one Dijkstra: [`crate::ksp`]'s Yen spur searches
 //! and every Algorithm-1 caller run through [`dijkstra_into`], and
 //! [`crate::delta::dijkstra_repair_into`] patches its results in place.
+//! Both run the same crate-private relaxation loop, `relax`.
+//!
+//! Two rules keep that loop cheap without changing a result bit:
+//!
+//! * **Heap order.** Entries pop minimum cost first and, on a cost tie,
+//!   larger vertex index first. Each entry is one integer key built from
+//!   the cost's bit pattern and the vertex index, so the heap compares
+//!   integers. The key orders costs like [`f64::total_cmp`], which agrees
+//!   with `<` on every cost the loop pushes (finite, non-negative, never
+//!   `-0.0`).
+//! * **Only relays enter the heap.** A vertex the relay filter rejects
+//!   would pop and expand nothing, and every offer it could receive
+//!   after that pop costs at least its label (edge costs are ≥ 0, pops
+//!   are in cost order), so the strict `<` test would reject it. The
+//!   loop therefore keeps such a vertex off the heap: its best offer is
+//!   its final label. The filter is asked once per vertex per run, when
+//!   the vertex is first reached, and the settled tally counts the
+//!   vertex at that point, exactly once, as its pop would have.
 
-use core::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::graph::{EdgeId, EdgeRef, Graph, NodeId};
@@ -78,6 +95,10 @@ impl Path {
 /// edge; returning `f64::INFINITY` excludes the edge. `can_relay` decides
 /// whether a vertex may appear in the *interior* of a path; the source and
 /// any destination are always allowed regardless of the filter.
+///
+/// `can_relay` must be a pure function of the vertex for the duration of
+/// a run: the search asks it once per reached vertex, when the vertex is
+/// first reached, and keeps the answer for every later improvement.
 #[derive(Clone, Copy, Debug)]
 pub struct DijkstraConfig<FC, FR> {
     /// Cost of one edge; `INFINITY` to exclude it.
@@ -110,13 +131,14 @@ pub struct DijkstraRun {
 
 /// Reusable scratch state for repeated Dijkstra runs.
 ///
-/// Every [`dijkstra_into`] call needs `dist`/`prev`/`settled` arrays and a
-/// binary heap; allocating them fresh per call dominates the cost of
-/// searches on small-to-medium graphs, and the MUERP solvers issue
-/// hundreds of such searches per solve. A workspace owns those buffers
-/// and *generation-stamps* them: each run bumps a generation counter and
-/// a per-slot stamp records which run last wrote the slot, so resetting
-/// between runs is O(1) — no clearing, no re-filling with `INFINITY`.
+/// Every [`dijkstra_into`] call needs `dist`/`prev`/`settled`/`relays`
+/// arrays and a binary heap; allocating them fresh per call dominates
+/// the cost of searches on small-to-medium graphs, and the MUERP
+/// solvers issue hundreds of such searches per solve. A workspace owns
+/// those buffers and *generation-stamps* them: each run bumps a
+/// generation counter and a per-slot stamp records which run last wrote
+/// the slot, so resetting between runs is O(1) — no clearing, no
+/// re-filling with `INFINITY`.
 ///
 /// The same workspace may be reused across graphs of different sizes
 /// (buffers grow monotonically) and across arbitrary cost/relay
@@ -132,6 +154,8 @@ pub struct DijkstraWorkspace {
     pub(crate) dist: Vec<f64>,
     pub(crate) prev: Vec<Option<(NodeId, EdgeId)>>,
     pub(crate) settled: Vec<bool>,
+    /// `can_relay`'s answer for each vertex reached in the current run.
+    pub(crate) relays: Vec<bool>,
     pub(crate) heap: BinaryHeap<HeapEntry>,
 }
 
@@ -145,6 +169,7 @@ impl Default for DijkstraWorkspace {
             dist: Vec::new(),
             prev: Vec::new(),
             settled: Vec::new(),
+            relays: Vec::new(),
             heap: BinaryHeap::new(),
         }
     }
@@ -188,6 +213,7 @@ impl DijkstraWorkspace {
             self.dist.resize(n, f64::INFINITY);
             self.prev.resize(n, None);
             self.settled.resize(n, false);
+            self.relays.resize(n, false);
         }
     }
 
@@ -401,29 +427,37 @@ impl DijkstraRun {
     }
 }
 
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) struct HeapEntry {
-    pub(crate) cost: f64,
-    pub(crate) node: NodeId,
-}
+/// A heap entry packed into one integer key, so the heap orders entries
+/// with a single integer comparison.
+///
+/// The key holds the complemented bit pattern of the cost above the
+/// vertex index. `BinaryHeap` pops its largest key, which is the minimum
+/// cost and, on a cost tie, the larger vertex index: the heap order
+/// contract the repair's bitwise argument rests on. For non-negative
+/// costs the bit pattern grows with the value, so this is the order of
+/// [`f64::total_cmp`], and of `<`, on every cost the loop pushes
+/// (finite, non-negative, never `-0.0`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct HeapEntry(u128);
 
-impl Eq for HeapEntry {}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: BinaryHeap is a max-heap, we need the min cost on top.
-        // Costs are never NaN (validated at relaxation time).
-        other
-            .cost
-            .partial_cmp(&self.cost)
-            .expect("edge costs are never NaN")
-            .then_with(|| self.node.index().cmp(&other.node.index()))
+impl HeapEntry {
+    #[inline]
+    pub(crate) fn new(cost: f64, node: NodeId) -> Self {
+        debug_assert!(
+            cost.is_sign_positive(),
+            "heap costs are never negative or -0.0"
+        );
+        HeapEntry((u128::from(!cost.to_bits()) << 32) | node.index() as u128)
     }
-}
 
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+    #[inline]
+    pub(crate) fn cost(self) -> f64 {
+        f64::from_bits(!((self.0 >> 32) as u64))
+    }
+
+    #[inline]
+    pub(crate) fn node(self) -> NodeId {
+        NodeId::new(self.0 as u32 as usize)
     }
 }
 
@@ -464,40 +498,72 @@ where
     let _span = qnet_obs::span!("graph.dijkstra.run");
     ws.begin(g.node_count());
     ws.source = source;
-    // Tally locally; flush once at the end so the hot loop stays free of
-    // shared-state traffic.
-    let mut settled_n: u64 = 0;
-    let mut relaxed_n: u64 = 0;
+    ws.touch(source.index());
+    ws.dist[source.index()] = 0.0;
+    ws.heap.push(HeapEntry::new(0.0, source));
+    let tally = relax(ws, g, config, mask);
+    qnet_obs::counter!("graph.dijkstra.settled"; tally.settled);
+    qnet_obs::counter!("graph.dijkstra.relaxations"; tally.relaxations);
+    DijkstraView { ws }
+}
+
+/// What one [`relax`] pass did.
+#[derive(Default)]
+pub(crate) struct RelaxTally {
+    /// Vertices whose label became final: popped relays plus vertices
+    /// kept off the heap, each counted once.
+    pub(crate) settled: u64,
+    /// Successful relaxations (strict label improvements).
+    pub(crate) relaxations: u64,
+}
+
+/// The relaxation loop shared by [`dijkstra_into`] and
+/// [`crate::delta::dijkstra_repair_into`]: pops `ws.heap` until it is
+/// empty, expanding every popped vertex.
+///
+/// The heap holds only vertices that expand — the source and vertices
+/// `can_relay` admits — seeded by the caller at their final labels with
+/// `settled` cleared. A vertex is first reached when an offer improves
+/// an infinite label; the loop then asks `can_relay` once, keeps the
+/// answer in `ws.relays`, and counts a rejected vertex as settled right
+/// away (the module docs give the argument why its label is already
+/// final). Later improvements push the vertex only if it relays.
+///
+/// # Panics
+///
+/// Panics on a negative or NaN edge cost, once the heap is empty (see
+/// [`dijkstra_into`]).
+pub(crate) fn relax<N, E, FC, FR>(
+    ws: &mut DijkstraWorkspace,
+    g: &Graph<N, E>,
+    config: &DijkstraConfig<FC, FR>,
+    mask: Option<&SearchMask>,
+) -> RelaxTally
+where
+    FC: Fn(EdgeRef<'_, E>) -> f64,
+    FR: Fn(NodeId) -> bool,
+{
+    // Tally locally; the callers flush once so the hot loop stays free
+    // of shared-state traffic.
+    let mut tally = RelaxTally::default();
     // Deferred cost validation: `w >= 0.0` is false for both negative
     // and NaN costs, so a single accumulated flag checked after the loop
     // replaces a per-relaxation assert. NaN cannot leak into results in
-    // the meantime (`cand < dist` is false for NaN), and the panic below
-    // fires before any caller can observe the run.
+    // the meantime (`cand < label` is false for NaN), and the panic
+    // below fires before any caller can observe the run.
     let mut costs_ok = true;
 
-    ws.touch(source.index());
-    ws.dist[source.index()] = 0.0;
-    ws.heap.push(HeapEntry {
-        cost: 0.0,
-        node: source,
-    });
-
-    while let Some(HeapEntry { cost, node }) = ws.heap.pop() {
+    while let Some(entry) = ws.heap.pop() {
+        let (cost, node) = (entry.cost(), entry.node());
         if ws.settled[node.index()] {
             continue;
         }
         ws.settled[node.index()] = true;
-        settled_n += 1;
-
-        // Relax out of `node` only if it may serve as an interior relay
-        // (the source itself always relays: it is an endpoint, not an
-        // interior vertex, of any path it originates).
-        if node != source && !(config.can_relay)(node) {
-            continue;
-        }
+        tally.settled += 1;
 
         for &(next, eid) in g.neighbor_slice(node) {
-            if ws.settled_at(next.index()) {
+            let i = next.index();
+            if ws.settled_at(i) {
                 continue;
             }
             // The mask rule: an edge that is dead or touches a dead vertex
@@ -516,27 +582,32 @@ where
                 continue;
             }
             let cand = cost + w;
-            if cand < ws.dist_at(next.index()) {
-                ws.touch(next.index());
-                ws.dist[next.index()] = cand;
-                ws.prev[next.index()] = Some((node, eid));
-                relaxed_n += 1;
-                ws.heap.push(HeapEntry {
-                    cost: cand,
-                    node: next,
-                });
+            let label = ws.dist_at(i);
+            if cand < label {
+                if label == f64::INFINITY {
+                    ws.touch(i);
+                    ws.relays[i] = (config.can_relay)(next);
+                    if !ws.relays[i] {
+                        tally.settled += 1;
+                    }
+                }
+                ws.dist[i] = cand;
+                ws.prev[i] = Some((node, eid));
+                tally.relaxations += 1;
+                if ws.relays[i] {
+                    ws.heap.push(HeapEntry::new(cand, next));
+                }
             }
         }
     }
 
     assert!(
         costs_ok,
-        "edge cost must be non-negative and not NaN (run from {source}; \
-         rebuild with debug assertions to locate the offending edge)"
+        "edge cost must be non-negative and not NaN (search from {}; \
+         rebuild with debug assertions to locate the offending edge)",
+        ws.source
     );
-    qnet_obs::counter!("graph.dijkstra.settled"; settled_n);
-    qnet_obs::counter!("graph.dijkstra.relaxations"; relaxed_n);
-    DijkstraView { ws }
+    tally
 }
 
 /// Breadth-first shortest path by hop count, ignoring weights.
@@ -691,6 +762,41 @@ mod tests {
         let p = run.path_to(b).unwrap();
         assert_eq!(p.cost, 1.0);
         assert_eq!(p.edges, vec![cheap]);
+    }
+
+    #[test]
+    fn heap_pops_min_cost_then_larger_index() {
+        let subnormal = f64::from_bits(1);
+        assert!(subnormal > 0.0 && !subnormal.is_normal());
+        let pushed = [
+            (1.0, 5),
+            (2.0, 4),
+            (subnormal, 1),
+            (0.0, 3),
+            (1.0, 9),
+            (2.0, 4),
+            (1.0, 2),
+            (0.0, 7),
+        ];
+        let mut heap: BinaryHeap<HeapEntry> = pushed
+            .iter()
+            .map(|&(cost, i)| HeapEntry::new(cost, NodeId::new(i)))
+            .collect();
+        let popped: Vec<(u64, usize)> = std::iter::from_fn(|| heap.pop())
+            .map(|e| (e.cost().to_bits(), e.node().index()))
+            .collect();
+        let want = [
+            (0.0, 7),
+            (0.0, 3),
+            (subnormal, 1),
+            (1.0, 9),
+            (1.0, 5),
+            (1.0, 2),
+            (2.0, 4),
+            (2.0, 4),
+        ]
+        .map(|(cost, i): (f64, usize)| (cost.to_bits(), i));
+        assert_eq!(popped, want);
     }
 
     #[test]

@@ -1,0 +1,318 @@
+//! Tie-breaking reference battery for the search kernel.
+//!
+//! `dijkstra_into` keeps vertices that do not relay off its heap and
+//! orders heap entries by one integer key per entry;
+//! `dijkstra_repair_into` runs the same loop. This battery pits both against a textbook
+//! Dijkstra written out below: it pushes every reached vertex, pops by
+//! `partial_cmp` cost and then the larger vertex index, and expands
+//! only the source and vertices that relay. Graphs have at most 24
+//! vertices and integer edge weights in 1..=3, so exact cost ties are
+//! everywhere; the relay filter rejects a random half of the vertices.
+//!
+//! Distances are compared as bit patterns and predecessors exactly. The
+//! kernel must also ask the relay filter exactly once per reached
+//! non-source vertex, and a repair must report the same
+//! `RepairStats` as the textbook repair (mark, clear, seed every
+//! boundary vertex, re-run), on a live workspace and on a loaded one.
+
+use std::cell::Cell;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
+use muerp::graph::{
+    dijkstra_into, dijkstra_repair_into, DijkstraConfig, DijkstraRun, DijkstraWorkspace, EdgeId,
+    EdgeRef, Graph, NodeId, RepairScratch, RepairStats, SearchMask, SsspDelta,
+};
+use proptest::prelude::*;
+
+/// A graph of 2..=24 vertices with integer weights in 1..=3, and a relay
+/// flag per vertex (each vertex relays with probability 1/2).
+fn arb_case() -> impl Strategy<Value = (Graph<(), f64>, Vec<bool>)> {
+    (2usize..=24).prop_flat_map(|n| {
+        let edges = proptest::collection::vec((0..n, 0..n, 1u32..=3), 0..=3 * n);
+        let relays = proptest::collection::vec(0u8..2, n);
+        (edges, relays).prop_map(move |(edges, relays)| {
+            let mut g: Graph<(), f64> = Graph::new();
+            for _ in 0..n {
+                g.add_node(());
+            }
+            for (a, b, w) in edges {
+                if a != b {
+                    g.add_edge(NodeId::new(a), NodeId::new(b), f64::from(w));
+                }
+            }
+            (g, relays.into_iter().map(|r| r == 1).collect())
+        })
+    })
+}
+
+/// The textbook heap entry: `partial_cmp` on cost, reversed for the
+/// max-heap, then the larger vertex index first.
+#[derive(PartialEq)]
+struct Entry {
+    cost: f64,
+    node: usize,
+}
+
+impl Eq for Entry {}
+
+impl Ord for Entry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .cost
+            .partial_cmp(&self.cost)
+            .expect("costs are never NaN")
+            .then_with(|| self.node.cmp(&other.node))
+    }
+}
+
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Labels of the textbook search, plus its work tallies.
+struct Textbook {
+    dist: Vec<f64>,
+    prev: Vec<Option<(NodeId, EdgeId)>>,
+    settled: Vec<bool>,
+    settled_n: u64,
+    relaxed_n: u64,
+}
+
+impl Textbook {
+    /// Runs the textbook loop over whatever `heap` holds.
+    fn run(
+        &mut self,
+        g: &Graph<(), f64>,
+        source: usize,
+        relays: &[bool],
+        mask: Option<&SearchMask>,
+        mut heap: BinaryHeap<Entry>,
+    ) {
+        while let Some(Entry { cost, node }) = heap.pop() {
+            if self.settled[node] {
+                continue;
+            }
+            self.settled[node] = true;
+            self.settled_n += 1;
+            if node != source && !relays[node] {
+                continue;
+            }
+            for &(next, eid) in g.neighbor_slice(NodeId::new(node)) {
+                let i = next.index();
+                if self.settled[i] || mask.is_some_and(|m| m.blocks(eid, NodeId::new(node), next)) {
+                    continue;
+                }
+                let cand = cost + *g.edge(eid).payload;
+                if cand < self.dist[i] {
+                    self.dist[i] = cand;
+                    self.prev[i] = Some((NodeId::new(node), eid));
+                    self.relaxed_n += 1;
+                    heap.push(Entry {
+                        cost: cand,
+                        node: i,
+                    });
+                }
+            }
+        }
+    }
+
+    /// A full textbook search from `source`.
+    fn search(
+        g: &Graph<(), f64>,
+        source: usize,
+        relays: &[bool],
+        mask: Option<&SearchMask>,
+    ) -> Self {
+        let n = g.node_count();
+        let mut t = Textbook {
+            dist: vec![f64::INFINITY; n],
+            prev: vec![None; n],
+            settled: vec![false; n],
+            settled_n: 0,
+            relaxed_n: 0,
+        };
+        t.dist[source] = 0.0;
+        let heap = BinaryHeap::from([Entry {
+            cost: 0.0,
+            node: source,
+        }]);
+        t.run(g, source, relays, mask, heap);
+        t
+    }
+
+    /// The textbook repair of this (completed, unmasked) search after
+    /// the vertices in `blocked` stop relaying: mark every vertex whose
+    /// predecessor chain relays through a blocked vertex, clear it, push
+    /// every kept neighbor of the cleared region at its label, and run
+    /// the loop under `relays_after`. Returns the repair's tallies.
+    fn repair(
+        &mut self,
+        g: &Graph<(), f64>,
+        source: usize,
+        blocked: &[bool],
+        relays_after: &[bool],
+    ) -> RepairStats {
+        let n = g.node_count();
+        let affected: Vec<bool> = (0..n)
+            .map(|i| {
+                let mut cur = i;
+                while let Some((p, _)) = self.prev[cur] {
+                    if p.index() != source && blocked[p.index()] {
+                        return true;
+                    }
+                    cur = p.index();
+                }
+                false
+            })
+            .collect();
+        let mut stats = RepairStats {
+            affected: affected.iter().filter(|&&a| a).count(),
+            ..RepairStats::default()
+        };
+        if stats.affected == 0 {
+            return stats;
+        }
+        for i in (0..n).filter(|&i| affected[i]) {
+            self.dist[i] = f64::INFINITY;
+            self.prev[i] = None;
+            self.settled[i] = false;
+        }
+        let mut heap = BinaryHeap::new();
+        for i in (0..n).filter(|&i| affected[i]) {
+            for &(p, _) in g.neighbor_slice(NodeId::new(i)) {
+                let p = p.index();
+                if !affected[p] && self.settled[p] {
+                    self.settled[p] = false;
+                    heap.push(Entry {
+                        cost: self.dist[p],
+                        node: p,
+                    });
+                }
+            }
+        }
+        self.settled_n = 0;
+        self.relaxed_n = 0;
+        self.run(g, source, relays_after, None, heap);
+        stats.resettled = self.settled_n;
+        stats.relaxations = self.relaxed_n;
+        stats
+    }
+
+    /// Bitwise comparison against a kernel run; the error names the
+    /// first vertex that differs.
+    fn check(&self, run: &DijkstraRun, what: &str) -> Result<(), TestCaseError> {
+        for (i, (&d, &p)) in self.dist.iter().zip(&self.prev).enumerate() {
+            let v = NodeId::new(i);
+            let want = d.is_finite().then(|| d.to_bits());
+            prop_assert_eq!(
+                run.distance(v).map(f64::to_bits),
+                want,
+                "{}: distance of vertex {} differs",
+                what,
+                i
+            );
+            prop_assert_eq!(
+                run.prev_hop(v),
+                p,
+                "{}: predecessor of vertex {} differs",
+                what,
+                i
+            );
+        }
+        Ok(())
+    }
+}
+
+/// The kernel's configuration for `relays`: the payload as the cost,
+/// and a relay filter that counts its calls in `asked`.
+fn config<'a>(
+    relays: &'a [bool],
+    asked: &'a Cell<u64>,
+) -> DijkstraConfig<impl Fn(EdgeRef<'_, f64>) -> f64, impl Fn(NodeId) -> bool + 'a> {
+    DijkstraConfig {
+        edge_cost: |e: EdgeRef<'_, f64>| *e.payload,
+        can_relay: move |v: NodeId| {
+            asked.set(asked.get() + 1);
+            relays[v.index()]
+        },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Search ≡ textbook, with and without a failure mask, on one reused
+    /// (so generation-stamped) workspace.
+    #[test]
+    fn search_matches_the_textbook_loop(
+        case in arb_case(),
+        src in 0usize..24,
+        dead_edges in proptest::collection::vec(0usize..72, 0..4),
+        dead_node in 0usize..24,
+    ) {
+        let (g, relays) = case;
+        let n = g.node_count();
+        let source = src % n;
+        let mut mask = SearchMask::new();
+        for e in dead_edges.into_iter().filter(|&e| e < g.edge_count()) {
+            mask.kill_edge(EdgeId::new(e));
+        }
+        if dead_node % n != source {
+            mask.kill_node(NodeId::new(dead_node % n));
+        }
+        let mut ws = DijkstraWorkspace::new();
+        for (mask, what) in [(None, "unmasked"), (Some(&mask), "masked")] {
+            let want = Textbook::search(&g, source, &relays, mask);
+            let asked = Cell::new(0);
+            let run =
+                dijkstra_into(&mut ws, &g, NodeId::new(source), &config(&relays, &asked), mask)
+                    .to_run();
+            want.check(&run, what)?;
+            // One filter call per reached non-source vertex: the contract
+            // the Algorithm-1 rejection tally counts on.
+            prop_assert_eq!(asked.get(), want.settled_n - 1, "{}: relay filter calls", what);
+        }
+    }
+
+    /// Repair ≡ textbook after a random blocked-relay delta — results
+    /// against a fresh textbook search, tallies against the textbook
+    /// repair — on the live workspace and on one loaded from storage.
+    #[test]
+    fn repair_matches_the_textbook_loop(
+        case in arb_case(),
+        src in 0usize..24,
+        victims in proptest::collection::vec(0usize..24, 1..4),
+    ) {
+        let (g, relays) = case;
+        let n = g.node_count();
+        let source = src % n;
+        let mut blocked = vec![false; n];
+        let mut delta = SsspDelta::new();
+        for v in victims.into_iter().map(|v| v % n).filter(|&v| relays[v]) {
+            blocked[v] = true;
+            delta.block_node(NodeId::new(v));
+        }
+        let relays_after: Vec<bool> = (0..n).map(|i| relays[i] && !blocked[i]).collect();
+        let want = Textbook::search(&g, source, &relays_after, None);
+        let mut textbook = Textbook::search(&g, source, &relays, None);
+        let want_stats = textbook.repair(&g, source, &blocked, &relays_after);
+
+        let asked = Cell::new(0);
+        let mut live = DijkstraWorkspace::new();
+        let stored =
+            dijkstra_into(&mut live, &g, NodeId::new(source), &config(&relays, &asked), None)
+                .to_run();
+        let mut loaded = DijkstraWorkspace::new();
+        loaded.load_run(&stored);
+        let mut scratch = RepairScratch::new();
+        for (ws, what) in [(&mut live, "live"), (&mut loaded, "loaded")] {
+            let cfg = config(&relays_after, &asked);
+            let (view, stats) = dijkstra_repair_into(ws, &mut scratch, &g, &cfg, &delta);
+            want.check(&view.to_run(), what)?;
+            prop_assert_eq!(stats, want_stats, "{}: repair tallies", what);
+        }
+    }
+}
