@@ -108,14 +108,67 @@ impl TopologySpec {
         out
     }
 
+    /// Checks the generators' preconditions: at least two nodes, a finite
+    /// positive area, and an average degree `D` the kind can realize. For
+    /// Waxman and Volchenkov, `D` is finite, non-negative, and asks for at
+    /// most as many edges (`⌊D·n/2⌋`) as there are node pairs; for
+    /// Watts–Strogatz, `n ≥ 3` and `D` is an even integer below `n`.
+    pub fn check(&self) -> Result<(), String> {
+        let (n, d) = (self.nodes, self.avg_degree);
+        if n < 2 {
+            return Err(format!("need at least two nodes, got {n}"));
+        }
+        if !(self.area.is_finite() && self.area > 0.0) {
+            return Err(format!(
+                "area must be finite and positive, got {}",
+                self.area
+            ));
+        }
+        match self.kind {
+            TopologyKind::Waxman | TopologyKind::Volchenkov => {
+                if !(d.is_finite() && d >= 0.0) {
+                    return Err(format!(
+                        "average degree must be finite and non-negative, got {d}"
+                    ));
+                }
+                let edges = ((d * n as f64) / 2.0).floor() as usize;
+                let pairs = n as u128 * (n as u128 - 1) / 2;
+                if edges as u128 > pairs {
+                    return Err(format!(
+                        "average degree {d} asks for {edges} edges, but {n} nodes have only \
+                         {pairs} pairs"
+                    ));
+                }
+            }
+            TopologyKind::WattsStrogatz => {
+                if n < 3 {
+                    return Err(format!(
+                        "Watts-Strogatz needs at least three nodes, got {n}"
+                    ));
+                }
+                let k = d as usize;
+                let even = d.is_finite() && (d - k as f64).abs() < 1e-9 && k.is_multiple_of(2);
+                if !(even && k < n) {
+                    return Err(format!(
+                        "Watts-Strogatz needs an even integer average degree below the node \
+                         count {n}, got {d}"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Generates a connected network from this spec, deterministically for
     /// a given `seed`.
     ///
     /// # Panics
     ///
-    /// Panics on degenerate sizes (see the individual generators) or, for
-    /// Watts–Strogatz, when `avg_degree` is not an even integer.
+    /// Panics when [`TopologySpec::check`] fails.
     pub fn generate(&self, seed: u64) -> SpatialGraph {
+        if let Err(why) = self.check() {
+            panic!("invalid topology spec: {why}");
+        }
         let mut rng = StdRng::seed_from_u64(seed);
         match self.kind {
             TopologyKind::Waxman => waxman(
@@ -125,21 +178,13 @@ impl TopologySpec {
                 WaxmanParams::default(),
                 &mut rng,
             ),
-            TopologyKind::WattsStrogatz => {
-                let k = self.avg_degree as usize;
-                assert!(
-                    (self.avg_degree - k as f64).abs() < 1e-9,
-                    "Watts-Strogatz requires an integer average degree, got {}",
-                    self.avg_degree
-                );
-                watts_strogatz(
-                    self.nodes,
-                    k,
-                    self.area,
-                    WattsStrogatzParams::default(),
-                    &mut rng,
-                )
-            }
+            TopologyKind::WattsStrogatz => watts_strogatz(
+                self.nodes,
+                self.avg_degree as usize,
+                self.area,
+                WattsStrogatzParams::default(),
+                &mut rng,
+            ),
             TopologyKind::Volchenkov => volchenkov(
                 self.nodes,
                 self.avg_degree,
@@ -181,6 +226,53 @@ mod tests {
         let ec: Vec<_> = c.edge_refs().map(|e| (e.a, e.b)).collect();
         assert_eq!(ea, eb);
         assert_ne!(ea, ec);
+    }
+
+    #[test]
+    fn check_states_each_generator_precondition() {
+        use TopologyKind::{Volchenkov, WattsStrogatz, Waxman};
+        let spec = |kind, nodes, avg_degree, area| TopologySpec {
+            kind,
+            nodes,
+            avg_degree,
+            area,
+        };
+        for ok in [
+            spec(Waxman, 2, 1.0, 1.0),
+            spec(Volchenkov, 60, 59.0, 10.0),
+            spec(Waxman, 60, 0.0, 10.0),
+            spec(WattsStrogatz, 3, 2.0, 10.0),
+            spec(WattsStrogatz, 60, 6.0, 10_000.0),
+        ] {
+            assert_eq!(ok.check(), Ok(()), "{ok:?}");
+            assert_eq!(ok.generate(1).node_count(), ok.nodes, "{ok:?}");
+        }
+        for (bad, why) in [
+            (spec(Waxman, 1, 6.0, 10.0), "at least two nodes"),
+            (spec(Waxman, 60, 6.0, 0.0), "area"),
+            (spec(Waxman, 60, 6.0, f64::INFINITY), "area"),
+            (spec(Waxman, 60, f64::NAN, 10.0), "finite and non-negative"),
+            (spec(Volchenkov, 60, -2.0, 10.0), "finite and non-negative"),
+            (spec(Waxman, 60, 100.0, 10.0), "3000 edges"),
+            (spec(WattsStrogatz, 2, 0.0, 10.0), "at least three nodes"),
+            (spec(WattsStrogatz, 60, 5.0, 10.0), "even integer"),
+            (spec(WattsStrogatz, 60, 6.5, 10.0), "even integer"),
+            (spec(WattsStrogatz, 60, f64::NAN, 10.0), "even integer"),
+            (spec(WattsStrogatz, 6, 6.0, 10.0), "even integer"),
+        ] {
+            let err = bad.check().expect_err(why);
+            assert!(err.contains(why), "{bad:?}: {err}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid topology spec: need at least two nodes")]
+    fn generate_asserts_the_check() {
+        TopologySpec {
+            nodes: 1,
+            ..TopologySpec::paper_default()
+        }
+        .generate(1);
     }
 
     #[test]

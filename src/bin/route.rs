@@ -66,6 +66,7 @@ fn parse() -> Result<Args, String> {
     }
     spec.topology.nodes = switches + users;
     spec.users = users;
+    spec.topology.check()?;
     Ok(Args {
         spec,
         seed,
