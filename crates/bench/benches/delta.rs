@@ -1,32 +1,36 @@
 //! Delta-engine cost model: incremental repair vs wholesale recompute.
 //!
-//! PR 9's delta engine claims that reacting to a capacity delta is far
-//! cheaper than recomputing: a worsening delta is patched in place by
-//! `dijkstra_repair_into` (only the affected region resettles), and a
+//! The delta engine claims that reacting to a capacity delta is far
+//! cheaper than recomputing: a relay kill or restore is patched in place
+//! by `dijkstra_repair_into` (only the affected region resettles, or
+//! only the labels a restored relay lowers fall), and a
 //! threshold-preserving delta costs one relay-vector diff plus O(1)
-//! entry revalidation. This bench puts numbers behind both claims on
+//! entry revalidation. This bench puts numbers behind those claims on
 //! the same scaled topologies as `search_core`:
 //!
 //! * **finder_delta_repair** — every user source's stored run reloaded
 //!   and repaired in place after a relay kill (the delta engine's
 //!   worsening path, measured pure: `load_run` restores the pre-delta
 //!   state each op so every repair is a true repair).
-//! * **finder_delta_wholesale** — the same post-delta searches run from
+//! * **finder_delta_restore** — every user source's post-kill run
+//!   reloaded and repaired in place after the killed relay is granted
+//!   back (the improving path: `load_run` plus the decrease pass).
+//! * **finder_delta_wholesale** — the post-kill searches run from
 //!   scratch (what an epoch-keyed cache would do for every source).
 //! * **finder_delta_clean** — the dirty-set cache absorbing an epoch
 //!   ping-pong with no relay flip: one relay-vector diff, then O(1)
 //!   revalidation of every entry — zero searches.
 //! * **finder_delta_roundtrip** — the cache serving a kill-then-restore
-//!   cycle end to end: in-place repairs on the down edge, classified
-//!   full recomputes on the up edge (improving deltas are never
-//!   repaired in place; exact cost ties could flip predecessors).
+//!   cycle end to end: in-place repairs on the down edge and in-place
+//!   restore repairs on the up edge, no full search.
 //!
 //! Run with `cargo bench -p muerp-bench --bench delta`. Writes the
 //! tracked baseline `BENCH_pr9.json` at the repo root (ns/op; each op
 //! covers *all* user sources). `MUERP_BENCH_QUICK=1` shrinks the
 //! measurement windows for CI smoke runs — the file is still produced
 //! and shape-validated, but the ≤ 0.5× repair gate only arms on full
-//! runs.
+//! runs (CI holds the committed full run's waxman_240 repair and
+//! restore rows to it).
 
 use muerp_bench::{measure_ns_median, quick_mode, scaled_network, write_bench_report};
 use muerp_core::algorithms::ChannelFinderCache;
@@ -99,11 +103,33 @@ fn bench_topology(label: &str, switches: usize, seed: u64) -> Value {
         .count();
     assert!(repaired > 0, "{label}: victim {victim} misses every tree");
 
+    // The improving delta: the post-kill runs, with the victim granted
+    // back. Outside timing, every restore repair must land on the
+    // pre-kill run bit for bit.
+    let killed: Vec<DijkstraRun> = users
+        .iter()
+        .map(|&u| dijkstra_into(&mut ws, net.graph(), u, &cfg_post, None).to_run())
+        .collect();
+    let mut restore = SsspDelta::new();
+    restore.restore_node(victim);
+    for (run, want) in killed.iter().zip(&baselines) {
+        ws.load_run(run);
+        let (view, _) = dijkstra_repair_into(&mut ws, &mut scratch, net.graph(), &cfg, &restore);
+        assert_eq!(&view.to_run(), want, "{label}: restore repair diverged");
+    }
+
     // --- Graph layer: pure repair vs from-scratch, all sources per op.
     let finder_delta_repair = measure_ns_median(|| {
         for run in &baselines {
             ws.load_run(run);
             let out = dijkstra_repair_into(&mut ws, &mut scratch, net.graph(), &cfg_post, &delta);
+            black_box(out.0.distance(users[0]));
+        }
+    });
+    let finder_delta_restore = measure_ns_median(|| {
+        for run in &killed {
+            ws.load_run(run);
+            let out = dijkstra_repair_into(&mut ws, &mut scratch, net.graph(), &cfg, &restore);
             black_box(out.0.distance(users[0]));
         }
     });
@@ -149,6 +175,7 @@ fn bench_topology(label: &str, switches: usize, seed: u64) -> Value {
 
     let rows = [
         ("finder_delta_repair_ns", finder_delta_repair),
+        ("finder_delta_restore_ns", finder_delta_restore),
         ("finder_delta_wholesale_ns", finder_delta_wholesale),
         ("finder_delta_clean_ns", finder_delta_clean),
         ("finder_delta_roundtrip_ns", finder_delta_roundtrip),
@@ -168,6 +195,10 @@ fn bench_topology(label: &str, switches: usize, seed: u64) -> Value {
     obj.insert(
         "repair_vs_wholesale_ratio".into(),
         Value::from(finder_delta_repair / finder_delta_wholesale),
+    );
+    obj.insert(
+        "restore_vs_wholesale_ratio".into(),
+        Value::from(finder_delta_restore / finder_delta_wholesale),
     );
     obj.insert(
         "speedup_repair_vs_wholesale".into(),

@@ -4,8 +4,8 @@
 //! The delta engine (qnet-graph `dijkstra_repair_into` plus the
 //! [`muerp_core::algorithms::ChannelFinderCache`] dirty-set protocol)
 //! promises that a cached per-source run consulted after **any**
-//! sequence of capacity deltas — served by O(1) revalidation, in-place
-//! SSSP repair, or full recompute, the cache's choice — is bitwise
+//! sequence of capacity deltas — served by O(1) revalidation or by an
+//! in-place SSSP repair of blocked and restored relays — is bitwise
 //! identical to a cold, cache-free [`ChannelFinder`] under the same
 //! capacity map. [`delta_check`] fuzzes exactly that promise: a seeded
 //! sequence of withdraw/grant deltas ([`derive_delta_ops`]) is pushed
@@ -56,8 +56,8 @@ impl DeltaOp {
 /// the instance's switches, mixing small shaves (often
 /// threshold-preserving → O(1) revalidation), relay kills (worsening →
 /// in-place repair), and partial restores of earlier withdrawals
-/// (improving → recompute), so every classification arm of the cache
-/// is exercised.
+/// (improving → in-place decrease pass), so every classification arm
+/// of the cache is exercised.
 pub fn derive_delta_ops(net: &QuantumNetwork, seed: u64) -> Vec<DeltaOp> {
     let switches: Vec<NodeId> = net.switches().collect();
     if switches.is_empty() {

@@ -204,23 +204,23 @@ pub fn max_rate_channel(
 }
 
 /// In-place delta repair of a memoized Algorithm-1 run: reloads `run`
-/// into the workspace and patches it for the given newly-blocked relay
-/// set instead of re-running the search from scratch.
+/// into the workspace and patches it for the given net relay flips
+/// instead of re-running the search from scratch.
 ///
 /// The configuration is the exact Algorithm-1 cost/relay pair of
 /// [`run_algorithm1`] without a mask (repairs only serve unmasked
 /// entries) and without the rejection tally (a repair consults only
-/// the shrunken region, so its tally would not be comparable to a full
-/// run's); `capacity` must already reflect the blocked nodes, which is
-/// guaranteed because the blocked set is derived by diffing relay
-/// states against that same map.
+/// part of the run, so its tally would not be comparable to a full
+/// run's); `capacity` must already reflect the flips, which is
+/// guaranteed because they are derived by diffing relay states against
+/// that same map.
 fn repair_algorithm1(
     ws: &mut DijkstraWorkspace,
     scratch: &mut RepairScratch,
     net: &QuantumNetwork,
     capacity: &CapacityMap,
     run: &mut DijkstraRun,
-    blocked: &[NodeId],
+    delta: &SsspDelta,
 ) -> qnet_graph::RepairStats {
     let q = net.physics().swap_success;
     let alpha = net.physics().attenuation;
@@ -230,12 +230,8 @@ fn repair_algorithm1(
         edge_cost: move |e: EdgeRef<'_, f64>| alpha * *e.payload + neg_ln_q,
         can_relay: |v: NodeId| swaps_possible && net.kind(v).is_switch() && capacity.can_relay(v),
     };
-    let mut delta = SsspDelta::new();
-    for &v in blocked {
-        delta.block_node(v);
-    }
     ws.load_run(run);
-    let (view, stats) = dijkstra_repair_into(ws, scratch, net.graph(), &cfg, &delta);
+    let (view, stats) = dijkstra_repair_into(ws, scratch, net.graph(), &cfg, delta);
     view.write_run(run);
     stats
 }
@@ -243,9 +239,10 @@ fn repair_algorithm1(
 /// `true` when letting `v` relay again could change the stored run —
 /// i.e. some neighbor `u` would receive an offer `dist(v) + w(v,u)` no
 /// worse than its current label. `<=` (not `<`) is deliberate: an
-/// exactly-equal offer cannot improve a distance, but it can flip a
-/// predecessor tie depending on heap order, and the cache promises
-/// *bitwise* fidelity, so ties force a recompute too.
+/// exactly-equal offer cannot improve a distance, but it can move a
+/// predecessor under the search's tie rule, and the cache promises
+/// *bitwise* fidelity, so ties queue a repair too. When this is
+/// `false` the stored run is already the run with `v` relaying.
 fn improvement_possible(
     net: &QuantumNetwork,
     run: &DijkstraRun,
@@ -270,13 +267,14 @@ fn improvement_possible(
 /// How a cache entry must be brought up to date with the capacity map,
 /// as derived from the relay-state diffs observed since the entry was
 /// last validated. `Clean` entries are revalidated in O(1);
-/// `Repair(nodes)` entries get an in-place SSSP repair for exactly
-/// those newly-blocked relays; `Recompute` entries (improving deltas,
-/// masked entries) fall back to a full search.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// `Repair(delta)` entries get an in-place SSSP repair for exactly the
+/// net relay flips in `delta` (blocked and restored relays; a flip back
+/// cancels); `Recompute` entries — masked entries that saw any flip —
+/// fall back to a full search.
+#[derive(Clone, Debug, PartialEq)]
 enum Pending {
     Clean,
-    Repair(Vec<NodeId>),
+    Repair(SsspDelta),
     Recompute,
 }
 
@@ -307,15 +305,21 @@ struct Entry<'n> {
 ///   threshold everywhere): every entry is revalidated in O(1) —
 ///   `graph.delta.clean`;
 /// * a relay revoked (worsening): affected entries (same component,
-///   node reachable in the stored run) get an in-place SSSP repair via
-///   [`dijkstra_repair_into`] — `graph.delta.repaired`;
-/// * a relay restored (improving): entries where the restored node
-///   could offer a no-worse label to any neighbor fall back to a full
-///   search — `graph.delta.recomputed` (in-place decrease-propagation
-///   can flip floating-point predecessor ties, and the cache promises
-///   bitwise fidelity);
+///   node reachable in the stored run) queue a block;
+/// * a relay restored (improving): a clean entry where the restored
+///   node could offer a no-worse label to any neighbor queues a
+///   restore; an entry with flips already pending queues it
+///   unconditionally;
+/// * a flip that reverses a queued one cancels it, and an entry whose
+///   queue empties is clean again;
 /// * masked entries always fall back to a full search on any flip (the
-///   cache stores only the mask's hash, not its dead set).
+///   cache stores only the mask's hash, not its dead set) —
+///   `graph.delta.recomputed`.
+///
+/// A stale entry with queued flips is repaired in place by
+/// [`dijkstra_repair_into`] — blocks first, against the stored run, then
+/// a decrease pass for the restores — `graph.delta.repaired`, plus
+/// `graph.delta.restored` when restores were applied.
 ///
 /// The epoch key is retained purely as the correctness *backstop*: a
 /// lookup whose epoch matches needs no reasoning at all, and any bug in
@@ -383,7 +387,8 @@ pub struct CacheEfficiency {
     /// Lookups answered from a memoized run (no search).
     pub hits: u64,
     /// Misses that re-ran the search *in place* over an existing
-    /// entry's buffers (steady state: zero allocation).
+    /// entry's buffers (steady state: zero allocation): a masked entry
+    /// after a relay flip, or an entry asked under another mask.
     pub refreshes: u64,
     /// Misses that populated a previously empty entry (first touch of a
     /// source; materializes a fresh run).
@@ -392,6 +397,9 @@ pub struct CacheEfficiency {
     /// search (the delta engine's win column; not counted in
     /// [`ChannelFinderCache::search_count`]).
     pub repairs: u64,
+    /// The repairs that ran the decrease pass for restored relays (a
+    /// subset of [`repairs`](Self::repairs), not a separate lookup).
+    pub restores: u64,
 }
 
 impl CacheEfficiency {
@@ -459,55 +467,43 @@ impl<'n> ChannelFinderCache<'n> {
                     continue;
                 }
                 let v = NodeId::new(i);
-                let worsened = !now;
                 for entry in self.entries.iter_mut().flatten() {
-                    if entry.pending == Pending::Recompute {
-                        continue;
-                    }
                     if entry.key.1 != 0 {
                         // Only the mask's hash is stored, so masked
                         // entries cannot be classified — conservative.
                         entry.pending = Pending::Recompute;
                         continue;
                     }
-                    let source = entry.finder.run.source();
-                    match (&mut entry.pending, worsened) {
-                        (Pending::Clean, true) => {
-                            if self.classifier.node_may_affect(source, v)
-                                && entry.finder.run.distance(v).is_some()
-                            {
-                                entry.pending = Pending::Repair(vec![v]);
+                    let run = &entry.finder.run;
+                    // A block matters only where the stored run reaches
+                    // the vertex: elsewhere it never relayed.
+                    let reaches = || {
+                        self.classifier.node_may_affect(run.source(), v)
+                            && run.distance(v).is_some()
+                    };
+                    match &mut entry.pending {
+                        Pending::Clean => {
+                            let mut delta = SsspDelta::new();
+                            if !now && reaches() {
+                                delta.block_node(v);
+                            } else if now && improvement_possible(net, run, v, alpha, neg_ln_q) {
+                                delta.restore_node(v);
+                            }
+                            if !delta.is_empty() {
+                                entry.pending = Pending::Repair(delta);
                             }
                         }
-                        (Pending::Repair(nodes), true) => {
-                            if !nodes.contains(&v)
-                                && self.classifier.node_may_affect(source, v)
-                                && entry.finder.run.distance(v).is_some()
-                            {
-                                nodes.push(v);
+                        Pending::Repair(delta) => {
+                            if now {
+                                delta.restore_node(v);
+                            } else if delta.restored_nodes().contains(&v) || reaches() {
+                                delta.block_node(v);
+                            }
+                            if delta.is_empty() {
+                                entry.pending = Pending::Clean;
                             }
                         }
-                        (Pending::Clean, false) => {
-                            if improvement_possible(net, &entry.finder.run, v, alpha, neg_ln_q) {
-                                entry.pending = Pending::Recompute;
-                            }
-                        }
-                        (Pending::Repair(nodes), false) => {
-                            // An improving flip that exactly cancels a
-                            // pending worsening flip nets out to nothing;
-                            // any other improvement over a stale run is
-                            // unclassifiable (the run's labels predate
-                            // the pending repairs).
-                            if let Some(pos) = nodes.iter().position(|&x| x == v) {
-                                nodes.swap_remove(pos);
-                                if nodes.is_empty() {
-                                    entry.pending = Pending::Clean;
-                                }
-                            } else {
-                                entry.pending = Pending::Recompute;
-                            }
-                        }
-                        (Pending::Recompute, _) => unreachable!("filtered above"),
+                        Pending::Recompute => {}
                     }
                 }
             }
@@ -572,21 +568,23 @@ impl<'n> ChannelFinderCache<'n> {
                     && key.1 == 0
                     && matches!(entry.pending, Pending::Repair(_)) =>
             {
-                let Pending::Repair(blocked) =
-                    std::mem::replace(&mut entry.pending, Pending::Clean)
+                let Pending::Repair(delta) = std::mem::replace(&mut entry.pending, Pending::Clean)
                 else {
                     unreachable!("guard matched Repair");
                 };
                 qnet_obs::counter!("core.channel.cache_repairs");
                 self.efficiency.repairs += 1;
-                repair_algorithm1(
+                let stats = repair_algorithm1(
                     &mut self.ws,
                     &mut self.scratch,
                     self.net,
                     capacity,
                     &mut entry.finder.run,
-                    &blocked,
+                    &delta,
                 );
+                if stats.restored > 0 {
+                    self.efficiency.restores += 1;
+                }
                 entry.key = key;
                 entry.finder.epoch = epoch;
                 false
@@ -595,9 +593,8 @@ impl<'n> ChannelFinderCache<'n> {
                 qnet_obs::counter!("core.channel.cache_misses");
                 qnet_obs::counter!("core.channel.cache_refreshes");
                 if entry.key.1 == key.1 {
-                    // Same mask, stale capacity: this full search is the
-                    // delta engine declining to repair (improving flip
-                    // or masked entry), not a key change.
+                    // Same mask, stale capacity: a masked entry saw a
+                    // relay flip it cannot classify, not a key change.
                     qnet_obs::counter!("graph.delta.recomputed");
                 }
                 self.efficiency.refreshes += 1;
@@ -665,14 +662,11 @@ impl<'n> ChannelFinderCache<'n> {
     ///
     /// This is the departure hook the streaming/serving session loops
     /// call. Releasing a departed group's channels flips its relays
-    /// back on; absorbing that delta immediately cancels the pending
-    /// repairs queued for exactly those relays (the `(Repair,
-    /// improving)` netting-out arm of the classifier) while the kill
-    /// and the restore are still adjacent deltas. Left to the lazy
-    /// path, the restore would only be reconciled at the next lookup,
-    /// where it can sit interleaved with unrelated flips and an
-    /// unclassifiable improvement escalates the whole entry to a full
-    /// recompute.
+    /// back on; absorbing that delta immediately cancels the blocks
+    /// still queued for exactly those relays, and queues a restore
+    /// wherever a relay comes back to a run that was already repaired
+    /// without it. A later lookup would classify the same flips; the
+    /// runs served are the same either way.
     pub fn absorb(&mut self, capacity: &CapacityMap) {
         self.observe(capacity);
     }
@@ -931,11 +925,18 @@ mod tests {
         let detour = cache.channel(&cap, a, b).unwrap();
         assert_eq!(detour.link_count(), 1, "repair must route around s1");
 
-        // Releasing restores the relay (0 → 2): improving deltas cannot
-        // be repaired in place, so the next lookup is a full recompute.
+        // Releasing restores the relay (0 → 2): the run repaired without
+        // s1 gets a second in-place repair, the decrease pass.
         cap.release(&ch);
         let back = cache.channel(&cap, a, b).unwrap();
-        assert_eq!(back.interior_switches(), &[s1], "recompute sees s1 again");
+        assert_eq!(back.interior_switches(), &[s1], "repair sees s1 again");
+
+        // A lookup under a mask the entry was not computed for is a
+        // full search over the entry's buffers: a refresh.
+        let mut mask = SearchMask::new();
+        mask.kill_node(s1);
+        let masked = cache.channel_masked(&cap, Some(&mask), a, b).unwrap();
+        assert_eq!(masked.link_count(), 1);
 
         let eff = cache.efficiency();
         assert_eq!(
@@ -944,11 +945,12 @@ mod tests {
                 hits: 3,
                 refreshes: 1,
                 fills: 2,
-                repairs: 1,
+                repairs: 2,
+                restores: 1,
             }
         );
-        assert_eq!(eff.lookups(), 7);
-        assert!((eff.hit_rate() - 3.0 / 7.0).abs() < 1e-12);
+        assert_eq!(eff.lookups(), 8);
+        assert!((eff.hit_rate() - 3.0 / 8.0).abs() < 1e-12);
         assert_eq!(
             cache.search_count(),
             eff.refreshes + eff.fills,

@@ -424,15 +424,11 @@ pub fn simulate_stream(net: &QuantumNetwork, cfg: StreamConfig, seed: u64) -> St
         series.advance_to(now);
 
         // Departures first: free the qubits of expired sessions, then
-        // absorb the restores into the finder cache eagerly. The eager
-        // absorb is the departure half of the delta engine's
-        // restore-cancellation path: a departing group's releases flip
-        // its relays back on, and absorbing that delta while it is
-        // still adjacent to the kill cancels the pending repairs queued
-        // for exactly those relays. Left to the next lookup, the restore
-        // would be interleaved with whatever else changed by then, and
-        // an unclassifiable improving flip escalates the entry to a full
-        // recompute instead of an O(1) revalidation.
+        // absorb the restores into the finder cache eagerly. A departing
+        // group's releases flip its relays back on; absorbing them now
+        // cancels the blocks still queued for exactly those relays, and
+        // queues an in-place restore repair wherever a relay returns to
+        // a run that was already repaired without it.
         if sessions.depart(now, &mut capacity) > 0 {
             cache.absorb(&capacity);
         }

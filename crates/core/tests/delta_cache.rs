@@ -1,6 +1,7 @@
 //! Differential battery for the dirty-set cache: every lookup served
-//! after a sequence of capacity deltas — by O(1) revalidation, in-place
-//! SSSP repair, or full recompute — must be **bitwise identical** to a
+//! after a sequence of capacity deltas — by O(1) revalidation or by an
+//! in-place SSSP repair of blocked and restored relays — must be
+//! **bitwise identical** to a
 //! cold, cache-free `ChannelFinder` under the same capacity map, and
 //! the warm path must never install an entry a delta could leave stale
 //! (the snapshot/install hazard).
@@ -36,36 +37,54 @@ fn assert_matches_cold(
 
 /// A deterministic delta schedule exercising every classification arm:
 /// threshold-preserving reserves (clean), relay-killing withdrawals
-/// (repair), restorations (recompute), and cancelling round trips.
-fn delta_schedule(net: &QuantumNetwork) -> Vec<(NodeId, i64)> {
+/// (blocks), restorations (restores), cancelling round trips, and a
+/// partial grant that crosses the ≥ 2 threshold while a kill is pending
+/// on another relay (a mixed block-plus-restore repair). The schedule
+/// is a list of batches; the cache absorbs every delta of a batch as it
+/// lands and is consulted only after the whole batch.
+fn delta_schedule(net: &QuantumNetwork) -> Vec<Vec<(NodeId, i64)>> {
     let switches: Vec<NodeId> = net.switches().collect();
     let mut schedule = Vec::new();
-    for (i, &s) in switches.iter().enumerate().take(6) {
-        match i % 3 {
+    for (i, &s) in switches.iter().enumerate().take(8) {
+        match i % 4 {
             0 => {
                 // Kill the relay outright, then bring it back.
-                schedule.push((s, -1_000));
-                schedule.push((s, 1_000));
+                schedule.push(vec![(s, -1_000)]);
+                schedule.push(vec![(s, 1_000)]);
             }
             1 => {
                 // Shave capacity without crossing the ≥ 2 threshold.
                 let spare = net.kind(s).qubits().saturating_sub(3).min(4) as i64;
-                schedule.push((s, -spare));
+                schedule.push(vec![(s, -spare)]);
+            }
+            2 => {
+                // Kill another relay and leave it dead.
+                schedule.push(vec![(s, -1_000)]);
             }
             _ => {
-                // Kill another relay and leave it dead.
-                schedule.push((s, -1_000));
+                // Drain a relay to one qubit; then, in one batch, kill
+                // the next switch and grant the drained relay one qubit
+                // back; then revive the killed switch.
+                let next = switches[(i + 1) % switches.len()];
+                let q = i64::from(net.kind(s).qubits());
+                schedule.push(vec![(s, 1 - q)]);
+                schedule.push(vec![(next, -1_000), (s, 1)]);
+                schedule.push(vec![(next, 1_000)]);
             }
         }
     }
     schedule
 }
 
-fn apply(capacity: &mut CapacityMap, (node, qubits): (NodeId, i64)) {
-    if qubits < 0 {
-        capacity.withdraw(node, (-qubits) as u32);
-    } else {
-        capacity.grant(node, qubits as u32);
+/// Applies one batch, letting the cache absorb every delta as it lands.
+fn apply(cache: &mut ChannelFinderCache<'_>, capacity: &mut CapacityMap, batch: &[(NodeId, i64)]) {
+    for &(node, qubits) in batch {
+        if qubits < 0 {
+            capacity.withdraw(node, (-qubits) as u32);
+        } else {
+            capacity.grant(node, qubits as u32);
+        }
+        cache.absorb(capacity);
     }
 }
 
@@ -78,27 +97,32 @@ fn delta_sequence_matches_cold_cache_at_every_step() {
     cache.warm(&capacity, &users);
     assert_matches_cold(&net, &mut cache, &capacity, &users, "initial warm");
 
-    for (step, &delta) in delta_schedule(&net).iter().enumerate() {
-        apply(&mut capacity, delta);
+    for (step, batch) in delta_schedule(&net).iter().enumerate() {
+        apply(&mut cache, &mut capacity, batch);
         assert_matches_cold(
             &net,
             &mut cache,
             &capacity,
             &users,
-            &format!("after delta #{step} {delta:?}"),
+            &format!("after batch #{step} {batch:?}"),
         );
     }
     let eff = cache.efficiency();
     assert!(
-        eff.repairs > 0,
-        "the schedule must exercise the repair path, got {eff:?}"
+        eff.restores > 0 && eff.repairs > eff.restores,
+        "the schedule must exercise worsening and improving repairs, got {eff:?}"
+    );
+    assert_eq!(
+        cache.search_count(),
+        eff.fills,
+        "every stale unmasked entry is repaired in place"
     );
 }
 
 #[test]
 fn warm_after_each_delta_matches_cold_finders() {
     // `delta_sequence_matches_cold_cache_at_every_step` warms once and
-    // then looks up lazily; here every delta is followed by a `warm`, and
+    // then looks up lazily; here every batch is followed by a `warm`, and
     // every run it leaves must equal a cold finder. The lookups must all
     // be hits, so the runs compared are exactly the ones warm installed.
     let net = NetworkSpec::paper_default().build(7);
@@ -106,12 +130,12 @@ fn warm_after_each_delta_matches_cold_finders() {
     let mut capacity = CapacityMap::new(&net);
     let mut cache = ChannelFinderCache::new(&net);
     cache.warm(&capacity, &users);
-    for (step, &delta) in delta_schedule(&net).iter().enumerate() {
-        apply(&mut capacity, delta);
+    for (step, batch) in delta_schedule(&net).iter().enumerate() {
+        apply(&mut cache, &mut capacity, batch);
         cache.warm(&capacity, &users);
         let searches = cache.search_count();
         let before = cache.efficiency();
-        let context = format!("warm after delta #{step} {delta:?}");
+        let context = format!("warm after batch #{step} {batch:?}");
         assert_matches_cold(&net, &mut cache, &capacity, &users, &context);
         let after = cache.efficiency();
         assert_eq!(cache.search_count(), searches, "{context}: lookup searched");
@@ -124,8 +148,8 @@ fn warm_after_each_delta_matches_cold_finders() {
     }
     let eff = cache.efficiency();
     assert!(
-        eff.repairs > 0 && eff.refreshes > 0,
-        "the schedule must reach warm's repair and recompute arms, got {eff:?}"
+        eff.restores > 0 && eff.repairs > eff.restores,
+        "the schedule must reach warm's worsening and improving repairs, got {eff:?}"
     );
 }
 
@@ -168,13 +192,15 @@ fn warm_snapshot_cannot_leave_stale_entry_marked_clean() {
     assert!(cache.efficiency().repairs > 0, "delta must not be absorbed");
 
     // And flipping back to the original map (epoch ping-pong across the
-    // same content) must recompute, not reuse the degraded trees.
+    // same content) must repair the restore, not reuse the degraded
+    // trees, and still run no full search.
     let restored = {
         let mut c = degraded.clone();
         c.grant(victim, 1_000);
         c
     };
     assert_matches_cold(&net, &mut cache, &restored, &users, "restored map");
+    assert_eq!(cache.search_count(), warmed_searches);
 }
 
 #[test]
@@ -209,12 +235,13 @@ fn kill_and_restore_cancels_pending_repairs() {
     // Restore before anyone else looks: their pending repairs cancel.
     capacity.grant(victim, 1_000);
     assert_matches_cold(&net, &mut cache, &capacity, &users, "after cancel");
-    // The un-consulted entries were served without any full search;
-    // only the first user's entry (validated while the relay was dead)
-    // may need a recompute once the relay returns.
-    assert!(
-        cache.search_count() - searches_before <= 1,
-        "cancelled repairs must not trigger wholesale recomputation"
+    // The un-consulted entries were served without any full search,
+    // and the first user's entry (validated while the relay was dead)
+    // is repaired in place once the relay returns.
+    assert_eq!(
+        cache.search_count(),
+        searches_before,
+        "cancelled blocks and restores must not trigger a full search"
     );
 }
 

@@ -522,12 +522,24 @@ pub(crate) struct RelaxTally {
 /// empty, expanding every popped vertex.
 ///
 /// The heap holds only vertices that expand — the source and vertices
-/// `can_relay` admits — seeded by the caller at their final labels with
-/// `settled` cleared. A vertex is first reached when an offer improves
-/// an infinite label; the loop then asks `can_relay` once, keeps the
-/// answer in `ws.relays`, and counts a rejected vertex as settled right
-/// away (the module docs give the argument why its label is already
-/// final). Later improvements push the vertex only if it relays.
+/// `can_relay` admits — seeded by the caller with `settled` cleared. A
+/// vertex is first reached when an offer improves an infinite label;
+/// the loop then asks `can_relay` once, keeps the answer in
+/// `ws.relays`, and counts a rejected vertex as settled right away (the
+/// module docs give the argument why its label is already final).
+/// Later improvements push the vertex only if it relays.
+///
+/// **Tie rule.** An offer equal to a finite label moves the predecessor
+/// only when the offering vertex pops before the stored predecessor `p`:
+/// never when `p` already popped in this pass (`settled`); otherwise
+/// when the offer's cost is smaller than `p`'s label, or equal with a
+/// larger vertex index; and, when the offer comes from `p` itself, when
+/// its edge comes earlier in `p`'s adjacency (adjacency lists are in
+/// edge-id order). In a fresh search and in the repair's re-run the
+/// stored predecessor always popped first, so the rule never fires
+/// there; it matters only to the repair's decrease pass, where the
+/// labels of vertices that pop before the offering vertex in a fresh
+/// search may never pop at all.
 ///
 /// # Panics
 ///
@@ -596,6 +608,18 @@ where
                 tally.relaxations += 1;
                 if ws.relays[i] {
                     ws.heap.push(HeapEntry::new(cand, next));
+                }
+            } else if cand == label {
+                if let Some((p, pe)) = ws.prev[i] {
+                    let first = if p == node {
+                        eid < pe
+                    } else {
+                        let pi = p.index();
+                        !ws.settled[pi] && (cost < ws.dist[pi] || (cost == ws.dist[pi] && node > p))
+                    };
+                    if first {
+                        ws.prev[i] = Some((node, eid));
+                    }
                 }
             }
         }
@@ -797,6 +821,24 @@ mod tests {
         ]
         .map(|(cost, i): (f64, usize)| (cost.to_bits(), i));
         assert_eq!(popped, want);
+    }
+
+    #[test]
+    fn zero_cost_edges_keep_the_first_popped_predecessor() {
+        // s —1— u(3) —0— p(5), and u —1— v, p —1— v. u pops before p,
+        // which it reaches at the same cost; both then offer v the same
+        // label. The first offer stands even though p's index is larger:
+        // the tie rule never moves a predecessor that already popped.
+        let mut g: Graph<(), f64> = Graph::new();
+        let ids: Vec<NodeId> = (0..6).map(|_| g.add_node(())).collect();
+        let (s, v, u, p) = (ids[0], ids[1], ids[3], ids[5]);
+        g.add_edge(s, u, 1.0);
+        g.add_edge(u, p, 0.0);
+        let uv = g.add_edge(u, v, 1.0);
+        g.add_edge(p, v, 1.0);
+        let run = dijkstra(&g, s, &DijkstraConfig::all_nodes(cost));
+        assert_eq!(run.distance(p), Some(1.0));
+        assert_eq!(run.prev_hop(v), Some((u, uv)));
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! [`dijkstra_into`] under the post-delta configuration, with and
 //! without a [`SearchMask`] overlay.
 //!
-//! Worsening steps (block a relay, block an edge) go through the
-//! repair; improving steps (unblock) model what the cache layer does —
-//! full recompute — and keep the sequence honest: a repair later in
-//! the sequence starts from recomputed state, exactly like production.
+//! Each step applies one to three ops and hands their net effect to the
+//! repair as one delta: blocked relays, blocked edges and restored
+//! relays, mixed freely. A step that brings an edge back is not a delta
+//! the repair takes; it recomputes, as callers do, so a repair later in
+//! the sequence starts from recomputed state.
 
 use proptest::prelude::*;
 use qnet_graph::{
@@ -35,10 +36,14 @@ fn arb_graph(max_nodes: usize, max_edges: usize) -> impl Strategy<Value = Graph<
     })
 }
 
-/// One step of a delta sequence: `(kind, target)` with kinds
-/// 0 = block node, 1 = block edge, 2 = unblock node, 3 = unblock edge.
-fn arb_ops(max_len: usize) -> impl Strategy<Value = Vec<(u8, usize)>> {
-    proptest::collection::vec((0u8..4, 0usize..64), 1..=max_len)
+/// A delta sequence: steps of one to three `(kind, target)` ops with
+/// kinds 0 = block node, 1 = block edge, 2 = unblock node, 3 = unblock
+/// edge.
+fn arb_steps(max_len: usize) -> impl Strategy<Value = Vec<Vec<(u8, usize)>>> {
+    proptest::collection::vec(
+        proptest::collection::vec((0u8..4, 0usize..64), 1..=3),
+        1..=max_len,
+    )
 }
 
 /// The live state a sequence mutates: which vertices may relay and
@@ -71,46 +76,55 @@ impl Overlay {
         }
     }
 
-    /// Applies one op; returns the worsening delta it produced, or
-    /// `None` when the op improved the overlay (or was a no-op block of
-    /// an already-blocked element, which still repairs cleanly).
-    fn apply(&mut self, kind: u8, target: usize) -> Option<SsspDelta> {
-        let mut delta = SsspDelta::new();
-        match kind {
-            0 => {
-                let v = target % self.relay.len();
-                self.relay[v] = false;
-                delta.block_node(NodeId::new(v));
-                Some(delta)
-            }
-            1 if !self.edge_ok.is_empty() => {
-                let e = target % self.edge_ok.len();
-                self.edge_ok[e] = false;
-                delta.block_edge(EdgeId::new(e));
-                Some(delta)
-            }
-            2 => {
-                let v = target % self.relay.len();
-                if !self.relay[v] {
-                    self.relay[v] = true;
-                    None
-                } else {
-                    // Unblocking an unblocked vertex changes nothing —
-                    // exercised as a clean repair of the empty delta.
-                    Some(delta)
+    /// Applies one step of ops; returns the net delta they produced, or
+    /// `None` when an edge came back. A block of a vertex that stays
+    /// blocked through the step is kept in the delta as a redundant
+    /// block, which must repair cleanly.
+    fn step(&mut self, ops: &[(u8, usize)]) -> Option<SsspDelta> {
+        let (relay_before, edge_before) = (self.relay.clone(), self.edge_ok.clone());
+        let mut redundant = Vec::new();
+        let (n, m) = (self.relay.len(), self.edge_ok.len());
+        for &(kind, target) in ops {
+            match kind {
+                0 => {
+                    let v = target % n;
+                    if !self.relay[v] {
+                        redundant.push(v);
+                    }
+                    self.relay[v] = false;
                 }
+                1 if m > 0 => self.edge_ok[target % m] = false,
+                2 => self.relay[target % n] = true,
+                3 if m > 0 => self.edge_ok[target % m] = true,
+                _ => {} // edge op on an edgeless graph: no-op
             }
-            3 if !self.edge_ok.is_empty() => {
-                let e = target % self.edge_ok.len();
-                if !self.edge_ok[e] {
-                    self.edge_ok[e] = true;
-                    None
-                } else {
-                    Some(delta)
-                }
-            }
-            _ => Some(delta), // edge op on an edgeless graph: no-op
         }
+        if edge_before
+            .iter()
+            .zip(&self.edge_ok)
+            .any(|(&b, &a)| a && !b)
+        {
+            return None;
+        }
+        let mut delta = SsspDelta::new();
+        for (v, (&before, &after)) in relay_before.iter().zip(&self.relay).enumerate() {
+            if before && !after {
+                delta.block_node(NodeId::new(v));
+            } else if !before && after {
+                delta.restore_node(NodeId::new(v));
+            }
+        }
+        for (e, (&before, &after)) in edge_before.iter().zip(&self.edge_ok).enumerate() {
+            if before && !after {
+                delta.block_edge(EdgeId::new(e));
+            }
+        }
+        for v in redundant {
+            if !relay_before[v] && !self.relay[v] {
+                delta.block_node(NodeId::new(v));
+            }
+        }
+        Some(delta)
     }
 }
 
@@ -123,7 +137,7 @@ proptest! {
     fn repaired_workspace_is_bitwise_fresh(
         g in arb_graph(14, 44),
         src in 0usize..14,
-        ops in arb_ops(10),
+        steps in arb_steps(10),
     ) {
         let source = NodeId::new(src % g.node_count());
         let mut overlay = Overlay::fresh(&g);
@@ -133,14 +147,14 @@ proptest! {
             let cfg = overlay.config();
             dijkstra_into(&mut ws, &g, source, &cfg, None);
         }
-        for &(kind, target) in &ops {
-            let worsening = overlay.apply(kind, target);
+        for ops in &steps {
+            let delta = overlay.step(ops);
             let cfg = overlay.config();
             let fresh = {
                 let mut fresh_ws = DijkstraWorkspace::new();
                 dijkstra_into(&mut fresh_ws, &g, source, &cfg, None).to_run()
             };
-            match worsening {
+            match delta {
                 Some(delta) => {
                     let (view, stats) =
                         dijkstra_repair_into(&mut ws, &mut scratch, &g, &cfg, &delta);
@@ -150,8 +164,8 @@ proptest! {
                     }
                 }
                 None => {
-                    // Improving delta: the cache layer recomputes; do the
-                    // same so later repairs start from production state.
+                    // An edge came back: callers recompute; do the same
+                    // so later repairs start from production state.
                     dijkstra_into(&mut ws, &g, source, &cfg, None);
                 }
             }
@@ -177,7 +191,7 @@ proptest! {
         src in 0usize..12,
         dead_edges in proptest::collection::vec(0usize..40, 0..5),
         dead_node in 0usize..12,
-        ops in arb_ops(8),
+        steps in arb_steps(8),
     ) {
         let source = NodeId::new(src % g.node_count());
         let mut mask = SearchMask::new();
@@ -215,8 +229,8 @@ proptest! {
             let cfg = composed!();
             dijkstra_into(&mut ws, &g, source, &cfg, None);
         }
-        for &(kind, target) in &ops {
-            let worsening = overlay.apply(kind, target);
+        for ops in &steps {
+            let delta = overlay.step(ops);
             let cfg = composed!();
             let fresh = {
                 // The oracle passes the mask to the kernel, composing only
@@ -224,7 +238,7 @@ proptest! {
                 let mut fresh_ws = DijkstraWorkspace::new();
                 dijkstra_into(&mut fresh_ws, &g, source, &overlay.config(), Some(&mask)).to_run()
             };
-            match worsening {
+            match delta {
                 Some(delta) => {
                     let (view, _) = dijkstra_repair_into(&mut ws, &mut scratch, &g, &cfg, &delta);
                     prop_assert_eq!(view.to_run(), fresh, "masked repair diverged");

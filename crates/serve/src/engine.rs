@@ -6,7 +6,7 @@
 //!
 //! 1. sessions with `expires_at ≤ end` depart — their channels are
 //!    released and the finder cache absorbs the restores eagerly
-//!    (delta-engine restore cancellation);
+//!    (queued blocks cancel, restores queue an in-place repair);
 //! 2. arrivals with `slot < end` not yet collected are offered to the
 //!    bounded queue; overflow is shed with a [`Verdict::Shed`] decision;
 //! 3. the cache is warmed once for every distinct member of the kept
@@ -292,8 +292,8 @@ fn serve_with_cache<'n>(
         series.advance_to(start);
 
         // 1. Departures due by the decision slot, applied as delta
-        // restores: release, then absorb so pending repairs queued for
-        // the departing relays are cancelled eagerly.
+        // restores: release, then absorb, so blocks queued for the
+        // departing relays cancel and restores queue eagerly.
         let departed = sessions.depart(end, &mut capacity);
         if departed > 0 {
             cache.absorb(&capacity);

@@ -14,6 +14,10 @@
 //! non-source vertex, and a repair must report the same
 //! `RepairStats` as the textbook repair (mark, clear, seed every
 //! boundary vertex, re-run), on a live workspace and on a loaded one.
+//! The improving arm restores relays — alone, or mixed with blocks, over
+//! graphs with extra parallel edges — and checks the repair's decrease
+//! pass against a fresh textbook search under the new relay flags; on
+//! these graphs it fails without the loop's tie rule.
 
 use std::cell::Cell;
 use std::cmp::Ordering;
@@ -313,6 +317,54 @@ proptest! {
             let (view, stats) = dijkstra_repair_into(ws, &mut scratch, &g, &cfg, &delta);
             want.check(&view.to_run(), what)?;
             prop_assert_eq!(stats, want_stats, "{}: repair tallies", what);
+        }
+    }
+
+    /// Repair ≡ textbook after a delta that restores relays, alone or
+    /// together with blocks, on graphs with extra parallel edges: the
+    /// decrease pass must land on the fresh search's predecessor under
+    /// every cost tie.
+    #[test]
+    fn restore_repair_matches_the_textbook_loop(
+        case in arb_case(),
+        src in 0usize..24,
+        flips in proptest::collection::vec(0usize..24, 1..6),
+        mixed in 0u8..2,
+        doubled in proptest::collection::vec((0usize..72, 1u32..=3), 0..6),
+    ) {
+        let (mut g, relays) = case;
+        let n = g.node_count();
+        let source = src % n;
+        let m = g.edge_count();
+        for (e, w) in doubled.into_iter().filter(|&(e, _)| e < m) {
+            let (a, b) = g.endpoints(EdgeId::new(e));
+            g.add_edge(a, b, f64::from(w));
+        }
+        let mut relays_after = relays.clone();
+        let mut delta = SsspDelta::new();
+        for v in flips.into_iter().map(|v| v % n) {
+            if !relays_after[v] {
+                relays_after[v] = true;
+                delta.restore_node(NodeId::new(v));
+            } else if mixed == 1 && relays[v] {
+                relays_after[v] = false;
+                delta.block_node(NodeId::new(v));
+            }
+        }
+        let want = Textbook::search(&g, source, &relays_after, None);
+
+        let asked = Cell::new(0);
+        let mut live = DijkstraWorkspace::new();
+        let stored =
+            dijkstra_into(&mut live, &g, NodeId::new(source), &config(&relays, &asked), None)
+                .to_run();
+        let mut loaded = DijkstraWorkspace::new();
+        loaded.load_run(&stored);
+        let mut scratch = RepairScratch::new();
+        for (ws, what) in [(&mut live, "live"), (&mut loaded, "loaded")] {
+            let cfg = config(&relays_after, &asked);
+            let (view, _) = dijkstra_repair_into(ws, &mut scratch, &g, &cfg, &delta);
+            want.check(&view.to_run(), what)?;
         }
     }
 }
