@@ -4,8 +4,8 @@
 //! cheaper than recomputing: a relay kill or restore is patched in place
 //! by `dijkstra_repair_into` (only the affected region resettles, or
 //! only the labels a restored relay lowers fall), and a
-//! threshold-preserving delta costs one relay-vector diff plus O(1)
-//! entry revalidation. This bench puts numbers behind those claims on
+//! threshold-preserving delta costs one relay-bit recomputation plus
+//! an O(1) revalidation per entry. This bench puts numbers behind those claims on
 //! the same scaled topologies as `search_core`:
 //!
 //! * **finder_delta_repair** — every user source's stored run reloaded
@@ -17,9 +17,10 @@
 //!   back (the improving path: `load_run` plus the decrease pass).
 //! * **finder_delta_wholesale** — the post-kill searches run from
 //!   scratch (what an epoch-keyed cache would do for every source).
-//! * **finder_delta_clean** — the dirty-set cache absorbing an epoch
-//!   ping-pong with no relay flip: one relay-vector diff, then O(1)
-//!   revalidation of every entry — zero searches.
+//! * **finder_delta_clean** — the cache serving an epoch ping-pong with
+//!   no relay flip: the relay bits recomputed once per epoch, then every
+//!   entry revalidated in O(1) by comparing its relay-bit words — zero
+//!   searches.
 //! * **finder_delta_roundtrip** — the cache serving a kill-then-restore
 //!   cycle end to end: in-place repairs on the down edge and in-place
 //!   restore repairs on the up edge, no full search.
@@ -151,7 +152,7 @@ fn bench_topology(label: &str, switches: usize, seed: u64) -> Value {
         );
     }
 
-    // --- Cache layer: the dirty-set protocol end to end.
+    // --- Cache layer: the relay-bit rule end to end.
     let mut cache = ChannelFinderCache::new(&net);
     let mut cap = capacity.clone();
     cache.warm(&cap, &users);

@@ -1,8 +1,8 @@
-//! Delta oracle: the dirty-set channel-finder cache against cold
+//! Delta oracle: the channel-finder cache against cold
 //! recomputation, per delta, per source.
 //!
 //! The delta engine (qnet-graph `dijkstra_repair_into` plus the
-//! [`muerp_core::algorithms::ChannelFinderCache`] dirty-set protocol)
+//! [`muerp_core::algorithms::ChannelFinderCache`] relay-bit rule)
 //! promises that a cached per-source run consulted after **any**
 //! sequence of capacity deltas — served by O(1) revalidation or by an
 //! in-place SSSP repair of blocked and restored relays — is bitwise

@@ -39,7 +39,7 @@ pub struct FuzzConfig {
     /// --churn`).
     pub churn: bool,
     /// Also run the delta oracle per trial: push a seeded capacity
-    /// delta sequence through the dirty-set channel-finder cache and
+    /// delta sequence through the channel-finder cache and
     /// cross-check every step against a cold recomputation (`repro
     /// fuzz --delta`).
     pub delta: bool,

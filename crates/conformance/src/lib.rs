@@ -10,7 +10,7 @@
 //!   degraded-valid, rate-bounded (do-nothing ≤ repair ≤ exhaustive
 //!   degraded optimum), and deterministic.
 //! * [`delta`] — the incremental-routing oracle: seeded capacity delta
-//!   sequences through the dirty-set channel-finder cache, every step
+//!   sequences through the channel-finder cache, every step
 //!   cross-checked bitwise against a cold cache-free recomputation,
 //!   failing sequences shrunk to a minimal delta script.
 //! * [`differential`] — runs the five suite algorithms plus the

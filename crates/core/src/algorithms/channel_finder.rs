@@ -13,23 +13,130 @@
 use std::cell::Cell;
 
 use qnet_graph::paths::{dijkstra_into, DijkstraConfig, DijkstraRun, DijkstraWorkspace};
-use qnet_graph::{
-    dijkstra_repair_into, DeltaClassifier, EdgeRef, NodeId, RepairScratch, SearchMask, SsspDelta,
-};
+use qnet_graph::{dijkstra_repair_into, EdgeRef, NodeId, RepairScratch, SearchMask, SsspDelta};
 
 use crate::channel::{CapacityMap, Channel};
 use crate::model::QuantumNetwork;
+
+/// Algorithm 1's edge cost and relay predicate, defined once for the
+/// search, the in-place repair, the cache's relay bits and its restore
+/// filter.
+#[derive(Clone, Copy)]
+struct Algorithm1<'n> {
+    net: &'n QuantumNetwork,
+    alpha: f64,
+    neg_ln_q: f64,
+    swaps_possible: bool,
+}
+
+impl<'n> Algorithm1<'n> {
+    fn new(net: &'n QuantumNetwork) -> Self {
+        let q = net.physics().swap_success;
+        // Edge cost α·L − ln q (non-negative since q ≤ 1). A degenerate
+        // q = 0 makes every swap impossible; only direct user-user fibers
+        // (zero swaps) remain usable, which we express by forbidding all
+        // relaying while keeping single edges finite.
+        Algorithm1 {
+            net,
+            alpha: net.physics().attenuation,
+            neg_ln_q: if q > 0.0 { -(q.ln()) } else { 0.0 },
+            swaps_possible: q > 0.0,
+        }
+    }
+
+    /// The cost `α·L(e) − ln q` of traversing `e`.
+    fn edge_cost(&self, e: EdgeRef<'_, f64>) -> f64 {
+        self.alpha * *e.payload + self.neg_ln_q
+    }
+
+    /// `true` when `v` could relay given enough free qubits: swaps are
+    /// possible and `v` is a switch (users never relay).
+    fn may_relay(&self, v: NodeId) -> bool {
+        self.swaps_possible && self.net.kind(v).is_switch()
+    }
+
+    /// The relay predicate: `v` may relay and has at least 2 free qubits
+    /// under `capacity`.
+    fn relays(&self, capacity: &CapacityMap, v: NodeId) -> bool {
+        self.may_relay(v) && capacity.can_relay(v)
+    }
+
+    /// Writes the relay predicate under `capacity` into `bits`, one bit
+    /// per node.
+    fn relay_bits(&self, capacity: &CapacityMap, bits: &mut Vec<u64>) {
+        bits.clear();
+        bits.resize(self.net.graph().node_count().div_ceil(64), 0);
+        for v in self.net.graph().node_ids() {
+            if self.relays(capacity, v) {
+                bits[v.index() / 64] |= 1 << (v.index() % 64);
+            }
+        }
+    }
+
+    /// `true` when letting `v` relay again could change `run` — some
+    /// neighbor `u` would receive an offer `dist(v) + w(v,u)` no worse
+    /// than its current label. `<=` (not `<`) is deliberate: an exactly
+    /// equal offer cannot improve a distance, but it can move a
+    /// predecessor under the search's tie rule, and the cache promises
+    /// *bitwise* fidelity. When this is `false` the run is already the
+    /// run with `v` relaying.
+    fn improvement_possible(&self, run: &DijkstraRun, v: NodeId) -> bool {
+        // A vertex the source cannot even reach helps nobody as a relay.
+        let Some(dv) = run.distance(v) else {
+            return false;
+        };
+        let g = self.net.graph();
+        g.neighbor_slice(v).iter().any(|&(u, e)| {
+            dv + self.edge_cost(g.edge(e)) <= run.distance(u).unwrap_or(f64::INFINITY)
+        })
+    }
+
+    /// The net delta that brings `run`, exact for the relay bits `was`,
+    /// up to date with the relay bits `now`. A relay that stopped
+    /// relaying is blocked only when it is some vertex's stored
+    /// predecessor (a relay without children carries no path). A relay
+    /// that came back is restored when it could improve `run` — checked
+    /// against `run` only while the delta has no block, since a block
+    /// can raise labels; with blocks present every restore is kept.
+    fn net_delta(&self, run: &DijkstraRun, was: &[u64], now: &[u64]) -> SsspDelta {
+        let g = self.net.graph();
+        let flips = || {
+            was.iter().zip(now).enumerate().flat_map(|(w, (&a, &b))| {
+                let mut diff = a ^ b;
+                std::iter::from_fn(move || {
+                    (diff != 0).then(|| {
+                        let bit = diff.trailing_zeros() as usize;
+                        diff &= diff - 1;
+                        (NodeId::new(w * 64 + bit), b >> bit & 1 == 1)
+                    })
+                })
+            })
+        };
+        let mut delta = SsspDelta::new();
+        for (v, _) in flips().filter(|&(_, relays)| !relays) {
+            let is_parent = |&(u, _): &(NodeId, _)| run.prev_hop(u).is_some_and(|(p, _)| p == v);
+            if g.neighbor_slice(v).iter().any(is_parent) {
+                delta.block_node(v);
+            }
+        }
+        let keep_all = !delta.blocked_nodes().is_empty();
+        for (v, _) in flips().filter(|&(_, relays)| relays) {
+            if keep_all || self.improvement_possible(run, v) {
+                delta.restore_node(v);
+            }
+        }
+        delta
+    }
+}
 
 /// Runs the Algorithm-1 search from `source` and leaves the result in
 /// `ws`; the caller materializes it however it likes (fresh
 /// [`DijkstraRun`] or in-place refresh of an existing one).
 ///
-/// This is the one place the `α·L − ln q` cost and the capacity-aware
-/// relay filter are defined; [`ChannelFinder`] and
-/// [`ChannelFinderCache`] both route through it. A failure `mask`
-/// excludes dead edges and vertices (survivability repair); `None`
-/// searches the intact network. Each run flushes its full-switch
-/// rejection tally and emits one `FinderRun` trace event.
+/// [`ChannelFinder`] and [`ChannelFinderCache`] both route through it.
+/// A failure `mask` excludes dead edges and vertices (survivability
+/// repair); `None` searches the intact network. Each run flushes its
+/// full-switch rejection tally and emits one `FinderRun` trace event.
 fn run_algorithm1<'w>(
     ws: &'w mut DijkstraWorkspace,
     net: &QuantumNetwork,
@@ -37,14 +144,7 @@ fn run_algorithm1<'w>(
     source: NodeId,
     mask: Option<&SearchMask>,
 ) -> qnet_graph::DijkstraView<'w> {
-    let q = net.physics().swap_success;
-    let alpha = net.physics().attenuation;
-    // Edge cost α·L − ln q (non-negative since q ≤ 1). A degenerate
-    // q = 0 makes every swap impossible; only direct user-user fibers
-    // (zero swaps) remain usable, which we express by forbidding all
-    // relaying while keeping single edges finite.
-    let neg_ln_q = if q > 0.0 { -(q.ln()) } else { 0.0 };
-    let swaps_possible = q > 0.0;
+    let a1 = Algorithm1::new(net);
     // Dijkstra consults the relay filter exactly once per reached vertex
     // per run, when the vertex is first reached (later improvements
     // reuse the answer), so this tally counts the *distinct* full
@@ -52,16 +152,13 @@ fn run_algorithm1<'w>(
     // an atomic per rejection inside the search.
     let rejected_full = Cell::new(0u64);
     let cfg = DijkstraConfig {
-        edge_cost: move |e: EdgeRef<'_, f64>| alpha * *e.payload + neg_ln_q,
+        edge_cost: |e: EdgeRef<'_, f64>| a1.edge_cost(e),
         can_relay: |v: NodeId| {
-            if !(swaps_possible && net.kind(v).is_switch()) {
-                return false;
-            }
-            if !capacity.can_relay(v) {
+            let relays = a1.relays(capacity, v);
+            if !relays && a1.may_relay(v) {
                 rejected_full.set(rejected_full.get() + 1);
-                return false;
             }
-            true
+            relays
         },
     };
     qnet_obs::counter!("core.channel.finder_runs");
@@ -207,13 +304,10 @@ pub fn max_rate_channel(
 /// into the workspace and patches it for the given net relay flips
 /// instead of re-running the search from scratch.
 ///
-/// The configuration is the exact Algorithm-1 cost/relay pair of
-/// [`run_algorithm1`] without a mask (repairs only serve unmasked
-/// entries) and without the rejection tally (a repair consults only
-/// part of the run, so its tally would not be comparable to a full
-/// run's); `capacity` must already reflect the flips, which is
-/// guaranteed because they are derived by diffing relay states against
-/// that same map.
+/// Repairs serve only unmasked entries and skip the search's rejection
+/// tally (a repair consults only part of the run, so its tally would
+/// not be comparable to a full run's); `capacity` must already reflect
+/// the flips, which holds because they are read off its relay bits.
 fn repair_algorithm1(
     ws: &mut DijkstraWorkspace,
     scratch: &mut RepairScratch,
@@ -222,13 +316,10 @@ fn repair_algorithm1(
     run: &mut DijkstraRun,
     delta: &SsspDelta,
 ) -> qnet_graph::RepairStats {
-    let q = net.physics().swap_success;
-    let alpha = net.physics().attenuation;
-    let neg_ln_q = if q > 0.0 { -(q.ln()) } else { 0.0 };
-    let swaps_possible = q > 0.0;
+    let a1 = Algorithm1::new(net);
     let cfg = DijkstraConfig {
-        edge_cost: move |e: EdgeRef<'_, f64>| alpha * *e.payload + neg_ln_q,
-        can_relay: |v: NodeId| swaps_possible && net.kind(v).is_switch() && capacity.can_relay(v),
+        edge_cost: |e: EdgeRef<'_, f64>| a1.edge_cost(e),
+        can_relay: |v: NodeId| a1.relays(capacity, v),
     };
     ws.load_run(run);
     let (view, stats) = dijkstra_repair_into(ws, scratch, net.graph(), &cfg, delta);
@@ -236,54 +327,12 @@ fn repair_algorithm1(
     stats
 }
 
-/// `true` when letting `v` relay again could change the stored run —
-/// i.e. some neighbor `u` would receive an offer `dist(v) + w(v,u)` no
-/// worse than its current label. `<=` (not `<`) is deliberate: an
-/// exactly-equal offer cannot improve a distance, but it can move a
-/// predecessor under the search's tie rule, and the cache promises
-/// *bitwise* fidelity, so ties queue a repair too. When this is
-/// `false` the stored run is already the run with `v` relaying.
-fn improvement_possible(
-    net: &QuantumNetwork,
-    run: &DijkstraRun,
-    v: NodeId,
-    alpha: f64,
-    neg_ln_q: f64,
-) -> bool {
-    let Some(dv) = run.distance(v) else {
-        // A vertex the source cannot even reach helps nobody as a relay.
-        return false;
-    };
-    for &(u, e) in net.graph().neighbor_slice(v) {
-        let w = alpha * net.length(e) + neg_ln_q;
-        let du = run.distance(u).unwrap_or(f64::INFINITY);
-        if dv + w <= du {
-            return true;
-        }
-    }
-    false
-}
-
-/// How a cache entry must be brought up to date with the capacity map,
-/// as derived from the relay-state diffs observed since the entry was
-/// last validated. `Clean` entries are revalidated in O(1);
-/// `Repair(delta)` entries get an in-place SSSP repair for exactly the
-/// net relay flips in `delta` (blocked and restored relays; a flip back
-/// cancels); `Recompute` entries — masked entries that saw any flip —
-/// fall back to a full search.
-#[derive(Clone, Debug, PartialEq)]
-enum Pending {
-    Clean,
-    Repair(SsspDelta),
-    Recompute,
-}
-
-/// One memoized single-source run plus its staleness bookkeeping.
+/// One memoized single-source run and what it is exact for.
 struct Entry<'n> {
     /// `(capacity epoch, mask hash)` the run was last validated at.
     key: (u64, u64),
-    /// What the next lookup at a different epoch must do.
-    pending: Pending,
+    /// The relay bits of the capacity map at that epoch.
+    bits: Vec<u64>,
     finder: ChannelFinder<'n>,
 }
 
@@ -291,57 +340,42 @@ struct Entry<'n> {
 ///
 /// Greedy solvers (Prim-based, Algorithm 3/4, beam search, local search)
 /// re-run the same sources many times between capacity changes. Each
-/// cache entry is keyed by `(source, capacity epoch, mask hash)`: a
-/// lookup whose stored key matches returns the memoized finder with no
-/// search at all.
+/// entry is keyed by `(source, capacity epoch, mask hash)`: a lookup
+/// whose stored key matches returns the memoized finder with no search
+/// at all.
 ///
-/// A key mismatch no longer voids the entry wholesale. The cache keeps
-/// a *relay mirror* — the per-node relay predicate of the last capacity
-/// map it observed — and diffs it against every new epoch (DESIGN.md
-/// §15). Only nodes whose relay bit actually flipped dirty anything,
-/// and only the entries their flip can reach:
+/// A run depends on the capacity map only through its *relay bits* —
+/// one bit per node for `swaps possible ∧ switch ∧ free ≥ 2` — so each
+/// entry keeps the bits it is exact for, and the cache recomputes the
+/// current map's bits once per epoch. A lookup at a new epoch under the
+/// same mask applies one rule (DESIGN.md §15): the entry's bits XOR the
+/// current bits, turned into one net [`SsspDelta`] — a lost relay is
+/// blocked only where it is some vertex's stored predecessor, a
+/// regained relay is restored where it could improve the run (every
+/// restore is kept when the delta also blocks). Then:
 ///
-/// * no flip (capacity moved but stayed on the same side of the ≥ 2
-///   threshold everywhere): every entry is revalidated in O(1) —
-///   `graph.delta.clean`;
-/// * a relay revoked (worsening): affected entries (same component,
-///   node reachable in the stored run) queue a block;
-/// * a relay restored (improving): a clean entry where the restored
-///   node could offer a no-worse label to any neighbor queues a
-///   restore; an entry with flips already pending queues it
-///   unconditionally;
-/// * a flip that reverses a queued one cancels it, and an entry whose
-///   queue empties is clean again;
-/// * masked entries always fall back to a full search on any flip (the
-///   cache stores only the mask's hash, not its dead set) —
-///   `graph.delta.recomputed`.
-///
-/// A stale entry with queued flips is repaired in place by
-/// [`dijkstra_repair_into`] — blocks first, against the stored run, then
-/// a decrease pass for the restores — `graph.delta.repaired`, plus
-/// `graph.delta.restored` when restores were applied.
-///
-/// The epoch key is retained purely as the correctness *backstop*: a
-/// lookup whose epoch matches needs no reasoning at all, and any bug in
-/// the dirty-set derivation is bounded by the differential battery
-/// (`tests/delta_cache.rs`, qnet-conformance `--delta` oracle), not by
-/// silent reuse — entries are never served on an epoch mismatch without
-/// passing through the observe/classify step first.
+/// * an empty delta is an O(1) revalidation — `graph.delta.clean`;
+/// * an unmasked entry is repaired in place by [`dijkstra_repair_into`]
+///   — blocks first, against the stored run, then a decrease pass for
+///   the restores — `graph.delta.repaired`, plus `graph.delta.restored`
+///   when restores were applied;
+/// * a masked entry is searched again (the cache stores only the mask's
+///   hash) — `graph.delta.recomputed`.
 ///
 /// Correctness rests on these invariants (see DESIGN.md):
 ///
 /// * epochs are process-globally unique per mutation, so epoch equality
-///   implies content equality even across diverged clones — and the
-///   relay mirror can be diffed by *content* against any successor map,
-///   which is what makes clone ping-pong (trial maps in the stream
-///   scenario) cheap instead of cache-hostile;
+///   implies content equality even across diverged clones — and relay
+///   bits can be compared by *content* against any successor map, which
+///   is what makes clone ping-pong (trial maps in the stream scenario)
+///   cheap instead of cache-hostile;
 /// * a [`SearchMask`]'s hash is an order-independent digest of its dead
 ///   set, `0` for the empty mask, so a masked run can never be served
 ///   to an unmasked query at the same epoch (or vice versa) — the
 ///   "stale mask poisons the cache" failure mode;
-/// * Algorithm 1's result depends only on (network, relay predicate,
-///   mask, source) — the network is fixed per cache, the relay
-///   predicate by the mirror diff, the mask by its hash.
+/// * Algorithm 1's result depends only on (network, relay bits, mask,
+///   source) — the network is fixed per cache, the relay bits are
+///   stored per entry, the mask by its hash.
 ///
 /// Hits and misses are observable as `core.channel.cache_hits` /
 /// `core.channel.cache_misses`; [`search_count`] tallies the full
@@ -349,27 +383,19 @@ struct Entry<'n> {
 /// metric — in-place repairs are tallied separately in
 /// [`CacheEfficiency::repairs`]).
 ///
-/// [`epoch`]: CapacityMap::epoch
 /// [`search_count`]: ChannelFinderCache::search_count
 pub struct ChannelFinderCache<'n> {
     net: &'n QuantumNetwork,
     /// The one workspace every search and repair of this cache runs in.
     ws: DijkstraWorkspace,
-    /// Indexed by source node; each entry stores the (epoch, mask hash)
-    /// key its run was computed under plus its pending dirty state.
+    /// Indexed by source node.
     entries: Vec<Option<Entry<'n>>>,
-    /// Static component/bridge analysis of the network graph, used to
-    /// pre-filter which sources a relay flip can possibly affect.
-    classifier: DeltaClassifier,
     /// Reusable marking buffers for [`dijkstra_repair_into`].
     scratch: RepairScratch,
-    /// Per-node relay predicate of the capacity map last observed
-    /// (`swaps possible && switch && free ≥ 2`), diffed by content
-    /// against each newly observed map.
-    mirror: Vec<bool>,
-    /// Epoch [`mirror`](Self::mirror) reflects; `None` before the first
-    /// observation.
-    mirror_epoch: Option<u64>,
+    /// Relay bits of the capacity map at `bits_epoch`.
+    bits: Vec<u64>,
+    /// Epoch [`bits`](Self::bits) reflects; `None` before first use.
+    bits_epoch: Option<u64>,
     /// Full searches actually executed (misses), monotone.
     searches: u64,
     /// Per-instance hit/miss/refresh/repair tallies (see
@@ -388,7 +414,8 @@ pub struct CacheEfficiency {
     pub hits: u64,
     /// Misses that re-ran the search *in place* over an existing
     /// entry's buffers (steady state: zero allocation): a masked entry
-    /// after a relay flip, or an entry asked under another mask.
+    /// whose net relay delta is non-empty, or an entry asked under
+    /// another mask.
     pub refreshes: u64,
     /// Misses that populated a previously empty entry (first touch of a
     /// source; materializes a fresh run).
@@ -427,89 +454,20 @@ impl<'n> ChannelFinderCache<'n> {
             net,
             ws: DijkstraWorkspace::with_capacity(nodes),
             entries: (0..nodes).map(|_| None).collect(),
-            classifier: DeltaClassifier::new(net.graph()),
             scratch: RepairScratch::new(),
-            mirror: Vec::new(),
-            mirror_epoch: None,
+            bits: Vec::new(),
+            bits_epoch: None,
             searches: 0,
             efficiency: CacheEfficiency::default(),
         }
     }
 
-    /// Synchronizes the relay mirror with `capacity` and reclassifies
-    /// every entry's pending state against the relay flips the diff
-    /// reveals. Every lookup and warm passes through here exactly once
-    /// per new epoch, *before* any key comparison — that single coherent
-    /// snapshot is what makes "delta landed between snapshot and
-    /// install" impossible (the satellite-4 hazard): keys installed
-    /// later in the same call are always keyed to the observed epoch,
-    /// and the map cannot mutate while borrowed.
-    fn observe(&mut self, capacity: &CapacityMap) {
-        let epoch = capacity.epoch();
-        if self.mirror_epoch == Some(epoch) {
-            // Epochs are globally unique per mutation: same epoch means
-            // the map content is bit-identical to the mirror.
-            return;
+    /// Recomputes the relay bits when `capacity` is at a new epoch.
+    fn refresh_bits(&mut self, capacity: &CapacityMap) {
+        if self.bits_epoch != Some(capacity.epoch()) {
+            Algorithm1::new(self.net).relay_bits(capacity, &mut self.bits);
+            self.bits_epoch = Some(capacity.epoch());
         }
-        let net = self.net;
-        let q = net.physics().swap_success;
-        let swaps_possible = q > 0.0;
-        let relay_now: Vec<bool> = net
-            .graph()
-            .node_ids()
-            .map(|v| swaps_possible && net.kind(v).is_switch() && capacity.can_relay(v))
-            .collect();
-        if self.mirror_epoch.is_some() {
-            let alpha = net.physics().attenuation;
-            let neg_ln_q = if q > 0.0 { -(q.ln()) } else { 0.0 };
-            for (i, (&now, &before)) in relay_now.iter().zip(self.mirror.iter()).enumerate() {
-                if now == before {
-                    continue;
-                }
-                let v = NodeId::new(i);
-                for entry in self.entries.iter_mut().flatten() {
-                    if entry.key.1 != 0 {
-                        // Only the mask's hash is stored, so masked
-                        // entries cannot be classified — conservative.
-                        entry.pending = Pending::Recompute;
-                        continue;
-                    }
-                    let run = &entry.finder.run;
-                    // A block matters only where the stored run reaches
-                    // the vertex: elsewhere it never relayed.
-                    let reaches = || {
-                        self.classifier.node_may_affect(run.source(), v)
-                            && run.distance(v).is_some()
-                    };
-                    match &mut entry.pending {
-                        Pending::Clean => {
-                            let mut delta = SsspDelta::new();
-                            if !now && reaches() {
-                                delta.block_node(v);
-                            } else if now && improvement_possible(net, run, v, alpha, neg_ln_q) {
-                                delta.restore_node(v);
-                            }
-                            if !delta.is_empty() {
-                                entry.pending = Pending::Repair(delta);
-                            }
-                        }
-                        Pending::Repair(delta) => {
-                            if now {
-                                delta.restore_node(v);
-                            } else if delta.restored_nodes().contains(&v) || reaches() {
-                                delta.block_node(v);
-                            }
-                            if delta.is_empty() {
-                                entry.pending = Pending::Clean;
-                            }
-                        }
-                        Pending::Recompute => {}
-                    }
-                }
-            }
-        }
-        self.mirror = relay_now;
-        self.mirror_epoch = Some(epoch);
     }
 
     /// The Algorithm-1 run from `source` under `capacity`, reused when
@@ -527,7 +485,6 @@ impl<'n> ChannelFinderCache<'n> {
         mask: Option<&SearchMask>,
         source: NodeId,
     ) -> &ChannelFinder<'n> {
-        self.observe(capacity);
         if self.update(capacity, mask, source) {
             qnet_obs::counter!("core.channel.cache_hits");
             self.efficiency.hits += 1;
@@ -538,81 +495,32 @@ impl<'n> ChannelFinderCache<'n> {
             .finder
     }
 
-    /// Brings `source`'s entry up to date with `(capacity, mask)`, which
-    /// [`observe`](Self::observe) must already have seen. Returns `true`
-    /// when no work was needed — the stored key matched, or no relay flip
-    /// reached the run (an O(1) revalidation) — which lookups tally as a
-    /// hit and warm batches do not tally at all. Otherwise the entry is
-    /// repaired in place, re-searched over its own buffers (refresh) or
-    /// filled for the first time, with the matching tallies.
+    /// Brings `source`'s entry up to date with `(capacity, mask)`.
+    /// Returns `true` when no work was needed — the stored key matched,
+    /// or the net relay delta was empty (an O(1) revalidation) — which
+    /// lookups tally as a hit and warm batches do not tally at all.
+    /// Otherwise the entry is repaired in place, re-searched over its
+    /// own buffers (refresh) or filled for the first time, with the
+    /// matching tallies.
     fn update(
         &mut self,
         capacity: &CapacityMap,
         mask: Option<&SearchMask>,
         source: NodeId,
     ) -> bool {
+        self.refresh_bits(capacity);
         let epoch = capacity.epoch();
         let key = (epoch, mask.map_or(0, |m| m.hash()));
-        match &mut self.entries[source.index()] {
-            Some(entry) if entry.key == key => true,
-            Some(entry) if entry.key.1 == key.1 && entry.pending == Pending::Clean => {
-                // Capacity moved, but no relay flip can reach this run:
-                // revalidate in O(1), no search.
-                qnet_obs::counter!("graph.delta.clean");
-                entry.key = key;
-                entry.finder.epoch = epoch;
-                true
-            }
-            Some(entry)
-                if entry.key.1 == key.1
-                    && key.1 == 0
-                    && matches!(entry.pending, Pending::Repair(_)) =>
-            {
-                let Pending::Repair(delta) = std::mem::replace(&mut entry.pending, Pending::Clean)
-                else {
-                    unreachable!("guard matched Repair");
-                };
-                qnet_obs::counter!("core.channel.cache_repairs");
-                self.efficiency.repairs += 1;
-                let stats = repair_algorithm1(
-                    &mut self.ws,
-                    &mut self.scratch,
-                    self.net,
-                    capacity,
-                    &mut entry.finder.run,
-                    &delta,
-                );
-                if stats.restored > 0 {
-                    self.efficiency.restores += 1;
-                }
-                entry.key = key;
-                entry.finder.epoch = epoch;
-                false
-            }
-            Some(entry) => {
-                qnet_obs::counter!("core.channel.cache_misses");
-                qnet_obs::counter!("core.channel.cache_refreshes");
-                if entry.key.1 == key.1 {
-                    // Same mask, stale capacity: a masked entry saw a
-                    // relay flip it cannot classify, not a key change.
-                    qnet_obs::counter!("graph.delta.recomputed");
-                }
-                self.efficiency.refreshes += 1;
-                run_algorithm1(&mut self.ws, self.net, capacity, source, mask)
-                    .write_run(&mut entry.finder.run);
-                entry.finder.epoch = epoch;
-                entry.key = key;
-                entry.pending = Pending::Clean;
-                self.searches += 1;
-                false
-            }
+        let entry = match &mut self.entries[source.index()] {
+            Some(entry) if entry.key == key => return true,
+            Some(entry) => entry,
             slot @ None => {
                 qnet_obs::counter!("core.channel.cache_misses");
                 self.efficiency.fills += 1;
                 let run = run_algorithm1(&mut self.ws, self.net, capacity, source, mask).to_run();
                 *slot = Some(Entry {
                     key,
-                    pending: Pending::Clean,
+                    bits: self.bits.clone(),
                     finder: ChannelFinder {
                         net: self.net,
                         run,
@@ -620,9 +528,52 @@ impl<'n> ChannelFinderCache<'n> {
                     },
                 });
                 self.searches += 1;
-                false
+                return false;
             }
+        };
+        // Under the same mask, the net relay flips since the run was
+        // validated; a run under another mask is searched afresh.
+        let same_mask = entry.key.1 == key.1;
+        let delta = if same_mask && entry.bits != self.bits {
+            Algorithm1::new(self.net).net_delta(&entry.finder.run, &entry.bits, &self.bits)
+        } else {
+            SsspDelta::new()
+        };
+        entry.key = key;
+        entry.bits.copy_from_slice(&self.bits);
+        entry.finder.epoch = epoch;
+        if same_mask && delta.is_empty() {
+            qnet_obs::counter!("graph.delta.clean");
+            return true;
         }
+        if same_mask && key.1 == 0 {
+            qnet_obs::counter!("core.channel.cache_repairs");
+            self.efficiency.repairs += 1;
+            let run = &mut entry.finder.run;
+            let stats = repair_algorithm1(
+                &mut self.ws,
+                &mut self.scratch,
+                self.net,
+                capacity,
+                run,
+                &delta,
+            );
+            if stats.restored > 0 {
+                self.efficiency.restores += 1;
+            }
+            return false;
+        }
+        if same_mask {
+            // A masked entry whose relays moved under it.
+            qnet_obs::counter!("graph.delta.recomputed");
+        }
+        qnet_obs::counter!("core.channel.cache_misses");
+        qnet_obs::counter!("core.channel.cache_refreshes");
+        self.efficiency.refreshes += 1;
+        run_algorithm1(&mut self.ws, self.net, capacity, source, mask)
+            .write_run(&mut entry.finder.run);
+        self.searches += 1;
+        false
     }
 
     /// Brings the entries for `sources` up to date under `capacity` —
@@ -635,56 +586,22 @@ impl<'n> ChannelFinderCache<'n> {
     /// (refresh or fill) exactly like the lazy path; fresh entries are
     /// not tallied as hits.
     pub fn warm(&mut self, capacity: &CapacityMap, sources: &[NodeId]) {
-        self.warm_masked(capacity, None, sources)
-    }
-
-    /// [`ChannelFinderCache::warm`] under a failure mask.
-    pub fn warm_masked(
-        &mut self,
-        capacity: &CapacityMap,
-        mask: Option<&SearchMask>,
-        sources: &[NodeId],
-    ) {
-        // One coherent snapshot before any entry is touched: every key
-        // installed below is keyed to this observed epoch, and
-        // `capacity` cannot mutate while the call borrows it, so a delta
-        // can never land between the snapshot and the install (the warm
-        // staleness hazard `tests/delta_cache.rs` locks down).
-        self.observe(capacity);
         for &src in sources {
-            self.update(capacity, mask, src);
+            self.update(capacity, None, src);
         }
     }
 
-    /// Eagerly synchronizes the cache with `capacity` without serving a
-    /// lookup: the relay mirror is diffed and every entry's pending
-    /// state reclassified *now* instead of at the next finder call.
-    ///
-    /// This is the departure hook the streaming/serving session loops
-    /// call. Releasing a departed group's channels flips its relays
-    /// back on; absorbing that delta immediately cancels the blocks
-    /// still queued for exactly those relays, and queues a restore
-    /// wherever a relay comes back to a run that was already repaired
-    /// without it. A later lookup would classify the same flips; the
-    /// runs served are the same either way.
+    /// Recomputes the relay bits for `capacity` without serving a
+    /// lookup; every lookup does so anyway, so this changes no run and
+    /// no tally. Kept only because the frozen `servebench` replica calls
+    /// it after departures.
     pub fn absorb(&mut self, capacity: &CapacityMap) {
-        self.observe(capacity);
+        self.refresh_bits(capacity);
     }
 
     /// [`max_rate_channel`] through the cache.
     pub fn channel(&mut self, capacity: &CapacityMap, a: NodeId, b: NodeId) -> Option<Channel> {
         self.finder(capacity, a).channel_to(b)
-    }
-
-    /// [`ChannelFinderCache::channel`] under a failure mask.
-    pub fn channel_masked(
-        &mut self,
-        capacity: &CapacityMap,
-        mask: Option<&SearchMask>,
-        a: NodeId,
-        b: NodeId,
-    ) -> Option<Channel> {
-        self.finder_masked(capacity, mask, a).channel_to(b)
     }
 
     /// Number of *full* Algorithm-1 searches this cache has actually
@@ -876,7 +793,10 @@ mod tests {
         let mut cache = ChannelFinderCache::new(&net);
 
         // Masked query first: detour around the dead switch.
-        let masked = cache.channel_masked(&cap, Some(&mask), a, b).unwrap();
+        let masked = cache
+            .finder_masked(&cap, Some(&mask), a)
+            .channel_to(b)
+            .unwrap();
         assert_eq!(masked.link_count(), 1);
         // Unmasked query at the SAME epoch must re-search, not reuse the
         // masked run: the via-switch route is alive and better.
@@ -884,19 +804,28 @@ mod tests {
         assert_eq!(unmasked.link_count(), 2, "stale-mask cache hit");
         assert_eq!(unmasked.interior_switches(), &[s1]);
         // And flipping back must not reuse the unmasked run either.
-        let masked_again = cache.channel_masked(&cap, Some(&mask), a, b).unwrap();
+        let masked_again = cache
+            .finder_masked(&cap, Some(&mask), a)
+            .channel_to(b)
+            .unwrap();
         assert_eq!(masked_again.link_count(), 1);
         assert_eq!(cache.search_count(), 3, "three distinct keys, no hits");
 
         // Same mask twice at the same epoch *is* a hit.
-        let repeat = cache.channel_masked(&cap, Some(&mask), a, b).unwrap();
+        let repeat = cache
+            .finder_masked(&cap, Some(&mask), a)
+            .channel_to(b)
+            .unwrap();
         assert_eq!(repeat.link_count(), 1);
         assert_eq!(cache.search_count(), 3, "identical key must hit");
 
         // An equal-content mask built in a different order hits too.
         let mut mask2 = SearchMask::new();
         mask2.kill_node(s1);
-        let again = cache.channel_masked(&cap, Some(&mask2), a, b).unwrap();
+        let again = cache
+            .finder_masked(&cap, Some(&mask2), a)
+            .channel_to(b)
+            .unwrap();
         assert_eq!(again.link_count(), 1);
         assert_eq!(cache.search_count(), 3);
     }
@@ -935,7 +864,10 @@ mod tests {
         // full search over the entry's buffers: a refresh.
         let mut mask = SearchMask::new();
         mask.kill_node(s1);
-        let masked = cache.channel_masked(&cap, Some(&mask), a, b).unwrap();
+        let masked = cache
+            .finder_masked(&cap, Some(&mask), a)
+            .channel_to(b)
+            .unwrap();
         assert_eq!(masked.link_count(), 1);
 
         let eff = cache.efficiency();
@@ -963,6 +895,57 @@ mod tests {
         let ch2 = cache.channel(&cap, a, b).unwrap();
         assert_eq!(ch2, back, "clear must not change results, only reuse");
         assert_eq!(cache.efficiency().fills, 3, "post-clear lookup is a fill");
+    }
+
+    #[test]
+    fn killing_a_reached_relay_without_children_is_a_hit() {
+        // two_route_net plus a switch s2 hanging off a: the run from a
+        // reaches s2, but no vertex's path relays through it.
+        let (net, [a, s1, b]) = two_route_net(0.99);
+        let mut g = net.graph().clone();
+        let s2 = g.add_node(NodeKind::Switch { qubits: 4 });
+        g.add_edge(a, s2, 500.0);
+        let net = QuantumNetwork::from_graph(g, *net.physics());
+        let mut cap = CapacityMap::new(&net);
+        let mut cache = ChannelFinderCache::new(&net);
+        assert!(cache.finder(&cap, a).run().distance(s2).is_some());
+
+        cap.withdraw(s2, 4);
+        let ch = cache.channel(&cap, a, b).unwrap();
+        assert_eq!(ch.interior_switches(), &[s1]);
+        let eff = cache.efficiency();
+        assert_eq!((eff.hits, eff.repairs), (1, 0), "no stored path used s2");
+        assert_eq!(cache.search_count(), 1);
+    }
+
+    #[test]
+    fn a_restored_relay_that_only_ties_is_repaired() {
+        // a reaches b over p or r at exactly equal cost. A fresh search
+        // pops r first (equal cost, larger index), so b's predecessor is
+        // r whenever r relays: restoring r must move it, though no label
+        // falls.
+        let mut g: Graph<NodeKind, f64> = Graph::new();
+        let a = g.add_node(NodeKind::User);
+        let p = g.add_node(NodeKind::Switch { qubits: 4 });
+        let r = g.add_node(NodeKind::Switch { qubits: 4 });
+        let b = g.add_node(NodeKind::User);
+        for (x, y) in [(a, p), (a, r), (p, b), (r, b)] {
+            g.add_edge(x, y, 1000.0);
+        }
+        let net = QuantumNetwork::from_graph(g, PhysicsParams::paper_default());
+        let mut cap = CapacityMap::new(&net);
+        cap.withdraw(r, 4);
+        let mut cache = ChannelFinderCache::new(&net);
+        let prev = |run: &DijkstraRun| run.prev_hop(b).map(|(x, _)| x);
+        assert_eq!(prev(cache.finder(&cap, a).run()), Some(p));
+
+        cap.grant(r, 4);
+        let cold =
+            ChannelFinder::from_source_in(&mut DijkstraWorkspace::new(), &net, &cap, a, None);
+        assert_eq!(prev(cold.run()), Some(r));
+        assert_eq!(cache.finder(&cap, a).run(), cold.run());
+        let eff = cache.efficiency();
+        assert_eq!((eff.repairs, eff.restores), (1, 1));
     }
 
     #[test]

@@ -423,20 +423,17 @@ pub fn simulate_stream(net: &QuantumNetwork, cfg: StreamConfig, seed: u64) -> St
     for now in 0..cfg.slots {
         series.advance_to(now);
 
-        // Departures first: free the qubits of expired sessions, then
-        // absorb the restores into the finder cache eagerly. A departing
-        // group's releases flip its relays back on; absorbing them now
-        // cancels the blocks still queued for exactly those relays, and
-        // queues an in-place restore repair wherever a relay returns to
-        // a run that was already repaired without it.
-        if sessions.depart(now, &mut capacity) > 0 {
-            cache.absorb(&capacity);
-        }
+        // Departures first: free the qubits of expired sessions. A
+        // departing group's releases flip its relays back on; the next
+        // lookup of each cached run nets them against the relay bits
+        // that run is exact for, so a relay that comes back to a run
+        // never repaired without it costs nothing.
+        sessions.depart(now, &mut capacity);
 
         // Capacity churn: restore expired withdrawals, then maybe take
         // a new switch down. Runs before the arrival so admission sees
         // the churned map — each withdraw/grant is a capacity delta the
-        // finder cache absorbs incrementally.
+        // finder cache repairs incrementally.
         if cfg.churn_every > 0 {
             let mut due = Vec::new();
             maintenance.retain(|&(restore_at, node, qubits)| {
@@ -821,20 +818,17 @@ mod tests {
         let tree =
             route_group(&net, &mut cache, &mut capacity, &[a, b]).expect("relayed route feasible");
         assert_eq!(tree.channels[0].link_count(), 2, "route goes via s");
-        // Absorb the kill: the cached entry for `a` now carries a
-        // pending repair for s.
-        cache.absorb(&capacity);
+        // The cached entry for `a` is exact for relay bits with s on;
+        // the reservation turned s off.
         let searches = cache.search_count();
         let hits = cache.efficiency().hits;
 
         // The session departs the way `simulate_stream` departs it: the
-        // release flips s back on and the eager absorb nets the restore
-        // out against the queued repair.
+        // release flips s back on, so the entry's bits match again.
         let mut sessions = Sessions::default();
         sessions.admit(tree, vec![a, b], 3);
         assert_eq!(sessions.depart(5, &mut capacity), 1);
         assert!(sessions.is_empty());
-        cache.absorb(&capacity);
 
         // The next lookup must be an O(1) revalidation: no repair ran,
         // no search ran, and the restored relay is visible again.

@@ -1,10 +1,11 @@
-//! Differential battery for the dirty-set cache: every lookup served
-//! after a sequence of capacity deltas — by O(1) revalidation or by an
-//! in-place SSSP repair of blocked and restored relays — must be
-//! **bitwise identical** to a
-//! cold, cache-free `ChannelFinder` under the same capacity map, and
-//! the warm path must never install an entry a delta could leave stale
-//! (the snapshot/install hazard).
+//! Differential battery for the finder cache's relay-bit rule: every
+//! lookup served after a sequence of capacity deltas — by O(1)
+//! revalidation or by an in-place SSSP repair of blocked and restored
+//! relays — must be **bitwise identical** to a cold, cache-free
+//! `ChannelFinder` under the same capacity map, the warm path must
+//! never install an entry a delta could leave stale (the
+//! snapshot/install hazard), and when the cache sees a map must not
+//! change what it serves or tallies.
 
 use muerp_core::algorithms::{ChannelFinder, ChannelFinderCache};
 use muerp_core::channel::CapacityMap;
@@ -40,8 +41,8 @@ fn assert_matches_cold(
 /// (blocks), restorations (restores), cancelling round trips, and a
 /// partial grant that crosses the ≥ 2 threshold while a kill is pending
 /// on another relay (a mixed block-plus-restore repair). The schedule
-/// is a list of batches; the cache absorbs every delta of a batch as it
-/// lands and is consulted only after the whole batch.
+/// is a list of batches; the cache is consulted only after a whole
+/// batch, so one lookup nets several flips.
 fn delta_schedule(net: &QuantumNetwork) -> Vec<Vec<(NodeId, i64)>> {
     let switches: Vec<NodeId> = net.switches().collect();
     let mut schedule = Vec::new();
@@ -76,15 +77,19 @@ fn delta_schedule(net: &QuantumNetwork) -> Vec<Vec<(NodeId, i64)>> {
     schedule
 }
 
-/// Applies one batch, letting the cache absorb every delta as it lands.
-fn apply(cache: &mut ChannelFinderCache<'_>, capacity: &mut CapacityMap, batch: &[(NodeId, i64)]) {
+/// Applies one batch, handing the map to `observe` after every delta.
+fn apply(
+    capacity: &mut CapacityMap,
+    batch: &[(NodeId, i64)],
+    mut observe: impl FnMut(&CapacityMap),
+) {
     for &(node, qubits) in batch {
         if qubits < 0 {
             capacity.withdraw(node, (-qubits) as u32);
         } else {
             capacity.grant(node, qubits as u32);
         }
-        cache.absorb(capacity);
+        observe(capacity);
     }
 }
 
@@ -98,7 +103,7 @@ fn delta_sequence_matches_cold_cache_at_every_step() {
     assert_matches_cold(&net, &mut cache, &capacity, &users, "initial warm");
 
     for (step, batch) in delta_schedule(&net).iter().enumerate() {
-        apply(&mut cache, &mut capacity, batch);
+        apply(&mut capacity, batch, |_| {});
         assert_matches_cold(
             &net,
             &mut cache,
@@ -120,6 +125,32 @@ fn delta_sequence_matches_cold_cache_at_every_step() {
 }
 
 #[test]
+fn observing_every_delta_changes_no_run_and_no_tally() {
+    // A cache that sees the map after every delta (a warm over no
+    // sources) and one that sees it only at lookups must serve the same
+    // runs with the same search counts and tallies at every step.
+    for seed in 0..40 {
+        let net = NetworkSpec::paper_default().build(seed);
+        let users = net.users().to_vec();
+        let mut capacity = CapacityMap::new(&net);
+        let mut observed = ChannelFinderCache::new(&net);
+        let mut lazy = ChannelFinderCache::new(&net);
+        observed.warm(&capacity, &users);
+        lazy.warm(&capacity, &users);
+        for (step, batch) in delta_schedule(&net).iter().enumerate() {
+            apply(&mut capacity, batch, |map| observed.warm(map, &[]));
+            let context = format!("seed {seed}, batch #{step} {batch:?}");
+            for &src in &users {
+                let run = observed.finder(&capacity, src).run().clone();
+                assert_eq!(&run, lazy.finder(&capacity, src).run(), "{context}");
+            }
+            assert_eq!(observed.search_count(), lazy.search_count(), "{context}");
+            assert_eq!(observed.efficiency(), lazy.efficiency(), "{context}");
+        }
+    }
+}
+
+#[test]
 fn warm_after_each_delta_matches_cold_finders() {
     // `delta_sequence_matches_cold_cache_at_every_step` warms once and
     // then looks up lazily; here every batch is followed by a `warm`, and
@@ -131,7 +162,7 @@ fn warm_after_each_delta_matches_cold_finders() {
     let mut cache = ChannelFinderCache::new(&net);
     cache.warm(&capacity, &users);
     for (step, batch) in delta_schedule(&net).iter().enumerate() {
-        apply(&mut cache, &mut capacity, batch);
+        apply(&mut capacity, batch, |_| {});
         cache.warm(&capacity, &users);
         let searches = cache.search_count();
         let before = cache.efficiency();
@@ -159,7 +190,7 @@ fn warm_snapshot_cannot_leave_stale_entry_marked_clean() {
     // and installs entries keyed to it. A delta
     // "landing between snapshot and install" — i.e. any mutation the
     // cache has not observed when the entries are consulted next — must
-    // be classified against those entries, never absorbed silently.
+    // be netted against those entries' relay bits, never skipped.
     let net = NetworkSpec::paper_default().build(11);
     let users = net.users().to_vec();
     let capacity = CapacityMap::new(&net);
@@ -206,9 +237,9 @@ fn warm_snapshot_cannot_leave_stale_entry_marked_clean() {
 #[test]
 fn kill_and_restore_cancels_pending_repairs() {
     // A worsening flip observed mid-flight and then reversed before the
-    // other entries are consulted must net out: the restored relay
-    // cancels their pending repair and they revalidate to their
-    // original (still bitwise-correct) runs.
+    // other entries are consulted must net out: their relay bits match
+    // again, and they revalidate to their original (still
+    // bitwise-correct) runs.
     let net = NetworkSpec::paper_default().build(5);
     let users = net.users().to_vec();
     assert!(users.len() >= 2);
@@ -227,12 +258,12 @@ fn kill_and_restore_cancels_pending_repairs() {
     let searches_before = cache.search_count();
 
     // Kill the relay and consult only the first user: that entry is
-    // repaired now; every other entry keeps a pending repair for victim.
+    // repaired now; every other entry is still exact for victim relaying.
     capacity.withdraw(victim, 1_000);
     let cold = cold(&net, &capacity, users[0]);
     assert_eq!(cache.finder(&capacity, users[0]).run(), cold.run());
 
-    // Restore before anyone else looks: their pending repairs cancel.
+    // Restore before anyone else looks: their relay bits match again.
     capacity.grant(victim, 1_000);
     assert_matches_cold(&net, &mut cache, &capacity, &users, "after cancel");
     // The un-consulted entries were served without any full search,
@@ -249,8 +280,8 @@ fn kill_and_restore_cancels_pending_repairs() {
 fn threshold_preserving_ping_pong_never_searches() {
     // The stream scenario's trial-capacity clone dance: reserve/release
     // cycles that never cross the ≥ 2 relay threshold bump the epoch on
-    // every step, yet the dirty-set cache must serve all of it with the
-    // initial fills only.
+    // every step, yet the cache must serve all of it with the initial
+    // fills only.
     let net = NetworkSpec::paper_default().with_qubits(8).build(3);
     let users = net.users().to_vec();
     let mut capacity = CapacityMap::new(&net);

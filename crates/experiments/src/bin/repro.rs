@@ -32,8 +32,8 @@
 //! counterexample, writes the JSON report to `--out`, and exits 2.
 //! `--churn` additionally injects one seeded failure per trial and
 //! checks the repair ladder's invariants. `--delta` additionally pushes
-//! a seeded capacity-delta sequence through the dirty-set channel-finder
-//! cache, cross-checking every step bitwise against a cold
+//! a seeded capacity-delta sequence through the channel-finder cache,
+//! cross-checking every step bitwise against a cold
 //! recomputation and shrinking failing delta scripts. `--serve`
 //! additionally replays a seeded request script through the batched
 //! admission engine and the sequential FCFS oracle, comparing every
@@ -49,7 +49,7 @@
 //! `stream` drives the sustained-load workload (diurnal arrivals,
 //! heavy-tailed group sizes, hot-spot users, and — with
 //! `--churn-every N` — periodic capacity withdrawals the delta-aware
-//! cache absorbs incrementally) and writes the windowed
+//! cache repairs incrementally) and writes the windowed
 //! telemetry artifacts: `stream-windows.csv`, `stream-summary.csv`,
 //! the `stream.metrics.jsonl` window stream, a schema-4 `stream.json`
 //! run report, and a Prometheus-style `stream.prom`. Everything except

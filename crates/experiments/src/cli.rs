@@ -169,7 +169,7 @@ pub struct FuzzArgs {
     pub base_seed: u64,
     /// Also run the churn oracle (failure + repair) per trial.
     pub churn: bool,
-    /// Also run the delta oracle (capacity deltas through the dirty-set
+    /// Also run the delta oracle (capacity deltas through the
     /// channel-finder cache vs. cold recomputation) per trial.
     pub delta: bool,
     /// Also run the serve oracle (batched admission vs. the sequential

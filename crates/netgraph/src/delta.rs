@@ -54,12 +54,7 @@
 //!
 //! An edge coming back is not a delta this module takes; callers search
 //! afresh for it.
-//!
-//! [`DeltaClassifier`] is the graph-level pre-filter: connected
-//! components and bridges from [`crate::connectivity`] bound which
-//! sources a delta can possibly affect before any per-run work.
 
-use crate::connectivity::{bridges, connected_components};
 use crate::graph::{EdgeId, EdgeRef, Graph, NodeId};
 use crate::paths::{relax, DijkstraConfig, DijkstraView, DijkstraWorkspace, HeapEntry};
 
@@ -115,20 +110,6 @@ impl SsspDelta {
         self
     }
 
-    /// Folds `other`, a delta that happened after this one, into this
-    /// delta.
-    pub fn merge(&mut self, other: &SsspDelta) {
-        for &v in &other.blocked_nodes {
-            self.block_node(v);
-        }
-        for &v in &other.restored_nodes {
-            self.restore_node(v);
-        }
-        for &e in &other.blocked_edges {
-            self.block_edge(e);
-        }
-    }
-
     /// `true` when nothing changed.
     pub fn is_empty(&self) -> bool {
         self.blocked_nodes.is_empty()
@@ -149,80 +130,6 @@ impl SsspDelta {
     /// The edges that became unusable.
     pub fn blocked_edges(&self) -> &[EdgeId] {
         &self.blocked_edges
-    }
-}
-
-/// Graph-level delta classification: connected components and bridges,
-/// computed once per topology, bound which sources a delta can reach
-/// before any per-run inspection.
-///
-/// A delta at a vertex (or edge) in a different component than a
-/// source can never touch that source's shortest-path tree; a blocked
-/// *bridge* conversely disconnects every source on the far side from
-/// the entire subtree it carried. Both facts come straight from
-/// [`crate::connectivity`].
-#[derive(Clone, Debug)]
-pub struct DeltaClassifier {
-    component: Vec<usize>,
-    component_count: usize,
-    bridge: Vec<bool>,
-}
-
-impl DeltaClassifier {
-    /// Analyzes `g` once: component labels plus the bridge set.
-    pub fn new<N, E>(g: &Graph<N, E>) -> Self {
-        let (component, component_count) = connected_components(g);
-        let mut bridge = vec![false; g.edge_count()];
-        for e in bridges(g) {
-            bridge[e.index()] = true;
-        }
-        DeltaClassifier {
-            component,
-            component_count,
-            bridge,
-        }
-    }
-
-    /// Number of connected components in the analyzed graph.
-    pub fn component_count(&self) -> usize {
-        self.component_count
-    }
-
-    /// The component label of `v`.
-    pub fn component_of(&self, v: NodeId) -> usize {
-        self.component[v.index()]
-    }
-
-    /// `true` when `a` and `b` share a component.
-    pub fn same_component(&self, a: NodeId, b: NodeId) -> bool {
-        self.component[a.index()] == self.component[b.index()]
-    }
-
-    /// `true` when `e` is a bridge (its loss disconnects the graph).
-    pub fn is_bridge(&self, e: EdgeId) -> bool {
-        self.bridge[e.index()]
-    }
-
-    /// `true` when a capacity delta at `v` can possibly affect a run
-    /// rooted at `source` (structurally — same component).
-    pub fn node_may_affect(&self, source: NodeId, v: NodeId) -> bool {
-        self.same_component(source, v)
-    }
-
-    /// `true` when an edge delta at `e` can possibly affect a run
-    /// rooted at `source`.
-    pub fn edge_may_affect<N, E>(&self, g: &Graph<N, E>, source: NodeId, e: EdgeId) -> bool {
-        let (a, _) = g.endpoints(e);
-        self.same_component(source, a)
-    }
-
-    /// Filters `sources` down to those a delta at `v` could affect.
-    pub fn affected_sources(&self, sources: &[NodeId], v: NodeId) -> Vec<NodeId> {
-        sources
-            .iter()
-            .copied()
-            .filter(|&s| self.node_may_affect(s, v))
-            .collect()
     }
 }
 
@@ -309,7 +216,9 @@ impl RepairScratch {
 /// Emits `graph.delta.repaired` and `graph.delta.resettled` for a
 /// repair that did work, plus `graph.delta.restored` when the decrease
 /// pass ran, or `graph.delta.clean` when the delta misses the stored
-/// tree entirely, through `qnet-obs`.
+/// tree entirely, through `qnet-obs`. (A finder cache filters its
+/// deltas so that every repair it runs does work; its own
+/// `graph.delta.clean` counts O(1) revalidations.)
 ///
 /// # Panics
 ///
@@ -612,8 +521,7 @@ mod tests {
         let c = g.add_node(());
         g.add_edge(a, b, 1.0);
         let bc = g.add_edge(b, c, 1.0);
-        let classifier = DeltaClassifier::new(&g);
-        assert!(classifier.is_bridge(bc));
+        assert!(crate::connectivity::bridges(&g).contains(&bc));
         let mut ws = DijkstraWorkspace::new();
         dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost), None);
         let mut delta = SsspDelta::new();
@@ -720,27 +628,6 @@ mod tests {
         let mut scratch = RepairScratch::new();
         let (view, _) = dijkstra_repair_into(&mut other, &mut scratch, &g, &cfg, &delta);
         assert_eq!(view.to_run(), fresh(&g, a, Some(b), None));
-    }
-
-    #[test]
-    fn classifier_separates_components_and_finds_bridges() {
-        let mut g: Graph<(), f64> = Graph::new();
-        let a = g.add_node(());
-        let b = g.add_node(());
-        let c = g.add_node(());
-        let d = g.add_node(());
-        let ab = g.add_edge(a, b, 1.0);
-        let cd = g.add_edge(c, d, 1.0);
-        let classifier = DeltaClassifier::new(&g);
-        assert_eq!(classifier.component_count(), 2);
-        assert!(classifier.same_component(a, b));
-        assert!(!classifier.same_component(a, c));
-        assert!(classifier.is_bridge(ab) && classifier.is_bridge(cd));
-        assert!(classifier.node_may_affect(a, b));
-        assert!(!classifier.node_may_affect(a, d));
-        assert!(classifier.edge_may_affect(&g, c, cd));
-        assert!(!classifier.edge_may_affect(&g, a, cd));
-        assert_eq!(classifier.affected_sources(&[a, b, c, d], b), vec![a, b]);
     }
 
     #[test]
@@ -962,9 +849,7 @@ mod tests {
         assert!(delta.is_empty(), "a block and its restore cancel");
         delta.restore_node(a).restore_node(a).block_node(c);
         assert_eq!(delta.restored_nodes(), &[a]);
-        let mut later = SsspDelta::new();
-        later.block_node(a).restore_node(c).block_edge(ab);
-        delta.merge(&later);
+        delta.block_node(a).restore_node(c).block_edge(ab);
         assert!(delta.blocked_nodes().is_empty() && delta.restored_nodes().is_empty());
         assert_eq!(delta.blocked_edges(), &[ab]);
     }

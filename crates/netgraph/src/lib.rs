@@ -65,7 +65,7 @@ pub mod steiner;
 pub mod unionfind;
 pub mod weight;
 
-pub use delta::{dijkstra_repair_into, DeltaClassifier, RepairScratch, RepairStats, SsspDelta};
+pub use delta::{dijkstra_repair_into, RepairScratch, RepairStats, SsspDelta};
 pub use graph::{EdgeId, EdgeRef, Graph, NodeId};
 pub use ksp::k_shortest_paths_in;
 pub use mask::SearchMask;

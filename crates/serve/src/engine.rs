@@ -5,8 +5,8 @@
 //! `end = min((r+1)·round_slots, slots)`:
 //!
 //! 1. sessions with `expires_at ≤ end` depart — their channels are
-//!    released and the finder cache absorbs the restores eagerly
-//!    (queued blocks cancel, restores queue an in-place repair);
+//!    released, and each cached run's next lookup nets the returned
+//!    relays against the relay bits that run is exact for;
 //! 2. arrivals with `slot < end` not yet collected are offered to the
 //!    bounded queue; overflow is shed with a [`Verdict::Shed`] decision;
 //! 3. the cache is warmed once for every distinct member of the kept
@@ -291,13 +291,10 @@ fn serve_with_cache<'n>(
         let end = ((round + 1) * cfg.round_slots).min(cfg.stream.slots);
         series.advance_to(start);
 
-        // 1. Departures due by the decision slot, applied as delta
-        // restores: release, then absorb, so blocks queued for the
-        // departing relays cancel and restores queue eagerly.
+        // 1. Departures due by the decision slot: releasing their
+        // channels gives relays back, which the next lookups of each
+        // cached run net against the relay bits it is exact for.
         let departed = sessions.depart(end, &mut capacity);
-        if departed > 0 {
-            cache.absorb(&capacity);
-        }
         stats.departures += departed;
 
         // 2. Collect the round's arrivals into the bounded queue.

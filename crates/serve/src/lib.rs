@@ -7,9 +7,10 @@
 //!
 //! Each round:
 //!
-//! 1. applies every due departure as a delta-engine restore — channels
-//!    released, then [`ChannelFinderCache::absorb`] cancels the pending
-//!    repairs queued for the departing groups' relay flips;
+//! 1. applies every due departure — channels released; each cached
+//!    run's next lookup nets the returned relays against the relay bits
+//!    it is exact for, so a relay that comes back to a run never
+//!    repaired without it costs nothing;
 //! 2. collects the round's arrivals into a [`BoundedQueue`], shedding
 //!    the over-capacity suffix with an exact tally (backpressure);
 //! 3. warms the [`ChannelFinderCache`] **once** for all distinct
@@ -27,7 +28,6 @@
 //! `muerp-core`).
 //!
 //! [`ChannelFinderCache`]: muerp_core::algorithms::ChannelFinderCache
-//! [`ChannelFinderCache::absorb`]: muerp_core::algorithms::ChannelFinderCache::absorb
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -8,7 +8,7 @@
 //! |---------|------|-------------------------------------------------------------|
 //! | plain   | 2024 | generate → solve → independent audit → differential oracles |
 //! | `churn` | 2025 | one injected failure, then the repair-ladder invariants     |
-//! | `delta` | 2026 | dirty-set cache ≡ cold recomputation after every delta      |
+//! | `delta` | 2026 | finder cache ≡ cold recomputation after every delta         |
 //! | `serve` | 2027 | batched admission ≡ the sequential FCFS oracle, decision by decision |
 //!
 //! Budget: in a debug build on a 2-core Intel Xeon, `cargo test -q

@@ -1,7 +1,9 @@
 //! The `repro stream` and `repro serve` pipelines end to end, with the
 //! smoke-run arguments (`--slots 1024 --seed 2024`, plus `--round 32`
-//! for serve): every artifact they write must be schema-valid, and the
-//! serve round stream's accounting must close against its summary.
+//! for serve and `--churn-every 16` for the churned stream): every
+//! artifact they write must be schema-valid, the serve round stream's
+//! accounting must close against its summary, and the churned stream
+//! must exercise the delta engine with every cache repair doing work.
 //!
 //! Both pipelines reset the process-global obs registry, so the tests
 //! in this binary run one at a time.
@@ -102,6 +104,60 @@ fn stream_metrics_stream_is_schema_valid_jsonl() {
     assert!(
         prom.contains("# TYPE") && prom.replace('.', "_").contains("core_stream"),
         "exposition empty"
+    );
+}
+
+/// Totals of a report's counters by name, summed over their labels.
+fn counter_totals(report: &Value) -> BTreeMap<String, u64> {
+    let mut totals = BTreeMap::new();
+    for c in report["counters"].as_array().expect("counters") {
+        let key = c["key"].as_str().expect("counter key");
+        let name = key.split('{').next().unwrap_or(key).to_string();
+        *totals.entry(name).or_default() += c["value"].as_u64().expect("counter value");
+    }
+    totals
+}
+
+#[test]
+fn churned_stream_exercises_the_delta_engine() {
+    let _serial = serial();
+    let (cmd, dir) = command(
+        &[
+            "stream",
+            "--slots",
+            "1024",
+            "--seed",
+            "2024",
+            "--churn-every",
+            "16",
+        ],
+        "churned",
+    );
+    let Command::Stream(args) = cmd else {
+        panic!("stream subcommand")
+    };
+    run_stream(&args).expect("stream pipeline writes its artifacts");
+
+    let report = json(&read(&dir, "stream.json"));
+    assert_eq!(report["schema_version"].as_u64(), Some(4));
+    let totals = counter_totals(&report);
+    let total = |name: &str| totals.get(name).copied().unwrap_or(0);
+    assert!(
+        total("core.stream.churn_events") > 0,
+        "churn arm never fired"
+    );
+    assert!(
+        total("graph.delta.repaired") > 0,
+        "no in-place repairs under churn"
+    );
+    assert!(
+        total("graph.delta.restored") > 0,
+        "no restore repairs under churn"
+    );
+    assert_eq!(
+        total("core.channel.cache_repairs"),
+        total("graph.delta.repaired"),
+        "a cache repair came back clean"
     );
 }
 
