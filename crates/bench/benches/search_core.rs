@@ -7,8 +7,8 @@
 //!   `ChannelFinder::from_source_in`, `k_shortest_paths_in`), with the
 //!   result materialized into owned buffers.
 //! * **workspace** — the same entry points on one long-lived
-//!   [`DijkstraWorkspace`]: generation-stamped O(1) reset, zero
-//!   steady-state allocation, borrowed result views.
+//!   [`DijkstraWorkspace`]: generation-stamped pass state, one label
+//!   fill per search, zero steady-state allocation, borrowed results.
 //! * **cached** — [`ChannelFinderCache`] keyed by `(source, capacity
 //!   epoch, mask hash)`: repeat queries under unchanged capacity skip
 //!   the search entirely; a `refresh` row shows the cost of full
@@ -64,7 +64,7 @@ fn bench_topology(label: &str, switches: usize, seed: u64) -> Value {
     let dijkstra_fresh = measure_ns_median(|| {
         for &u in &users {
             let mut fresh = DijkstraWorkspace::new();
-            black_box(dijkstra_into(&mut fresh, net.graph(), u, &cfg, None).to_run());
+            black_box(dijkstra_into(&mut fresh, net.graph(), u, &cfg, None).clone());
         }
     });
     let mut ws = DijkstraWorkspace::with_capacity(net.graph().node_count());
@@ -159,8 +159,8 @@ fn bench_topology(label: &str, switches: usize, seed: u64) -> Value {
             );
         },
     );
-    // A cache refresh recycles the entry's buffers and (since the fused
-    // write-out) copies the result in one pass — it must not cost more
+    // A cache refresh recycles the entry's buffers and copies the result
+    // in with one `clone_from` — it must not cost more
     // than the fill path that allocates those buffers from scratch. The
     // fill op is the *only* sound denominator for a tight gate here:
     // fresh runs outside the cache, and on a single-core host the

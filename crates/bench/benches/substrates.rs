@@ -46,7 +46,7 @@ fn bench_dijkstra(c: &mut Criterion) {
                         &DijkstraConfig::all_nodes(|e: EdgeRef<'_, f64>| *e.payload),
                         None,
                     )
-                    .to_run(),
+                    .clone(),
                 )
             })
         });

@@ -13,7 +13,7 @@
 use std::cell::Cell;
 
 use qnet_graph::paths::{dijkstra_into, DijkstraConfig, DijkstraRun, DijkstraWorkspace};
-use qnet_graph::{dijkstra_repair_into, EdgeRef, NodeId, RepairScratch, SearchMask, SsspDelta};
+use qnet_graph::{dijkstra_repair_into, EdgeRef, NodeId, SearchMask, SsspDelta};
 
 use crate::channel::{CapacityMap, Channel};
 use crate::model::QuantumNetwork;
@@ -61,16 +61,15 @@ impl<'n> Algorithm1<'n> {
         self.may_relay(v) && capacity.can_relay(v)
     }
 
-    /// Writes the relay predicate under `capacity` into `bits`, one bit
-    /// per node.
-    fn relay_bits(&self, capacity: &CapacityMap, bits: &mut Vec<u64>) {
-        bits.clear();
-        bits.resize(self.net.graph().node_count().div_ceil(64), 0);
-        for v in self.net.graph().node_ids() {
-            if self.relays(capacity, v) {
-                bits[v.index() / 64] |= 1 << (v.index() % 64);
-            }
+    /// [`Algorithm1::may_relay`] as one bit per node: the static half of
+    /// the relay bits, which a cache ANDs with the capacity map's
+    /// `free ≥ 2` bits.
+    fn may_relay_mask(&self) -> Vec<u64> {
+        let mut mask = vec![0u64; self.net.graph().node_count().div_ceil(64)];
+        for v in self.net.graph().node_ids().filter(|&v| self.may_relay(v)) {
+            mask[v.index() / 64] |= 1 << (v.index() % 64);
         }
+        mask
     }
 
     /// `true` when letting `v` relay again could change `run` — some
@@ -143,7 +142,7 @@ fn run_algorithm1<'w>(
     capacity: &CapacityMap,
     source: NodeId,
     mask: Option<&SearchMask>,
-) -> qnet_graph::DijkstraView<'w> {
+) -> &'w DijkstraRun {
     let a1 = Algorithm1::new(net);
     // Dijkstra consults the relay filter exactly once per reached vertex
     // per run, when the vertex is first reached (later improvements
@@ -162,7 +161,7 @@ fn run_algorithm1<'w>(
         },
     };
     qnet_obs::counter!("core.channel.finder_runs");
-    let view = {
+    let run = {
         let _span = qnet_obs::span!("core.channel.finder_run");
         dijkstra_into(ws, net.graph(), source, &cfg, mask)
     };
@@ -177,7 +176,7 @@ fn run_algorithm1<'w>(
             epoch: capacity.epoch(),
         });
     }
-    view
+    run
 }
 
 /// A single-source Algorithm-1 run: max-rate channels from one user to
@@ -214,7 +213,7 @@ impl<'n> ChannelFinder<'n> {
         source: NodeId,
         mask: Option<&SearchMask>,
     ) -> Self {
-        let run = run_algorithm1(ws, net, capacity, source, mask).to_run();
+        let run = run_algorithm1(ws, net, capacity, source, mask).clone();
         ChannelFinder {
             net,
             run,
@@ -300,9 +299,10 @@ pub fn max_rate_channel(
         .channel_to(b)
 }
 
-/// In-place delta repair of a memoized Algorithm-1 run: reloads `run`
-/// into the workspace and patches it for the given net relay flips
-/// instead of re-running the search from scratch.
+/// In-place delta repair of a memoized Algorithm-1 run: patches `run`
+/// where it is stored for the given net relay flips instead of
+/// re-running the search from scratch; the workspace lends only its
+/// pass-local scratch.
 ///
 /// Repairs serve only unmasked entries and skip the search's rejection
 /// tally (a repair consults only part of the run, so its tally would
@@ -310,7 +310,6 @@ pub fn max_rate_channel(
 /// the flips, which holds because they are read off its relay bits.
 fn repair_algorithm1(
     ws: &mut DijkstraWorkspace,
-    scratch: &mut RepairScratch,
     net: &QuantumNetwork,
     capacity: &CapacityMap,
     run: &mut DijkstraRun,
@@ -321,10 +320,7 @@ fn repair_algorithm1(
         edge_cost: |e: EdgeRef<'_, f64>| a1.edge_cost(e),
         can_relay: |v: NodeId| a1.relays(capacity, v),
     };
-    ws.load_run(run);
-    let (view, stats) = dijkstra_repair_into(ws, scratch, net.graph(), &cfg, delta);
-    view.write_run(run);
-    stats
+    dijkstra_repair_into(ws, run, net.graph(), &cfg, delta)
 }
 
 /// One memoized single-source run and what it is exact for.
@@ -346,13 +342,15 @@ struct Entry<'n> {
 ///
 /// A run depends on the capacity map only through its *relay bits* —
 /// one bit per node for `swaps possible ∧ switch ∧ free ≥ 2` — so each
-/// entry keeps the bits it is exact for, and the cache recomputes the
-/// current map's bits once per epoch. A lookup at a new epoch under the
-/// same mask applies one rule (DESIGN.md §15): the entry's bits XOR the
-/// current bits, turned into one net [`SsspDelta`] — a lost relay is
-/// blocked only where it is some vertex's stored predecessor, a
-/// regained relay is restored where it could improve the run (every
-/// restore is kept when the delta also blocks). Then:
+/// entry keeps the bits it is exact for, and the cache reads the
+/// current map's bits once per epoch: the map's own `free ≥ 2` words
+/// ANDed with the network's static may-relay mask. A lookup at a new
+/// epoch under the same mask applies one rule (DESIGN.md §15): the
+/// entry's bits XOR the current bits, turned into one net
+/// [`SsspDelta`] — a lost relay is blocked only where it is some
+/// vertex's stored predecessor, a regained relay is restored where it
+/// could improve the run (every restore is kept when the delta also
+/// blocks). Then:
 ///
 /// * an empty delta is an O(1) revalidation — `graph.delta.clean`;
 /// * an unmasked entry is repaired in place by [`dijkstra_repair_into`]
@@ -390,8 +388,8 @@ pub struct ChannelFinderCache<'n> {
     ws: DijkstraWorkspace,
     /// Indexed by source node.
     entries: Vec<Option<Entry<'n>>>,
-    /// Reusable marking buffers for [`dijkstra_repair_into`].
-    scratch: RepairScratch,
+    /// [`Algorithm1::may_relay`] per node, fixed for the network.
+    may_relay: Vec<u64>,
     /// Relay bits of the capacity map at `bits_epoch`.
     bits: Vec<u64>,
     /// Epoch [`bits`](Self::bits) reflects; `None` before first use.
@@ -450,22 +448,27 @@ impl<'n> ChannelFinderCache<'n> {
     /// An empty cache for `net`; entries populate lazily per source.
     pub fn new(net: &'n QuantumNetwork) -> Self {
         let nodes = net.graph().node_count();
+        let may_relay = Algorithm1::new(net).may_relay_mask();
         ChannelFinderCache {
             net,
             ws: DijkstraWorkspace::with_capacity(nodes),
             entries: (0..nodes).map(|_| None).collect(),
-            scratch: RepairScratch::new(),
-            bits: Vec::new(),
+            bits: vec![0; may_relay.len()],
+            may_relay,
             bits_epoch: None,
             searches: 0,
             efficiency: CacheEfficiency::default(),
         }
     }
 
-    /// Recomputes the relay bits when `capacity` is at a new epoch.
+    /// Recomputes the relay bits when `capacity` is at a new epoch: one
+    /// AND per 64 nodes.
     fn refresh_bits(&mut self, capacity: &CapacityMap) {
         if self.bits_epoch != Some(capacity.epoch()) {
-            Algorithm1::new(self.net).relay_bits(capacity, &mut self.bits);
+            let words = self.may_relay.iter().zip(capacity.relay_bits());
+            for (bits, (&may, &free)) in self.bits.iter_mut().zip(words) {
+                *bits = may & free;
+            }
             self.bits_epoch = Some(capacity.epoch());
         }
     }
@@ -517,7 +520,7 @@ impl<'n> ChannelFinderCache<'n> {
             slot @ None => {
                 qnet_obs::counter!("core.channel.cache_misses");
                 self.efficiency.fills += 1;
-                let run = run_algorithm1(&mut self.ws, self.net, capacity, source, mask).to_run();
+                let run = run_algorithm1(&mut self.ws, self.net, capacity, source, mask).clone();
                 *slot = Some(Entry {
                     key,
                     bits: self.bits.clone(),
@@ -550,14 +553,7 @@ impl<'n> ChannelFinderCache<'n> {
             qnet_obs::counter!("core.channel.cache_repairs");
             self.efficiency.repairs += 1;
             let run = &mut entry.finder.run;
-            let stats = repair_algorithm1(
-                &mut self.ws,
-                &mut self.scratch,
-                self.net,
-                capacity,
-                run,
-                &delta,
-            );
+            let stats = repair_algorithm1(&mut self.ws, self.net, capacity, run, &delta);
             if stats.restored > 0 {
                 self.efficiency.restores += 1;
             }
@@ -570,8 +566,8 @@ impl<'n> ChannelFinderCache<'n> {
         qnet_obs::counter!("core.channel.cache_misses");
         qnet_obs::counter!("core.channel.cache_refreshes");
         self.efficiency.refreshes += 1;
-        run_algorithm1(&mut self.ws, self.net, capacity, source, mask)
-            .write_run(&mut entry.finder.run);
+        let run = run_algorithm1(&mut self.ws, self.net, capacity, source, mask);
+        entry.finder.run.clone_from(run);
         self.searches += 1;
         false
     }
@@ -946,6 +942,56 @@ mod tests {
         assert_eq!(cache.finder(&cap, a).run(), cold.run());
         let eff = cache.efficiency();
         assert_eq!((eff.repairs, eff.restores), (1, 1));
+    }
+
+    /// The per-node loop the cache once ran at every epoch: the
+    /// reference for its word-wise AND of the static may-relay mask with
+    /// the capacity map's own bits.
+    fn relay_bits_reference(net: &QuantumNetwork, capacity: &CapacityMap) -> Vec<u64> {
+        let a1 = Algorithm1::new(net);
+        let mut bits = vec![0u64; net.graph().node_count().div_ceil(64)];
+        for v in net.graph().node_ids().filter(|&v| a1.relays(capacity, v)) {
+            bits[v.index() / 64] |= 1 << (v.index() % 64);
+        }
+        bits
+    }
+
+    #[test]
+    fn per_epoch_relay_bits_match_the_per_node_loop() {
+        // 150 switches and 10 users span three words. The second
+        // network forbids every swap (q = 0), so no node may relay.
+        let mut spec = crate::model::NetworkSpec::paper_default();
+        spec.topology.nodes = 160;
+        let net = spec.build(5);
+        let no_swaps = QuantumNetwork::from_graph(
+            net.graph().clone(),
+            PhysicsParams {
+                swap_success: 0.0,
+                ..*net.physics()
+            },
+        );
+        for net in [&net, &no_swaps] {
+            let users = net.users().to_vec();
+            let switches: Vec<NodeId> = net.switches().collect();
+            let mut cache = ChannelFinderCache::new(net);
+            for mut cap in [CapacityMap::new(net), CapacityMap::unbounded(net)] {
+                for step in 0..120usize {
+                    let (a, b) = (users[step % users.len()], users[(step + 3) % users.len()]);
+                    let s = switches[step * 7 % switches.len()];
+                    match step % 4 {
+                        0 | 1 => {
+                            if let Some(ch) = cache.channel(&cap, a, b) {
+                                cap.reserve(&ch);
+                            }
+                        }
+                        2 => cap.withdraw(s, (step % 5) as u32),
+                        _ => cap.grant(s, if step % 8 == 3 { u32::MAX } else { 2 }),
+                    }
+                    cache.absorb(&cap);
+                    assert_eq!(cache.bits, relay_bits_reference(net, &cap), "step {step}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -143,10 +143,15 @@ fn next_epoch() -> u64 {
 /// Each map carries an [`epoch`](CapacityMap::epoch) that changes
 /// whenever its contents change; run caches (see
 /// `algorithms::ChannelFinderCache`) key on it to detect staleness in
-/// O(1) instead of diffing capacities.
+/// O(1) instead of diffing capacities. It also keeps one bit per node
+/// for `free ≥ 2` ([`CapacityMap::can_relay`]), updated by every
+/// mutation for the nodes it touches, so a cache reads the relay bits
+/// word by word instead of asking every node.
 #[derive(Clone, Debug)]
 pub struct CapacityMap {
     free: Vec<u32>,
+    /// Bit `v` set iff `free[v] ≥ 2`.
+    relays: Vec<u64>,
     epoch: u64,
 }
 
@@ -165,23 +170,47 @@ impl CapacityMap {
     /// Initial capacities from a network: each switch starts with its full
     /// qubit count.
     pub fn new(net: &QuantumNetwork) -> Self {
-        CapacityMap {
-            free: net
-                .graph()
+        Self::from_free(
+            net.graph()
                 .node_ids()
                 .map(|v| net.kind(v).qubits())
                 .collect(),
-            epoch: next_epoch(),
-        }
+        )
     }
 
     /// A capacity map where every node is unconstrained — the regime of
     /// the paper's Algorithm 2 sufficient condition.
     pub fn unbounded(net: &QuantumNetwork) -> Self {
-        CapacityMap {
-            free: vec![u32::MAX; net.graph().node_count()],
+        Self::from_free(vec![u32::MAX; net.graph().node_count()])
+    }
+
+    fn from_free(free: Vec<u32>) -> Self {
+        let mut map = CapacityMap {
+            relays: vec![0; free.len().div_ceil(64)],
+            free,
             epoch: next_epoch(),
+        };
+        for i in 0..map.free.len() {
+            map.sync(i);
         }
+        map
+    }
+
+    /// Sets node `i`'s relay bit from its free count.
+    #[inline]
+    fn sync(&mut self, i: usize) {
+        let bit = 1u64 << (i % 64);
+        if self.free[i] >= 2 {
+            self.relays[i / 64] |= bit;
+        } else {
+            self.relays[i / 64] &= !bit;
+        }
+    }
+
+    /// One bit per node, bit `v % 64` of word `v / 64` set iff `v` can
+    /// relay ([`CapacityMap::can_relay`]).
+    pub(crate) fn relay_bits(&self) -> &[u64] {
+        &self.relays
     }
 
     /// Epoch tag: changes (to a process-globally fresh value) on every
@@ -228,6 +257,7 @@ impl CapacityMap {
         }
         for &s in channel.interior_switches() {
             self.free[s.index()] = self.free[s.index()].saturating_sub(2);
+            self.sync(s.index());
         }
         self.epoch = next_epoch();
     }
@@ -240,6 +270,7 @@ impl CapacityMap {
         }
         for &s in channel.interior_switches() {
             self.free[s.index()] = self.free[s.index()].saturating_add(2);
+            self.sync(s.index());
         }
         self.epoch = next_epoch();
     }
@@ -256,6 +287,7 @@ impl CapacityMap {
             return;
         }
         self.free[v.index()] = self.free[v.index()].saturating_sub(qubits);
+        self.sync(v.index());
         self.epoch = next_epoch();
     }
 
@@ -268,6 +300,7 @@ impl CapacityMap {
             return;
         }
         self.free[v.index()] = self.free[v.index()].saturating_add(qubits);
+        self.sync(v.index());
         self.epoch = next_epoch();
     }
 }
@@ -460,6 +493,83 @@ mod tests {
         assert_eq!(cap.free(s1), 4);
         assert!(cap.can_relay(s1));
         assert_ne!(cap.epoch(), e1, "grant bumps the epoch");
+    }
+
+    /// `u0`, `u1` and `k` switches with `qubits` each: every switch sits
+    /// between the two users and next to its successor, so a channel can
+    /// relay through one switch or two.
+    fn ladder_net(k: usize, qubits: u32) -> (QuantumNetwork, [NodeId; 2], Vec<NodeId>) {
+        let mut g: Graph<NodeKind, f64> = Graph::new();
+        let u0 = g.add_node(NodeKind::User);
+        let u1 = g.add_node(NodeKind::User);
+        let switches: Vec<NodeId> = (0..k)
+            .map(|_| g.add_node(NodeKind::Switch { qubits }))
+            .collect();
+        for (i, &s) in switches.iter().enumerate() {
+            g.add_edge(u0, s, 100.0);
+            g.add_edge(s, u1, 100.0);
+            if let Some(&t) = switches.get(i + 1) {
+                g.add_edge(s, t, 100.0);
+            }
+        }
+        let net = QuantumNetwork::from_graph(g, PhysicsParams::paper_default());
+        (net, [u0, u1], switches)
+    }
+
+    /// The bitset against `free(v) ≥ 2`, node by node, with no bit set
+    /// past the last node.
+    fn check_relay_bits(
+        map: &CapacityMap,
+        n: usize,
+    ) -> Result<(), proptest::prelude::TestCaseError> {
+        let bits = map.relay_bits();
+        proptest::prop_assert_eq!(bits.len(), n.div_ceil(64));
+        for i in 0..bits.len() * 64 {
+            let bit = bits[i / 64] >> (i % 64) & 1 == 1;
+            let want = i < n && map.free(NodeId::new(i)) >= 2;
+            proptest::prop_assert_eq!(bit, want, "relay bit of node {}", i);
+            if i < n {
+                proptest::prop_assert_eq!(bit, map.can_relay(NodeId::new(i)));
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        /// Random `reserve`/`release`/`withdraw`/`grant` sequences, with
+        /// saturating amounts, keep the relay bitset equal to
+        /// `free(v) ≥ 2` on every node — from a bounded or an unbounded
+        /// map, and on two clones mutated apart.
+        #[test]
+        fn relay_bits_track_every_mutation(
+            unbounded in 0u8..2,
+            ops in proptest::collection::vec((0u8..5, 0usize..80, 0u8..8, 0u8..2), 1..80),
+        ) {
+            let (net, [u0, u1], sw) = ladder_net(75, 3);
+            let n = net.graph().node_count();
+            let fresh = if unbounded == 1 { CapacityMap::unbounded(&net) } else { CapacityMap::new(&net) };
+            check_relay_bits(&fresh, n)?;
+            let mut maps = [fresh.clone(), fresh];
+            for (kind, target, amount, side) in ops {
+                let map = &mut maps[usize::from(side)];
+                let i = target % (sw.len() - 1);
+                let (s, t) = (sw[i], sw[i + 1]);
+                let qubits = if amount == 7 { u32::MAX } else { u32::from(amount) };
+                let hops = if target % 2 == 0 { vec![u0, s, u1] } else { vec![u0, s, t, u1] };
+                let channel = channel_via_switch(&net, hops);
+                match kind {
+                    0 if map.admits(&channel) => map.reserve(&channel),
+                    1 => map.release(&channel),
+                    2 => map.withdraw(s, qubits),
+                    3 => map.grant(s, qubits),
+                    4 => maps[1 - usize::from(side)] = maps[usize::from(side)].clone(),
+                    _ => {}
+                }
+                for map in &maps {
+                    check_relay_bits(map, n)?;
+                }
+            }
+        }
     }
 
     #[test]

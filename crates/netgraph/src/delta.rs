@@ -6,29 +6,41 @@
 //! lost interior-relay permission ([`SsspDelta::block_node`] — in MUERP
 //! terms, a switch dropped below two free qubits) and vertices that got
 //! it back ([`SsspDelta::restore_node`] — a departure gave qubits back).
-//! [`dijkstra_repair_into`] applies the blocks first, with the restored
-//! vertices still treated as non-relays, and then the restores:
+//! [`dijkstra_repair_into`] patches the caller's [`DijkstraRun`] where
+//! it is stored. It applies the blocks first, with the restored vertices
+//! still treated as non-relays, and then the restores:
 //!
-//! 1. **Mark** — walk each node's stored predecessor chain; a node is
-//!    *affected* iff its chain crosses a blocked edge or relays through
-//!    a blocked (non-source) vertex. Chains are memoized, so marking is
-//!    `O(|V|)`.
+//! 1. **Mark** — walk the stored shortest-path tree *down* from each
+//!    reached, non-source blocked vertex and from the child endpoint of
+//!    each blocked edge. A child of `x` is a neighbor `u` whose stored
+//!    predecessor is exactly `(x, e)` for the adjacency entry `(u, e)`,
+//!    so the walk needs no child lists and costs `O(Σ deg)` over the
+//!    vertices it marks. A vertex is *affected* iff its predecessor
+//!    chain crosses a blocked edge or relays through a blocked vertex.
 //! 2. **Clear** — affected slots are reset to the unreached state
 //!    (`∞` distance, no predecessor); unaffected slots keep their
 //!    distances and predecessors bitwise intact.
-//! 3. **Re-run** — unaffected nodes bordering the affected region are
-//!    re-seeded at their exact final distances, and the relaxation loop
-//!    of [`dijkstra_into`](crate::paths::dijkstra_into) — the same
-//!    crate-private function, called without a mask — runs to
-//!    completion over the affected region only. A boundary node that
-//!    does not relay would pop and expand nothing, so, as in a fresh
-//!    search, it stays off the heap and is counted as resettled when
-//!    seeded.
+//! 3. **Re-run** — reached, unaffected neighbors of the affected
+//!    vertices are re-seeded at their exact final distances, and the
+//!    relaxation loop of [`dijkstra_into`](crate::paths::dijkstra_into)
+//!    — the same crate-private function, called without a mask and
+//!    confined to the affected vertices and the seeds — runs to
+//!    completion. A boundary node that does not relay would pop and
+//!    expand nothing, so, as in a fresh search, it stays off the heap
+//!    and is counted as resettled when seeded.
 //! 4. **Decrease** — every reached restored relay is pushed at its
-//!    label, every reached slot is unsettled and its relay flag is
-//!    re-read from the post-delta filter, and the same loop runs again.
-//!    Labels only fall in this pass, and it pops only the restored
-//!    relays and the relays whose label fell.
+//!    label and the same loop runs again, unconfined, in a new pass:
+//!    "settled" means popped in this pass, and the source counts as
+//!    popped when the pass starts. Labels only fall in this pass, it
+//!    pops only the restored relays and the relays whose label fell,
+//!    and each vertex reads its relay flag from the post-delta filter
+//!    at its first improving offer.
+//!
+//! Every phase costs time in the affected region and on its boundary,
+//! not in `|V|`: no step scans the whole run, and pass-local facts are
+//! generation stamps in the [`DijkstraWorkspace`], so nothing is
+//! cleared between repairs (the cost model of Ramalingam & Reps, 1996;
+//! DESIGN.md §15).
 //!
 //! The result is not merely equal-cost: it is **bitwise identical** to
 //! a from-scratch run under the post-delta configuration — same
@@ -50,13 +62,13 @@
 //! keeps whichever pops first (DESIGN.md §15 has the argument).
 //! `tests/delta_equivalence.rs` and `tests/kernel_reference.rs` pit the
 //! repair against fresh runs over arbitrary topologies, delta
-//! sequences, masked overlays and loaded workspaces.
+//! sequences, masked overlays and dirty workspaces.
 //!
 //! An edge coming back is not a delta this module takes; callers search
 //! afresh for it.
 
 use crate::graph::{EdgeId, EdgeRef, Graph, NodeId};
-use crate::paths::{relax, DijkstraConfig, DijkstraView, DijkstraWorkspace, HeapEntry};
+use crate::paths::{relax, DijkstraConfig, DijkstraRun, DijkstraWorkspace, HeapEntry, Pass};
 
 /// The net changes to apply against a completed run: edges that became
 /// unusable, vertices that lost relay permission and vertices that got
@@ -156,62 +168,17 @@ impl RepairStats {
     }
 }
 
-const UNKNOWN: u8 = 0;
-const KEEP: u8 = 1;
-const AFFECTED: u8 = 2;
-/// A kept node already seeded by phase 2.
-const SEED: u8 = 3;
-
-/// Reusable buffers for [`dijkstra_repair_into`]; hold one per thread
-/// or cache and repairs allocate nothing in steady state.
-#[derive(Clone, Debug, Default)]
-pub struct RepairScratch {
-    node_blocked: Vec<bool>,
-    node_restored: Vec<bool>,
-    edge_blocked: Vec<bool>,
-    state: Vec<u8>,
-    chain: Vec<usize>,
-}
-
-impl RepairScratch {
-    /// Fresh scratch; buffers are sized lazily per repair.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn reset(&mut self, nodes: usize, edges: usize, delta: &SsspDelta) {
-        self.node_blocked.clear();
-        self.node_blocked.resize(nodes, false);
-        self.node_restored.clear();
-        self.node_restored.resize(nodes, false);
-        self.edge_blocked.clear();
-        self.edge_blocked.resize(edges, false);
-        self.state.clear();
-        self.state.resize(nodes, UNKNOWN);
-        self.chain.clear();
-        for &v in delta.blocked_nodes() {
-            self.node_blocked[v.index()] = true;
-        }
-        for &v in delta.restored_nodes() {
-            self.node_restored[v.index()] = true;
-        }
-        for &e in delta.blocked_edges() {
-            self.edge_blocked[e.index()] = true;
-        }
-    }
-}
-
-/// Repairs the run held in `ws` against `delta`, in place.
+/// Repairs `run` against `delta`, in place.
 ///
-/// `ws` must hold a completed run over `g` (same vertex count) under the
-/// configuration the delta is relative to, and `config` must be the
-/// **post-delta** configuration: `edge_cost` returns `INFINITY` for
-/// every blocked edge, and `can_relay` is `false` for every blocked node
-/// and `true` for every restored one (on top of whatever else it
-/// filters). When every relaxation strictly raises the cost, the
-/// repaired workspace is bitwise identical — distances *and*
-/// predecessor choices — to a fresh
-/// [`dijkstra_into`](crate::paths::dijkstra_into) under `config`.
+/// `run` must be a completed run over `g` under the configuration the
+/// delta is relative to, and `config` must be the **post-delta**
+/// configuration: `edge_cost` returns `INFINITY` for every blocked edge,
+/// and `can_relay` is `false` for every blocked node and `true` for
+/// every restored one (on top of whatever else it filters). When every
+/// relaxation strictly raises the cost, the repaired run is bitwise
+/// identical — distances *and* predecessor choices — to a fresh
+/// [`dijkstra_into`](crate::paths::dijkstra_into) under `config`. `ws`
+/// supplies only pass-local scratch; its own labels are left alone.
 ///
 /// Emits `graph.delta.repaired` and `graph.delta.resettled` for a
 /// repair that did work, plus `graph.delta.restored` when the decrease
@@ -222,29 +189,38 @@ impl RepairScratch {
 ///
 /// # Panics
 ///
-/// Panics when `ws` holds no run sized for `g`, or if `edge_cost`
-/// produces a negative or NaN cost during the repair.
-pub fn dijkstra_repair_into<'w, N, E, FC, FR>(
-    ws: &'w mut DijkstraWorkspace,
-    scratch: &mut RepairScratch,
+/// Panics when `run` is not sized for `g`, or if `edge_cost` produces a
+/// negative or NaN cost during the repair.
+pub fn dijkstra_repair_into<N, E, FC, FR>(
+    ws: &mut DijkstraWorkspace,
+    run: &mut DijkstraRun,
     g: &Graph<N, E>,
     config: &DijkstraConfig<FC, FR>,
     delta: &SsspDelta,
-) -> (DijkstraView<'w>, RepairStats)
+) -> RepairStats
 where
     FC: Fn(EdgeRef<'_, E>) -> f64,
     FR: Fn(NodeId) -> bool,
 {
-    let n = g.node_count();
-    assert_eq!(ws.active_len, n, "workspace holds no run over this graph");
+    assert_eq!(
+        run.len(),
+        g.node_count(),
+        "the run does not cover this graph"
+    );
     let _span = qnet_obs::span!("graph.delta.repair");
     let mut stats = RepairStats::default();
     if !delta.blocked_nodes().is_empty() || !delta.blocked_edges().is_empty() {
-        scratch.reset(n, g.edge_count(), delta);
-        repair_blocks(ws, scratch, g, config, &mut stats);
+        repair_blocks(&mut ws.pass, run, g, config, delta, &mut stats);
     }
     if !delta.restored_nodes().is_empty() {
-        decrease(ws, g, config, delta.restored_nodes(), &mut stats);
+        decrease(
+            &mut ws.pass,
+            run,
+            g,
+            config,
+            delta.restored_nodes(),
+            &mut stats,
+        );
     }
     if stats.is_clean() {
         qnet_obs::counter!("graph.delta.clean");
@@ -255,121 +231,127 @@ where
             qnet_obs::counter!("graph.delta.restored");
         }
     }
-    (DijkstraView::over(ws), stats)
+    stats
+}
+
+/// `true` when `u`, met over the adjacency entry `(u, e)` of `x`, hangs
+/// off `x` in the stored tree by exactly that edge.
+#[inline]
+fn is_child(run: &DijkstraRun, x: NodeId, u: NodeId, e: EdgeId) -> bool {
+    run.prev[u.index()] == Some((x, e))
+}
+
+/// Adds `u` to the affected list unless it is already on it.
+#[inline]
+fn mark(pass: &mut Pass, u: NodeId) {
+    if pass.open[u.index()] != pass.generation {
+        pass.open[u.index()] = pass.generation;
+        pass.affected.push(u);
+    }
+}
+
+/// Marks every child of `x` in the stored tree.
+fn mark_children<N, E>(pass: &mut Pass, run: &DijkstraRun, g: &Graph<N, E>, x: NodeId) {
+    for &(u, e) in g.neighbor_slice(x) {
+        if is_child(run, x, u, e) {
+            mark(pass, u);
+        }
+    }
 }
 
 /// Phases 1–3 (mark, clear, re-run) for the blocked elements, with the
 /// restored vertices still treated as non-relays, as in the stored run.
 fn repair_blocks<N, E, FC, FR>(
-    ws: &mut DijkstraWorkspace,
-    scratch: &mut RepairScratch,
+    pass: &mut Pass,
+    run: &mut DijkstraRun,
     g: &Graph<N, E>,
     config: &DijkstraConfig<FC, FR>,
+    delta: &SsspDelta,
     stats: &mut RepairStats,
 ) where
     FC: Fn(EdgeRef<'_, E>) -> f64,
     FR: Fn(NodeId) -> bool,
 {
-    let RepairScratch {
-        node_blocked,
-        node_restored,
-        edge_blocked,
-        state,
-        chain,
-    } = scratch;
-    let config = DijkstraConfig {
-        edge_cost: &config.edge_cost,
-        can_relay: |v: NodeId| !node_restored[v.index()] && (config.can_relay)(v),
-    };
-    let n = ws.active_len;
-    let source = ws.source;
+    pass.begin(g.node_count());
+    let source = run.source;
 
-    // Phase 1 — mark: a node is affected iff its predecessor chain
-    // crosses a blocked element. Each chain walk stops at the first
-    // node with a known verdict and back-propagates it, so every node
-    // is classified exactly once.
-    state[source.index()] = KEEP;
-    for i in 0..n {
-        if !ws.is_current(i) || !ws.dist[i].is_finite() {
-            continue;
-        }
-        let mut cur = i;
-        let verdict = loop {
-            match state[cur] {
-                UNKNOWN => {}
-                known => break known,
-            }
-            match ws.prev[cur] {
-                None => break KEEP, // the source (stamped, no predecessor)
-                Some((p, e)) => {
-                    if edge_blocked[e.index()] || (node_blocked[p.index()] && p != source) {
-                        state[cur] = AFFECTED;
-                        break AFFECTED;
-                    }
-                    chain.push(cur);
-                    cur = p.index();
-                }
-            }
-        };
-        state[cur] = verdict;
-        for u in chain.drain(..) {
-            state[u] = verdict;
+    // Phase 1 — mark: walk the stored tree down from the roots of the
+    // affected subtrees. A blocked vertex keeps its own label (its chain
+    // does not relay through itself); its children lose theirs. The
+    // list doubles as the walk's queue.
+    pass.affected.clear();
+    for &v in delta.blocked_nodes() {
+        if v != source && run.dist[v.index()].is_finite() {
+            mark_children(pass, run, g, v);
         }
     }
-
-    stats.affected = state.iter().filter(|&&s| s == AFFECTED).count();
+    for &e in delta.blocked_edges() {
+        let (a, b) = g.endpoints(e);
+        if is_child(run, a, b, e) {
+            mark(pass, b);
+        } else if is_child(run, b, a, e) {
+            mark(pass, a);
+        }
+    }
+    let mut next = 0;
+    while let Some(&x) = pass.affected.get(next) {
+        mark_children(pass, run, g, x);
+        next += 1;
+    }
+    stats.affected = pass.affected.len();
     if stats.affected == 0 {
         return;
     }
 
     // Phase 2 — clear the affected slots and seed the boundary: every
-    // kept node adjacent to an affected one re-enters the loop at its
-    // exact final distance. A seed that relays goes on the heap with its
-    // settled flag dropped, so the loop re-relaxes out of it verbatim; a
-    // seed that does not relay would pop and expand nothing, so it is
-    // counted here and stays settled.
-    ws.heap.clear();
-    for (i, &s) in state.iter().enumerate() {
-        if s == AFFECTED {
-            ws.dist[i] = f64::INFINITY;
-            ws.prev[i] = None;
-            ws.settled[i] = false;
-        }
+    // reached, kept neighbor of an affected vertex re-enters the loop at
+    // its exact final distance. A seed that relays goes on the heap and
+    // is opened, so the loop re-relaxes out of it verbatim; a seed that
+    // does not relay would pop and expand nothing, so it is counted here
+    // and marked popped. Restored vertices read as non-relays for the
+    // whole pass.
+    for &v in &pass.affected {
+        run.dist[v.index()] = f64::INFINITY;
+        run.prev[v.index()] = None;
     }
-    for i in 0..n {
-        if state[i] != AFFECTED {
-            continue;
-        }
-        for &(p, _) in g.neighbor_slice(NodeId::new(i)) {
+    for &r in delta.restored_nodes() {
+        pass.set_relays(r, false);
+    }
+    for k in 0..pass.affected.len() {
+        for &(p, _) in g.neighbor_slice(pass.affected[k]) {
             let pi = p.index();
-            if state[pi] != KEEP {
+            let kept = run.dist[pi].is_finite();
+            if !kept || pass.open[pi] == pass.generation || pass.popped(p) {
                 continue;
             }
-            state[pi] = SEED;
-            if p == source || (config.can_relay)(p) {
-                ws.settled[pi] = false;
-                ws.heap.push(HeapEntry::new(ws.dist[pi], p));
+            if p == source || pass.relays(p, &config.can_relay) {
+                pass.open[pi] = pass.generation;
+                pass.heap.push(HeapEntry::new(run.dist[pi], p));
             } else {
-                ws.settled[pi] = true;
+                pass.pop(p);
                 stats.resettled += 1;
             }
         }
     }
 
-    // Phase 3 — the search's own relaxation loop over the seeded frontier.
-    let tally = relax(ws, g, &config, None);
+    // Phase 3 — the search's own relaxation loop over the seeded
+    // frontier, confined to the open vertices: every other vertex keeps
+    // its stored label and refuses offers, as a settled one would.
+    let tally = relax::<true, _, _, _, _>(run, pass, g, config, None);
     stats.resettled += tally.settled;
     stats.relaxations += tally.relaxations;
 }
 
 /// Phase 4, the decrease pass: seeds every reached restored relay at its
-/// label and runs the loop with every reached slot unsettled (the source
-/// excepted: it pops first in any run) and its relay flag re-read from
-/// the post-delta `config`. Labels only fall, so the pass pops exactly
-/// the seeds and the relays whose label fell; the loop's tie rule
-/// places every equal offer against the stored predecessor.
+/// label and runs the loop in a new pass, with the source counted as
+/// popped (it pops first in any run). Labels only fall, so the pass pops
+/// exactly the seeds and the relays whose label fell, each reading its
+/// relay flag from the post-delta `config` at its first improving
+/// offer; the loop's tie rule places every equal offer against the
+/// stored predecessor.
 fn decrease<N, E, FC, FR>(
-    ws: &mut DijkstraWorkspace,
+    pass: &mut Pass,
+    run: &mut DijkstraRun,
     g: &Graph<N, E>,
     config: &DijkstraConfig<FC, FR>,
     restored: &[NodeId],
@@ -378,27 +360,20 @@ fn decrease<N, E, FC, FR>(
     FC: Fn(EdgeRef<'_, E>) -> f64,
     FR: Fn(NodeId) -> bool,
 {
-    let source = ws.source;
-    let reached =
-        |ws: &DijkstraWorkspace, v: NodeId| v != source && ws.dist_at(v.index()).is_finite();
-    if !restored.iter().any(|&r| reached(ws, r)) {
+    let source = run.source;
+    let reached = |run: &DijkstraRun, v: NodeId| v != source && run.dist[v.index()].is_finite();
+    if !restored.iter().any(|&r| reached(run, r)) {
         return;
     }
-    ws.heap.clear();
-    for i in 0..ws.active_len {
-        if ws.is_current(i) && ws.dist[i].is_finite() {
-            ws.settled[i] = false;
-            ws.relays[i] = (config.can_relay)(NodeId::new(i));
-        }
-    }
-    ws.settled[source.index()] = true;
+    pass.begin(g.node_count());
+    pass.pop(source);
     for &r in restored {
-        if reached(ws, r) && ws.relays[r.index()] {
-            ws.heap.push(HeapEntry::new(ws.dist[r.index()], r));
+        if reached(run, r) && pass.relays(r, &config.can_relay) {
+            pass.heap.push(HeapEntry::new(run.dist[r.index()], r));
             stats.restored += 1;
         }
     }
-    let tally = relax(ws, g, config, None);
+    let tally = relax::<false, _, _, _, _>(run, pass, g, config, None);
     stats.resettled += tally.settled;
     stats.relaxations += tally.relaxations;
 }
@@ -406,7 +381,7 @@ fn decrease<N, E, FC, FR>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::paths::{dijkstra_into, DijkstraRun};
+    use crate::paths::dijkstra_into;
 
     fn cost(e: EdgeRef<'_, f64>) -> f64 {
         *e.payload
@@ -441,27 +416,26 @@ mod tests {
             can_relay: |v: NodeId| Some(v) != blocked_node,
         };
         let mut ws = DijkstraWorkspace::new();
-        dijkstra_into(&mut ws, g, source, &cfg, None).to_run()
+        dijkstra_into(&mut ws, g, source, &cfg, None).clone()
     }
 
     #[test]
     fn blocking_a_relay_reroutes_its_subtree() {
         let (g, [a, b, c], _) = diamond();
         let mut ws = DijkstraWorkspace::new();
-        dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost), None);
+        let mut run = dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost), None).clone();
         let mut delta = SsspDelta::new();
         delta.block_node(b);
         let cfg = DijkstraConfig {
             edge_cost: cost,
             can_relay: |v: NodeId| v != b,
         };
-        let mut scratch = RepairScratch::new();
-        let (view, stats) = dijkstra_repair_into(&mut ws, &mut scratch, &g, &cfg, &delta);
+        let stats = dijkstra_repair_into(&mut ws, &mut run, &g, &cfg, &delta);
         assert_eq!(stats.affected, 1, "only c relayed through b");
-        assert_eq!(view.to_run(), fresh(&g, a, Some(b), None));
-        assert_eq!(view.distance(c), Some(5.0));
+        assert_eq!(run, fresh(&g, a, Some(b), None));
+        assert_eq!(run.distance(c), Some(5.0));
         assert_eq!(
-            view.distance(b),
+            run.distance(b),
             Some(1.0),
             "b stays reachable as an endpoint"
         );
@@ -471,7 +445,7 @@ mod tests {
     fn blocking_an_edge_reroutes_through_the_detour() {
         let (g, [a, _b, c], [_, bc, _]) = diamond();
         let mut ws = DijkstraWorkspace::new();
-        dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost), None);
+        let mut run = dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost), None).clone();
         let mut delta = SsspDelta::new();
         delta.block_edge(bc);
         let cfg = DijkstraConfig::all_nodes(|e: EdgeRef<'_, f64>| {
@@ -481,18 +455,17 @@ mod tests {
                 *e.payload
             }
         });
-        let mut scratch = RepairScratch::new();
-        let (view, stats) = dijkstra_repair_into(&mut ws, &mut scratch, &g, &cfg, &delta);
+        let stats = dijkstra_repair_into(&mut ws, &mut run, &g, &cfg, &delta);
         assert!(!stats.is_clean());
-        assert_eq!(view.to_run(), fresh(&g, a, None, Some(bc)));
-        assert_eq!(view.distance(c), Some(5.0));
+        assert_eq!(run, fresh(&g, a, None, Some(bc)));
+        assert_eq!(run.distance(c), Some(5.0));
     }
 
     #[test]
     fn a_miss_is_clean_and_does_no_work() {
         let (g, [a, b, _c], [_, _, ac]) = diamond();
         let mut ws = DijkstraWorkspace::new();
-        dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost), None);
+        let mut run = dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost), None).clone();
         // The direct a-c edge carries no shortest path; blocking it
         // leaves the stored tree untouched.
         let mut delta = SsspDelta::new();
@@ -504,11 +477,10 @@ mod tests {
                 *e.payload
             }
         });
-        let mut scratch = RepairScratch::new();
-        let (view, stats) = dijkstra_repair_into(&mut ws, &mut scratch, &g, &cfg, &delta);
+        let stats = dijkstra_repair_into(&mut ws, &mut run, &g, &cfg, &delta);
         assert!(stats.is_clean());
         assert_eq!(stats.resettled, 0);
-        assert_eq!(view.to_run(), fresh(&g, a, None, Some(ac)));
+        assert_eq!(run, fresh(&g, a, None, Some(ac)));
         let _ = b;
     }
 
@@ -523,7 +495,7 @@ mod tests {
         let bc = g.add_edge(b, c, 1.0);
         assert!(crate::connectivity::bridges(&g).contains(&bc));
         let mut ws = DijkstraWorkspace::new();
-        dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost), None);
+        let mut run = dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost), None).clone();
         let mut delta = SsspDelta::new();
         delta.block_edge(bc);
         let cfg = DijkstraConfig::all_nodes(|e: EdgeRef<'_, f64>| {
@@ -533,19 +505,17 @@ mod tests {
                 *e.payload
             }
         });
-        let mut scratch = RepairScratch::new();
-        let (view, stats) = dijkstra_repair_into(&mut ws, &mut scratch, &g, &cfg, &delta);
+        let stats = dijkstra_repair_into(&mut ws, &mut run, &g, &cfg, &delta);
         assert_eq!(stats.affected, 1);
-        assert_eq!(view.distance(c), None);
-        assert_eq!(view.to_run(), fresh(&g, a, None, Some(bc)));
+        assert_eq!(run.distance(c), None);
+        assert_eq!(run, fresh(&g, a, None, Some(bc)));
     }
 
     #[test]
     fn repairs_compose_across_sequential_deltas() {
         let (g, [a, b, c], [ab, _, _]) = diamond();
         let mut ws = DijkstraWorkspace::new();
-        dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost), None);
-        let mut scratch = RepairScratch::new();
+        let mut run = dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost), None).clone();
         // First delta: b stops relaying.
         let mut d1 = SsspDelta::new();
         d1.block_node(b);
@@ -553,7 +523,7 @@ mod tests {
             edge_cost: cost,
             can_relay: |v: NodeId| v != b,
         };
-        dijkstra_repair_into(&mut ws, &mut scratch, &g, &cfg1, &d1);
+        dijkstra_repair_into(&mut ws, &mut run, &g, &cfg1, &d1);
         // Second delta on top: the a-b edge goes away entirely.
         let mut d2 = SsspDelta::new();
         d2.block_edge(ab);
@@ -567,18 +537,14 @@ mod tests {
             },
             can_relay: |v: NodeId| v != b,
         };
-        let (view, _) = dijkstra_repair_into(&mut ws, &mut scratch, &g, &cfg2, &d2);
+        dijkstra_repair_into(&mut ws, &mut run, &g, &cfg2, &d2);
         let mut fresh_ws = DijkstraWorkspace::new();
-        let fresh = dijkstra_into(&mut fresh_ws, &g, a, &cfg2, None).to_run();
-        assert_eq!(view.to_run(), fresh);
-        assert_eq!(
-            view.distance(b),
-            Some(6.0),
-            "b reachable only via a-c-b now"
-        );
-        assert_eq!(view.distance(c), Some(5.0));
+        let fresh = dijkstra_into(&mut fresh_ws, &g, a, &cfg2, None).clone();
+        assert_eq!(run, fresh);
+        assert_eq!(run.distance(b), Some(6.0), "b reachable only via a-c-b now");
+        assert_eq!(run.distance(c), Some(5.0));
         // And the workspace is still a perfectly good workspace.
-        let run = dijkstra_into(&mut ws, &g, c, &DijkstraConfig::all_nodes(cost), None).to_run();
+        let run = dijkstra_into(&mut ws, &g, c, &DijkstraConfig::all_nodes(cost), None).clone();
         assert_eq!(run.distance(a), Some(2.0));
     }
 
@@ -586,7 +552,7 @@ mod tests {
     fn merged_delta_repairs_in_one_shot() {
         let (g, [a, b, _c], [_, bc, _]) = diamond();
         let mut ws = DijkstraWorkspace::new();
-        dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost), None);
+        let mut run = dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost), None).clone();
         let mut delta = SsspDelta::new();
         delta.block_node(b);
         delta.block_edge(bc);
@@ -602,32 +568,33 @@ mod tests {
             },
             can_relay: |v: NodeId| v != b,
         };
-        let mut scratch = RepairScratch::new();
-        let (view, _) = dijkstra_repair_into(&mut ws, &mut scratch, &g, &cfg, &delta);
+        dijkstra_repair_into(&mut ws, &mut run, &g, &cfg, &delta);
         let mut fresh_ws = DijkstraWorkspace::new();
-        let fresh = dijkstra_into(&mut fresh_ws, &g, a, &cfg, None).to_run();
-        assert_eq!(view.to_run(), fresh);
+        let fresh = dijkstra_into(&mut fresh_ws, &g, a, &cfg, None).clone();
+        assert_eq!(run, fresh);
     }
 
     #[test]
-    fn load_run_round_trips_through_the_workspace() {
-        let (g, [a, ..], _) = diamond();
+    fn a_repair_ignores_the_workspace_history() {
+        // The same stored run repaired on a fresh workspace and on one
+        // whose stamps and labels hold another source's search.
+        let (g, [a, b, c], _) = diamond();
         let mut ws = DijkstraWorkspace::new();
-        let run = dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost), None).to_run();
-        let mut other = DijkstraWorkspace::new();
-        other.load_run(&run);
-        assert_eq!(DijkstraView::over(&other).to_run(), run);
-        // A loaded run repairs exactly like the original workspace.
-        let (_, [_, b, _], _) = diamond();
+        let stored = dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost), None).clone();
+        dijkstra_into(&mut ws, &g, c, &DijkstraConfig::all_nodes(cost), None);
         let mut delta = SsspDelta::new();
         delta.block_node(b);
         let cfg = DijkstraConfig {
             edge_cost: cost,
             can_relay: move |v: NodeId| v != b,
         };
-        let mut scratch = RepairScratch::new();
-        let (view, _) = dijkstra_repair_into(&mut other, &mut scratch, &g, &cfg, &delta);
-        assert_eq!(view.to_run(), fresh(&g, a, Some(b), None));
+        let mut dirty = stored.clone();
+        let dirty_stats = dijkstra_repair_into(&mut ws, &mut dirty, &g, &cfg, &delta);
+        let mut clean = stored;
+        let clean_stats =
+            dijkstra_repair_into(&mut DijkstraWorkspace::new(), &mut clean, &g, &cfg, &delta);
+        assert_eq!(dirty, fresh(&g, a, Some(b), None));
+        assert_eq!((clean, clean_stats), (dirty, dirty_stats));
     }
 
     #[test]
@@ -648,21 +615,19 @@ mod tests {
         g.add_edge(a, e, 0.5);
         g.add_edge(e, d, 0.5); // shortest route pre-delta: a-e-d at 1.0
         let mut ws = DijkstraWorkspace::new();
-        dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost), None);
+        let mut run = dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost), None).clone();
         let mut delta = SsspDelta::new();
         delta.block_node(e);
         let cfg = DijkstraConfig {
             edge_cost: cost,
             can_relay: move |v: NodeId| v != e,
         };
-        let mut scratch = RepairScratch::new();
-        let (view, _) = dijkstra_repair_into(&mut ws, &mut scratch, &g, &cfg, &delta);
+        dijkstra_repair_into(&mut ws, &mut run, &g, &cfg, &delta);
         let mut fresh_ws = DijkstraWorkspace::new();
-        let fresh = dijkstra_into(&mut fresh_ws, &g, a, &cfg, None).to_run();
-        let repaired = view.to_run();
-        assert_eq!(repaired, fresh);
+        let fresh = dijkstra_into(&mut fresh_ws, &g, a, &cfg, None).clone();
+        assert_eq!(run, fresh);
         assert_eq!(
-            repaired.prev_hop(d).map(|(p, _)| p),
+            run.prev_hop(d).map(|(p, _)| p),
             fresh.prev_hop(d).map(|(p, _)| p),
             "fp-tie predecessor choice must survive the repair"
         );
@@ -676,22 +641,21 @@ mod tests {
             edge_cost: cost,
             can_relay: |v: NodeId| v != b,
         };
-        dijkstra_into(&mut ws, &g, a, &without_b, None);
-        assert_eq!(ws.dist_at(c.index()), 5.0);
+        let mut run = dijkstra_into(&mut ws, &g, a, &without_b, None).clone();
+        assert_eq!(run.distance(c), Some(5.0));
         let mut delta = SsspDelta::new();
         delta.restore_node(b);
-        let mut scratch = RepairScratch::new();
-        let (view, stats) = dijkstra_repair_into(
+        let stats = dijkstra_repair_into(
             &mut ws,
-            &mut scratch,
+            &mut run,
             &g,
             &DijkstraConfig::all_nodes(cost),
             &delta,
         );
         assert_eq!((stats.affected, stats.restored), (0, 1));
         assert!(!stats.is_clean());
-        assert_eq!(view.to_run(), fresh(&g, a, None, None));
-        assert_eq!(view.distance(c), Some(2.0));
+        assert_eq!(run, fresh(&g, a, None, None));
+        assert_eq!(run.distance(c), Some(2.0));
     }
 
     #[test]
@@ -717,19 +681,17 @@ mod tests {
             },
             None,
         )
-        .to_run();
+        .clone();
         assert_eq!(run.prev_hop(v).map(|(x, _)| x), Some(p));
         let mut delta = SsspDelta::new();
         delta.restore_node(r);
-        let mut scratch = RepairScratch::new();
         let cfg = DijkstraConfig::all_nodes(cost);
-        let mut loaded = DijkstraWorkspace::new();
-        loaded.load_run(&run);
-        for ws in [&mut ws, &mut loaded] {
-            let (view, stats) = dijkstra_repair_into(ws, &mut scratch, &g, &cfg, &delta);
+        for ws in [&mut ws, &mut DijkstraWorkspace::new()] {
+            let mut repaired = run.clone();
+            let stats = dijkstra_repair_into(ws, &mut repaired, &g, &cfg, &delta);
             assert_eq!(stats.relaxations, 0, "no label falls, only a tie moves");
-            assert_eq!(view.to_run().prev_hop(v), Some((r, rv)));
-            assert_eq!(view.to_run(), fresh(&g, a, None, None));
+            assert_eq!(repaired.prev_hop(v), Some((r, rv)));
+            assert_eq!(repaired, fresh(&g, a, None, None));
         }
     }
 
@@ -752,22 +714,20 @@ mod tests {
             edge_cost: cost,
             can_relay: |x: NodeId| x != r,
         };
-        let run = dijkstra_into(&mut ws, &g, a, &without_r, None).to_run();
+        let mut run = dijkstra_into(&mut ws, &g, a, &without_r, None).clone();
         assert_eq!(run.prev_hop(v), Some((p, late)));
         let mut delta = SsspDelta::new();
         delta.restore_node(r);
-        let mut scratch = RepairScratch::new();
-        let (view, _) = dijkstra_repair_into(
+        dijkstra_repair_into(
             &mut ws,
-            &mut scratch,
+            &mut run,
             &g,
             &DijkstraConfig::all_nodes(cost),
             &delta,
         );
-        let repaired = view.to_run();
-        assert_eq!(repaired.distance(v), Some(4.0));
-        assert_eq!(repaired.prev_hop(v), Some((p, early)));
-        assert_eq!(repaired, fresh(&g, a, None, None));
+        assert_eq!(run.distance(v), Some(4.0));
+        assert_eq!(run.prev_hop(v), Some((p, early)));
+        assert_eq!(run, fresh(&g, a, None, None));
     }
 
     #[test]
@@ -785,19 +745,18 @@ mod tests {
             edge_cost: cost,
             can_relay: |x: NodeId| x != u,
         };
-        dijkstra_into(&mut ws, &g, s, &without_u, None);
+        let mut run = dijkstra_into(&mut ws, &g, s, &without_u, None).clone();
         let mut delta = SsspDelta::new();
         delta.restore_node(u);
-        let mut scratch = RepairScratch::new();
-        let (view, _) = dijkstra_repair_into(
+        dijkstra_repair_into(
             &mut ws,
-            &mut scratch,
+            &mut run,
             &g,
             &DijkstraConfig::all_nodes(cost),
             &delta,
         );
-        assert_eq!(view.to_run().prev_hop(v), Some((s, sv)));
-        assert_eq!(view.to_run(), fresh(&g, s, None, None));
+        assert_eq!(run.prev_hop(v), Some((s, sv)));
+        assert_eq!(run, fresh(&g, s, None, None));
     }
 
     #[test]
@@ -813,7 +772,7 @@ mod tests {
         g.add_edge(a, c, 3.0);
         g.add_edge(c, e, 3.0);
         let mut ws = DijkstraWorkspace::new();
-        dijkstra_into(
+        let mut run = dijkstra_into(
             &mut ws,
             &g,
             a,
@@ -822,22 +781,22 @@ mod tests {
                 can_relay: |x: NodeId| x != d,
             },
             None,
-        );
+        )
+        .clone();
         let mut delta = SsspDelta::new();
         delta.block_node(b).restore_node(d);
         let after = DijkstraConfig {
             edge_cost: cost,
             can_relay: |x: NodeId| x != b,
         };
-        let mut scratch = RepairScratch::new();
-        let (view, stats) = dijkstra_repair_into(&mut ws, &mut scratch, &g, &after, &delta);
+        let stats = dijkstra_repair_into(&mut ws, &mut run, &g, &after, &delta);
         assert_eq!((stats.affected, stats.restored), (1, 1));
         let mut fresh_ws = DijkstraWorkspace::new();
         assert_eq!(
-            view.to_run(),
-            dijkstra_into(&mut fresh_ws, &g, a, &after, None).to_run()
+            run,
+            dijkstra_into(&mut fresh_ws, &g, a, &after, None).clone()
         );
-        assert_eq!(view.to_run().prev_hop(e).map(|(x, _)| x), Some(d));
+        assert_eq!(run.prev_hop(e).map(|(x, _)| x), Some(d));
         let _ = c;
     }
 
@@ -855,18 +814,81 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no run over this graph")]
-    fn repairing_a_foreign_workspace_panics() {
-        let (g, _, _) = diamond();
+    #[should_panic(expected = "does not cover this graph")]
+    fn repairing_a_foreign_run_panics() {
+        let (g, [a, ..], _) = diamond();
         let mut ws = DijkstraWorkspace::new();
-        let mut scratch = RepairScratch::new();
-        let delta = SsspDelta::new();
+        let mut line: Graph<(), f64> = Graph::new();
+        let [x, y] = [(); 2].map(|_| line.add_node(()));
+        line.add_edge(x, y, 1.0);
+        let mut foreign =
+            dijkstra_into(&mut ws, &line, x, &DijkstraConfig::all_nodes(cost), None).clone();
+        let _ = a;
         dijkstra_repair_into(
             &mut ws,
-            &mut scratch,
+            &mut foreign,
             &g,
             &DijkstraConfig::all_nodes(cost),
-            &delta,
+            &SsspDelta::new(),
         );
+    }
+
+    #[test]
+    fn searches_and_repairs_stay_exact_across_the_generation_wrap() {
+        // A first search and two repairs leave stamps at generations
+        // 1–4. The counter then jumps to the top with one search of a
+        // two-vertex graph, which restamps only two slots, and the next
+        // step wraps: it runs the same passes at generations 1–4 again,
+        // and would read the stale stamps — popped, relay flag read,
+        // open — if the wrap did not clear them.
+        let mut g: Graph<(), f64> = Graph::new();
+        let ids: Vec<NodeId> = (0..8).map(|_| g.add_node(())).collect();
+        for (i, j, w) in [
+            (0, 1, 1.0),
+            (1, 2, 1.0),
+            (2, 3, 1.0),
+            (0, 4, 2.5),
+            (4, 3, 1.0),
+            (1, 5, 0.5),
+            (5, 6, 0.5),
+            (6, 3, 1.5),
+            (2, 7, 1.0),
+            (7, 3, 0.5),
+        ] {
+            g.add_edge(ids[i], ids[j], w);
+        }
+        let mut pair: Graph<(), f64> = Graph::new();
+        let [x, y] = [(); 2].map(|_| pair.add_node(()));
+        pair.add_edge(x, y, 1.0);
+        let relay_unless = |x: NodeId| move |v: NodeId| v != x;
+        let cfg = |x: NodeId| DijkstraConfig {
+            edge_cost: cost,
+            can_relay: relay_unless(x),
+        };
+        let (s, victim, spare) = (ids[0], ids[2], ids[6]);
+        let mut block = SsspDelta::new();
+        block.block_node(victim);
+        let mut restore = SsspDelta::new();
+        restore.restore_node(victim).block_node(spare);
+        let mut ws = DijkstraWorkspace::new();
+        let step = |ws: &mut DijkstraWorkspace| {
+            let stored = dijkstra_into(ws, &g, s, &cfg(spare), None).clone();
+            assert_eq!(stored, fresh(&g, s, Some(spare), None));
+            let mut run = stored.clone();
+            let stats = dijkstra_repair_into(ws, &mut run, &g, &cfg(victim), &block);
+            assert!(stats.affected > 0);
+            assert_eq!(run, fresh(&g, s, Some(victim), None));
+            dijkstra_repair_into(ws, &mut run, &g, &cfg(spare), &restore);
+            assert_eq!(run, stored);
+        };
+        step(&mut ws);
+        assert_eq!(ws.pass.generation, 4);
+        ws.pass.generation = u32::MAX - 1;
+        let run = dijkstra_into(&mut ws, &pair, x, &DijkstraConfig::all_nodes(cost), None);
+        assert_eq!(run.distance(y), Some(1.0));
+        for _ in 0..3 {
+            step(&mut ws);
+        }
+        assert_eq!(ws.pass.generation, 12, "the counter wrapped");
     }
 }

@@ -65,12 +65,10 @@ pub mod steiner;
 pub mod unionfind;
 pub mod weight;
 
-pub use delta::{dijkstra_repair_into, RepairScratch, RepairStats, SsspDelta};
+pub use delta::{dijkstra_repair_into, RepairStats, SsspDelta};
 pub use graph::{EdgeId, EdgeRef, Graph, NodeId};
 pub use ksp::k_shortest_paths_in;
 pub use mask::SearchMask;
-pub use paths::{
-    dijkstra_into, DijkstraConfig, DijkstraRun, DijkstraView, DijkstraWorkspace, Path,
-};
+pub use paths::{dijkstra_into, DijkstraConfig, DijkstraRun, DijkstraWorkspace, Path};
 pub use unionfind::UnionFind;
 pub use weight::NegLog;

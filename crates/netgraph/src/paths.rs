@@ -29,9 +29,10 @@
 //!   after that pop costs at least its label (edge costs are ≥ 0, pops
 //!   are in cost order), so the strict `<` test would reject it. The
 //!   loop therefore keeps such a vertex off the heap: its best offer is
-//!   its final label. The filter is asked once per vertex per run, when
-//!   the vertex is first reached, and the settled tally counts the
-//!   vertex at that point, exactly once, as its pop would have.
+//!   its final label. The filter is asked once per vertex per pass, at
+//!   its first improving offer, and the settled tally counts a rejected
+//!   vertex when it is first reached, exactly once, as its pop would
+//!   have.
 
 use std::collections::BinaryHeap;
 
@@ -97,8 +98,8 @@ impl Path {
 /// any destination are always allowed regardless of the filter.
 ///
 /// `can_relay` must be a pure function of the vertex for the duration of
-/// a run: the search asks it once per reached vertex, when the vertex is
-/// first reached, and keeps the answer for every later improvement.
+/// a run: the search asks it once per reached vertex, at the vertex's
+/// first improving offer, and keeps the answer for every later one.
 #[derive(Clone, Copy, Debug)]
 pub struct DijkstraConfig<FC, FR> {
     /// Cost of one edge; `INFINITY` to exclude it.
@@ -120,59 +121,93 @@ impl<FC> DijkstraConfig<FC, fn(NodeId) -> bool> {
     }
 }
 
-/// The owned result of a [`dijkstra_into`] run from one source
-/// ([`DijkstraView::to_run`]).
-#[derive(Clone, Debug, PartialEq)]
+/// The result of a [`dijkstra_into`] run from one source: one distance
+/// and one predecessor per vertex, as plain arrays. `INFINITY` and
+/// `None` mark a vertex the run does not reach.
+///
+/// [`crate::delta::dijkstra_repair_into`] patches a run through `&mut`,
+/// in place, wherever it is stored.
+#[derive(Debug, PartialEq)]
 pub struct DijkstraRun {
-    source: NodeId,
-    dist: Vec<f64>,
-    prev: Vec<Option<(NodeId, EdgeId)>>,
-}
-
-/// Reusable scratch state for repeated Dijkstra runs.
-///
-/// Every [`dijkstra_into`] call needs `dist`/`prev`/`settled`/`relays`
-/// arrays and a binary heap; allocating them fresh per call dominates
-/// the cost of searches on small-to-medium graphs, and the MUERP
-/// solvers issue hundreds of such searches per solve. A workspace owns
-/// those buffers and *generation-stamps* them: each run bumps a
-/// generation counter and a per-slot stamp records which run last wrote
-/// the slot, so resetting between runs is O(1) — no clearing, no
-/// re-filling with `INFINITY`.
-///
-/// The same workspace may be reused across graphs of different sizes
-/// (buffers grow monotonically) and across arbitrary cost/relay
-/// configurations; a run never observes state from a previous run
-/// (the proptest suite in `tests/properties.rs` pits a deliberately
-/// dirty workspace against fresh runs).
-#[derive(Clone, Debug)]
-pub struct DijkstraWorkspace {
-    pub(crate) generation: u32,
-    pub(crate) active_len: usize,
     pub(crate) source: NodeId,
-    pub(crate) stamp: Vec<u32>,
     pub(crate) dist: Vec<f64>,
     pub(crate) prev: Vec<Option<(NodeId, EdgeId)>>,
-    pub(crate) settled: Vec<bool>,
-    /// `can_relay`'s answer for each vertex reached in the current run.
-    pub(crate) relays: Vec<bool>,
-    pub(crate) heap: BinaryHeap<HeapEntry>,
 }
 
-impl Default for DijkstraWorkspace {
-    fn default() -> Self {
-        DijkstraWorkspace {
-            generation: 0,
-            active_len: 0,
-            source: NodeId::new(0),
-            stamp: Vec::new(),
-            dist: Vec::new(),
-            prev: Vec::new(),
-            settled: Vec::new(),
-            relays: Vec::new(),
-            heap: BinaryHeap::new(),
+impl Clone for DijkstraRun {
+    fn clone(&self) -> Self {
+        DijkstraRun {
+            source: self.source,
+            dist: self.dist.clone(),
+            prev: self.prev.clone(),
         }
     }
+
+    /// Copies `other` into `self`'s buffers (no allocation once they have
+    /// reached the graph's size): a cache refresh stays cheaper than a
+    /// fill, the invariant the search-core bench asserts.
+    fn clone_from(&mut self, other: &Self) {
+        self.source = other.source;
+        self.dist.clone_from(&other.dist);
+        self.prev.clone_from(&other.prev);
+    }
+}
+
+impl Default for DijkstraRun {
+    fn default() -> Self {
+        DijkstraRun {
+            source: NodeId::new(0),
+            dist: Vec::new(),
+            prev: Vec::new(),
+        }
+    }
+}
+
+/// Reusable scratch state for repeated Dijkstra runs and repairs.
+///
+/// A workspace holds the labels of its most recent [`dijkstra_into`]
+/// run and the pass-local state every search and repair pass needs: a
+/// binary heap and per-vertex *generation stamps*. Each pass bumps a
+/// generation counter, and a stamp equal to it records a fact about the
+/// current pass only — the vertex popped, its relay flag was read, or
+/// (in a repair) it is open to offers: affected, or a boundary seed.
+/// Starting a pass is
+/// therefore O(1): nothing is cleared. A fresh search resets its labels
+/// with one fill (`dist = ∞`, `prev = None`); a repair patches the
+/// caller's stored run and never touches those labels.
+///
+/// Allocating these buffers fresh per call dominates the cost of
+/// searches on small-to-medium graphs, and the MUERP solvers issue
+/// hundreds of searches per solve. The same workspace may be reused
+/// across graphs of different sizes (buffers grow monotonically) and
+/// across arbitrary cost/relay configurations; a run never observes
+/// state from a previous run (the proptest suite in
+/// `tests/properties.rs` pits a deliberately dirty workspace against
+/// fresh runs).
+#[derive(Clone, Debug, Default)]
+pub struct DijkstraWorkspace {
+    /// Labels of the most recent [`dijkstra_into`] run.
+    labels: DijkstraRun,
+    pub(crate) pass: Pass,
+}
+
+/// Pass-local state: the heap, generation-stamped facts and the
+/// repair's affected list.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Pass {
+    pub(crate) generation: u32,
+    /// `popped[v] == generation`: `v` popped (settled) in this pass.
+    popped: Vec<u32>,
+    /// `read[v] == generation`: `relays[v]` holds the relay filter's
+    /// answer for `v` in this pass.
+    read: Vec<u32>,
+    relays: Vec<bool>,
+    /// `open[v] == generation`: in a confined repair pass, `v` may take
+    /// offers — it is affected, or a boundary seed on the heap.
+    pub(crate) open: Vec<u32>,
+    /// The affected vertices of the current repair, in walk order.
+    pub(crate) affected: Vec<NodeId>,
+    pub(crate) heap: BinaryHeap<HeapEntry>,
 }
 
 impl DijkstraWorkspace {
@@ -184,193 +219,93 @@ impl DijkstraWorkspace {
     /// A workspace pre-sized for graphs of `nodes` vertices.
     pub fn with_capacity(nodes: usize) -> Self {
         let mut ws = Self::default();
-        ws.grow(nodes);
+        ws.pass.grow(nodes);
+        ws.labels.dist.reserve(nodes);
+        ws.labels.prev.reserve(nodes);
         ws
     }
+}
 
-    /// Starts a new run over `n` vertices: O(1) unless buffers must grow
-    /// or the 32-bit generation wraps (once per ~4 billion runs).
+impl Pass {
+    /// Starts a new pass over `n` vertices: O(1) unless buffers must grow
+    /// or the 32-bit generation wraps (once per ~4 billion passes).
     pub(crate) fn begin(&mut self, n: usize) {
-        qnet_obs::counter!("graph.workspace.runs");
         self.grow(n);
-        self.active_len = n;
         self.heap.clear();
         if self.generation == u32::MAX {
-            self.stamp.iter_mut().for_each(|s| *s = 0);
+            for stamps in [&mut self.popped, &mut self.read, &mut self.open] {
+                stamps.fill(0);
+            }
             self.generation = 0;
         }
         self.generation += 1;
     }
 
     fn grow(&mut self, n: usize) {
-        if n > self.stamp.len() {
-            // Stamp 0 can never equal the post-`begin` generation (≥ 1),
-            // so fresh slots always read as untouched. Growth is the
-            // arena's only allocation; `runs − grown` over `runs` is
-            // the zero-alloc reuse rate the profile report prints.
+        if n > self.popped.len() {
+            // Stamp 0 never equals a post-`begin` generation (≥ 1), so
+            // fresh slots read as untouched. Growth is the arena's only
+            // allocation; `runs − grown` over `runs` is the zero-alloc
+            // reuse rate the profile report prints.
             qnet_obs::counter!("graph.workspace.grown");
-            self.stamp.resize(n, 0);
-            self.dist.resize(n, f64::INFINITY);
-            self.prev.resize(n, None);
-            self.settled.resize(n, false);
+            self.popped.resize(n, 0);
+            self.read.resize(n, 0);
             self.relays.resize(n, false);
+            self.open.resize(n, 0);
         }
     }
 
+    /// `true` when `v` popped in this pass.
     #[inline]
-    pub(crate) fn is_current(&self, i: usize) -> bool {
-        self.stamp[i] == self.generation
+    pub(crate) fn popped(&self, v: NodeId) -> bool {
+        self.popped[v.index()] == self.generation
     }
 
+    /// Marks `v` popped in this pass.
     #[inline]
-    pub(crate) fn dist_at(&self, i: usize) -> f64 {
-        if self.is_current(i) {
-            self.dist[i]
-        } else {
-            f64::INFINITY
-        }
+    pub(crate) fn pop(&mut self, v: NodeId) {
+        self.popped[v.index()] = self.generation;
     }
 
+    /// `true` when `v` takes no more offers in this pass: it popped, or
+    /// the pass is `CONFINED` to the open vertices and `v` is not one.
     #[inline]
-    pub(crate) fn prev_at(&self, i: usize) -> Option<(NodeId, EdgeId)> {
-        if self.is_current(i) {
-            self.prev[i]
-        } else {
-            None
-        }
+    fn closed<const CONFINED: bool>(&self, v: NodeId) -> bool {
+        self.popped(v) || (CONFINED && self.open[v.index()] != self.generation)
     }
 
+    /// Whether `v` relays in this pass: `can_relay` is asked at the
+    /// first call per pass, and the answer is kept for the rest of it.
     #[inline]
-    pub(crate) fn settled_at(&self, i: usize) -> bool {
-        self.is_current(i) && self.settled[i]
+    pub(crate) fn relays(&mut self, v: NodeId, can_relay: impl Fn(NodeId) -> bool) -> bool {
+        let i = v.index();
+        if self.read[i] != self.generation {
+            self.read[i] = self.generation;
+            self.relays[i] = can_relay(v);
+        }
+        self.relays[i]
     }
 
-    /// Touches slot `i` for the current run (first write stamps it and
-    /// clears run-local flags).
+    /// Records `relays` as `v`'s relay flag for the rest of this pass,
+    /// without asking the filter.
     #[inline]
-    pub(crate) fn touch(&mut self, i: usize) {
-        if !self.is_current(i) {
-            self.stamp[i] = self.generation;
-            self.settled[i] = false;
-            self.prev[i] = None;
-        }
-    }
-
-    /// Reloads a previously materialized [`DijkstraRun`] into the
-    /// workspace, as if the run had just completed here: every finite
-    /// slot is stamped, settled, and carries the stored distance and
-    /// predecessor; every infinite slot reads as untouched.
-    ///
-    /// This is the bridge between cache-resident owned runs and the
-    /// in-place repair of [`crate::delta::dijkstra_repair_into`]: a
-    /// cache loads the stored state, repairs it against a delta, and
-    /// writes the result back — without ever re-running from scratch.
-    pub fn load_run(&mut self, run: &DijkstraRun) {
-        let n = run.dist.len();
-        self.begin(n);
-        self.source = run.source;
-        for i in 0..n {
-            if run.dist[i].is_finite() {
-                self.touch(i);
-                self.dist[i] = run.dist[i];
-                self.prev[i] = run.prev[i];
-                self.settled[i] = true;
-            }
-        }
-    }
-}
-
-/// A borrowed view of the most recent [`dijkstra_into`] run held in a
-/// [`DijkstraWorkspace`]. Mirrors the query API of [`DijkstraRun`]
-/// without owning (or allocating) the distance/predecessor arrays.
-#[derive(Debug)]
-pub struct DijkstraView<'w> {
-    ws: &'w DijkstraWorkspace,
-}
-
-impl<'w> DijkstraView<'w> {
-    pub(crate) fn over(ws: &'w DijkstraWorkspace) -> Self {
-        DijkstraView { ws }
-    }
-}
-
-impl DijkstraView<'_> {
-    /// The source of the run.
-    pub fn source(&self) -> NodeId {
-        self.ws.source
-    }
-
-    /// Cost of the cheapest admissible path to `target`, or `None` when
-    /// unreachable.
-    pub fn distance(&self, target: NodeId) -> Option<f64> {
-        let d = self.ws.dist_at(target.index());
-        d.is_finite().then_some(d)
-    }
-
-    /// Reconstructs the cheapest admissible path to `target`, or `None`
-    /// when unreachable.
-    pub fn path_to(&self, target: NodeId) -> Option<Path> {
-        let cost = self.distance(target)?;
-        let mut nodes = vec![target];
-        let mut edges = Vec::new();
-        let mut cur = target;
-        while let Some((p, e)) = self.ws.prev_at(cur.index()) {
-            nodes.push(p);
-            edges.push(e);
-            cur = p;
-        }
-        debug_assert_eq!(cur, self.ws.source);
-        nodes.reverse();
-        edges.reverse();
-        Some(Path { nodes, edges, cost })
-    }
-
-    /// Iterates over all reachable targets and their distances.
-    pub fn reachable(&self) -> impl Iterator<Item = (NodeId, f64)> + '_ {
-        (0..self.ws.active_len)
-            .map(|i| (i, self.ws.dist_at(i)))
-            .filter(|(_, d)| d.is_finite())
-            .map(|(i, d)| (NodeId::new(i), d))
-    }
-
-    /// Materializes the run into an owned [`DijkstraRun`].
-    pub fn to_run(&self) -> DijkstraRun {
-        let mut run = DijkstraRun {
-            source: self.ws.source,
-            dist: Vec::new(),
-            prev: Vec::new(),
-        };
-        self.write_run(&mut run);
-        run
-    }
-
-    /// Copies the run into `out`, reusing its buffers (no allocation
-    /// once `out` has reached the graph's size).
-    ///
-    /// One fused pass over the workspace slots: each slot's generation
-    /// stamp is loaded once and both the distance and the predecessor
-    /// are emitted from it, instead of the two stamp-checking sweeps a
-    /// `dist_at`/`prev_at` pair of extends would make. This keeps a
-    /// cache *refresh* (search + copy into recycled buffers) cheaper
-    /// than a *fresh* fill (search + copy into new allocations) — the
-    /// invariant the search-core bench asserts.
-    pub fn write_run(&self, out: &mut DijkstraRun) {
-        let ws = self.ws;
-        let n = ws.active_len;
-        out.source = ws.source;
-        out.dist.clear();
-        out.prev.clear();
-        out.dist.reserve(n);
-        out.prev.reserve(n);
-        for ((&stamp, &dist), &prev) in ws.stamp[..n].iter().zip(&ws.dist[..n]).zip(&ws.prev[..n]) {
-            let live = stamp == ws.generation;
-            out.dist.push(if live { dist } else { f64::INFINITY });
-            out.prev.push(if live { prev } else { None });
-        }
+    pub(crate) fn set_relays(&mut self, v: NodeId, relays: bool) {
+        self.read[v.index()] = self.generation;
+        self.relays[v.index()] = relays;
     }
 }
 
 impl DijkstraRun {
+    /// Resets the labels to a run from `source` that reaches nothing
+    /// yet: one fill over `n` slots.
+    fn reset(&mut self, source: NodeId, n: usize) {
+        self.source = source;
+        self.dist.clear();
+        self.dist.resize(n, f64::INFINITY);
+        self.prev.clear();
+        self.prev.resize(n, None);
+    }
+
     /// The source of the run.
     pub fn source(&self) -> NodeId {
         self.source
@@ -464,11 +399,11 @@ impl HeapEntry {
 /// Dijkstra's algorithm from `source` under `config`, writing into a
 /// reusable [`DijkstraWorkspace`] — the crate's one search kernel.
 ///
-/// The returned [`DijkstraView`] borrows the workspace; query it (or
-/// materialize a [`DijkstraRun`] via [`DijkstraView::to_run`]) before
-/// starting the next run. Complexity `O((|E| + |V|) log |V|)` with a
-/// binary heap, matching the `O(|E| + |V| log |V|)` the paper quotes for
-/// Algorithm 1 up to the usual binary-heap log factor.
+/// The returned [`DijkstraRun`] borrows the workspace; query it (or
+/// clone it out) before starting the next run. Complexity
+/// `O((|E| + |V|) log |V|)` with a binary heap, matching the
+/// `O(|E| + |V| log |V|)` the paper quotes for Algorithm 1 up to the
+/// usual binary-heap log factor.
 ///
 /// A failure `mask` removes dead elements from the search without
 /// touching the graph: a dead edge is never traversed, and a dead
@@ -482,29 +417,30 @@ impl HeapEntry {
 /// run completes (the hot relaxation loop pays no branch-and-format per
 /// edge); debug builds additionally pinpoint the offending edge at the
 /// relaxation itself. A NaN or negative cost never corrupts a returned
-/// result: the run panics before the view is handed back.
+/// result: the run panics before the run is handed back.
 pub fn dijkstra_into<'w, N, E, FC, FR>(
     ws: &'w mut DijkstraWorkspace,
     g: &Graph<N, E>,
     source: NodeId,
     config: &DijkstraConfig<FC, FR>,
     mask: Option<&SearchMask>,
-) -> DijkstraView<'w>
+) -> &'w DijkstraRun
 where
     FC: Fn(EdgeRef<'_, E>) -> f64,
     FR: Fn(NodeId) -> bool,
 {
     qnet_obs::counter!("graph.dijkstra.calls");
+    qnet_obs::counter!("graph.workspace.runs");
     let _span = qnet_obs::span!("graph.dijkstra.run");
-    ws.begin(g.node_count());
-    ws.source = source;
-    ws.touch(source.index());
-    ws.dist[source.index()] = 0.0;
-    ws.heap.push(HeapEntry::new(0.0, source));
-    let tally = relax(ws, g, config, mask);
+    let n = g.node_count();
+    ws.pass.begin(n);
+    ws.labels.reset(source, n);
+    ws.labels.dist[source.index()] = 0.0;
+    ws.pass.heap.push(HeapEntry::new(0.0, source));
+    let tally = relax::<false, _, _, _, _>(&mut ws.labels, &mut ws.pass, g, config, mask);
     qnet_obs::counter!("graph.dijkstra.settled"; tally.settled);
     qnet_obs::counter!("graph.dijkstra.relaxations"; tally.relaxations);
-    DijkstraView { ws }
+    &ws.labels
 }
 
 /// What one [`relax`] pass did.
@@ -518,35 +454,38 @@ pub(crate) struct RelaxTally {
 }
 
 /// The relaxation loop shared by [`dijkstra_into`] and
-/// [`crate::delta::dijkstra_repair_into`]: pops `ws.heap` until it is
-/// empty, expanding every popped vertex.
+/// [`crate::delta::dijkstra_repair_into`]: pops `pass.heap` until it is
+/// empty, expanding every popped vertex into `run`'s labels.
 ///
 /// The heap holds only vertices that expand — the source and vertices
-/// `can_relay` admits — seeded by the caller with `settled` cleared. A
-/// vertex is first reached when an offer improves an infinite label;
-/// the loop then asks `can_relay` once, keeps the answer in
-/// `ws.relays`, and counts a rejected vertex as settled right away (the
-/// module docs give the argument why its label is already final).
-/// Later improvements push the vertex only if it relays.
+/// `can_relay` admits — seeded by the caller at the start of a pass. A
+/// vertex's relay flag is read at its first improving offer in the
+/// pass and kept for the rest of it; a vertex first reached from an
+/// infinite label that does not relay is counted as settled right away
+/// (the module docs give the argument why its label is already final).
+/// An improved vertex is pushed only if it relays. A `CONFINED` pass (the
+/// repair's re-run) offers only into the pass's open vertices; every
+/// other vertex keeps its stored label.
 ///
 /// **Tie rule.** An offer equal to a finite label moves the predecessor
 /// only when the offering vertex pops before the stored predecessor `p`:
-/// never when `p` already popped in this pass (`settled`); otherwise
-/// when the offer's cost is smaller than `p`'s label, or equal with a
-/// larger vertex index; and, when the offer comes from `p` itself, when
-/// its edge comes earlier in `p`'s adjacency (adjacency lists are in
-/// edge-id order). In a fresh search and in the repair's re-run the
-/// stored predecessor always popped first, so the rule never fires
-/// there; it matters only to the repair's decrease pass, where the
-/// labels of vertices that pop before the offering vertex in a fresh
-/// search may never pop at all.
+/// never when `p` takes no more offers in this pass (it popped, or a
+/// confined pass keeps it); otherwise when the offer's cost is smaller
+/// than `p`'s label, or equal with a larger vertex index; and, when the
+/// offer comes from `p` itself, when its edge comes earlier in `p`'s
+/// adjacency (adjacency lists are in edge-id order). In a fresh search
+/// and in the repair's re-run the stored predecessor always popped
+/// first, so the rule never fires there; it matters only to the
+/// repair's decrease pass, where the labels of vertices that pop before
+/// the offering vertex in a fresh search may never pop at all.
 ///
 /// # Panics
 ///
 /// Panics on a negative or NaN edge cost, once the heap is empty (see
 /// [`dijkstra_into`]).
-pub(crate) fn relax<N, E, FC, FR>(
-    ws: &mut DijkstraWorkspace,
+pub(crate) fn relax<const CONFINED: bool, N, E, FC, FR>(
+    run: &mut DijkstraRun,
+    pass: &mut Pass,
     g: &Graph<N, E>,
     config: &DijkstraConfig<FC, FR>,
     mask: Option<&SearchMask>,
@@ -565,17 +504,16 @@ where
     // below fires before any caller can observe the run.
     let mut costs_ok = true;
 
-    while let Some(entry) = ws.heap.pop() {
+    while let Some(entry) = pass.heap.pop() {
         let (cost, node) = (entry.cost(), entry.node());
-        if ws.settled[node.index()] {
+        if pass.popped(node) {
             continue;
         }
-        ws.settled[node.index()] = true;
+        pass.pop(node);
         tally.settled += 1;
 
         for &(next, eid) in g.neighbor_slice(node) {
-            let i = next.index();
-            if ws.settled_at(i) {
+            if pass.closed::<CONFINED>(next) {
                 continue;
             }
             // The mask rule: an edge that is dead or touches a dead vertex
@@ -593,32 +531,30 @@ where
             if w.is_infinite() {
                 continue;
             }
+            let i = next.index();
             let cand = cost + w;
-            let label = ws.dist_at(i);
+            let label = run.dist[i];
             if cand < label {
-                if label == f64::INFINITY {
-                    ws.touch(i);
-                    ws.relays[i] = (config.can_relay)(next);
-                    if !ws.relays[i] {
-                        tally.settled += 1;
-                    }
+                let relays = pass.relays(next, &config.can_relay);
+                if label == f64::INFINITY && !relays {
+                    tally.settled += 1;
                 }
-                ws.dist[i] = cand;
-                ws.prev[i] = Some((node, eid));
+                run.dist[i] = cand;
+                run.prev[i] = Some((node, eid));
                 tally.relaxations += 1;
-                if ws.relays[i] {
-                    ws.heap.push(HeapEntry::new(cand, next));
+                if relays {
+                    pass.heap.push(HeapEntry::new(cand, next));
                 }
             } else if cand == label {
-                if let Some((p, pe)) = ws.prev[i] {
+                if let Some((p, pe)) = run.prev[i] {
                     let first = if p == node {
                         eid < pe
                     } else {
-                        let pi = p.index();
-                        !ws.settled[pi] && (cost < ws.dist[pi] || (cost == ws.dist[pi] && node > p))
+                        let pd = run.dist[p.index()];
+                        !pass.closed::<CONFINED>(p) && (cost < pd || (cost == pd && node > p))
                     };
                     if first {
-                        ws.prev[i] = Some((node, eid));
+                        run.prev[i] = Some((node, eid));
                     }
                 }
             }
@@ -629,7 +565,7 @@ where
         costs_ok,
         "edge cost must be non-negative and not NaN (search from {}; \
          rebuild with debug assertions to locate the offending edge)",
-        ws.source
+        run.source
     );
     tally
 }
@@ -703,7 +639,7 @@ mod tests {
         FC: Fn(EdgeRef<'_, f64>) -> f64,
         FR: Fn(NodeId) -> bool,
     {
-        dijkstra_into(&mut DijkstraWorkspace::new(), g, source, cfg, None).to_run()
+        dijkstra_into(&mut DijkstraWorkspace::new(), g, source, cfg, None).clone()
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Differential battery for the delta engine: over arbitrary
 //! topologies and arbitrary interleaved delta sequences, an in-place
-//! [`dijkstra_repair_into`] must leave the workspace **bitwise
+//! [`dijkstra_repair_into`] must leave the stored run **bitwise
 //! identical** — distances, predecessors, reachability — to a fresh
 //! [`dijkstra_into`] under the post-delta configuration, with and
 //! without a [`SearchMask`] overlay.
@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 use qnet_graph::{
     connectivity::connected_components, dijkstra_into, dijkstra_repair_into, DijkstraConfig,
-    DijkstraWorkspace, EdgeId, EdgeRef, Graph, NodeId, RepairScratch, SearchMask, SsspDelta,
+    DijkstraWorkspace, EdgeId, EdgeRef, Graph, NodeId, SearchMask, SsspDelta,
 };
 
 /// A random undirected weighted graph: `n` nodes, edge list with weights.
@@ -142,23 +142,21 @@ proptest! {
         let source = NodeId::new(src % g.node_count());
         let mut overlay = Overlay::fresh(&g);
         let mut ws = DijkstraWorkspace::new();
-        let mut scratch = RepairScratch::new();
-        {
+        let mut run = {
             let cfg = overlay.config();
-            dijkstra_into(&mut ws, &g, source, &cfg, None);
-        }
+            dijkstra_into(&mut ws, &g, source, &cfg, None).clone()
+        };
         for ops in &steps {
             let delta = overlay.step(ops);
             let cfg = overlay.config();
             let fresh = {
                 let mut fresh_ws = DijkstraWorkspace::new();
-                dijkstra_into(&mut fresh_ws, &g, source, &cfg, None).to_run()
+                dijkstra_into(&mut fresh_ws, &g, source, &cfg, None).clone()
             };
             match delta {
                 Some(delta) => {
-                    let (view, stats) =
-                        dijkstra_repair_into(&mut ws, &mut scratch, &g, &cfg, &delta);
-                    prop_assert_eq!(view.to_run(), fresh, "repair diverged");
+                    let stats = dijkstra_repair_into(&mut ws, &mut run, &g, &cfg, &delta);
+                    prop_assert_eq!(&run, &fresh, "repair diverged");
                     if delta.is_empty() {
                         prop_assert!(stats.is_clean(), "empty delta must be clean");
                     }
@@ -166,7 +164,7 @@ proptest! {
                 None => {
                     // An edge came back: callers recompute; do the same
                     // so later repairs start from production state.
-                    dijkstra_into(&mut ws, &g, source, &cfg, None);
+                    run.clone_from(dijkstra_into(&mut ws, &g, source, &cfg, None));
                 }
             }
         }
@@ -174,10 +172,10 @@ proptest! {
         // still a normal workspace for unrelated fresh runs.
         let other = NodeId::new((src + 1) % g.node_count());
         let cfg = overlay.config();
-        let a = dijkstra_into(&mut ws, &g, other, &cfg, None).to_run();
+        let a = dijkstra_into(&mut ws, &g, other, &cfg, None).clone();
         let b = {
             let mut fresh_ws = DijkstraWorkspace::new();
-            dijkstra_into(&mut fresh_ws, &g, other, &cfg, None).to_run()
+            dijkstra_into(&mut fresh_ws, &g, other, &cfg, None).clone()
         };
         prop_assert_eq!(a, b);
     }
@@ -206,7 +204,6 @@ proptest! {
         }
         let mut overlay = Overlay::fresh(&g);
         let mut ws = DijkstraWorkspace::new();
-        let mut scratch = RepairScratch::new();
         // The composed configuration: overlay deltas on top of the mask,
         // spelled out in the config (the repair takes no mask).
         macro_rules! composed {
@@ -225,10 +222,10 @@ proptest! {
                 }
             }};
         }
-        {
+        let mut run = {
             let cfg = composed!();
-            dijkstra_into(&mut ws, &g, source, &cfg, None);
-        }
+            dijkstra_into(&mut ws, &g, source, &cfg, None).clone()
+        };
         for ops in &steps {
             let delta = overlay.step(ops);
             let cfg = composed!();
@@ -236,24 +233,25 @@ proptest! {
                 // The oracle passes the mask to the kernel, composing only
                 // the overlay config with it.
                 let mut fresh_ws = DijkstraWorkspace::new();
-                dijkstra_into(&mut fresh_ws, &g, source, &overlay.config(), Some(&mask)).to_run()
+                dijkstra_into(&mut fresh_ws, &g, source, &overlay.config(), Some(&mask)).clone()
             };
             match delta {
                 Some(delta) => {
-                    let (view, _) = dijkstra_repair_into(&mut ws, &mut scratch, &g, &cfg, &delta);
-                    prop_assert_eq!(view.to_run(), fresh, "masked repair diverged");
+                    dijkstra_repair_into(&mut ws, &mut run, &g, &cfg, &delta);
+                    prop_assert_eq!(&run, &fresh, "masked repair diverged");
                 }
                 None => {
-                    dijkstra_into(&mut ws, &g, source, &cfg, None);
+                    run.clone_from(dijkstra_into(&mut ws, &g, source, &cfg, None));
                 }
             }
         }
     }
 
-    /// A run loaded from owned storage repairs exactly like the
-    /// workspace that produced it — the cache-entry round trip.
+    /// A repair does not depend on what the workspace did before: the
+    /// same stored run repairs identically on the workspace that
+    /// searched it and on a fresh one.
     #[test]
-    fn loaded_runs_repair_like_live_workspaces(
+    fn repairs_ignore_the_workspace_history(
         g in arb_graph(12, 36),
         src in 0usize..12,
         block in 0usize..12,
@@ -261,26 +259,24 @@ proptest! {
         let source = NodeId::new(src % g.node_count());
         let blocked = NodeId::new(block % g.node_count());
         let overlay = Overlay::fresh(&g);
-        let mut live = DijkstraWorkspace::new();
+        let mut used = DijkstraWorkspace::new();
         let stored = {
             let cfg = overlay.config();
-            dijkstra_into(&mut live, &g, source, &cfg, None).to_run()
+            dijkstra_into(&mut used, &g, source, &cfg, None).clone()
         };
-        let mut loaded = DijkstraWorkspace::new();
-        loaded.load_run(&stored);
         let mut delta = SsspDelta::new();
         delta.block_node(blocked);
         let cfg = DijkstraConfig {
             edge_cost: |e: EdgeRef<'_, f64>| *e.payload,
             can_relay: move |v: NodeId| v != blocked,
         };
-        let mut scratch = RepairScratch::new();
-        let (live_view, live_stats) = dijkstra_repair_into(&mut live, &mut scratch, &g, &cfg, &delta);
-        let live_run = live_view.to_run();
-        let (loaded_view, loaded_stats) =
-            dijkstra_repair_into(&mut loaded, &mut scratch, &g, &cfg, &delta);
-        prop_assert_eq!(loaded_view.to_run(), live_run, "storage round trip diverged");
-        prop_assert_eq!(live_stats, loaded_stats);
+        let mut on_used = stored.clone();
+        let used_stats = dijkstra_repair_into(&mut used, &mut on_used, &g, &cfg, &delta);
+        let mut on_fresh = stored;
+        let fresh_stats =
+            dijkstra_repair_into(&mut DijkstraWorkspace::new(), &mut on_fresh, &g, &cfg, &delta);
+        prop_assert_eq!(on_fresh, on_used, "the workspace history leaked into the repair");
+        prop_assert_eq!(fresh_stats, used_stats);
     }
 
     /// A delta in a foreign component repairs clean for every source
@@ -297,18 +293,17 @@ proptest! {
         prop_assume!(component[source.index()] != component[blocked.index()]);
         let overlay = Overlay::fresh(&g);
         let mut ws = DijkstraWorkspace::new();
-        {
+        let mut run = {
             let cfg = overlay.config();
-            dijkstra_into(&mut ws, &g, source, &cfg, None);
-        }
+            dijkstra_into(&mut ws, &g, source, &cfg, None).clone()
+        };
         let mut delta = SsspDelta::new();
         delta.block_node(blocked);
         let cfg = DijkstraConfig {
             edge_cost: |e: EdgeRef<'_, f64>| *e.payload,
             can_relay: move |v: NodeId| v != blocked,
         };
-        let mut scratch = RepairScratch::new();
-        let (_, stats) = dijkstra_repair_into(&mut ws, &mut scratch, &g, &cfg, &delta);
+        let stats = dijkstra_repair_into(&mut ws, &mut run, &g, &cfg, &delta);
         prop_assert!(stats.is_clean(), "foreign-component delta did work: {stats:?}");
     }
 }

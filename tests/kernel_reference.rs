@@ -11,13 +11,16 @@
 //!
 //! Distances are compared as bit patterns and predecessors exactly. The
 //! kernel must also ask the relay filter exactly once per reached
-//! non-source vertex, and a repair must report the same
-//! `RepairStats` as the textbook repair (mark, clear, seed every
-//! boundary vertex, re-run), on a live workspace and on a loaded one.
-//! The improving arm restores relays — alone, or mixed with blocks, over
-//! graphs with extra parallel edges — and checks the repair's decrease
-//! pass against a fresh textbook search under the new relay flags; on
-//! these graphs it fails without the loop's tie rule.
+//! non-source vertex. The worsening arm blocks relays and edges, over
+//! graphs with extra parallel edges, and a repair must report the same
+//! `RepairStats` as the textbook repair (mark every vertex whose chain
+//! crosses a blocked edge or relays through a blocked vertex, clear,
+//! seed every boundary vertex, re-run). The improving arm restores
+//! relays — alone, or mixed with blocks, over the same kind of graphs —
+//! and checks the repair's decrease pass against a fresh textbook
+//! search under the new relay flags; on these graphs it fails without
+//! the loop's tie rule. Every repair runs on a fresh workspace and on
+//! the one that ran the stored search.
 
 use std::cell::Cell;
 use std::cmp::Ordering;
@@ -25,9 +28,23 @@ use std::collections::BinaryHeap;
 
 use muerp::graph::{
     dijkstra_into, dijkstra_repair_into, DijkstraConfig, DijkstraRun, DijkstraWorkspace, EdgeId,
-    EdgeRef, Graph, NodeId, RepairScratch, RepairStats, SearchMask, SsspDelta,
+    EdgeRef, Graph, NodeId, RepairStats, SearchMask, SsspDelta,
 };
 use proptest::prelude::*;
+
+/// Adds a parallel copy, of weight `w`, of each listed edge that
+/// exists; returns the `(original, copy)` pairs.
+fn double_edges(g: &mut Graph<(), f64>, doubled: Vec<(usize, u32)>) -> Vec<[EdgeId; 2]> {
+    let m = g.edge_count();
+    doubled
+        .into_iter()
+        .filter(|&(e, _)| e < m)
+        .map(|(e, w)| {
+            let (a, b) = g.endpoints(EdgeId::new(e));
+            [EdgeId::new(e), g.add_edge(a, b, f64::from(w))]
+        })
+        .collect()
+}
 
 /// A graph of 2..=24 vertices with integer weights in 1..=3, and a relay
 /// flag per vertex (each vertex relays with probability 1/2).
@@ -148,23 +165,26 @@ impl Textbook {
     }
 
     /// The textbook repair of this (completed, unmasked) search after
-    /// the vertices in `blocked` stop relaying: mark every vertex whose
-    /// predecessor chain relays through a blocked vertex, clear it, push
+    /// the vertices in `blocked` stop relaying and the edges `cuts`
+    /// kills go away: mark every vertex whose predecessor chain crosses
+    /// a cut edge or relays through a blocked vertex, clear it, push
     /// every kept neighbor of the cleared region at its label, and run
-    /// the loop under `relays_after`. Returns the repair's tallies.
+    /// the loop under `relays_after` without the cut edges. Returns the
+    /// repair's tallies.
     fn repair(
         &mut self,
         g: &Graph<(), f64>,
         source: usize,
         blocked: &[bool],
+        cuts: &SearchMask,
         relays_after: &[bool],
     ) -> RepairStats {
         let n = g.node_count();
         let affected: Vec<bool> = (0..n)
             .map(|i| {
                 let mut cur = i;
-                while let Some((p, _)) = self.prev[cur] {
-                    if p.index() != source && blocked[p.index()] {
+                while let Some((p, e)) = self.prev[cur] {
+                    if cuts.edge_dead(e) || (p.index() != source && blocked[p.index()]) {
                         return true;
                     }
                     cur = p.index();
@@ -199,7 +219,7 @@ impl Textbook {
         }
         self.settled_n = 0;
         self.relaxed_n = 0;
-        self.run(g, source, relays_after, None, heap);
+        self.run(g, source, relays_after, Some(cuts), heap);
         stats.resettled = self.settled_n;
         stats.relaxations = self.relaxed_n;
         stats
@@ -230,14 +250,22 @@ impl Textbook {
     }
 }
 
-/// The kernel's configuration for `relays`: the payload as the cost,
-/// and a relay filter that counts its calls in `asked`.
+/// The kernel's configuration for `relays`: the payload as the cost
+/// (`INFINITY` on the edges `cuts` kills), and a relay filter that
+/// counts its calls in `asked`.
 fn config<'a>(
     relays: &'a [bool],
+    cuts: &'a SearchMask,
     asked: &'a Cell<u64>,
-) -> DijkstraConfig<impl Fn(EdgeRef<'_, f64>) -> f64, impl Fn(NodeId) -> bool + 'a> {
+) -> DijkstraConfig<impl Fn(EdgeRef<'_, f64>) -> f64 + 'a, impl Fn(NodeId) -> bool + 'a> {
     DijkstraConfig {
-        edge_cost: |e: EdgeRef<'_, f64>| *e.payload,
+        edge_cost: |e: EdgeRef<'_, f64>| {
+            if cuts.edge_dead(e.id) {
+                f64::INFINITY
+            } else {
+                *e.payload
+            }
+        },
         can_relay: move |v: NodeId| {
             asked.set(asked.get() + 1);
             relays[v.index()]
@@ -268,54 +296,76 @@ proptest! {
             mask.kill_node(NodeId::new(dead_node % n));
         }
         let mut ws = DijkstraWorkspace::new();
+        let no_cuts = SearchMask::new();
         for (mask, what) in [(None, "unmasked"), (Some(&mask), "masked")] {
             let want = Textbook::search(&g, source, &relays, mask);
             let asked = Cell::new(0);
-            let run =
-                dijkstra_into(&mut ws, &g, NodeId::new(source), &config(&relays, &asked), mask)
-                    .to_run();
-            want.check(&run, what)?;
+            let cfg = config(&relays, &no_cuts, &asked);
+            let run = dijkstra_into(&mut ws, &g, NodeId::new(source), &cfg, mask);
+            want.check(run, what)?;
             // One filter call per reached non-source vertex: the contract
             // the Algorithm-1 rejection tally counts on.
             prop_assert_eq!(asked.get(), want.settled_n - 1, "{}: relay filter calls", what);
         }
     }
 
-    /// Repair ≡ textbook after a random blocked-relay delta — results
+    /// Repair ≡ textbook after a random delta of blocked relays and
+    /// blocked edges, on graphs with extra parallel edges — results
     /// against a fresh textbook search, tallies against the textbook
-    /// repair — on the live workspace and on one loaded from storage.
+    /// repair — on a fresh workspace and on the one that ran the search.
     #[test]
     fn repair_matches_the_textbook_loop(
         case in arb_case(),
         src in 0usize..24,
-        victims in proptest::collection::vec(0usize..24, 1..4),
+        victims in proptest::collection::vec(0usize..24, 0..4),
+        cut in proptest::collection::vec((0usize..3, 0usize..96), 0..4),
+        doubled in proptest::collection::vec((0usize..72, 1u32..=3), 0..6),
     ) {
-        let (g, relays) = case;
+        let (mut g, relays) = case;
+        let pairs = double_edges(&mut g, doubled);
         let n = g.node_count();
         let source = src % n;
         let mut blocked = vec![false; n];
+        let mut cuts = SearchMask::new();
         let mut delta = SsspDelta::new();
         for v in victims.into_iter().map(|v| v % n).filter(|&v| relays[v]) {
             blocked[v] = true;
             delta.block_node(NodeId::new(v));
         }
+        // Cut one side of a doubled pair (kinds 0 and 1) or any edge
+        // (kind 2): a cut beside a parallel tree edge must not take the
+        // tree edge's child with it.
+        let m = g.edge_count();
+        for (kind, k) in cut {
+            let e = match pairs.get(k % pairs.len().max(1)) {
+                Some(pair) if kind < 2 => pair[kind],
+                _ if m > 0 => EdgeId::new(k % m),
+                _ => continue,
+            };
+            cuts.kill_edge(e);
+            delta.block_edge(e);
+        }
         let relays_after: Vec<bool> = (0..n).map(|i| relays[i] && !blocked[i]).collect();
-        let want = Textbook::search(&g, source, &relays_after, None);
+        let want = Textbook::search(&g, source, &relays_after, Some(&cuts));
         let mut textbook = Textbook::search(&g, source, &relays, None);
-        let want_stats = textbook.repair(&g, source, &blocked, &relays_after);
+        let want_stats = textbook.repair(&g, source, &blocked, &cuts, &relays_after);
 
         let asked = Cell::new(0);
-        let mut live = DijkstraWorkspace::new();
-        let stored =
-            dijkstra_into(&mut live, &g, NodeId::new(source), &config(&relays, &asked), None)
-                .to_run();
-        let mut loaded = DijkstraWorkspace::new();
-        loaded.load_run(&stored);
-        let mut scratch = RepairScratch::new();
-        for (ws, what) in [(&mut live, "live"), (&mut loaded, "loaded")] {
-            let cfg = config(&relays_after, &asked);
-            let (view, stats) = dijkstra_repair_into(ws, &mut scratch, &g, &cfg, &delta);
-            want.check(&view.to_run(), what)?;
+        let no_cuts = SearchMask::new();
+        let mut used = DijkstraWorkspace::new();
+        let stored = dijkstra_into(
+            &mut used,
+            &g,
+            NodeId::new(source),
+            &config(&relays, &no_cuts, &asked),
+            None,
+        )
+        .clone();
+        for (ws, what) in [(&mut used, "used"), (&mut DijkstraWorkspace::new(), "fresh")] {
+            let mut run = stored.clone();
+            let cfg = config(&relays_after, &cuts, &asked);
+            let stats = dijkstra_repair_into(ws, &mut run, &g, &cfg, &delta);
+            want.check(&run, what)?;
             prop_assert_eq!(stats, want_stats, "{}: repair tallies", what);
         }
     }
@@ -333,13 +383,9 @@ proptest! {
         doubled in proptest::collection::vec((0usize..72, 1u32..=3), 0..6),
     ) {
         let (mut g, relays) = case;
+        double_edges(&mut g, doubled);
         let n = g.node_count();
         let source = src % n;
-        let m = g.edge_count();
-        for (e, w) in doubled.into_iter().filter(|&(e, _)| e < m) {
-            let (a, b) = g.endpoints(EdgeId::new(e));
-            g.add_edge(a, b, f64::from(w));
-        }
         let mut relays_after = relays.clone();
         let mut delta = SsspDelta::new();
         for v in flips.into_iter().map(|v| v % n) {
@@ -354,17 +400,21 @@ proptest! {
         let want = Textbook::search(&g, source, &relays_after, None);
 
         let asked = Cell::new(0);
-        let mut live = DijkstraWorkspace::new();
-        let stored =
-            dijkstra_into(&mut live, &g, NodeId::new(source), &config(&relays, &asked), None)
-                .to_run();
-        let mut loaded = DijkstraWorkspace::new();
-        loaded.load_run(&stored);
-        let mut scratch = RepairScratch::new();
-        for (ws, what) in [(&mut live, "live"), (&mut loaded, "loaded")] {
-            let cfg = config(&relays_after, &asked);
-            let (view, _) = dijkstra_repair_into(ws, &mut scratch, &g, &cfg, &delta);
-            want.check(&view.to_run(), what)?;
+        let no_cuts = SearchMask::new();
+        let mut used = DijkstraWorkspace::new();
+        let stored = dijkstra_into(
+            &mut used,
+            &g,
+            NodeId::new(source),
+            &config(&relays, &no_cuts, &asked),
+            None,
+        )
+        .clone();
+        for (ws, what) in [(&mut used, "used"), (&mut DijkstraWorkspace::new(), "fresh")] {
+            let mut run = stored.clone();
+            let cfg = config(&relays_after, &no_cuts, &asked);
+            dijkstra_repair_into(ws, &mut run, &g, &cfg, &delta);
+            want.check(&run, what)?;
         }
     }
 }
