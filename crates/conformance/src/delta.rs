@@ -7,10 +7,13 @@
 //! sequence of capacity deltas — served by O(1) revalidation or by an
 //! in-place SSSP repair of blocked and restored relays — is bitwise
 //! identical to a cold, cache-free [`ChannelFinder`] under the same
-//! capacity map. [`delta_check`] fuzzes exactly that promise: a seeded
-//! sequence of withdraw/grant deltas ([`derive_delta_ops`]) is pushed
-//! through one long-lived cache while every step is cross-checked
-//! against from-scratch searches ([`delta_check_ops`]).
+//! capacity map, and that a scoped lookup, which may answer from a
+//! stale run, gives each target it names the cold channel.
+//! [`delta_check`] fuzzes exactly that promise: a seeded sequence of
+//! withdraw/grant deltas ([`derive_delta_ops`]) is pushed through two
+//! long-lived caches, one read whole and one read only through scoped
+//! lookups, while every step is cross-checked against from-scratch
+//! searches ([`delta_check_ops`]).
 //!
 //! On failure the *sequence itself* is shrunk ([`shrink_ops`]): ops are
 //! greedily removed while the divergence persists, so the reported
@@ -18,7 +21,7 @@
 //! (`repro fuzz --delta`) additionally shrinks the topology spec, so
 //! what lands in the report is small on both axes.
 
-use muerp_core::algorithms::{ChannelFinder, ChannelFinderCache};
+use muerp_core::algorithms::{ChannelFinder, ChannelFinderCache, ChannelSource};
 use muerp_core::channel::CapacityMap;
 use muerp_core::model::QuantumNetwork;
 use qnet_graph::{DijkstraWorkspace, NodeId};
@@ -91,32 +94,52 @@ pub fn derive_delta_ops(net: &QuantumNetwork, seed: u64) -> Vec<DeltaOp> {
     ops
 }
 
-/// Replays `ops` against one long-lived warm cache, cross-checking
-/// every cached per-source run against a cold [`ChannelFinder`] after
-/// every single delta.
+/// Replays `ops` against two long-lived caches, cross-checking both
+/// against a cold [`ChannelFinder`] after every single delta: the warm
+/// cache's whole run per source, and the channels a second cache,
+/// queried only through scoped lookups, gives a seeded subset of the
+/// other users per source. The second cache is never read whole, so its
+/// entries stay stale across many ops and each scoped answer nets every
+/// flip since its run was last exact.
 ///
 /// # Errors
 ///
 /// Returns [`ConformanceError::DeltaDiverged`] naming the first op and
-/// source whose cached run is not bitwise identical to the cold
-/// recomputation.
+/// source whose cached run, or scoped answer, is not bitwise identical
+/// to the cold recomputation.
 pub fn delta_check_ops(net: &QuantumNetwork, ops: &[DeltaOp]) -> Result<(), ConformanceError> {
     let users = net.users().to_vec();
     let mut capacity = CapacityMap::new(net);
     let mut cache = ChannelFinderCache::new(net);
+    let mut scoped = ChannelFinderCache::new(net);
+    let mut picks = StdRng::seed_from_u64(0x5c0b_ed1a_7a26_e7a5);
     let mut ws = DijkstraWorkspace::new();
     cache.warm(&capacity, &users);
     for (step, op) in ops.iter().enumerate() {
         op.apply(&mut capacity);
         for (source, &u) in users.iter().enumerate() {
-            let cached = cache.finder(&capacity, u).run().clone();
+            let diverged = |scoped| ConformanceError::DeltaDiverged {
+                step,
+                source,
+                ops: ops.len(),
+                scoped,
+            };
             let cold = ChannelFinder::from_source_in(&mut ws, net, &capacity, u, None);
-            if &cached != cold.run() {
-                return Err(ConformanceError::DeltaDiverged {
-                    step,
-                    source,
-                    ops: ops.len(),
-                });
+            if cache.finder(&capacity, u).run() != cold.run() {
+                return Err(diverged(false));
+            }
+            let pick: u64 = picks.random_range(0..u64::MAX);
+            let targets = users
+                .iter()
+                .enumerate()
+                .filter(move |&(i, &t)| t != u && pick >> (i % 64) & 1 == 1)
+                .map(|(_, &t)| t);
+            let answer = scoped.finder_for(&capacity, u, targets.clone());
+            if targets
+                .clone()
+                .any(|t| answer.channel_to(t) != cold.channel_to(t))
+            {
+                return Err(diverged(true));
             }
         }
     }

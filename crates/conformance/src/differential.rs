@@ -106,6 +106,9 @@ pub enum ConformanceError {
         source: usize,
         /// Length of the (shrunk) failing delta sequence.
         ops: usize,
+        /// `true` when a scoped lookup's channel to one of its targets
+        /// differed, `false` when a whole cached run did.
+        scoped: bool,
     },
     /// The batched admission engine's decision log diverged from the
     /// sequential cold-routing FCFS oracle on the same request script.
@@ -166,10 +169,20 @@ impl std::fmt::Display for ConformanceError {
             ConformanceError::RepairUnsound { detail } => {
                 write!(f, "repair: unsound result: {detail}")
             }
-            ConformanceError::DeltaDiverged { step, source, ops } => write!(
+            ConformanceError::DeltaDiverged {
+                step,
+                source,
+                ops,
+                scoped,
+            } => write!(
                 f,
-                "delta cache: cached run for source #{source} diverged from cold \
-                 recomputation after op #{step} of a {ops}-op delta sequence"
+                "delta cache: {} for source #{source} diverged from cold \
+                 recomputation after op #{step} of a {ops}-op delta sequence",
+                if *scoped {
+                    "a scoped answer"
+                } else {
+                    "cached run"
+                }
             ),
             ConformanceError::ServeDiverged { step, requests } => write!(
                 f,

@@ -13,14 +13,28 @@
 use std::cell::Cell;
 
 use qnet_graph::paths::{dijkstra_into, DijkstraConfig, DijkstraRun, DijkstraWorkspace};
-use qnet_graph::{dijkstra_repair_into, EdgeRef, NodeId, SearchMask, SsspDelta};
+use qnet_graph::{dijkstra_repair_into, serves_targets, EdgeRef, NodeId, SearchMask, SsspDelta};
 
 use crate::channel::{CapacityMap, Channel};
 use crate::model::QuantumNetwork;
 
+/// The nodes whose bit is set in `words` (one bit per node, 64 to a
+/// word), in index order.
+fn ones(words: impl Iterator<Item = u64>) -> impl Iterator<Item = NodeId> {
+    words.enumerate().flat_map(|(w, mut word)| {
+        std::iter::from_fn(move || {
+            (word != 0).then(|| {
+                let bit = word.trailing_zeros() as usize;
+                word &= word - 1;
+                NodeId::new(w * 64 + bit)
+            })
+        })
+    })
+}
+
 /// Algorithm 1's edge cost and relay predicate, defined once for the
-/// search, the in-place repair, the cache's relay bits and its restore
-/// filter.
+/// search, the in-place repair, the cache's relay bits, its restore
+/// filter and its scoped answers.
 #[derive(Clone, Copy)]
 struct Algorithm1<'n> {
     net: &'n QuantumNetwork,
@@ -99,33 +113,50 @@ impl<'n> Algorithm1<'n> {
     /// can raise labels; with blocks present every restore is kept.
     fn net_delta(&self, run: &DijkstraRun, was: &[u64], now: &[u64]) -> SsspDelta {
         let g = self.net.graph();
-        let flips = || {
-            was.iter().zip(now).enumerate().flat_map(|(w, (&a, &b))| {
-                let mut diff = a ^ b;
-                std::iter::from_fn(move || {
-                    (diff != 0).then(|| {
-                        let bit = diff.trailing_zeros() as usize;
-                        diff &= diff - 1;
-                        (NodeId::new(w * 64 + bit), b >> bit & 1 == 1)
-                    })
-                })
-            })
-        };
         let mut delta = SsspDelta::new();
-        for (v, _) in flips().filter(|&(_, relays)| !relays) {
+        for v in ones(lost(was, now)) {
             let is_parent = |&(u, _): &(NodeId, _)| run.prev_hop(u).is_some_and(|(p, _)| p == v);
             if g.neighbor_slice(v).iter().any(is_parent) {
                 delta.block_node(v);
             }
         }
         let keep_all = !delta.blocked_nodes().is_empty();
-        for (v, _) in flips().filter(|&(_, relays)| relays) {
+        for v in ones(lost(now, was)) {
             if keep_all || self.improvement_possible(run, v) {
                 delta.restore_node(v);
             }
         }
         delta
     }
+
+    /// `true` when `run`, exact for the relay bits `was`, gives every one
+    /// of `targets` the channel a search under the relay bits `now` would
+    /// give it ([`serves_targets`]; every edge costs at least `−ln q`).
+    fn serves(
+        &self,
+        run: &DijkstraRun,
+        targets: impl IntoIterator<Item = NodeId>,
+        was: &[u64],
+        now: &[u64],
+    ) -> bool {
+        let lost_relay = |v: NodeId| {
+            let (w, bit) = (v.index() / 64, v.index() % 64);
+            (was[w] & !now[w]) >> bit & 1 == 1
+        };
+        serves_targets(
+            run,
+            targets,
+            lost_relay,
+            ones(lost(now, was)),
+            self.neg_ln_q,
+        )
+    }
+}
+
+/// The relay bits set in `was` and clear in `now`, word by word: the
+/// relays lost between the two (swap the arguments for those regained).
+fn lost<'a>(was: &'a [u64], now: &'a [u64]) -> impl Iterator<Item = u64> + 'a {
+    was.iter().zip(now).map(|(&a, &b)| a & !b)
 }
 
 /// Runs the Algorithm-1 search from `source` and leaves the result in
@@ -239,6 +270,21 @@ impl<'n> ChannelFinder<'n> {
     /// The channel's rate is recomputed exactly from Eq. 1 (not from the
     /// search cost), so no floating-point drift accumulates.
     pub fn channel_to(&self, destination: NodeId) -> Option<Channel> {
+        self.channel_at(destination, self.epoch)
+    }
+
+    /// This whole run, read only at `targets`: the view a
+    /// [`ChannelSource`] hands a growth step.
+    pub fn scoped<T>(&self, targets: T) -> ScopedFinder<'_, 'n, T> {
+        ScopedFinder {
+            finder: self,
+            epoch: self.epoch,
+            targets,
+        }
+    }
+
+    /// [`ChannelFinder::channel_to`], with trace events stamped `epoch`.
+    fn channel_at(&self, destination: NodeId, epoch: u64) -> Option<Channel> {
         if destination == self.run.source() {
             return None;
         }
@@ -251,7 +297,7 @@ impl<'n> ChannelFinder<'n> {
                     accepted: false,
                     reason: "disconnected",
                     cost: 0.0,
-                    epoch: self.epoch,
+                    epoch,
                 });
             }
             return None;
@@ -265,10 +311,35 @@ impl<'n> ChannelFinder<'n> {
                 accepted: true,
                 reason: "ok",
                 cost: channel.rate.value(),
-                epoch: self.epoch,
+                epoch,
             });
         }
         Some(channel)
+    }
+}
+
+/// An Algorithm-1 run read only at the destinations a lookup named: its
+/// channel to each of them is the one a fresh search under the lookup's
+/// capacity map would give, but the run elsewhere may be stale, so the
+/// view exposes [`channel_to`](ScopedFinder::channel_to) and nothing
+/// else.
+pub struct ScopedFinder<'a, 'n, T> {
+    finder: &'a ChannelFinder<'n>,
+    /// The lookup's capacity epoch, stamped onto trace events.
+    epoch: u64,
+    targets: T,
+}
+
+impl<T: Iterator<Item = NodeId> + Clone> ScopedFinder<'_, '_, T> {
+    /// The max-rate channel to `destination`, which must be one of the
+    /// lookup's targets (checked in debug builds), or `None` when no
+    /// capacity-respecting channel exists.
+    pub fn channel_to(&self, destination: NodeId) -> Option<Channel> {
+        debug_assert!(
+            self.targets.clone().any(|t| t == destination),
+            "{destination} is not a target of this lookup"
+        );
+        self.finder.channel_at(destination, self.epoch)
     }
 }
 
@@ -360,6 +431,14 @@ struct Entry<'n> {
 /// * a masked entry is searched again (the cache stores only the mask's
 ///   hash) — `graph.delta.recomputed`.
 ///
+/// A lookup through [`ChannelSource::finder_for`] names the destinations
+/// it will read. Before any of the above, a stale unmasked entry whose
+/// flips provably move none of those channels answers as it is, through
+/// a [`ScopedFinder`] that reads only them — a *scoped answer*, tallied
+/// as a hit and as `core.channel.cache_scoped`. The entry keeps its key
+/// and bits, so the next whole-run lookup nets every flip since it was
+/// last exact.
+///
 /// Correctness rests on these invariants (see DESIGN.md):
 ///
 /// * epochs are process-globally unique per mutation, so epoch equality
@@ -408,7 +487,10 @@ pub struct ChannelFinderCache<'n> {
 /// run their own caches.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheEfficiency {
-    /// Lookups answered from a memoized run (no search).
+    /// Lookups answered from a memoized run with no search and no
+    /// repair: an exact-key match, an O(1) revalidation, or a scoped
+    /// answer from a stale run that no flip since could move at the
+    /// lookup's targets ([`ChannelSource::finder_for`]).
     pub hits: u64,
     /// Misses that re-ran the search *in place* over an existing
     /// entry's buffers (steady state: zero allocation): a masked entry
@@ -595,6 +677,29 @@ impl<'n> ChannelFinderCache<'n> {
         self.refresh_bits(capacity);
     }
 
+    /// `true` when `source`'s unmasked entry is stale, its relay bits
+    /// differ from `capacity`'s and it still serves every one of
+    /// `targets` exactly. The exact-key test comes first: almost every
+    /// lookup is an exact-key hit, and it should pay nothing more.
+    fn spares(
+        &mut self,
+        capacity: &CapacityMap,
+        source: NodeId,
+        targets: impl IntoIterator<Item = NodeId>,
+    ) -> bool {
+        let exact = (capacity.epoch(), 0);
+        match &self.entries[source.index()] {
+            Some(entry) if entry.key != exact && entry.key.1 == 0 => {}
+            _ => return false,
+        }
+        self.refresh_bits(capacity);
+        let entry = self.entries[source.index()]
+            .as_ref()
+            .expect("matched above");
+        entry.bits != self.bits
+            && Algorithm1::new(self.net).serves(&entry.finder.run, targets, &entry.bits, &self.bits)
+    }
+
     /// [`max_rate_channel`] through the cache.
     pub fn channel(&mut self, capacity: &CapacityMap, a: NodeId, b: NodeId) -> Option<Channel> {
         self.finder(capacity, a).channel_to(b)
@@ -628,18 +733,59 @@ impl<'n> ChannelFinderCache<'n> {
     }
 }
 
-/// Where a Prim growth step gets its Algorithm-1 runs. The
-/// [`ChannelFinderCache`] serves memoized, delta-repaired runs; a cold
-/// source that searches afresh on every call is the reference the
-/// serve differential battery compares it against.
+/// Where a Prim growth step gets its Algorithm-1 runs. A lookup names
+/// the destinations it will read, and the answer is exact at those
+/// alone. The [`ChannelFinderCache`] serves memoized runs, delta-repaired
+/// or, when no relay flip can move a target's channel, as they are (a
+/// scoped answer); a cold source that searches afresh on every call,
+/// ignoring the targets, is the reference the serve differential
+/// battery compares it against.
 pub trait ChannelSource<'n> {
-    /// The Algorithm-1 run from `source` under `capacity`.
-    fn finder(&mut self, capacity: &CapacityMap, source: NodeId) -> &ChannelFinder<'n>;
+    /// The Algorithm-1 run from `source` under `capacity`, read only at
+    /// `targets`.
+    fn finder_for<T>(
+        &mut self,
+        capacity: &CapacityMap,
+        source: NodeId,
+        targets: T,
+    ) -> ScopedFinder<'_, 'n, T>
+    where
+        T: Iterator<Item = NodeId> + Clone;
 }
 
 impl<'n> ChannelSource<'n> for ChannelFinderCache<'n> {
-    fn finder(&mut self, capacity: &CapacityMap, source: NodeId) -> &ChannelFinder<'n> {
-        self.finder_masked(capacity, None, source)
+    /// The Algorithm-1 run from `source` under `capacity`, read only at
+    /// `targets` — the lookup of Algorithm 4's growth step, which reads
+    /// each in-tree member's run at the out-of-tree members alone.
+    ///
+    /// An unmasked entry that is stale answers as it is when the relay
+    /// flips since it was last exact provably move no target's channel
+    /// (DESIGN.md §15); the entry keeps its key and bits, so the next
+    /// whole-run lookup or repair nets every flip since then. Such a
+    /// scoped answer ran no search and no repair: it is tallied as a hit
+    /// and as `core.channel.cache_scoped`. Any other lookup is served as
+    /// [`finder`](ChannelFinderCache::finder) serves it.
+    fn finder_for<T>(
+        &mut self,
+        capacity: &CapacityMap,
+        source: NodeId,
+        targets: T,
+    ) -> ScopedFinder<'_, 'n, T>
+    where
+        T: Iterator<Item = NodeId> + Clone,
+    {
+        if self.spares(capacity, source, targets.clone()) {
+            qnet_obs::counter!("core.channel.cache_hits");
+            qnet_obs::counter!("core.channel.cache_scoped");
+            self.efficiency.hits += 1;
+            let entry = self.entries[source.index()].as_ref();
+            return ScopedFinder {
+                finder: &entry.expect("a spared entry exists").finder,
+                epoch: capacity.epoch(),
+                targets,
+            };
+        }
+        self.finder_masked(capacity, None, source).scoped(targets)
     }
 }
 
@@ -911,6 +1057,38 @@ mod tests {
         assert_eq!(ch.interior_switches(), &[s1]);
         let eff = cache.efficiency();
         assert_eq!((eff.hits, eff.repairs), (1, 0), "no stored path used s2");
+        assert_eq!(cache.search_count(), 1);
+    }
+
+    #[test]
+    fn a_scoped_answer_leaves_the_entry_for_the_next_repair() {
+        // two_route_net plus a user c behind a switch s2 off a. Killing
+        // s2 breaks c's channel but not b's: a lookup naming only b is
+        // answered from the stale run, and the entry stays stale, so the
+        // next whole-run lookup repairs it.
+        let (net, [a, s1, b]) = two_route_net(0.99);
+        let mut g = net.graph().clone();
+        let s2 = g.add_node(NodeKind::Switch { qubits: 2 });
+        let c = g.add_node(NodeKind::User);
+        g.add_edge(a, s2, 500.0);
+        g.add_edge(s2, c, 500.0);
+        let net = QuantumNetwork::from_graph(g, *net.physics());
+        let mut cap = CapacityMap::new(&net);
+        let mut cache = ChannelFinderCache::new(&net);
+        assert!(cache.channel(&cap, a, c).is_some());
+
+        cap.withdraw(s2, 2);
+        let scoped = cache.finder_for(&cap, a, [b].into_iter());
+        assert_eq!(scoped.channel_to(b).unwrap().interior_switches(), &[s1]);
+        let eff = cache.efficiency();
+        assert_eq!((eff.hits, eff.repairs), (1, 0), "scoped: no repair");
+
+        let cold =
+            ChannelFinder::from_source_in(&mut DijkstraWorkspace::new(), &net, &cap, a, None);
+        assert_eq!(cold.channel_to(c), None);
+        assert_eq!(cache.finder(&cap, a).run(), cold.run());
+        let eff = cache.efficiency();
+        assert_eq!((eff.hits, eff.repairs), (1, 1), "the whole run repairs");
         assert_eq!(cache.search_count(), 1);
     }
 

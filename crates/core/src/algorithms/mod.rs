@@ -21,6 +21,7 @@ mod prim_based;
 pub use beam::BeamSearch;
 pub use channel_finder::{
     max_rate_channel, CacheEfficiency, ChannelFinder, ChannelFinderCache, ChannelSource,
+    ScopedFinder,
 };
 pub use conflict_free::{ConflictFree, RetentionPolicy};
 pub use k_channels::k_best_channels_in;

@@ -21,20 +21,25 @@ use super::channel_finder::{ChannelFinderCache, ChannelSource};
 /// between an in-tree member and an out-of-tree one, or `None` when no
 /// member outside the tree is reachable.
 ///
-/// In-tree sources are scanned in `members` order, and each source's
-/// out-of-tree targets in `members` order; the strict `>` keeps the
-/// first maximum, so ties resolve identically whatever `source` serves
-/// the runs.
+/// Each in-tree member's run is read at the out-of-tree members only, so
+/// every lookup names them as its targets (no list is built: the targets
+/// are `members` filtered by `in_tree`), and a cache answers from a
+/// stale run when no relay flip since it was exact can move their
+/// channels. In-tree sources are scanned in `members` order, and each
+/// source's out-of-tree targets in `members` order; the strict `>` keeps
+/// the first maximum, so ties resolve identically whatever `source`
+/// serves the runs.
 pub(crate) fn best_cross_channel<'n>(
     source: &mut impl ChannelSource<'n>,
     capacity: &CapacityMap,
     members: &[NodeId],
     in_tree: &[bool],
 ) -> Option<Channel> {
+    let outside = members.iter().copied().filter(|u| !in_tree[u.index()]);
     let mut best: Option<Channel> = None;
     for &src in members.iter().filter(|u| in_tree[u.index()]) {
-        let finder = source.finder(capacity, src);
-        for &dst in members.iter().filter(|u| !in_tree[u.index()]) {
+        let finder = source.finder_for(capacity, src, outside.clone());
+        for dst in outside.clone() {
             if let Some(c) = finder.channel_to(dst) {
                 if best.as_ref().is_none_or(|b| c.rate > b.rate) {
                     best = Some(c);

@@ -5,12 +5,16 @@
 //! `ChannelFinder` under the same capacity map, the warm path must
 //! never install an entry a delta could leave stale (the
 //! snapshot/install hazard), and when the cache sees a map must not
-//! change what it serves or tallies.
+//! change what it serves or tallies. Scoped lookups, which may answer
+//! from a stale run, must give every named target the cold channel.
 
-use muerp_core::algorithms::{ChannelFinder, ChannelFinderCache};
-use muerp_core::channel::CapacityMap;
+use muerp_core::algorithms::{max_rate_channel, ChannelFinder, ChannelFinderCache, ChannelSource};
+use muerp_core::channel::{CapacityMap, Channel};
 use muerp_core::model::{NetworkSpec, QuantumNetwork};
 use qnet_graph::{DijkstraWorkspace, NodeId};
+use qnet_obs::ObsLevel;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// A cold, cache-free Algorithm-1 run from `src` under `capacity`.
 fn cold<'n>(net: &'n QuantumNetwork, capacity: &CapacityMap, src: NodeId) -> ChannelFinder<'n> {
@@ -322,4 +326,117 @@ fn threshold_preserving_ping_pong_never_searches() {
         "every post-fill lookup must be an O(1) revalidation"
     );
     assert_eq!(cache.efficiency().repairs, 0);
+}
+
+/// `true` when two answers are the same channel bit for bit: path,
+/// cost and rate.
+fn same_channel(a: &Option<Channel>, b: &Option<Channel>) -> bool {
+    match (a, b) {
+        (Some(a), Some(b)) => {
+            a.path.nodes == b.path.nodes
+                && a.path.edges == b.path.edges
+                && a.path.cost.to_bits() == b.path.cost.to_bits()
+                && a.rate.value().to_bits() == b.rate.value().to_bits()
+        }
+        (a, b) => a.is_none() && b.is_none(),
+    }
+}
+
+/// One random capacity change: reserve a cold channel between two
+/// users, release a reserved one, or withdraw or grant 1–4 qubits at a
+/// switch.
+fn mutate(
+    net: &QuantumNetwork,
+    capacity: &mut CapacityMap,
+    reserved: &mut Vec<Channel>,
+    rng: &mut StdRng,
+) -> &'static str {
+    let users = net.users();
+    let switches: Vec<NodeId> = net.switches().collect();
+    let s = switches[rng.random_range(0..switches.len())];
+    let qubits = rng.random_range(1..=4u32);
+    match rng.random_range(0..4u8) {
+        0 => {
+            let a = users[rng.random_range(0..users.len())];
+            let b = users[rng.random_range(0..users.len())];
+            if let Some(c) = max_rate_channel(net, capacity, a, b) {
+                capacity.reserve(&c);
+                reserved.push(c);
+            }
+            "reserve"
+        }
+        1 if !reserved.is_empty() => {
+            let c = reserved.swap_remove(rng.random_range(0..reserved.len()));
+            capacity.release(&c);
+            "release"
+        }
+        2 => {
+            capacity.withdraw(s, qubits);
+            "withdraw"
+        }
+        _ => {
+            capacity.grant(s, qubits);
+            "grant"
+        }
+    }
+}
+
+#[test]
+fn scoped_answers_match_cold_channels() {
+    // Random reserve/release/withdraw/grant sequences on the paper
+    // default and on a 2-qubit Waxman. After every op each user's run is
+    // read through a scoped lookup at a random subset of the other users,
+    // and every channel must equal the cold `max_rate_channel` bit for
+    // bit. Every fifth op a whole-run lookup, which nets every flip the
+    // scoped answers left standing, must equal a cold run.
+    if !qnet_obs::enabled(ObsLevel::Counters) {
+        qnet_obs::set_level(ObsLevel::Counters);
+    }
+    let scoped = || qnet_obs::global().counter_total("core.channel.cache_scoped");
+    let before = scoped();
+    let specs = [
+        ("paper-default", NetworkSpec::paper_default()),
+        (
+            "2-qubit waxman",
+            NetworkSpec::paper_default().with_qubits(2),
+        ),
+    ];
+    for (name, spec) in specs {
+        for seed in 0..24u64 {
+            let net = spec.build(seed);
+            let users = net.users().to_vec();
+            let mut capacity = CapacityMap::new(&net);
+            let mut cache = ChannelFinderCache::new(&net);
+            let mut reserved = Vec::new();
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5c0e_d0a1);
+            for step in 0..30usize {
+                let op = mutate(&net, &mut capacity, &mut reserved, &mut rng);
+                for &src in &users {
+                    let pick: u64 = rng.random_range(0..u64::MAX);
+                    let targets = users
+                        .iter()
+                        .enumerate()
+                        .filter(move |&(i, &t)| t != src && pick >> i & 1 == 1)
+                        .map(|(_, &t)| t);
+                    let finder = cache.finder_for(&capacity, src, targets.clone());
+                    for t in targets {
+                        let want = max_rate_channel(&net, &capacity, src, t);
+                        assert!(
+                            same_channel(&finder.channel_to(t), &want),
+                            "{name} seed {seed} step {step} ({op}): {src} → {t}"
+                        );
+                    }
+                }
+                if step % 5 == 4 {
+                    let src = users[step % users.len()];
+                    assert_eq!(
+                        cache.finder(&capacity, src).run(),
+                        cold(&net, &capacity, src).run(),
+                        "{name} seed {seed} step {step}: whole run from {src}"
+                    );
+                }
+            }
+        }
+    }
+    assert!(scoped() > before, "no lookup was answered scoped");
 }

@@ -66,6 +66,11 @@
 //!
 //! An edge coming back is not a delta this module takes; callers search
 //! afresh for it.
+//!
+//! A caller that reads a run at only a few vertices may not need the
+//! repair at all: [`serves_targets`] says when relay flips provably move
+//! no label and no predecessor chain of a named target set, so the
+//! stored run answers for those targets as it is.
 
 use crate::graph::{EdgeId, EdgeRef, Graph, NodeId};
 use crate::paths::{relax, DijkstraConfig, DijkstraRun, DijkstraWorkspace, HeapEntry, Pass};
@@ -232,6 +237,54 @@ where
         }
     }
     stats
+}
+
+/// `true` when `run`, exact under one set of relay flags, is also exact
+/// at every vertex of `targets` — the same distance bits and the same
+/// predecessor chain — under a second set that differs from the first
+/// by the relays `lost` reports and the relays `regained` lists. A
+/// caller that reads only those targets may then skip the repair and
+/// leave `run` as it is.
+///
+/// Three clauses, all required (DESIGN.md §15 has the argument):
+///
+/// 1. every target is reached in `run` — a restore could reach one that
+///    is not;
+/// 2. no interior vertex of a stored path to a target lost its relay
+///    flag;
+/// 3. every regained relay that `run` reaches has `dist + min_cost`
+///    strictly above the largest target distance, so no offer that
+///    passes through it can reach a target's label, not even as a tie.
+///
+/// `min_cost` must bound every edge cost from below, and, as for
+/// [`dijkstra_repair_into`], every relaxation must strictly raise the
+/// cost. The check walks the stored paths to the targets and scans the
+/// regained relays once; it reads nothing else.
+pub fn serves_targets(
+    run: &DijkstraRun,
+    targets: impl IntoIterator<Item = NodeId>,
+    lost: impl Fn(NodeId) -> bool,
+    regained: impl IntoIterator<Item = NodeId>,
+    min_cost: f64,
+) -> bool {
+    let mut farthest = f64::NEG_INFINITY;
+    for t in targets {
+        let d = run.dist[t.index()];
+        if !d.is_finite() {
+            return false;
+        }
+        farthest = farthest.max(d);
+        let mut cur = t;
+        while let Some((p, _)) = run.prev[cur.index()] {
+            if p != run.source && lost(p) {
+                return false;
+            }
+            cur = p;
+        }
+    }
+    regained
+        .into_iter()
+        .all(|v| run.dist[v.index()] + min_cost > farthest)
 }
 
 /// `true` when `u`, met over the adjacency entry `(u, e)` of `x`, hangs
@@ -798,6 +851,68 @@ mod tests {
         );
         assert_eq!(run.prev_hop(e).map(|(x, _)| x), Some(d));
         let _ = c;
+    }
+
+    #[test]
+    fn a_lost_relay_unserves_only_the_targets_it_carries() {
+        let (g, [a, b, c], _) = diamond();
+        let run = fresh(&g, a, None, None);
+        let lost_b = |v: NodeId| v == b;
+        let none = std::iter::empty();
+        assert!(!serves_targets(&run, [c], lost_b, none.clone(), 1.0));
+        assert!(serves_targets(&run, [b], lost_b, none.clone(), 1.0));
+        assert_eq!(fresh(&g, a, Some(b), None).distance(b), run.distance(b));
+        assert!(serves_targets(&run, [], lost_b, none, 1.0));
+    }
+
+    #[test]
+    fn a_regained_relay_must_clear_the_farthest_target() {
+        // Without b, c sits at 5 over the direct edge; b regained at 1
+        // offers c 2. The bound is the farthest target's label, not the
+        // nearest one's.
+        let (g, [a, b, c], _) = diamond();
+        let run = fresh(&g, a, Some(b), None);
+        let never = |_: NodeId| false;
+        assert!(serves_targets(&run, [b], never, [b], 1.0));
+        assert!(!serves_targets(&run, [b, c], never, [b], 1.0));
+        assert!(!serves_targets(&run, [c], never, [b], 1.0));
+        assert_eq!(fresh(&g, a, None, None).distance(c), Some(2.0));
+    }
+
+    #[test]
+    fn a_regained_relay_that_only_ties_unserves_the_target() {
+        // a reaches t at 2 over p or r; with r not relaying, t hangs off
+        // p. Restored, r pops first on the tie (larger index) and takes
+        // t, though t's label stays 2: `dist(r) + 1 = 2` must not pass.
+        let mut g: Graph<(), f64> = Graph::new();
+        let [a, p, r, t] = [(); 4].map(|_| g.add_node(()));
+        g.add_edge(a, p, 1.0);
+        g.add_edge(a, r, 1.0);
+        g.add_edge(p, t, 1.0);
+        g.add_edge(r, t, 1.0);
+        let run = fresh(&g, a, Some(r), None);
+        assert_eq!(run.prev_hop(t).map(|(x, _)| x), Some(p));
+        assert!(!serves_targets(&run, [t], |_| false, [r], 1.0));
+        assert_eq!(
+            fresh(&g, a, None, None).prev_hop(t).map(|(x, _)| x),
+            Some(r)
+        );
+    }
+
+    #[test]
+    fn an_unreached_target_is_never_served() {
+        // c hangs off b alone; with b not relaying it is unreached, and
+        // restoring b reaches it.
+        let mut g: Graph<(), f64> = Graph::new();
+        let [a, b, c, d] = [(); 4].map(|_| g.add_node(()));
+        g.add_edge(a, b, 1.0);
+        g.add_edge(b, c, 1.0);
+        g.add_edge(a, d, 9.0);
+        let run = fresh(&g, a, Some(b), None);
+        assert_eq!(run.distance(c), None);
+        assert!(!serves_targets(&run, [c], |_| false, [b], 1.0));
+        assert!(!serves_targets(&run, [d, c], |_| false, [b], 1.0));
+        assert_eq!(fresh(&g, a, None, None).distance(c), Some(2.0));
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //!   the paper's Algorithm 1 (maximum entanglement-rate channel) after
 //!   the `−ln` transform. [`k_shortest_paths_in`] (Yen) and
 //!   [`dijkstra_repair_into`] (in-place delta repair) build on it; these
-//!   three are the crate's whole search layer.
+//!   three are the crate's whole search layer, and [`serves_targets`]
+//!   decides when a stored run needs no repair for the vertices a caller
+//!   reads.
 //! * [`NegLog`]: the product→sum transform that turns the paper's
 //!   non-additive rate objective (Eq. 1/2) into additive path weights.
 //! * [`mst`], [`dcmst`], [`steiner`]: classic-graph comparison algorithms
@@ -65,7 +67,7 @@ pub mod steiner;
 pub mod unionfind;
 pub mod weight;
 
-pub use delta::{dijkstra_repair_into, RepairStats, SsspDelta};
+pub use delta::{dijkstra_repair_into, serves_targets, RepairStats, SsspDelta};
 pub use graph::{EdgeId, EdgeRef, Graph, NodeId};
 pub use ksp::k_shortest_paths_in;
 pub use mask::SearchMask;

@@ -17,14 +17,19 @@
 //!    members of the queued requests (one multi-source batch);
 //! 4. orders the queue under a pluggable [`PolicyKind`] — FCFS,
 //!    smallest-group-first, or deficit-weighted fairness — and admits
-//!    sequentially against shared switch capacity.
+//!    sequentially against shared switch capacity. Each growth step
+//!    names the members still outside the tree as its lookups'
+//!    targets, so a run the round's reservations made stale is read as
+//!    it is when no relay flip since can move those channels, and
+//!    repaired otherwise.
 //!
 //! The headline correctness claim is differential: under FCFS, the
 //! batched engine is **decision-equivalent** to the cold sequential
 //! per-request oracle ([`sequential_fcfs`]) — the same admit/block
 //! sequence with bitwise-identical entanglement trees. That holds
 //! because every entry the warm path installs, repairs or revalidates
-//! is bitwise equal to cold recomputation (the delta-cache battery in
+//! is bitwise equal to cold recomputation, and every scoped answer gives
+//! its targets the cold channels (the delta-cache battery in
 //! `muerp-core`).
 //!
 //! [`ChannelFinderCache`]: muerp_core::algorithms::ChannelFinderCache

@@ -14,7 +14,7 @@
 
 use qnet_graph::{DijkstraWorkspace, NodeId};
 
-use muerp_core::algorithms::{ChannelFinder, ChannelSource};
+use muerp_core::algorithms::{ChannelFinder, ChannelSource, ScopedFinder};
 use muerp_core::channel::CapacityMap;
 use muerp_core::extensions::{route_group, Request, Sessions};
 use muerp_core::model::QuantumNetwork;
@@ -31,9 +31,19 @@ struct ColdFinder<'n> {
 }
 
 impl<'n> ChannelSource<'n> for ColdFinder<'n> {
-    fn finder(&mut self, capacity: &CapacityMap, source: NodeId) -> &ChannelFinder<'n> {
+    /// Ignores `targets`: the whole run is searched afresh, so the oracle
+    /// compares every scoped cache answer against a cold search.
+    fn finder_for<T>(
+        &mut self,
+        capacity: &CapacityMap,
+        source: NodeId,
+        targets: T,
+    ) -> ScopedFinder<'_, 'n, T>
+    where
+        T: Iterator<Item = NodeId> + Clone,
+    {
         let run = ChannelFinder::from_source_in(&mut self.ws, self.net, capacity, source, None);
-        self.run.insert(run)
+        self.run.insert(run).scoped(targets)
     }
 }
 

@@ -20,15 +20,18 @@
 //! and checks the repair's decrease pass against a fresh textbook
 //! search under the new relay flags; on these graphs it fails without
 //! the loop's tie rule. Every repair runs on a fresh workspace and on
-//! the one that ran the stored search.
+//! the one that ran the stored search. The scoped arm draws relay
+//! losses, gains or both and target sets: whenever `serves_targets`
+//! spares a set, a textbook search under the new flags must give every
+//! target the stored distance bits and the stored predecessor chain.
 
 use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use muerp::graph::{
-    dijkstra_into, dijkstra_repair_into, DijkstraConfig, DijkstraRun, DijkstraWorkspace, EdgeId,
-    EdgeRef, Graph, NodeId, RepairStats, SearchMask, SsspDelta,
+    dijkstra_into, dijkstra_repair_into, serves_targets, DijkstraConfig, DijkstraRun,
+    DijkstraWorkspace, EdgeId, EdgeRef, Graph, NodeId, RepairStats, SearchMask, SsspDelta,
 };
 use proptest::prelude::*;
 
@@ -273,6 +276,58 @@ fn config<'a>(
     }
 }
 
+/// Asks `serves_targets` about `stored`, exact under `relays`, for each
+/// of `sets` and every singleton under `relays_after`, and checks every
+/// spared target against a textbook search under `relays_after`: the
+/// same distance bits and the same predecessor chain.
+fn check_spared(
+    g: &Graph<(), f64>,
+    source: usize,
+    stored: &DijkstraRun,
+    relays: &[bool],
+    relays_after: &[bool],
+    sets: &[Vec<usize>],
+) -> Result<(), TestCaseError> {
+    let n = g.node_count();
+    let want = Textbook::search(g, source, relays_after, None);
+    let lost = |v: NodeId| relays[v.index()] && !relays_after[v.index()];
+    let regained: Vec<NodeId> = (0..n)
+        .filter(|&i| relays_after[i] && !relays[i])
+        .map(NodeId::new)
+        .collect();
+    let singletons = (0..n).map(|t| vec![t]);
+    for set in sets.iter().cloned().chain(singletons) {
+        let targets = set.iter().map(|&t| NodeId::new(t % n));
+        if !serves_targets(stored, targets.clone(), lost, regained.iter().copied(), 1.0) {
+            continue;
+        }
+        for t in targets {
+            let d = want.dist[t.index()];
+            prop_assert_eq!(
+                stored.distance(t).map(f64::to_bits),
+                d.is_finite().then(|| d.to_bits()),
+                "distance of spared target {} in {:?}",
+                t,
+                set
+            );
+            let mut cur = t;
+            while let Some(hop) = stored.prev_hop(cur) {
+                prop_assert_eq!(
+                    Some(hop),
+                    want.prev[cur.index()],
+                    "predecessor of {} on the chain of spared target {} in {:?}",
+                    cur,
+                    t,
+                    set
+                );
+                cur = hop.0;
+            }
+            prop_assert_eq!(want.prev[cur.index()], None, "chain of {} ends early", t);
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -415,6 +470,51 @@ proptest! {
             let cfg = config(&relays_after, &no_cuts, &asked);
             dijkstra_repair_into(ws, &mut run, &g, &cfg, &delta);
             want.check(&run, what)?;
+        }
+    }
+
+    /// Scoped answers ≡ textbook: after random relay losses (kind 0),
+    /// gains (kind 1) or both (kind 2), and after each single flip
+    /// alone, every target set the predicate spares — the drawn sets and
+    /// every singleton — keeps the stored distance bits and the stored
+    /// predecessor chain in a fresh textbook search under the new flags.
+    /// Edge weights are at least 1, the predicate's cost floor.
+    #[test]
+    fn spared_targets_match_the_textbook_loop(
+        case in arb_case(),
+        src in 0usize..24,
+        flips in proptest::collection::vec(0usize..24, 1..6),
+        kind in 0u8..3,
+        sets in proptest::collection::vec(proptest::collection::vec(0usize..24, 1..5), 1..6),
+        doubled in proptest::collection::vec((0usize..72, 1u32..=3), 0..6),
+    ) {
+        let (mut g, relays) = case;
+        double_edges(&mut g, doubled);
+        let n = g.node_count();
+        let source = src % n;
+        let mut relays_after = relays.clone();
+        for v in flips.into_iter().map(|v| v % n) {
+            match (kind, relays[v]) {
+                (0 | 2, true) => relays_after[v] = false,
+                (1 | 2, false) => relays_after[v] = true,
+                _ => {}
+            }
+        }
+        let asked = Cell::new(0);
+        let no_cuts = SearchMask::new();
+        let stored = dijkstra_into(
+            &mut DijkstraWorkspace::new(),
+            &g,
+            NodeId::new(source),
+            &config(&relays, &no_cuts, &asked),
+            None,
+        )
+        .clone();
+        check_spared(&g, source, &stored, &relays, &relays_after, &sets)?;
+        for v in 0..n {
+            let mut one = relays.clone();
+            one[v] = !one[v];
+            check_spared(&g, source, &stored, &relays, &one, &[])?;
         }
     }
 }
