@@ -778,14 +778,15 @@ impl<'n> ChannelSource<'n> for ChannelFinderCache<'n> {
             qnet_obs::counter!("core.channel.cache_hits");
             qnet_obs::counter!("core.channel.cache_scoped");
             self.efficiency.hits += 1;
-            let entry = self.entries[source.index()].as_ref();
-            return ScopedFinder {
-                finder: &entry.expect("a spared entry exists").finder,
-                epoch: capacity.epoch(),
-                targets,
-            };
+        } else {
+            self.finder_masked(capacity, None, source);
         }
-        self.finder_masked(capacity, None, source).scoped(targets)
+        let entry = self.entries[source.index()].as_ref();
+        ScopedFinder {
+            finder: &entry.expect("the lookup leaves an entry").finder,
+            epoch: capacity.epoch(),
+            targets,
+        }
     }
 }
 
