@@ -145,3 +145,77 @@ fn corrupted_churn_fixture_is_rejected_with_named_invariants() {
         .expect_err("unknown failure kind must be rejected");
     assert!(e.to_string().contains("unknown failure kind"), "{e}");
 }
+
+/// The repair ladder over a sweep in which every rung fires: 16
+/// paper-default networks with 2 qubits per switch and average degree
+/// 4, each solved by Algorithm 4 and then hit by 8 seeded failures
+/// applied cumulatively. Each step repairs the current solution, or
+/// re-solves from scratch once the ladder has given it up. The digest
+/// is a 64-bit FNV-1a hash of every step's method, tear-down count,
+/// rate bits and channel edge ids, so any changed decision moves it;
+/// channel-finder search counts are left out, since a cheaper cache
+/// may spend fewer.
+#[test]
+fn ladder_sweep_digest() {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut feed = |word: u64| {
+        for byte in word.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    let mut spec = NetworkSpec::paper_default().with_qubits(2);
+    spec.topology.avg_degree = 4.0;
+    let methods = [
+        RepairMethod::Untouched,
+        RepairMethod::LocalReroute,
+        RepairMethod::Reattach,
+        RepairMethod::FullResolve,
+        RepairMethod::Unrepairable,
+    ];
+    let mut census = [0usize; 5];
+    for seed in 0..16 {
+        let net = spec.build(seed);
+        let base = PrimBased::with_seed(seed)
+            .solve(&net)
+            .expect("every sweep network is solvable");
+        let plan = FailurePlan::random(&net, 8, 400, seed);
+        let mut state = NetworkState::new(&net);
+        let mut current = Some(base);
+        for failure in &plan.failures {
+            state.apply(&failure.kind);
+            let (solution, method, torn_down) = match &current {
+                Some(solution) => {
+                    let out = repair(&net, solution, &state);
+                    (out.solution, out.method, out.torn_down)
+                }
+                None => match full_resolve(&net, &state).0 {
+                    Some(s) => (Some(s), RepairMethod::FullResolve, 0),
+                    None => (None, RepairMethod::Unrepairable, 0),
+                },
+            };
+            let slot = methods.iter().position(|&m| m == method).expect("listed");
+            census[slot] += 1;
+            feed(slot as u64);
+            feed(torn_down as u64);
+            let rate = solution.as_ref().map_or(0.0, |s| s.rate.value());
+            feed(rate.to_bits());
+            for channel in solution.iter().flat_map(|s| &s.channels) {
+                feed(channel.path.edges.len() as u64);
+                for e in &channel.path.edges {
+                    feed(e.index() as u64);
+                }
+            }
+            current = solution;
+        }
+    }
+    assert!(
+        census.iter().all(|&n| n > 0),
+        "every rung must fire: {census:?} (untouched, local-reroute, \
+         reattach, full-resolve, unrepairable)"
+    );
+    assert_eq!(
+        format!("{census:?} {h:#018x}"),
+        "[93, 17, 5, 1, 12] 0x3bef692fb61b48dc"
+    );
+}
