@@ -53,7 +53,7 @@ fn bench_algorithm1(c: &mut Criterion) {
             |b, n| {
                 b.iter(|| {
                     let mut ws = DijkstraWorkspace::new();
-                    let finder = ChannelFinder::from_source_in(&mut ws, n, &cap, users[0], None);
+                    let finder = ChannelFinder::from_source_in(&mut ws, n, &cap, users[0]);
                     for &dst in &users[1..] {
                         std::hint::black_box(finder.channel_to(dst));
                     }

@@ -93,7 +93,7 @@ fn bench_topology(label: &str, switches: usize, seed: u64) -> Value {
     let cfg = muerp_config(&net, &capacity);
     let baselines: Vec<DijkstraRun> = users
         .iter()
-        .map(|&u| dijkstra_into(&mut ws, net.graph(), u, &cfg, None).clone())
+        .map(|&u| dijkstra_into(&mut ws, net.graph(), u, &cfg).clone())
         .collect();
     let victim = relay_victim(&net, &baselines[0], users[0], users[1]);
 
@@ -108,7 +108,7 @@ fn bench_topology(label: &str, switches: usize, seed: u64) -> Value {
     // back.
     let killed: Vec<DijkstraRun> = users
         .iter()
-        .map(|&u| dijkstra_into(&mut ws, net.graph(), u, &cfg_post, None).clone())
+        .map(|&u| dijkstra_into(&mut ws, net.graph(), u, &cfg_post).clone())
         .collect();
     let mut restore = SsspDelta::new();
     restore.restore_node(victim);
@@ -157,7 +157,7 @@ fn bench_topology(label: &str, switches: usize, seed: u64) -> Value {
     });
     let finder_delta_wholesale = measure_ns_median(|| {
         for &u in &users {
-            let run = dijkstra_into(&mut ws, net.graph(), u, &cfg_post, None);
+            let run = dijkstra_into(&mut ws, net.graph(), u, &cfg_post);
             black_box(run.distance(users[0]));
         }
     });

@@ -10,11 +10,9 @@
 //!   [`DijkstraWorkspace`]: generation-stamped pass state, one label
 //!   fill per search, zero steady-state allocation, borrowed results.
 //! * **cached** — [`ChannelFinderCache`] keyed by `(source, capacity
-//!   epoch, mask hash)`: repeat queries under unchanged capacity skip
-//!   the search entirely; a `refresh` row shows the cost of full
-//!   in-place re-runs over each entry's buffers, and a `fill` row the
-//!   same misses served into freshly allocated entries (the refresh ≤
-//!   fill invariant's denominator).
+//!   epoch)`: repeat queries under unchanged capacity skip the search
+//!   entirely, and a `fill` row shows the cost of misses served into
+//!   freshly allocated entries.
 //!
 //! Run with `cargo bench -p muerp-bench --bench search_core`. Writes the
 //! tracked baseline `BENCH_pr7.json` at the repo root (all numbers in
@@ -24,16 +22,13 @@
 //! runs — the file is still produced, the numbers are only good for
 //! "did it run".
 
-use muerp_bench::{
-    measure_ns_median, measure_ns_paired, quick_mode, scaled_network, write_bench_report,
-};
+use muerp_bench::{measure_ns_median, quick_mode, scaled_network, write_bench_report};
 use muerp_core::algorithms::{ChannelFinder, ChannelFinderCache};
 use muerp_core::prelude::*;
 use qnet_graph::ksp::k_shortest_paths_in;
 use qnet_graph::paths::{dijkstra_into, DijkstraConfig, DijkstraWorkspace};
-use qnet_graph::{EdgeId, EdgeRef, NodeId, SearchMask};
+use qnet_graph::{EdgeRef, NodeId};
 use serde_json::Value;
-use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::hint::black_box;
 
@@ -64,13 +59,13 @@ fn bench_topology(label: &str, switches: usize, seed: u64) -> Value {
     let dijkstra_fresh = measure_ns_median(|| {
         for &u in &users {
             let mut fresh = DijkstraWorkspace::new();
-            black_box(dijkstra_into(&mut fresh, net.graph(), u, &cfg, None).clone());
+            black_box(dijkstra_into(&mut fresh, net.graph(), u, &cfg).clone());
         }
     });
     let mut ws = DijkstraWorkspace::with_capacity(net.graph().node_count());
     let dijkstra_workspace = measure_ns_median(|| {
         for &u in &users {
-            let view = dijkstra_into(&mut ws, net.graph(), u, &cfg, None);
+            let view = dijkstra_into(&mut ws, net.graph(), u, &cfg);
             black_box(view.distance(users[0]));
         }
     });
@@ -78,7 +73,7 @@ fn bench_topology(label: &str, switches: usize, seed: u64) -> Value {
     // --- Algorithm 1 finder: sweep + one channel recovery per source. ---
     let finder_workspace = measure_ns_median(|| {
         for &u in &users {
-            let finder = ChannelFinder::from_source_in(&mut ws, &net, &capacity, u, None);
+            let finder = ChannelFinder::from_source_in(&mut ws, &net, &capacity, u);
             black_box(finder.channel_to(users[0]));
         }
     });
@@ -95,93 +90,26 @@ fn bench_topology(label: &str, switches: usize, seed: u64) -> Value {
     let finder_fresh = measure_ns_median(|| {
         for &u in &users {
             let mut fresh = DijkstraWorkspace::new();
-            let finder = ChannelFinder::from_source_in(&mut fresh, &net, &capacity, u, None);
+            let finder = ChannelFinder::from_source_in(&mut fresh, &net, &capacity, u);
             black_box(finder.channel_to(users[0]));
         }
     });
-    // Fill vs refresh, measured as an interleaved pair because the
-    // assertion below is about their *ratio*. Both ops re-search every
-    // source through the identical cache-miss code path; the only
-    // difference is the result buffers — `clear()` makes every miss a
-    // fill (fresh allocations), while the refresh op reuses each entry's
-    // existing buffers in place. Consecutive ops alternate between two
-    // one-edge failure masks. A masked entry is keyed by its mask's
-    // hash, so after the switch a lookup can be neither a hit nor an
-    // O(1) revalidation: every refresh lookup is a full in-place
-    // search. The tallies checked on every op, quick mode included,
-    // hold the rows to exactly that.
-    // RefCell because both halves of the pair mutate the same cache;
-    // the closures never run reentrantly.
-    let masks = [0, 1].map(|e| {
-        let mut mask = SearchMask::new();
-        mask.kill_edge(EdgeId::new(e));
-        mask
-    });
-    let cache = RefCell::new(cache);
-    let flips = Cell::new(0usize);
+    // Every op clears the cache first, so each lookup is a fill: the
+    // search plus freshly allocated result buffers. The tally check
+    // holds the row to exactly that, quick mode included.
     let sources = users.len() as u64;
-    let sweep = |clear: bool| {
-        let mut cache = cache.borrow_mut();
-        let mask = &masks[flips.get() % 2];
-        flips.set(flips.get() + 1);
-        if clear {
-            cache.clear();
-        }
+    let finder_fill = measure_ns_median(|| {
+        cache.clear();
         let before = cache.efficiency();
         for &u in &users {
-            black_box(
-                cache
-                    .finder_masked(&capacity, Some(mask), u)
-                    .channel_to(users[0]),
-            );
+            black_box(cache.finder(&capacity, u).channel_to(users[0]));
         }
-        (before, cache.efficiency())
-    };
-    let (finder_fill, finder_refresh) = measure_ns_paired(
-        || {
-            let (before, after) = sweep(true);
-            assert_eq!(
-                after.fills - before.fills,
-                sources,
-                "{label}: a fill op must fill every source"
-            );
-        },
-        || {
-            let (before, after) = sweep(false);
-            assert_eq!(
-                after.refreshes - before.refreshes,
-                sources,
-                "{label}: a refresh op must re-search every source in place"
-            );
-            assert_eq!(
-                after.repairs, before.repairs,
-                "{label}: a refresh op must not repair"
-            );
-        },
-    );
-    // A cache refresh recycles the entry's buffers and copies the result
-    // in with one `clone_from` — it must not cost more
-    // than the fill path that allocates those buffers from scratch. The
-    // fill op is the *only* sound denominator for a tight gate here:
-    // fresh runs outside the cache, and on a single-core host the
-    // relative alignment luck of the two loops swings their ratio by
-    // ±20% per compiled binary. Refresh-vs-fresh is still reported (and
-    // loosely bounded) below; refresh-vs-fill is the invariant. Quick
-    // mode's tiny windows are too noisy for either.
-    if !quick_mode() {
-        assert!(
-            finder_refresh <= finder_fill * 1.05,
-            "{label}: finder_refresh_ns ({finder_refresh:.1}) regressed past \
-             finder_fill_ns ({finder_fill:.1}) — recycling buffers must not \
-             cost more than allocating them"
+        assert_eq!(
+            cache.efficiency().fills - before.fills,
+            sources,
+            "{label}: a fill op must fill every source"
         );
-        assert!(
-            finder_refresh <= finder_fresh * 1.30,
-            "{label}: finder_refresh_ns ({finder_refresh:.1}) is far past \
-             finder_fresh_ns ({finder_fresh:.1}); even code-layout noise \
-             cannot explain >30%"
-        );
-    }
+    });
 
     // --- Yen KSP between the first user pair. ---
     let (a, b) = (users[0], users[1]);
@@ -207,7 +135,6 @@ fn bench_topology(label: &str, switches: usize, seed: u64) -> Value {
         ("finder_workspace_ns", finder_workspace),
         ("finder_cached_ns", finder_cached),
         ("finder_fill_ns", finder_fill),
-        ("finder_refresh_ns", finder_refresh),
         ("ksp_fresh_ns", ksp_fresh),
         ("ksp_workspace_ns", ksp_workspace),
     ];

@@ -44,7 +44,6 @@ fn bench_dijkstra(c: &mut Criterion) {
                         g,
                         NodeId::new(0),
                         &DijkstraConfig::all_nodes(|e: EdgeRef<'_, f64>| *e.payload),
-                        None,
                     )
                     .clone(),
                 )

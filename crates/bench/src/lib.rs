@@ -83,26 +83,6 @@ pub fn measure_ns_median(mut op: impl FnMut()) -> f64 {
     median(&mut rounds)
 }
 
-/// Paired A/B timing: alternates five [`measure_ns`] rounds between the
-/// two ops and returns `(median_a, median_b)`.
-///
-/// Two independent [`measure_ns_median`] calls seconds apart each absorb
-/// whatever the host was doing during *their* window, so a transient
-/// slowdown (scheduler pressure, container CPU-quota throttling, clock
-/// ramping) lands on one side only and skews the ratio by 10–20% on a
-/// noisy host. Interleaving makes both sides sample the same conditions,
-/// which is what an *assertion about the ratio* needs — use this for any
-/// bench invariant of the form "path A must not be slower than path B".
-pub fn measure_ns_paired(mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
-    let mut rounds_a = [0.0f64; 5];
-    let mut rounds_b = [0.0f64; 5];
-    for (ra, rb) in rounds_a.iter_mut().zip(&mut rounds_b) {
-        *ra = measure_ns(&mut a);
-        *rb = measure_ns(&mut b);
-    }
-    (median(&mut rounds_a), median(&mut rounds_b))
-}
-
 fn median(rounds: &mut [f64]) -> f64 {
     rounds.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
     rounds[rounds.len() / 2]

@@ -124,7 +124,7 @@ pub fn delta_check_ops(net: &QuantumNetwork, ops: &[DeltaOp]) -> Result<(), Conf
                 ops: ops.len(),
                 scoped,
             };
-            let cold = ChannelFinder::from_source_in(&mut ws, net, &capacity, u, None);
+            let cold = ChannelFinder::from_source_in(&mut ws, net, &capacity, u);
             if cache.finder(&capacity, u).run() != cold.run() {
                 return Err(diverged(false));
             }

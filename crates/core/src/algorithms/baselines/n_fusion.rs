@@ -111,7 +111,7 @@ impl NFusion {
                 continue;
             }
             // Re-run the finder per user on *current* residual capacity.
-            let finder = ChannelFinder::from_source_in(&mut ws, net, &capacity, u, None);
+            let finder = ChannelFinder::from_source_in(&mut ws, net, &capacity, u);
             let c = finder.channel_to(center)?;
             // Reject paths relaying through the center's remaining
             // qubits when those are pledged to incoming holds: interior

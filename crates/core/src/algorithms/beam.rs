@@ -97,7 +97,7 @@ impl BeamSearch {
         }];
         // States carry diverged capacity clones, so a (source, epoch)
         // entry hits only for states sharing an unmutated lineage — but
-        // even a miss refreshes in place, keeping the search
+        // even a miss repairs in place, keeping the search
         // allocation-free across the whole beam.
         let mut cache = ChannelFinderCache::new(net);
 

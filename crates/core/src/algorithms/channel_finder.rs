@@ -9,6 +9,10 @@
 //! Capacity awareness: only a switch with at least 2 free qubits may relay
 //! (the pseudocode's line 11 guard `Q ≥ 2`); users never relay — a channel
 //! passes "through vertices in R" (Definition 2).
+//!
+//! Failures: on a degraded network a cut fiber, and every fiber of a dead
+//! switch, costs `+∞`, which the search never traverses
+//! ([`ChannelFinderCache::degraded`]).
 
 use std::cell::Cell;
 
@@ -38,13 +42,16 @@ fn ones(words: impl Iterator<Item = u64>) -> impl Iterator<Item = NodeId> {
 #[derive(Clone, Copy)]
 struct Algorithm1<'n> {
     net: &'n QuantumNetwork,
+    /// The dead fibers and switches of a degraded network; `None` when
+    /// the network is intact.
+    dead: Option<&'n SearchMask>,
     alpha: f64,
     neg_ln_q: f64,
     swaps_possible: bool,
 }
 
 impl<'n> Algorithm1<'n> {
-    fn new(net: &'n QuantumNetwork) -> Self {
+    fn new(net: &'n QuantumNetwork, dead: Option<&'n SearchMask>) -> Self {
         let q = net.physics().swap_success;
         // Edge cost α·L − ln q (non-negative since q ≤ 1). A degenerate
         // q = 0 makes every swap impossible; only direct user-user fibers
@@ -52,14 +59,20 @@ impl<'n> Algorithm1<'n> {
         // relaying while keeping single edges finite.
         Algorithm1 {
             net,
+            dead,
             alpha: net.physics().attenuation,
             neg_ln_q: if q > 0.0 { -(q.ln()) } else { 0.0 },
             swaps_possible: q > 0.0,
         }
     }
 
-    /// The cost `α·L(e) − ln q` of traversing `e`.
+    /// The cost `α·L(e) − ln q` of traversing `e`, or `+∞` when `e` is
+    /// dead or touches a dead switch, so no channel uses it and a dead
+    /// switch is never reached.
     fn edge_cost(&self, e: EdgeRef<'_, f64>) -> f64 {
+        if self.dead.is_some_and(|m| m.blocks(e.id, e.a, e.b)) {
+            return f64::INFINITY;
+        }
         self.alpha * *e.payload + self.neg_ln_q
     }
 
@@ -91,8 +104,8 @@ impl<'n> Algorithm1<'n> {
     /// than its current label. `<=` (not `<`) is deliberate: an exactly
     /// equal offer cannot improve a distance, but it can move a
     /// predecessor under the search's tie rule, and the cache promises
-    /// *bitwise* fidelity. When this is `false` the run is already the
-    /// run with `v` relaying.
+    /// *bitwise* fidelity. An edge of infinite cost makes no offer. When
+    /// this is `false` the run is already the run with `v` relaying.
     fn improvement_possible(&self, run: &DijkstraRun, v: NodeId) -> bool {
         // A vertex the source cannot even reach helps nobody as a relay.
         let Some(dv) = run.distance(v) else {
@@ -100,7 +113,8 @@ impl<'n> Algorithm1<'n> {
         };
         let g = self.net.graph();
         g.neighbor_slice(v).iter().any(|&(u, e)| {
-            dv + self.edge_cost(g.edge(e)) <= run.distance(u).unwrap_or(f64::INFINITY)
+            let w = self.edge_cost(g.edge(e));
+            w.is_finite() && dv + w <= run.distance(u).unwrap_or(f64::INFINITY)
         })
     }
 
@@ -160,21 +174,17 @@ fn lost<'a>(was: &'a [u64], now: &'a [u64]) -> impl Iterator<Item = u64> + 'a {
 }
 
 /// Runs the Algorithm-1 search from `source` and leaves the result in
-/// `ws`; the caller materializes it however it likes (fresh
-/// [`DijkstraRun`] or in-place refresh of an existing one).
+/// `ws`, for the caller to copy out.
 ///
 /// [`ChannelFinder`] and [`ChannelFinderCache`] both route through it.
-/// A failure `mask` excludes dead edges and vertices (survivability
-/// repair); `None` searches the intact network. Each run flushes its
-/// full-switch rejection tally and emits one `FinderRun` trace event.
+/// Each run flushes its full-switch rejection tally and emits one
+/// `FinderRun` trace event.
 fn run_algorithm1<'w>(
     ws: &'w mut DijkstraWorkspace,
-    net: &QuantumNetwork,
+    a1: &Algorithm1<'_>,
     capacity: &CapacityMap,
     source: NodeId,
-    mask: Option<&SearchMask>,
 ) -> &'w DijkstraRun {
-    let a1 = Algorithm1::new(net);
     // Dijkstra consults the relay filter exactly once per reached vertex
     // per run, when the vertex is first reached (later improvements
     // reuse the answer), so this tally counts the *distinct* full
@@ -194,7 +204,7 @@ fn run_algorithm1<'w>(
     qnet_obs::counter!("core.channel.finder_runs");
     let run = {
         let _span = qnet_obs::span!("core.channel.finder_run");
-        dijkstra_into(ws, net.graph(), source, &cfg, mask)
+        dijkstra_into(ws, a1.net.graph(), source, &cfg)
     };
     let rejected_full = rejected_full.get();
     if rejected_full > 0 {
@@ -230,21 +240,19 @@ impl<'n> ChannelFinder<'n> {
     ///
     /// Every interior vertex of any returned channel is a switch with at
     /// least 2 free qubits *in the given map*; the map is not mutated
-    /// (reservation is the caller's decision). With a failure `mask`,
-    /// channels never use a dead edge nor touch a dead vertex (not even
-    /// as an endpoint); `None` means no failures.
+    /// (reservation is the caller's decision).
     ///
     /// The search runs on the caller's workspace and allocates nothing;
     /// only the materialized run does. Callers that revisit sources
-    /// under a changing capacity map should use a [`ChannelFinderCache`].
+    /// under a changing capacity map, or search a degraded network,
+    /// should use a [`ChannelFinderCache`].
     pub fn from_source_in(
         ws: &mut DijkstraWorkspace,
         net: &'n QuantumNetwork,
         capacity: &CapacityMap,
         source: NodeId,
-        mask: Option<&SearchMask>,
     ) -> Self {
-        let run = run_algorithm1(ws, net, capacity, source, mask).clone();
+        let run = run_algorithm1(ws, &Algorithm1::new(net, None), capacity, source).clone();
         ChannelFinder {
             net,
             run,
@@ -366,8 +374,7 @@ pub fn max_rate_channel(
     a: NodeId,
     b: NodeId,
 ) -> Option<Channel> {
-    ChannelFinder::from_source_in(&mut DijkstraWorkspace::new(), net, capacity, a, None)
-        .channel_to(b)
+    ChannelFinder::from_source_in(&mut DijkstraWorkspace::new(), net, capacity, a).channel_to(b)
 }
 
 /// In-place delta repair of a memoized Algorithm-1 run: patches `run`
@@ -375,29 +382,28 @@ pub fn max_rate_channel(
 /// re-running the search from scratch; the workspace lends only its
 /// pass-local scratch.
 ///
-/// Repairs serve only unmasked entries and skip the search's rejection
-/// tally (a repair consults only part of the run, so its tally would
-/// not be comparable to a full run's); `capacity` must already reflect
-/// the flips, which holds because they are read off its relay bits.
+/// Repairs skip the search's rejection tally (a repair consults only
+/// part of the run, so its tally would not be comparable to a full
+/// run's); `capacity` must already reflect the flips, which holds
+/// because they are read off its relay bits.
 fn repair_algorithm1(
     ws: &mut DijkstraWorkspace,
-    net: &QuantumNetwork,
+    a1: &Algorithm1<'_>,
     capacity: &CapacityMap,
     run: &mut DijkstraRun,
     delta: &SsspDelta,
 ) -> qnet_graph::RepairStats {
-    let a1 = Algorithm1::new(net);
     let cfg = DijkstraConfig {
         edge_cost: |e: EdgeRef<'_, f64>| a1.edge_cost(e),
         can_relay: |v: NodeId| a1.relays(capacity, v),
     };
-    dijkstra_repair_into(ws, run, net.graph(), &cfg, delta)
+    dijkstra_repair_into(ws, run, a1.net.graph(), &cfg, delta)
 }
 
-/// One memoized single-source run and what it is exact for.
+/// One memoized single-source run and the relay bits it is exact for;
+/// its finder's epoch is the capacity epoch it was last validated at,
+/// the entry's one key.
 struct Entry<'n> {
-    /// `(capacity epoch, mask hash)` the run was last validated at.
-    key: (u64, u64),
     /// The relay bits of the capacity map at that epoch.
     bits: Vec<u64>,
     finder: ChannelFinder<'n>,
@@ -407,35 +413,34 @@ struct Entry<'n> {
 ///
 /// Greedy solvers (Prim-based, Algorithm 3/4, beam search, local search)
 /// re-run the same sources many times between capacity changes. Each
-/// entry is keyed by `(source, capacity epoch, mask hash)`: a lookup
-/// whose stored key matches returns the memoized finder with no search
-/// at all.
+/// entry is keyed by `(source, capacity epoch)`: a lookup whose stored
+/// epoch matches returns the memoized finder with no search at all.
 ///
-/// A run depends on the capacity map only through its *relay bits* —
-/// one bit per node for `swaps possible ∧ switch ∧ free ≥ 2` — so each
-/// entry keeps the bits it is exact for, and the cache reads the
-/// current map's bits once per epoch: the map's own `free ≥ 2` words
-/// ANDed with the network's static may-relay mask. A lookup at a new
-/// epoch under the same mask applies one rule (DESIGN.md §15): the
-/// entry's bits XOR the current bits, turned into one net
-/// [`SsspDelta`] — a lost relay is blocked only where it is some
+/// A cache searches one network: the intact one ([`new`]), or one
+/// degraded by failures ([`degraded`]), whose dead fibers and switches
+/// cost `+∞` in every search and repair of the cache. A run then depends
+/// on the capacity map only through its *relay bits* — one bit per node
+/// for `swaps possible ∧ switch ∧ free ≥ 2` — so each entry keeps the
+/// bits it is exact for, and the cache reads the current map's bits once
+/// per epoch: the map's own `free ≥ 2` words ANDed with the network's
+/// static may-relay mask. A lookup at a new epoch applies one rule
+/// (DESIGN.md §15): the entry's bits XOR the current bits, turned into
+/// one net [`SsspDelta`] — a lost relay is blocked only where it is some
 /// vertex's stored predecessor, a regained relay is restored where it
 /// could improve the run (every restore is kept when the delta also
 /// blocks). Then:
 ///
 /// * an empty delta is an O(1) revalidation — `graph.delta.clean`;
-/// * an unmasked entry is repaired in place by [`dijkstra_repair_into`]
+/// * otherwise the entry is repaired in place by [`dijkstra_repair_into`]
 ///   — blocks first, against the stored run, then a decrease pass for
 ///   the restores — `graph.delta.repaired`, plus `graph.delta.restored`
-///   when restores were applied;
-/// * a masked entry is searched again (the cache stores only the mask's
-///   hash) — `graph.delta.recomputed`.
+///   when restores were applied.
 ///
 /// A lookup through [`ChannelSource::finder_for`] names the destinations
-/// it will read. Before any of the above, a stale unmasked entry whose
-/// flips provably move none of those channels answers as it is, through
-/// a [`ScopedFinder`] that reads only them — a *scoped answer*, tallied
-/// as a hit and as `core.channel.cache_scoped`. The entry keeps its key
+/// it will read. Before any of the above, a stale entry whose flips
+/// provably move none of those channels answers as it is, through a
+/// [`ScopedFinder`] that reads only them — a *scoped answer*, tallied as
+/// a hit and as `core.channel.cache_scoped`. The entry keeps its epoch
 /// and bits, so the next whole-run lookup nets every flip since it was
 /// last exact.
 ///
@@ -446,13 +451,9 @@ struct Entry<'n> {
 ///   bits can be compared by *content* against any successor map, which
 ///   is what makes clone ping-pong (trial maps in the stream scenario)
 ///   cheap instead of cache-hostile;
-/// * a [`SearchMask`]'s hash is an order-independent digest of its dead
-///   set, `0` for the empty mask, so a masked run can never be served
-///   to an unmasked query at the same epoch (or vice versa) — the
-///   "stale mask poisons the cache" failure mode;
-/// * Algorithm 1's result depends only on (network, relay bits, mask,
-///   source) — the network is fixed per cache, the relay bits are
-///   stored per entry, the mask by its hash.
+/// * Algorithm 1's result depends only on (network, dead set, relay
+///   bits, source) — the network and its dead set are fixed per cache,
+///   the relay bits are stored per entry.
 ///
 /// Hits and misses are observable as `core.channel.cache_hits` /
 /// `core.channel.cache_misses`; [`search_count`] tallies the full
@@ -460,9 +461,12 @@ struct Entry<'n> {
 /// metric — in-place repairs are tallied separately in
 /// [`CacheEfficiency::repairs`]).
 ///
+/// [`new`]: ChannelFinderCache::new
+/// [`degraded`]: ChannelFinderCache::degraded
 /// [`search_count`]: ChannelFinderCache::search_count
 pub struct ChannelFinderCache<'n> {
-    net: &'n QuantumNetwork,
+    /// Algorithm 1 on this cache's network, intact or degraded.
+    a1: Algorithm1<'n>,
     /// The one workspace every search and repair of this cache runs in.
     ws: DijkstraWorkspace,
     /// Indexed by source node.
@@ -475,7 +479,7 @@ pub struct ChannelFinderCache<'n> {
     bits_epoch: Option<u64>,
     /// Full searches actually executed (misses), monotone.
     searches: u64,
-    /// Per-instance hit/miss/refresh/repair tallies (see
+    /// Per-instance hit/fill/repair tallies (see
     /// [`ChannelFinderCache::efficiency`]).
     efficiency: CacheEfficiency,
 }
@@ -492,10 +496,9 @@ pub struct CacheEfficiency {
     /// answer from a stale run that no flip since could move at the
     /// lookup's targets ([`ChannelSource::finder_for`]).
     pub hits: u64,
-    /// Misses that re-ran the search *in place* over an existing
-    /// entry's buffers (steady state: zero allocation): a masked entry
-    /// whose net relay delta is non-empty, or an entry asked under
-    /// another mask.
+    /// Always zero: no lookup searches again into an existing entry's
+    /// buffers, since every stale entry is repaired in place. Kept for
+    /// the callers that print it.
     pub refreshes: u64,
     /// Misses that populated a previously empty entry (first touch of a
     /// source; materializes a fresh run).
@@ -527,12 +530,24 @@ impl CacheEfficiency {
 }
 
 impl<'n> ChannelFinderCache<'n> {
-    /// An empty cache for `net`; entries populate lazily per source.
+    /// An empty cache for the intact `net`; entries populate lazily per
+    /// source.
     pub fn new(net: &'n QuantumNetwork) -> Self {
-        let nodes = net.graph().node_count();
-        let may_relay = Algorithm1::new(net).may_relay_mask();
+        Self::searching(Algorithm1::new(net, None))
+    }
+
+    /// An empty cache for `net` degraded by the failures in `dead`: no
+    /// channel it returns uses a dead fiber or touches a dead switch
+    /// (not even as an endpoint).
+    pub fn degraded(net: &'n QuantumNetwork, dead: &'n SearchMask) -> Self {
+        Self::searching(Algorithm1::new(net, Some(dead)))
+    }
+
+    fn searching(a1: Algorithm1<'n>) -> Self {
+        let nodes = a1.net.graph().node_count();
+        let may_relay = a1.may_relay_mask();
         ChannelFinderCache {
-            net,
+            a1,
             ws: DijkstraWorkspace::with_capacity(nodes),
             entries: (0..nodes).map(|_| None).collect(),
             bits: vec![0; may_relay.len()],
@@ -558,19 +573,7 @@ impl<'n> ChannelFinderCache<'n> {
     /// The Algorithm-1 run from `source` under `capacity`, reused when
     /// `capacity` has not changed since the entry was computed.
     pub fn finder(&mut self, capacity: &CapacityMap, source: NodeId) -> &ChannelFinder<'n> {
-        self.finder_masked(capacity, None, source)
-    }
-
-    /// [`ChannelFinderCache::finder`] under a failure mask: the entry is
-    /// keyed by `(source, epoch, mask hash)`, so masked and unmasked
-    /// runs at the same epoch never alias.
-    pub fn finder_masked(
-        &mut self,
-        capacity: &CapacityMap,
-        mask: Option<&SearchMask>,
-        source: NodeId,
-    ) -> &ChannelFinder<'n> {
-        if self.update(capacity, mask, source) {
+        if self.update(capacity, source) {
             qnet_obs::counter!("core.channel.cache_hits");
             self.efficiency.hits += 1;
         }
@@ -580,34 +583,26 @@ impl<'n> ChannelFinderCache<'n> {
             .finder
     }
 
-    /// Brings `source`'s entry up to date with `(capacity, mask)`.
-    /// Returns `true` when no work was needed — the stored key matched,
-    /// or the net relay delta was empty (an O(1) revalidation) — which
-    /// lookups tally as a hit and warm batches do not tally at all.
-    /// Otherwise the entry is repaired in place, re-searched over its
-    /// own buffers (refresh) or filled for the first time, with the
+    /// Brings `source`'s entry up to date with `capacity`. Returns `true`
+    /// when no work was needed — the stored epoch matched, or the net
+    /// relay delta was empty (an O(1) revalidation) — which lookups
+    /// tally as a hit and warm batches do not tally at all. Otherwise the
+    /// entry is repaired in place or filled for the first time, with the
     /// matching tallies.
-    fn update(
-        &mut self,
-        capacity: &CapacityMap,
-        mask: Option<&SearchMask>,
-        source: NodeId,
-    ) -> bool {
+    fn update(&mut self, capacity: &CapacityMap, source: NodeId) -> bool {
         self.refresh_bits(capacity);
         let epoch = capacity.epoch();
-        let key = (epoch, mask.map_or(0, |m| m.hash()));
         let entry = match &mut self.entries[source.index()] {
-            Some(entry) if entry.key == key => return true,
+            Some(entry) if entry.finder.epoch == epoch => return true,
             Some(entry) => entry,
             slot @ None => {
                 qnet_obs::counter!("core.channel.cache_misses");
                 self.efficiency.fills += 1;
-                let run = run_algorithm1(&mut self.ws, self.net, capacity, source, mask).clone();
+                let run = run_algorithm1(&mut self.ws, &self.a1, capacity, source).clone();
                 *slot = Some(Entry {
-                    key,
                     bits: self.bits.clone(),
                     finder: ChannelFinder {
-                        net: self.net,
+                        net: self.a1.net,
                         run,
                         epoch,
                     },
@@ -616,56 +611,40 @@ impl<'n> ChannelFinderCache<'n> {
                 return false;
             }
         };
-        // Under the same mask, the net relay flips since the run was
-        // validated; a run under another mask is searched afresh.
-        let same_mask = entry.key.1 == key.1;
-        let delta = if same_mask && entry.bits != self.bits {
-            Algorithm1::new(self.net).net_delta(&entry.finder.run, &entry.bits, &self.bits)
+        // The net relay flips since the run was validated.
+        let delta = if entry.bits != self.bits {
+            self.a1
+                .net_delta(&entry.finder.run, &entry.bits, &self.bits)
         } else {
             SsspDelta::new()
         };
-        entry.key = key;
         entry.bits.copy_from_slice(&self.bits);
         entry.finder.epoch = epoch;
-        if same_mask && delta.is_empty() {
+        if delta.is_empty() {
             qnet_obs::counter!("graph.delta.clean");
             return true;
         }
-        if same_mask && key.1 == 0 {
-            qnet_obs::counter!("core.channel.cache_repairs");
-            self.efficiency.repairs += 1;
-            let run = &mut entry.finder.run;
-            let stats = repair_algorithm1(&mut self.ws, self.net, capacity, run, &delta);
-            if stats.restored > 0 {
-                self.efficiency.restores += 1;
-            }
-            return false;
+        qnet_obs::counter!("core.channel.cache_repairs");
+        self.efficiency.repairs += 1;
+        let run = &mut entry.finder.run;
+        let stats = repair_algorithm1(&mut self.ws, &self.a1, capacity, run, &delta);
+        if stats.restored > 0 {
+            self.efficiency.restores += 1;
         }
-        if same_mask {
-            // A masked entry whose relays moved under it.
-            qnet_obs::counter!("graph.delta.recomputed");
-        }
-        qnet_obs::counter!("core.channel.cache_misses");
-        qnet_obs::counter!("core.channel.cache_refreshes");
-        self.efficiency.refreshes += 1;
-        let run = run_algorithm1(&mut self.ws, self.net, capacity, source, mask);
-        entry.finder.run.clone_from(run);
-        self.searches += 1;
         false
     }
 
     /// Brings the entries for `sources` up to date under `capacity` —
     /// **Algorithm 1 as a multi-source batch**. Sources whose entry is
     /// already fresh are skipped; the rest are repaired or searched in
-    /// `sources` order on the cache's workspace, each stale entry's
-    /// result buffers recycled. Subsequent
+    /// `sources` order on the cache's workspace. Subsequent
     /// [`finder`](ChannelFinderCache::finder) calls for these sources at
-    /// the same epoch are then cache hits. Warm searches tally as misses
-    /// (refresh or fill) exactly like the lazy path; fresh entries are
-    /// not tallied as hits.
+    /// the same epoch are then cache hits. Warm searches and repairs
+    /// tally exactly like the lazy path's; fresh entries are not tallied
+    /// as hits.
     pub fn warm(&mut self, capacity: &CapacityMap, sources: &[NodeId]) {
         for &src in sources {
-            self.update(capacity, None, src);
+            self.update(capacity, src);
         }
     }
 
@@ -677,19 +656,18 @@ impl<'n> ChannelFinderCache<'n> {
         self.refresh_bits(capacity);
     }
 
-    /// `true` when `source`'s unmasked entry is stale, its relay bits
-    /// differ from `capacity`'s and it still serves every one of
-    /// `targets` exactly. The exact-key test comes first: almost every
-    /// lookup is an exact-key hit, and it should pay nothing more.
+    /// `true` when `source`'s entry is stale, its relay bits differ from
+    /// `capacity`'s and it still serves every one of `targets` exactly.
+    /// The exact-key test comes first: almost every lookup is an
+    /// exact-key hit, and it should pay nothing more.
     fn spares(
         &mut self,
         capacity: &CapacityMap,
         source: NodeId,
         targets: impl IntoIterator<Item = NodeId>,
     ) -> bool {
-        let exact = (capacity.epoch(), 0);
         match &self.entries[source.index()] {
-            Some(entry) if entry.key != exact && entry.key.1 == 0 => {}
+            Some(entry) if entry.finder.epoch != capacity.epoch() => {}
             _ => return false,
         }
         self.refresh_bits(capacity);
@@ -697,7 +675,9 @@ impl<'n> ChannelFinderCache<'n> {
             .as_ref()
             .expect("matched above");
         entry.bits != self.bits
-            && Algorithm1::new(self.net).serves(&entry.finder.run, targets, &entry.bits, &self.bits)
+            && self
+                .a1
+                .serves(&entry.finder.run, targets, &entry.bits, &self.bits)
     }
 
     /// [`max_rate_channel`] through the cache.
@@ -716,7 +696,7 @@ impl<'n> ChannelFinderCache<'n> {
         self.searches
     }
 
-    /// This cache's lookup tallies, split hit/refresh/fill. Fully
+    /// This cache's lookup tallies, split hit/fill/repair. Fully
     /// deterministic for a fixed query sequence (unlike wall time), so
     /// `repro profile` byte-compares them across runs.
     pub fn efficiency(&self) -> CacheEfficiency {
@@ -724,10 +704,8 @@ impl<'n> ChannelFinderCache<'n> {
     }
 
     /// Drops every memoized entry (the workspace and tallies are kept):
-    /// the next lookup per source is a *fill*, not a refresh. This is how
-    /// the search-core bench measures the fill path in isolation —
-    /// refreshes and fills run the identical search; only the result
-    /// buffers differ (recycled vs freshly allocated).
+    /// the next lookup per source is a *fill*. This is how the
+    /// search-core bench measures the fill path in isolation.
     pub fn clear(&mut self) {
         self.entries.iter_mut().for_each(|e| *e = None);
     }
@@ -758,9 +736,9 @@ impl<'n> ChannelSource<'n> for ChannelFinderCache<'n> {
     /// `targets` — the lookup of Algorithm 4's growth step, which reads
     /// each in-tree member's run at the out-of-tree members alone.
     ///
-    /// An unmasked entry that is stale answers as it is when the relay
-    /// flips since it was last exact provably move no target's channel
-    /// (DESIGN.md §15); the entry keeps its key and bits, so the next
+    /// A stale entry answers as it is when the relay flips since it was
+    /// last exact provably move no target's channel (DESIGN.md §15); the
+    /// entry keeps its epoch and bits, so the next
     /// whole-run lookup or repair nets every flip since then. Such a
     /// scoped answer ran no search and no repair: it is tallied as a hit
     /// and as `core.channel.cache_scoped`. Any other lookup is served as
@@ -779,7 +757,7 @@ impl<'n> ChannelSource<'n> for ChannelFinderCache<'n> {
             qnet_obs::counter!("core.channel.cache_scoped");
             self.efficiency.hits += 1;
         } else {
-            self.finder_masked(capacity, None, source);
+            self.finder(capacity, source);
         }
         let entry = self.entries[source.index()].as_ref();
         ScopedFinder {
@@ -880,7 +858,7 @@ mod tests {
         let cap = CapacityMap::new(&net);
         let users = net.users().to_vec();
         let mut ws = DijkstraWorkspace::new();
-        let finder = ChannelFinder::from_source_in(&mut ws, &net, &cap, users[0], None);
+        let finder = ChannelFinder::from_source_in(&mut ws, &net, &cap, users[0]);
         for &dst in &users[1..] {
             let via_run = finder.channel_to(dst);
             let via_pair = max_rate_channel(&net, &cap, users[0], dst);
@@ -909,68 +887,19 @@ mod tests {
         let e_as1 = net.graph().find_edge(a, s1).unwrap();
         let mut mask = SearchMask::new();
         mask.kill_edge(e_as1);
-        let mut ws = DijkstraWorkspace::new();
-        let c = ChannelFinder::from_source_in(&mut ws, &net, &cap, a, Some(&mask))
-            .channel_to(b)
+        let c = ChannelFinderCache::degraded(&net, &mask)
+            .channel(&cap, a, b)
             .unwrap();
         assert_eq!(c.link_count(), 1, "masked edge forces the direct fiber");
 
         // Kill the switch instead: same outcome, and s1 is untouchable.
         let mut mask = SearchMask::new();
         mask.kill_node(s1);
-        let finder = ChannelFinder::from_source_in(&mut ws, &net, &cap, a, Some(&mask));
+        let mut cache = ChannelFinderCache::degraded(&net, &mask);
+        let finder = cache.finder(&cap, a);
         let c = finder.channel_to(b).unwrap();
         assert_eq!(c.link_count(), 1);
         assert!(finder.channel_to(s1).is_none(), "dead vertex unreachable");
-    }
-
-    #[test]
-    fn stale_mask_never_poisons_the_cache() {
-        // Regression: the cache used to key entries by epoch alone, so a
-        // masked search left a poisoned entry that an unmasked query at
-        // the same epoch would happily reuse.
-        let (net, [a, s1, b]) = two_route_net(0.99);
-        let cap = CapacityMap::new(&net);
-        let mut mask = SearchMask::new();
-        mask.kill_node(s1);
-        let mut cache = ChannelFinderCache::new(&net);
-
-        // Masked query first: detour around the dead switch.
-        let masked = cache
-            .finder_masked(&cap, Some(&mask), a)
-            .channel_to(b)
-            .unwrap();
-        assert_eq!(masked.link_count(), 1);
-        // Unmasked query at the SAME epoch must re-search, not reuse the
-        // masked run: the via-switch route is alive and better.
-        let unmasked = cache.channel(&cap, a, b).unwrap();
-        assert_eq!(unmasked.link_count(), 2, "stale-mask cache hit");
-        assert_eq!(unmasked.interior_switches(), &[s1]);
-        // And flipping back must not reuse the unmasked run either.
-        let masked_again = cache
-            .finder_masked(&cap, Some(&mask), a)
-            .channel_to(b)
-            .unwrap();
-        assert_eq!(masked_again.link_count(), 1);
-        assert_eq!(cache.search_count(), 3, "three distinct keys, no hits");
-
-        // Same mask twice at the same epoch *is* a hit.
-        let repeat = cache
-            .finder_masked(&cap, Some(&mask), a)
-            .channel_to(b)
-            .unwrap();
-        assert_eq!(repeat.link_count(), 1);
-        assert_eq!(cache.search_count(), 3, "identical key must hit");
-
-        // An equal-content mask built in a different order hits too.
-        let mut mask2 = SearchMask::new();
-        mask2.kill_node(s1);
-        let again = cache
-            .finder_masked(&cap, Some(&mask2), a)
-            .channel_to(b)
-            .unwrap();
-        assert_eq!(again.link_count(), 1);
-        assert_eq!(cache.search_count(), 3);
     }
 
     #[test]
@@ -987,7 +916,7 @@ mod tests {
         assert_eq!(ch.interior_switches(), &[s1]);
 
         // Epoch bump without a relay flip (s1: 4 → 2 free qubits): the
-        // delta engine revalidates in O(1) — a hit, not a refresh.
+        // delta engine revalidates in O(1) — a hit, not a repair.
         cap.reserve(&ch);
         cache.channel(&cap, a, b);
 
@@ -1003,33 +932,23 @@ mod tests {
         let back = cache.channel(&cap, a, b).unwrap();
         assert_eq!(back.interior_switches(), &[s1], "repair sees s1 again");
 
-        // A lookup under a mask the entry was not computed for is a
-        // full search over the entry's buffers: a refresh.
-        let mut mask = SearchMask::new();
-        mask.kill_node(s1);
-        let masked = cache
-            .finder_masked(&cap, Some(&mask), a)
-            .channel_to(b)
-            .unwrap();
-        assert_eq!(masked.link_count(), 1);
-
         let eff = cache.efficiency();
         assert_eq!(
             eff,
             CacheEfficiency {
                 hits: 3,
-                refreshes: 1,
+                refreshes: 0,
                 fills: 2,
                 repairs: 2,
                 restores: 1,
             }
         );
-        assert_eq!(eff.lookups(), 8);
-        assert!((eff.hit_rate() - 3.0 / 8.0).abs() < 1e-12);
+        assert_eq!(eff.lookups(), 7);
+        assert!((eff.hit_rate() - 3.0 / 7.0).abs() < 1e-12);
         assert_eq!(
             cache.search_count(),
-            eff.refreshes + eff.fills,
-            "searches are the full-search misses; repairs are not searches"
+            eff.fills,
+            "searches are the fills; repairs are not searches"
         );
 
         // clear() drops the entries but keeps the tallies: the next
@@ -1062,6 +981,34 @@ mod tests {
     }
 
     #[test]
+    fn a_regained_relay_behind_a_dead_fiber_is_a_hit() {
+        // two_route_net plus a switch s2 off a whose only other fiber,
+        // to user c, is cut. Giving s2 its qubits back can improve no
+        // label: its one unreached neighbor lies across the dead fiber,
+        // which makes no offer, so the lookup is an O(1) revalidation.
+        let (net, [a, s1, b]) = two_route_net(0.99);
+        let mut g = net.graph().clone();
+        let s2 = g.add_node(NodeKind::Switch { qubits: 4 });
+        let c = g.add_node(NodeKind::User);
+        g.add_edge(a, s2, 500.0);
+        let cut = g.add_edge(s2, c, 500.0);
+        let net = QuantumNetwork::from_graph(g, *net.physics());
+        let mut dead = SearchMask::new();
+        dead.kill_edge(cut);
+        let mut cap = CapacityMap::new(&net);
+        cap.withdraw(s2, 4);
+        let mut cache = ChannelFinderCache::degraded(&net, &dead);
+        assert!(cache.finder(&cap, a).run().distance(c).is_none());
+
+        cap.grant(s2, 4);
+        let ch = cache.channel(&cap, a, b).unwrap();
+        assert_eq!(ch.interior_switches(), &[s1]);
+        assert!(cache.finder(&cap, a).run().distance(c).is_none());
+        let eff = cache.efficiency();
+        assert_eq!((eff.hits, eff.repairs), (2, 0), "no restore to run");
+    }
+
+    #[test]
     fn a_scoped_answer_leaves_the_entry_for_the_next_repair() {
         // two_route_net plus a user c behind a switch s2 off a. Killing
         // s2 breaks c's channel but not b's: a lookup naming only b is
@@ -1084,8 +1031,7 @@ mod tests {
         let eff = cache.efficiency();
         assert_eq!((eff.hits, eff.repairs), (1, 0), "scoped: no repair");
 
-        let cold =
-            ChannelFinder::from_source_in(&mut DijkstraWorkspace::new(), &net, &cap, a, None);
+        let cold = ChannelFinder::from_source_in(&mut DijkstraWorkspace::new(), &net, &cap, a);
         assert_eq!(cold.channel_to(c), None);
         assert_eq!(cache.finder(&cap, a).run(), cold.run());
         let eff = cache.efficiency();
@@ -1115,8 +1061,7 @@ mod tests {
         assert_eq!(prev(cache.finder(&cap, a).run()), Some(p));
 
         cap.grant(r, 4);
-        let cold =
-            ChannelFinder::from_source_in(&mut DijkstraWorkspace::new(), &net, &cap, a, None);
+        let cold = ChannelFinder::from_source_in(&mut DijkstraWorkspace::new(), &net, &cap, a);
         assert_eq!(prev(cold.run()), Some(r));
         assert_eq!(cache.finder(&cap, a).run(), cold.run());
         let eff = cache.efficiency();
@@ -1127,7 +1072,7 @@ mod tests {
     /// reference for its word-wise AND of the static may-relay mask with
     /// the capacity map's own bits.
     fn relay_bits_reference(net: &QuantumNetwork, capacity: &CapacityMap) -> Vec<u64> {
-        let a1 = Algorithm1::new(net);
+        let a1 = Algorithm1::new(net, None);
         let mut bits = vec![0u64; net.graph().node_count().div_ceil(64)];
         for v in net.graph().node_ids().filter(|&v| a1.relays(capacity, v)) {
             bits[v.index() / 64] |= 1 << (v.index() % 64);

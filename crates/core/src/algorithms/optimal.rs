@@ -40,7 +40,7 @@ pub fn all_pairs_best_channels(net: &QuantumNetwork, capacity: &CapacityMap) -> 
     // shared workspace is all the reuse available.
     let mut ws = qnet_graph::DijkstraWorkspace::with_capacity(net.graph().node_count());
     for (i, &src) in users.iter().enumerate() {
-        let finder = ChannelFinder::from_source_in(&mut ws, net, capacity, src, None);
+        let finder = ChannelFinder::from_source_in(&mut ws, net, capacity, src);
         for &dst in &users[i + 1..] {
             if let Some(c) = finder.channel_to(dst) {
                 channels.push(c);

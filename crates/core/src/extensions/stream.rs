@@ -340,7 +340,7 @@ pub struct StreamStats {
     pub sampled_out: u64,
     /// Capacity-churn events injected (0 when churn is disabled).
     pub churn_events: u64,
-    /// Finder-cache hit/refresh/fill/repair tallies over the run.
+    /// Finder-cache hit/fill/repair tallies over the run.
     pub cache: CacheEfficiency,
 }
 

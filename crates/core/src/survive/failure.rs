@@ -168,7 +168,8 @@ impl<'n> NetworkState<'n> {
         }
     }
 
-    /// The dead-element mask for masked searches.
+    /// The dead-element mask, for a
+    /// [`ChannelFinderCache::degraded`](crate::algorithms::ChannelFinderCache::degraded).
     pub fn mask(&self) -> &SearchMask {
         &self.mask
     }

@@ -14,7 +14,11 @@
 //!   [`qnet_graph::SearchMask`] of dead elements plus lost qubits,
 //!   never mutating the original network so ids stay comparable;
 //! * [`repair`] — the incremental repair ladder (local re-route →
-//!   subtree re-attachment → full re-solve), every output audited;
+//!   subtree re-attachment → full re-solve), every output audited. Its
+//!   rungs search one
+//!   [`ChannelFinderCache::degraded`](crate::algorithms::ChannelFinderCache::degraded),
+//!   which prices every dead fiber and every fiber of a dead switch at
+//!   `+∞` and repairs its runs in place as reservations move;
 //! * [`criticality_report`] — ranks bridge edges by how many user
 //!   pairs their failure severs, via [`qnet_graph::connectivity`].
 //!

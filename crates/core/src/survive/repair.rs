@@ -5,20 +5,22 @@
 //! [`NetworkState`] of failures, [`repair`] tries the cheapest fix
 //! first and escalates only when necessary:
 //!
-//! 1. **Local re-route** — every broken channel is replaced by a masked
-//!    Algorithm-1 channel *for the same user pair*, keeping all
-//!    surviving channels (and therefore the tree topology) intact.
+//! 1. **Local re-route** — every broken channel is replaced by an
+//!    Algorithm-1 channel of the degraded network *for the same user
+//!    pair*, keeping all surviving channels (and therefore the tree
+//!    topology) intact.
 //! 2. **Subtree re-attachment** — the surviving channels form a forest;
 //!    conflict-aware Prim-style rounds greedily merge its components
-//!    with the best masked cross-component channel until the user set
-//!    is spanned again.
+//!    with the best cross-component channel until the user set is
+//!    spanned again.
 //! 3. **Full re-solve** — everything is released and the degraded
 //!    network is solved from scratch with the same greedy rounds.
 //!
 //! Every rung reserves capacity on the *degraded* map
 //! ([`NetworkState::degraded_capacity`]) and searches through one
-//! shared [`ChannelFinderCache`] keyed by `(source, epoch, mask hash)`,
-//! so the ladder's cost is measured exactly in channel-finder runs
+//! shared [`ChannelFinderCache::degraded`] over the state's dead set,
+//! which repairs its runs in place as the rungs' reservations move, so
+//! the ladder's cost is measured exactly in channel-finder searches
 //! ([`RepairOutcome::searches`]). In debug builds every repaired
 //! solution is checked against the full audit invariant set.
 
@@ -110,17 +112,11 @@ pub fn repair(
 ) -> RepairOutcome {
     let _span = qnet_obs::span!("core.survive.repair");
     qnet_obs::counter!("core.survive.repairs");
-    let mut cache = ChannelFinderCache::new(net);
+    let mut cache = ChannelFinderCache::degraded(net, state.mask());
 
     // Non-tree solutions skip straight to a from-scratch tree solve.
     if solution.style != SolutionStyle::BsmTree {
-        let fixed = reconnect(
-            net,
-            state,
-            state.degraded_capacity(),
-            &mut cache,
-            Vec::new(),
-        );
+        let fixed = reconnect(net, state.degraded_capacity(), &mut cache, Vec::new());
         return finish(
             net,
             state,
@@ -174,7 +170,7 @@ pub fn repair(
     }
 
     // Rung 1 — local re-route: replace each broken channel for the
-    // same user pair, capacity and mask respected. Keeping the pair
+    // same user pair, capacity and failures respected. Keeping the pair
     // set keeps the tree topology, so success here needs no global
     // reasoning at all.
     broken.sort_by_key(Channel::user_pair);
@@ -184,10 +180,7 @@ pub fn repair(
         let mut complete = true;
         for c in &broken {
             let (a, b) = c.user_pair();
-            match cache
-                .finder_masked(&rung_cap, Some(state.mask()), a)
-                .channel_to(b)
-            {
+            match cache.finder(&rung_cap, a).channel_to(b) {
                 Some(fresh) => {
                     rung_cap.reserve(&fresh);
                     replacements.push(fresh);
@@ -213,9 +206,9 @@ pub fn repair(
     }
 
     // Rung 2 — subtree re-attachment: keep the surviving forest and
-    // greedily merge its components with the best masked
-    // cross-component channels (the conflict-aware Prim rounds).
-    if let Some(fixed) = reconnect(net, state, cap, &mut cache, kept.clone()) {
+    // greedily merge its components with the best cross-component
+    // channels (the conflict-aware Prim rounds).
+    if let Some(fixed) = reconnect(net, cap, &mut cache, kept.clone()) {
         return finish(
             net,
             state,
@@ -228,13 +221,7 @@ pub fn repair(
 
     // Rung 3 — full re-solve: release everything and rebuild the tree
     // on the degraded network from scratch.
-    let fixed = reconnect(
-        net,
-        state,
-        state.degraded_capacity(),
-        &mut cache,
-        Vec::new(),
-    );
+    let fixed = reconnect(net, state.degraded_capacity(), &mut cache, Vec::new());
     let method = if fixed.is_some() {
         RepairMethod::FullResolve
     } else {
@@ -255,14 +242,8 @@ pub fn repair(
 /// number of channel-finder searches spent.
 pub fn full_resolve(net: &QuantumNetwork, state: &NetworkState<'_>) -> (Option<Solution>, u64) {
     let _span = qnet_obs::span!("core.survive.full_resolve");
-    let mut cache = ChannelFinderCache::new(net);
-    let fixed = reconnect(
-        net,
-        state,
-        state.degraded_capacity(),
-        &mut cache,
-        Vec::new(),
-    );
+    let mut cache = ChannelFinderCache::degraded(net, state.mask());
+    let fixed = reconnect(net, state.degraded_capacity(), &mut cache, Vec::new());
     if let Some(s) = &fixed {
         debug_check(net, state, s);
     }
@@ -311,19 +292,18 @@ fn finish(
     }
 }
 
-/// Greedy tree (re)construction over the degraded network: starting
-/// from `channels` (a forest over the user set — possibly empty),
-/// repeatedly add the best-rate masked channel between two users in
-/// different components until the user set is spanned. Returns `None`
-/// when some component cannot be reached under the mask and residual
-/// capacity.
+/// Greedy tree (re)construction over the degraded network `cache`
+/// searches: starting from `channels` (a forest over the user set —
+/// possibly empty), repeatedly add the best-rate channel between two
+/// users in different components until the user set is spanned.
+/// Returns `None` when some component cannot be reached under the
+/// failures and residual capacity.
 ///
-/// With an empty starting forest this is exactly a masked variant of
-/// the Prim-based Algorithm-4 rounds; with a non-empty forest it is
-/// the re-attachment rung.
+/// With an empty starting forest this is exactly the Prim-based
+/// Algorithm-4 rounds on the degraded network; with a non-empty forest
+/// it is the re-attachment rung.
 fn reconnect(
     net: &QuantumNetwork,
-    state: &NetworkState<'_>,
     mut cap: CapacityMap,
     cache: &mut ChannelFinderCache<'_>,
     mut channels: Vec<Channel>,
@@ -338,7 +318,7 @@ fn reconnect(
     while channels.len() < target {
         let mut best: Option<Channel> = None;
         for &src in users {
-            let finder = cache.finder_masked(&cap, Some(state.mask()), src);
+            let finder = cache.finder(&cap, src);
             for &dst in users {
                 if uf.same_set_nodes(src, dst) {
                     continue;

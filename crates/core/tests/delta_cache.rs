@@ -6,11 +6,16 @@
 //! never install an entry a delta could leave stale (the
 //! snapshot/install hazard), and when the cache sees a map must not
 //! change what it serves or tallies. Scoped lookups, which may answer
-//! from a stale run, must give every named target the cold channel.
+//! from a stale run, must give every named target the cold channel. A
+//! degraded cache, whose dead fibers and switches cost `+∞`, must answer
+//! as a cold search on the network with the failures removed.
 
-use muerp_core::algorithms::{max_rate_channel, ChannelFinder, ChannelFinderCache, ChannelSource};
+use muerp_core::algorithms::{
+    max_rate_channel, CacheEfficiency, ChannelFinder, ChannelFinderCache, ChannelSource,
+};
 use muerp_core::channel::{CapacityMap, Channel};
 use muerp_core::model::{NetworkSpec, QuantumNetwork};
+use muerp_core::survive::{FailurePlan, NetworkState};
 use qnet_graph::{DijkstraWorkspace, NodeId};
 use qnet_obs::ObsLevel;
 use rand::rngs::StdRng;
@@ -18,7 +23,7 @@ use rand::{Rng, SeedableRng};
 
 /// A cold, cache-free Algorithm-1 run from `src` under `capacity`.
 fn cold<'n>(net: &'n QuantumNetwork, capacity: &CapacityMap, src: NodeId) -> ChannelFinder<'n> {
-    ChannelFinder::from_source_in(&mut DijkstraWorkspace::new(), net, capacity, src, None)
+    ChannelFinder::from_source_in(&mut DijkstraWorkspace::new(), net, capacity, src)
 }
 
 /// Asserts every cached per-source run equals a cold from-scratch run
@@ -439,4 +444,70 @@ fn scoped_answers_match_cold_channels() {
         }
     }
     assert!(scoped() > before, "no lookup was answered scoped");
+}
+
+#[test]
+fn degraded_lookups_match_cold_channels_on_the_materialized_network() {
+    // 2-qubit, degree-4 paper-default networks hit by six seeded
+    // failures. A degraded cache serves random lookups while random
+    // reserves and releases move the relay bits under it, so its stale
+    // entries are repaired with the dead fibers and switches in place.
+    // Every answer must equal a cold search on the materialized network
+    // (failures removed, lost qubits withdrawn) under the same
+    // reservations: the same node sequence, cost bits and rate bits.
+    // Edge ids differ, since materializing renumbers them.
+    let mut spec = NetworkSpec::paper_default().with_qubits(2);
+    spec.topology.avg_degree = 4.0;
+    let mut total = CacheEfficiency::default();
+    for seed in 0..24u64 {
+        let net = spec.build(seed);
+        let mut state = NetworkState::new(&net);
+        for failure in &FailurePlan::random(&net, 6, 400, seed).failures {
+            state.apply(&failure.kind);
+        }
+        let materialized = state.materialize();
+        let mut capacity = state.degraded_capacity();
+        let mut cold_capacity = CapacityMap::new(&materialized);
+        let mut cache = ChannelFinderCache::degraded(&net, state.mask());
+        let users = net.users().to_vec();
+        let mut reserved: Vec<Channel> = Vec::new();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x0dea_d5e7);
+        for step in 0..60usize {
+            let a = users[rng.random_range(0..users.len())];
+            let b = users[rng.random_range(0..users.len())];
+            let got = cache.channel(&capacity, a, b);
+            let want = max_rate_channel(&materialized, &cold_capacity, a, b);
+            let key = |c: &Option<Channel>| {
+                c.as_ref().map(|c| {
+                    let bits = (c.path.cost.to_bits(), c.rate.value().to_bits());
+                    (c.path.nodes.clone(), bits)
+                })
+            };
+            assert_eq!(key(&got), key(&want), "seed {seed} step {step}: {a} → {b}");
+            if rng.random_range(0..3u8) > 0 {
+                if let Some(c) = got {
+                    capacity.reserve(&c);
+                    cold_capacity.reserve(&c);
+                    reserved.push(c);
+                }
+            } else if !reserved.is_empty() {
+                let c = reserved.swap_remove(rng.random_range(0..reserved.len()));
+                capacity.release(&c);
+                cold_capacity.release(&c);
+            }
+        }
+        assert_eq!(cache.search_count(), cache.efficiency().fills);
+        let eff = cache.efficiency();
+        total.hits += eff.hits;
+        total.refreshes += eff.refreshes;
+        total.fills += eff.fills;
+        total.repairs += eff.repairs;
+        total.restores += eff.restores;
+    }
+    assert_eq!(total.lookups(), 24 * 60);
+    assert_eq!(
+        total.refreshes, 0,
+        "a degraded entry is repaired, never searched again"
+    );
+    assert!(total.repairs > 0 && total.restores > 0, "{total:?}");
 }

@@ -225,7 +225,7 @@ proptest! {
                 for _ in 0..2 {
                     let cached = cache.finder(&cap, src);
                     let mut ws = DijkstraWorkspace::new();
-                    let uncached = ChannelFinder::from_source_in(&mut ws, &net, &cap, src, None);
+                    let uncached = ChannelFinder::from_source_in(&mut ws, &net, &cap, src);
                     for &dst in &users {
                         let (a, b) = (cached.channel_to(dst), uncached.channel_to(dst));
                         prop_assert_eq!(a.is_some(), b.is_some());

@@ -135,6 +135,9 @@ type Fact = (&'static str, String, String);
 impl ProfileRun {
     /// Cache-efficiency tallies derived from the global counters:
     /// `(hits, misses, refreshes, workspace runs, workspace grown)`.
+    /// No cache emits `core.channel.cache_refreshes` any more (a stale
+    /// entry is repaired in place), so refreshes read 0; the fact stays
+    /// so profile artifacts keep their rows.
     fn cache_tallies(&self) -> (u64, u64, u64, u64, u64) {
         let c = |name: &str| self.report.counter_total(name);
         (

@@ -182,7 +182,6 @@ fn churned_report_carries_the_delta_counters() {
     assert!(
         run.report.counter_total("graph.delta.clean")
             + run.report.counter_total("graph.delta.repaired")
-            + run.report.counter_total("graph.delta.recomputed")
             > 0
     );
     // The summary table surfaces the same tallies.

@@ -23,8 +23,8 @@
 //! 3. **Re-run** — reached, unaffected neighbors of the affected
 //!    vertices are re-seeded at their exact final distances, and the
 //!    relaxation loop of [`dijkstra_into`](crate::paths::dijkstra_into)
-//!    — the same crate-private function, called without a mask and
-//!    confined to the affected vertices and the seeds — runs to
+//!    — the same crate-private function, confined to the affected
+//!    vertices and the seeds — runs to
 //!    completion. A boundary node that does not relay would pop and
 //!    expand nothing, so, as in a fresh search, it stays off the heap
 //!    and is counted as resettled when seeded.
@@ -62,7 +62,8 @@
 //! keeps whichever pops first (DESIGN.md §15 has the argument).
 //! `tests/delta_equivalence.rs` and `tests/kernel_reference.rs` pit the
 //! repair against fresh runs over arbitrary topologies, delta
-//! sequences, masked overlays and dirty workspaces.
+//! sequences, failure masks folded into the edge costs (`+∞` on every
+//! blocked edge) and dirty workspaces.
 //!
 //! An edge coming back is not a delta this module takes; callers search
 //! afresh for it.
@@ -390,7 +391,7 @@ fn repair_blocks<N, E, FC, FR>(
     // Phase 3 — the search's own relaxation loop over the seeded
     // frontier, confined to the open vertices: every other vertex keeps
     // its stored label and refuses offers, as a settled one would.
-    let tally = relax::<true, _, _, _, _>(run, pass, g, config, None);
+    let tally = relax::<true, _, _, _, _>(run, pass, g, config);
     stats.resettled += tally.settled;
     stats.relaxations += tally.relaxations;
 }
@@ -426,7 +427,7 @@ fn decrease<N, E, FC, FR>(
             stats.restored += 1;
         }
     }
-    let tally = relax::<false, _, _, _, _>(run, pass, g, config, None);
+    let tally = relax::<false, _, _, _, _>(run, pass, g, config);
     stats.resettled += tally.settled;
     stats.relaxations += tally.relaxations;
 }
@@ -469,14 +470,14 @@ mod tests {
             can_relay: |v: NodeId| Some(v) != blocked_node,
         };
         let mut ws = DijkstraWorkspace::new();
-        dijkstra_into(&mut ws, g, source, &cfg, None).clone()
+        dijkstra_into(&mut ws, g, source, &cfg).clone()
     }
 
     #[test]
     fn blocking_a_relay_reroutes_its_subtree() {
         let (g, [a, b, c], _) = diamond();
         let mut ws = DijkstraWorkspace::new();
-        let mut run = dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost), None).clone();
+        let mut run = dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost)).clone();
         let mut delta = SsspDelta::new();
         delta.block_node(b);
         let cfg = DijkstraConfig {
@@ -498,7 +499,7 @@ mod tests {
     fn blocking_an_edge_reroutes_through_the_detour() {
         let (g, [a, _b, c], [_, bc, _]) = diamond();
         let mut ws = DijkstraWorkspace::new();
-        let mut run = dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost), None).clone();
+        let mut run = dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost)).clone();
         let mut delta = SsspDelta::new();
         delta.block_edge(bc);
         let cfg = DijkstraConfig::all_nodes(|e: EdgeRef<'_, f64>| {
@@ -518,7 +519,7 @@ mod tests {
     fn a_miss_is_clean_and_does_no_work() {
         let (g, [a, b, _c], [_, _, ac]) = diamond();
         let mut ws = DijkstraWorkspace::new();
-        let mut run = dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost), None).clone();
+        let mut run = dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost)).clone();
         // The direct a-c edge carries no shortest path; blocking it
         // leaves the stored tree untouched.
         let mut delta = SsspDelta::new();
@@ -548,7 +549,7 @@ mod tests {
         let bc = g.add_edge(b, c, 1.0);
         assert!(crate::connectivity::bridges(&g).contains(&bc));
         let mut ws = DijkstraWorkspace::new();
-        let mut run = dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost), None).clone();
+        let mut run = dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost)).clone();
         let mut delta = SsspDelta::new();
         delta.block_edge(bc);
         let cfg = DijkstraConfig::all_nodes(|e: EdgeRef<'_, f64>| {
@@ -568,7 +569,7 @@ mod tests {
     fn repairs_compose_across_sequential_deltas() {
         let (g, [a, b, c], [ab, _, _]) = diamond();
         let mut ws = DijkstraWorkspace::new();
-        let mut run = dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost), None).clone();
+        let mut run = dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost)).clone();
         // First delta: b stops relaying.
         let mut d1 = SsspDelta::new();
         d1.block_node(b);
@@ -592,12 +593,12 @@ mod tests {
         };
         dijkstra_repair_into(&mut ws, &mut run, &g, &cfg2, &d2);
         let mut fresh_ws = DijkstraWorkspace::new();
-        let fresh = dijkstra_into(&mut fresh_ws, &g, a, &cfg2, None).clone();
+        let fresh = dijkstra_into(&mut fresh_ws, &g, a, &cfg2).clone();
         assert_eq!(run, fresh);
         assert_eq!(run.distance(b), Some(6.0), "b reachable only via a-c-b now");
         assert_eq!(run.distance(c), Some(5.0));
         // And the workspace is still a perfectly good workspace.
-        let run = dijkstra_into(&mut ws, &g, c, &DijkstraConfig::all_nodes(cost), None).clone();
+        let run = dijkstra_into(&mut ws, &g, c, &DijkstraConfig::all_nodes(cost)).clone();
         assert_eq!(run.distance(a), Some(2.0));
     }
 
@@ -605,7 +606,7 @@ mod tests {
     fn merged_delta_repairs_in_one_shot() {
         let (g, [a, b, _c], [_, bc, _]) = diamond();
         let mut ws = DijkstraWorkspace::new();
-        let mut run = dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost), None).clone();
+        let mut run = dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost)).clone();
         let mut delta = SsspDelta::new();
         delta.block_node(b);
         delta.block_edge(bc);
@@ -623,7 +624,7 @@ mod tests {
         };
         dijkstra_repair_into(&mut ws, &mut run, &g, &cfg, &delta);
         let mut fresh_ws = DijkstraWorkspace::new();
-        let fresh = dijkstra_into(&mut fresh_ws, &g, a, &cfg, None).clone();
+        let fresh = dijkstra_into(&mut fresh_ws, &g, a, &cfg).clone();
         assert_eq!(run, fresh);
     }
 
@@ -633,8 +634,8 @@ mod tests {
         // whose stamps and labels hold another source's search.
         let (g, [a, b, c], _) = diamond();
         let mut ws = DijkstraWorkspace::new();
-        let stored = dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost), None).clone();
-        dijkstra_into(&mut ws, &g, c, &DijkstraConfig::all_nodes(cost), None);
+        let stored = dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost)).clone();
+        dijkstra_into(&mut ws, &g, c, &DijkstraConfig::all_nodes(cost));
         let mut delta = SsspDelta::new();
         delta.block_node(b);
         let cfg = DijkstraConfig {
@@ -668,7 +669,7 @@ mod tests {
         g.add_edge(a, e, 0.5);
         g.add_edge(e, d, 0.5); // shortest route pre-delta: a-e-d at 1.0
         let mut ws = DijkstraWorkspace::new();
-        let mut run = dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost), None).clone();
+        let mut run = dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost)).clone();
         let mut delta = SsspDelta::new();
         delta.block_node(e);
         let cfg = DijkstraConfig {
@@ -677,7 +678,7 @@ mod tests {
         };
         dijkstra_repair_into(&mut ws, &mut run, &g, &cfg, &delta);
         let mut fresh_ws = DijkstraWorkspace::new();
-        let fresh = dijkstra_into(&mut fresh_ws, &g, a, &cfg, None).clone();
+        let fresh = dijkstra_into(&mut fresh_ws, &g, a, &cfg).clone();
         assert_eq!(run, fresh);
         assert_eq!(
             run.prev_hop(d).map(|(p, _)| p),
@@ -694,7 +695,7 @@ mod tests {
             edge_cost: cost,
             can_relay: |v: NodeId| v != b,
         };
-        let mut run = dijkstra_into(&mut ws, &g, a, &without_b, None).clone();
+        let mut run = dijkstra_into(&mut ws, &g, a, &without_b).clone();
         assert_eq!(run.distance(c), Some(5.0));
         let mut delta = SsspDelta::new();
         delta.restore_node(b);
@@ -732,7 +733,6 @@ mod tests {
                 edge_cost: cost,
                 can_relay: |x: NodeId| x != r,
             },
-            None,
         )
         .clone();
         assert_eq!(run.prev_hop(v).map(|(x, _)| x), Some(p));
@@ -767,7 +767,7 @@ mod tests {
             edge_cost: cost,
             can_relay: |x: NodeId| x != r,
         };
-        let mut run = dijkstra_into(&mut ws, &g, a, &without_r, None).clone();
+        let mut run = dijkstra_into(&mut ws, &g, a, &without_r).clone();
         assert_eq!(run.prev_hop(v), Some((p, late)));
         let mut delta = SsspDelta::new();
         delta.restore_node(r);
@@ -798,7 +798,7 @@ mod tests {
             edge_cost: cost,
             can_relay: |x: NodeId| x != u,
         };
-        let mut run = dijkstra_into(&mut ws, &g, s, &without_u, None).clone();
+        let mut run = dijkstra_into(&mut ws, &g, s, &without_u).clone();
         let mut delta = SsspDelta::new();
         delta.restore_node(u);
         dijkstra_repair_into(
@@ -833,7 +833,6 @@ mod tests {
                 edge_cost: cost,
                 can_relay: |x: NodeId| x != d,
             },
-            None,
         )
         .clone();
         let mut delta = SsspDelta::new();
@@ -845,10 +844,7 @@ mod tests {
         let stats = dijkstra_repair_into(&mut ws, &mut run, &g, &after, &delta);
         assert_eq!((stats.affected, stats.restored), (1, 1));
         let mut fresh_ws = DijkstraWorkspace::new();
-        assert_eq!(
-            run,
-            dijkstra_into(&mut fresh_ws, &g, a, &after, None).clone()
-        );
+        assert_eq!(run, dijkstra_into(&mut fresh_ws, &g, a, &after).clone());
         assert_eq!(run.prev_hop(e).map(|(x, _)| x), Some(d));
         let _ = c;
     }
@@ -937,7 +933,7 @@ mod tests {
         let [x, y] = [(); 2].map(|_| line.add_node(()));
         line.add_edge(x, y, 1.0);
         let mut foreign =
-            dijkstra_into(&mut ws, &line, x, &DijkstraConfig::all_nodes(cost), None).clone();
+            dijkstra_into(&mut ws, &line, x, &DijkstraConfig::all_nodes(cost)).clone();
         let _ = a;
         dijkstra_repair_into(
             &mut ws,
@@ -987,7 +983,7 @@ mod tests {
         restore.restore_node(victim).block_node(spare);
         let mut ws = DijkstraWorkspace::new();
         let step = |ws: &mut DijkstraWorkspace| {
-            let stored = dijkstra_into(ws, &g, s, &cfg(spare), None).clone();
+            let stored = dijkstra_into(ws, &g, s, &cfg(spare)).clone();
             assert_eq!(stored, fresh(&g, s, Some(spare), None));
             let mut run = stored.clone();
             let stats = dijkstra_repair_into(ws, &mut run, &g, &cfg(victim), &block);
@@ -999,7 +995,7 @@ mod tests {
         step(&mut ws);
         assert_eq!(ws.pass.generation, 4);
         ws.pass.generation = u32::MAX - 1;
-        let run = dijkstra_into(&mut ws, &pair, x, &DijkstraConfig::all_nodes(cost), None);
+        let run = dijkstra_into(&mut ws, &pair, x, &DijkstraConfig::all_nodes(cost));
         assert_eq!(run.distance(y), Some(1.0));
         for _ in 0..3 {
             step(&mut ws);

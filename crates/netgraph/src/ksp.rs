@@ -82,7 +82,7 @@ where
     // bitwise identical to the sequential sum Dijkstra itself computes.
     let mut root_cost: Vec<f64> = Vec::new();
 
-    let Some(first) = dijkstra_into(ws, g, source, config, None).path_to(target) else {
+    let Some(first) = dijkstra_into(ws, g, source, config).path_to(target) else {
         return Vec::new();
     };
     accepted.push(first);
@@ -153,8 +153,7 @@ where
                 can_relay: |n: NodeId| !banned_nodes.contains(&n) && (config.can_relay)(n),
             };
             expansions += 1;
-            let Some(spur_path) = dijkstra_into(ws, g, spur_node, &spur_cfg, None).path_to(target)
-            else {
+            let Some(spur_path) = dijkstra_into(ws, g, spur_node, &spur_cfg).path_to(target) else {
                 continue;
             };
 

@@ -10,8 +10,8 @@
 //! * [`UnionFind`]: disjoint-set forest with union by rank and path
 //!   compression, used by Algorithm 2/3 of the paper to maintain user
 //!   connectivity.
-//! * [`dijkstra_into`]: shortest paths with pluggable edge costs, a
-//!   *vertex filter* and an optional failure mask — the primitive behind
+//! * [`dijkstra_into`]: shortest paths with pluggable edge costs (`+∞`
+//!   excludes an edge) and a *vertex filter* — the primitive behind
 //!   the paper's Algorithm 1 (maximum entanglement-rate channel) after
 //!   the `−ln` transform. [`k_shortest_paths_in`] (Yen) and
 //!   [`dijkstra_repair_into`] (in-place delta repair) build on it; these
@@ -26,9 +26,10 @@
 //! * [`connectivity`]: components, bridges and articulation points; bridges
 //!   are the "critical edges" the paper's Fig. 7(b) edge-removal experiment
 //!   surfaces.
-//! * [`mask`]: failure masks ([`SearchMask`]) that exclude dead edges and
-//!   vertices from a Dijkstra search without re-densifying ids — the
-//!   substrate for the survivability layer's incremental repair.
+//! * [`mask`]: failure masks ([`SearchMask`]) that mark dead edges and
+//!   vertices without re-densifying ids; a search excludes them through
+//!   its edge costs — the substrate for the survivability layer's
+//!   incremental repair.
 //!
 //! # Example
 //!
@@ -45,7 +46,7 @@
 //!
 //! let cfg = DijkstraConfig::all_nodes(|e: qnet_graph::EdgeRef<'_, f64>| *e.payload);
 //! let mut ws = DijkstraWorkspace::new();
-//! let run = dijkstra_into(&mut ws, &g, a, &cfg, None);
+//! let run = dijkstra_into(&mut ws, &g, a, &cfg);
 //! assert_eq!(run.distance(c), Some(3.0));
 //! assert_eq!(run.path_to(c).unwrap().nodes, vec![a, b, c]);
 //! ```

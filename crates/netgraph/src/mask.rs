@@ -1,58 +1,34 @@
 //! Failure masks over a graph's dense id space.
 //!
 //! A [`SearchMask`] marks edges and vertices as *dead* without mutating
-//! or rebuilding the graph. A masked search
-//! ([`dijkstra_into`](crate::dijkstra_into) with `Some(mask)`) never
-//! traverses a dead edge or any edge incident to a dead vertex, so a
-//! dead vertex is neither reached nor relays. Because the underlying
-//! graph is untouched, node and edge ids remain stable across failures,
-//! which is what lets a survivability layer compare pre- and
-//! post-failure routing state in one id space. (Contrast
-//! [`Graph::filter_edges`](crate::Graph::filter_edges), which
+//! or rebuilding the graph. A search excludes them the one way it
+//! excludes any edge: its edge cost returns `+∞` for every edge the mask
+//! [`blocks`](SearchMask::blocks) — a dead edge, or any edge incident to
+//! a dead vertex — so a dead vertex is neither reached nor relays.
+//! Because the underlying graph is untouched, node and edge ids remain
+//! stable across failures, which is what lets a survivability layer
+//! compare pre- and post-failure routing state in one id space.
+//! (Contrast [`Graph::filter_edges`](crate::Graph::filter_edges), which
 //! re-densifies edge ids.)
-//!
-//! Masks carry an order-independent content [`hash`](SearchMask::hash)
-//! so caches that memoize search results can key entries by
-//! `(source, capacity epoch, mask hash)` — two masks that kill the same
-//! set of elements hash identically regardless of kill order, and the
-//! empty mask always hashes to `0`.
 
 use crate::graph::{EdgeId, NodeId};
 use crate::paths::Path;
 
-/// FNV-1a over a small tag + index pair; each killed element contributes
-/// one such digest, combined by XOR so the total is order-independent.
-fn element_digest(tag: u64, index: usize) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for byte in tag
-        .to_le_bytes()
-        .into_iter()
-        .chain((index as u64).to_le_bytes())
-    {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
-
-/// A set of dead edges and dead vertices, with a stable content hash.
+/// A set of dead edges and dead vertices.
 ///
-/// Killing the same element twice is a no-op (the hash is not
-/// perturbed), so a mask built up incrementally over repeated failures
-/// stays consistent with one built in a single pass.
+/// Killing the same element twice is a no-op, so a mask built up
+/// incrementally over repeated failures equals one built in a single
+/// pass.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SearchMask {
     dead_edges: Vec<bool>,
     dead_nodes: Vec<bool>,
-    hash: u64,
     dead_edge_count: usize,
     dead_node_count: usize,
 }
 
 impl SearchMask {
-    /// An empty mask: everything alive, hash `0`.
+    /// An empty mask: everything alive.
     pub fn new() -> Self {
         SearchMask::default()
     }
@@ -68,7 +44,6 @@ impl SearchMask {
         }
         self.dead_edges[i] = true;
         self.dead_edge_count += 1;
-        self.hash ^= element_digest(1, i);
         true
     }
 
@@ -87,7 +62,6 @@ impl SearchMask {
         }
         self.dead_nodes[i] = true;
         self.dead_node_count += 1;
-        self.hash ^= element_digest(2, i);
         true
     }
 
@@ -102,7 +76,8 @@ impl SearchMask {
     }
 
     /// Is the edge unusable under this mask — dead itself, or incident
-    /// to a dead vertex?
+    /// to a dead vertex? A search folds the mask into its edge costs by
+    /// pricing every such edge at `+∞`.
     pub fn blocks(&self, id: EdgeId, a: NodeId, b: NodeId) -> bool {
         self.edge_dead(id) || self.node_dead(a) || self.node_dead(b)
     }
@@ -120,11 +95,6 @@ impl SearchMask {
     /// Number of dead vertices.
     pub fn dead_node_count(&self) -> usize {
         self.dead_node_count
-    }
-
-    /// Order-independent content hash; `0` for the empty mask.
-    pub fn hash(&self) -> u64 {
-        self.hash
     }
 
     /// `true` when any node of `path` is dead or any edge of `path` is
@@ -145,6 +115,17 @@ mod tests {
         *e.payload
     }
 
+    /// The payload as the cost, `+∞` on every edge `mask` blocks.
+    fn folded(mask: &SearchMask) -> impl Fn(EdgeRef<'_, f64>) -> f64 + '_ {
+        |e| {
+            if mask.blocks(e.id, e.a, e.b) {
+                f64::INFINITY
+            } else {
+                *e.payload
+            }
+        }
+    }
+
     /// 0 -1- 1 -1- 3, 0 -2- 2 -1- 3, 0 -5- 3.
     fn diamond() -> (Graph<(), f64>, [NodeId; 4], [EdgeId; 5]) {
         let mut g = Graph::new();
@@ -161,14 +142,12 @@ mod tests {
     fn empty_mask_matches_unmasked_search() {
         let (g, [s, _, _, t], _) = diamond();
         let mut ws = DijkstraWorkspace::new();
-        let cfg = DijkstraConfig::all_nodes(cost);
         let mask = SearchMask::new();
-        assert_eq!(mask.hash(), 0);
         assert!(mask.is_empty());
-        let masked = dijkstra_into(&mut ws, &g, s, &cfg, Some(&mask))
+        let masked = dijkstra_into(&mut ws, &g, s, &DijkstraConfig::all_nodes(folded(&mask)))
             .path_to(t)
             .expect("connected");
-        let plain = dijkstra_into(&mut ws, &g, s, &cfg, None)
+        let plain = dijkstra_into(&mut ws, &g, s, &DijkstraConfig::all_nodes(cost))
             .path_to(t)
             .expect("connected");
         assert_eq!(masked.nodes, plain.nodes);
@@ -182,8 +161,7 @@ mod tests {
         assert!(mask.kill_edge(e01));
         assert!(!mask.kill_edge(e01), "second kill is a no-op");
         let mut ws = DijkstraWorkspace::new();
-        let cfg = DijkstraConfig::all_nodes(cost);
-        let p = dijkstra_into(&mut ws, &g, s, &cfg, Some(&mask))
+        let p = dijkstra_into(&mut ws, &g, s, &DijkstraConfig::all_nodes(folded(&mask)))
             .path_to(t)
             .expect("detour exists");
         assert!(!p.edges.contains(&e01));
@@ -196,8 +174,7 @@ mod tests {
         let mut mask = SearchMask::new();
         mask.kill_node(n1);
         let mut ws = DijkstraWorkspace::new();
-        let cfg = DijkstraConfig::all_nodes(cost);
-        let view = dijkstra_into(&mut ws, &g, s, &cfg, Some(&mask));
+        let view = dijkstra_into(&mut ws, &g, s, &DijkstraConfig::all_nodes(folded(&mask)));
         // Dead vertices are not just relay-forbidden: their incident
         // edges are blocked too, so n1 has no path at all.
         assert!(view.path_to(n1).is_none());
@@ -207,36 +184,11 @@ mod tests {
     }
 
     #[test]
-    fn hash_is_order_independent_and_idempotent() {
-        let (_, [_, n1, n2, _], [e01, e13, ..]) = diamond();
-        let mut a = SearchMask::new();
-        a.kill_edge(e01);
-        a.kill_node(n1);
-        a.kill_edge(e13);
-        a.kill_node(n2);
-        let mut b = SearchMask::new();
-        b.kill_node(n2);
-        b.kill_edge(e13);
-        b.kill_node(n1);
-        b.kill_edge(e01);
-        b.kill_edge(e01); // repeat must not perturb
-        assert_eq!(a.hash(), b.hash());
-        assert_eq!(a, b);
-        assert_ne!(a.hash(), 0);
-        // Edge i dead and node i dead are distinct masks.
-        let mut c = SearchMask::new();
-        c.kill_edge(EdgeId::new(3));
-        let mut d = SearchMask::new();
-        d.kill_node(NodeId::new(3));
-        assert_ne!(c.hash(), d.hash());
-    }
-
-    #[test]
     fn breaks_path_detects_dead_elements() {
         let (g, [s, _, _, t], [e01, ..]) = diamond();
         let mut ws = DijkstraWorkspace::new();
         let cfg = DijkstraConfig::all_nodes(cost);
-        let best = dijkstra_into(&mut ws, &g, s, &cfg, None)
+        let best = dijkstra_into(&mut ws, &g, s, &cfg)
             .path_to(t)
             .expect("connected");
         let mut mask = SearchMask::new();

@@ -8,8 +8,9 @@
 //! `can_relay` vertex filter: edges are relaxed out of a vertex only if
 //! it is the source or the filter admits it, so every reported path has
 //! all interior vertices admitted while source and destination are
-//! unconstrained. An optional [`SearchMask`] removes failed edges and
-//! vertices from the same search.
+//! unconstrained. An edge whose cost is `+∞` is never traversed: that is
+//! the one way to exclude an edge, and the survivability layer excludes
+//! failed fibers and switches with it ([`crate::SearchMask::blocks`]).
 //!
 //! This is the crate's one Dijkstra: [`crate::ksp`]'s Yen spur searches
 //! and every Algorithm-1 caller run through [`dijkstra_into`], and
@@ -37,7 +38,6 @@
 use std::collections::BinaryHeap;
 
 use crate::graph::{EdgeId, EdgeRef, Graph, NodeId};
-use crate::mask::SearchMask;
 
 /// A simple path through the graph: node sequence, the edges between them,
 /// and the total additive cost.
@@ -144,8 +144,9 @@ impl Clone for DijkstraRun {
     }
 
     /// Copies `other` into `self`'s buffers (no allocation once they have
-    /// reached the graph's size): a cache refresh stays cheaper than a
-    /// fill, the invariant the search-core bench asserts.
+    /// reached the graph's size). The finder cache never copies a search
+    /// into an existing entry; the delta bench's copy row and the
+    /// equivalence tests, which reset stored runs, do.
     fn clone_from(&mut self, other: &Self) {
         self.source = other.source;
         self.dist.clone_from(&other.dist);
@@ -405,11 +406,6 @@ impl HeapEntry {
 /// `O(|E| + |V| log |V|)` the paper quotes for Algorithm 1 up to the
 /// usual binary-heap log factor.
 ///
-/// A failure `mask` removes dead elements from the search without
-/// touching the graph: a dead edge is never traversed, and a dead
-/// vertex blocks every incident edge, so it is never reached (not even
-/// as a destination) and never relays. `None` searches the intact graph.
-///
 /// # Panics
 ///
 /// Panics if `edge_cost` returns a negative or NaN value. In release
@@ -423,7 +419,6 @@ pub fn dijkstra_into<'w, N, E, FC, FR>(
     g: &Graph<N, E>,
     source: NodeId,
     config: &DijkstraConfig<FC, FR>,
-    mask: Option<&SearchMask>,
 ) -> &'w DijkstraRun
 where
     FC: Fn(EdgeRef<'_, E>) -> f64,
@@ -437,7 +432,7 @@ where
     ws.labels.reset(source, n);
     ws.labels.dist[source.index()] = 0.0;
     ws.pass.heap.push(HeapEntry::new(0.0, source));
-    let tally = relax::<false, _, _, _, _>(&mut ws.labels, &mut ws.pass, g, config, mask);
+    let tally = relax::<false, _, _, _, _>(&mut ws.labels, &mut ws.pass, g, config);
     qnet_obs::counter!("graph.dijkstra.settled"; tally.settled);
     qnet_obs::counter!("graph.dijkstra.relaxations"; tally.relaxations);
     &ws.labels
@@ -488,7 +483,6 @@ pub(crate) fn relax<const CONFINED: bool, N, E, FC, FR>(
     pass: &mut Pass,
     g: &Graph<N, E>,
     config: &DijkstraConfig<FC, FR>,
-    mask: Option<&SearchMask>,
 ) -> RelaxTally
 where
     FC: Fn(EdgeRef<'_, E>) -> f64,
@@ -516,18 +510,15 @@ where
             if pass.closed::<CONFINED>(next) {
                 continue;
             }
-            // The mask rule: an edge that is dead or touches a dead vertex
-            // is skipped, so a dead vertex is never reached and therefore
-            // never relays.
-            if mask.is_some_and(|m| m.blocks(eid, node, next)) {
-                continue;
-            }
             let w = (config.edge_cost)(g.edge(eid));
             debug_assert!(
                 w >= 0.0 && !w.is_nan(),
                 "edge cost must be non-negative and not NaN, got {w} for {eid}"
             );
             costs_ok &= w >= 0.0;
+            // The one exclusion rule: an edge of infinite cost is never
+            // traversed, so a vertex all of whose edges cost `∞` is never
+            // reached and never relays.
             if w.is_infinite() {
                 continue;
             }
@@ -639,7 +630,7 @@ mod tests {
         FC: Fn(EdgeRef<'_, f64>) -> f64,
         FR: Fn(NodeId) -> bool,
     {
-        dijkstra_into(&mut DijkstraWorkspace::new(), g, source, cfg, None).clone()
+        dijkstra_into(&mut DijkstraWorkspace::new(), g, source, cfg).clone()
     }
 
     #[test]

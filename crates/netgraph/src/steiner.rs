@@ -51,7 +51,7 @@ where
     let mut ws = DijkstraWorkspace::new();
     let runs: Vec<_> = terminals
         .iter()
-        .map(|&t| dijkstra_into(&mut ws, g, t, &DijkstraConfig::all_nodes(weight), None).clone())
+        .map(|&t| dijkstra_into(&mut ws, g, t, &DijkstraConfig::all_nodes(weight)).clone())
         .collect();
     let mut closure: Graph<NodeId, (f64, usize, usize)> = Graph::new();
     for &t in terminals {

@@ -3,7 +3,7 @@
 //! [`dijkstra_repair_into`] must leave the stored run **bitwise
 //! identical** — distances, predecessors, reachability — to a fresh
 //! [`dijkstra_into`] under the post-delta configuration, with and
-//! without a [`SearchMask`] overlay.
+//! without a [`SearchMask`] folded into the edge costs.
 //!
 //! Each step applies one to three ops and hands their net effect to the
 //! repair as one delta: blocked relays, blocked edges and restored
@@ -144,14 +144,14 @@ proptest! {
         let mut ws = DijkstraWorkspace::new();
         let mut run = {
             let cfg = overlay.config();
-            dijkstra_into(&mut ws, &g, source, &cfg, None).clone()
+            dijkstra_into(&mut ws, &g, source, &cfg).clone()
         };
         for ops in &steps {
             let delta = overlay.step(ops);
             let cfg = overlay.config();
             let fresh = {
                 let mut fresh_ws = DijkstraWorkspace::new();
-                dijkstra_into(&mut fresh_ws, &g, source, &cfg, None).clone()
+                dijkstra_into(&mut fresh_ws, &g, source, &cfg).clone()
             };
             match delta {
                 Some(delta) => {
@@ -164,7 +164,7 @@ proptest! {
                 None => {
                     // An edge came back: callers recompute; do the same
                     // so later repairs start from production state.
-                    run.clone_from(dijkstra_into(&mut ws, &g, source, &cfg, None));
+                    run.clone_from(dijkstra_into(&mut ws, &g, source, &cfg));
                 }
             }
         }
@@ -172,17 +172,20 @@ proptest! {
         // still a normal workspace for unrelated fresh runs.
         let other = NodeId::new((src + 1) % g.node_count());
         let cfg = overlay.config();
-        let a = dijkstra_into(&mut ws, &g, other, &cfg, None).clone();
+        let a = dijkstra_into(&mut ws, &g, other, &cfg).clone();
         let b = {
             let mut fresh_ws = DijkstraWorkspace::new();
-            dijkstra_into(&mut fresh_ws, &g, other, &cfg, None).clone()
+            dijkstra_into(&mut fresh_ws, &g, other, &cfg).clone()
         };
         prop_assert_eq!(a, b);
     }
 
-    /// Same battery under a masked overlay: the mask kills a static set
-    /// of edges/nodes, deltas churn on top, and the repair (driven with
-    /// the composed configuration) must match a fresh masked search.
+    /// Same battery under a failure mask: the mask kills a static set
+    /// of edges/nodes, deltas churn on top, and the repair must match a
+    /// fresh search. Both fold the mask into the edge costs (`+∞` on
+    /// every edge it blocks), as the degraded finder cache does; the
+    /// oracle's relay filter also rejects dead vertices, which no
+    /// search reaches.
     #[test]
     fn masked_repair_matches_masked_fresh(
         g in arb_graph(12, 40),
@@ -204,10 +207,9 @@ proptest! {
         }
         let mut overlay = Overlay::fresh(&g);
         let mut ws = DijkstraWorkspace::new();
-        // The composed configuration: overlay deltas on top of the mask,
-        // spelled out in the config (the repair takes no mask).
-        macro_rules! composed {
-            () => {{
+        // The overlay's configuration with the mask folded in.
+        macro_rules! folded {
+            ($dead_relays:expr) => {{
                 let mask = &mask;
                 let overlay = &overlay;
                 DijkstraConfig {
@@ -218,22 +220,22 @@ proptest! {
                             *e.payload
                         }
                     },
-                    can_relay: move |v: NodeId| !mask.node_dead(v) && overlay.relay[v.index()],
+                    can_relay: move |v: NodeId| {
+                        ($dead_relays || !mask.node_dead(v)) && overlay.relay[v.index()]
+                    },
                 }
             }};
         }
         let mut run = {
-            let cfg = composed!();
-            dijkstra_into(&mut ws, &g, source, &cfg, None).clone()
+            let cfg = folded!(true);
+            dijkstra_into(&mut ws, &g, source, &cfg).clone()
         };
         for ops in &steps {
             let delta = overlay.step(ops);
-            let cfg = composed!();
+            let cfg = folded!(true);
             let fresh = {
-                // The oracle passes the mask to the kernel, composing only
-                // the overlay config with it.
                 let mut fresh_ws = DijkstraWorkspace::new();
-                dijkstra_into(&mut fresh_ws, &g, source, &overlay.config(), Some(&mask)).clone()
+                dijkstra_into(&mut fresh_ws, &g, source, &folded!(false)).clone()
             };
             match delta {
                 Some(delta) => {
@@ -241,7 +243,7 @@ proptest! {
                     prop_assert_eq!(&run, &fresh, "masked repair diverged");
                 }
                 None => {
-                    run.clone_from(dijkstra_into(&mut ws, &g, source, &cfg, None));
+                    run.clone_from(dijkstra_into(&mut ws, &g, source, &cfg));
                 }
             }
         }
@@ -262,7 +264,7 @@ proptest! {
         let mut used = DijkstraWorkspace::new();
         let stored = {
             let cfg = overlay.config();
-            dijkstra_into(&mut used, &g, source, &cfg, None).clone()
+            dijkstra_into(&mut used, &g, source, &cfg).clone()
         };
         let mut delta = SsspDelta::new();
         delta.block_node(blocked);
@@ -295,7 +297,7 @@ proptest! {
         let mut ws = DijkstraWorkspace::new();
         let mut run = {
             let cfg = overlay.config();
-            dijkstra_into(&mut ws, &g, source, &cfg, None).clone()
+            dijkstra_into(&mut ws, &g, source, &cfg).clone()
         };
         let mut delta = SsspDelta::new();
         delta.block_node(blocked);

@@ -10,8 +10,8 @@ use qnet_graph::dcmst::{degree_constrained_kruskal, exact_dcmst};
 use qnet_graph::mst::{kruskal, prim};
 use qnet_graph::steiner::steiner_approximation;
 use qnet_graph::{
-    dijkstra_into, k_shortest_paths_in, DijkstraConfig, DijkstraRun, DijkstraWorkspace, EdgeId,
-    EdgeRef, Graph, NegLog, NodeId, Path, SearchMask, UnionFind,
+    dijkstra_into, k_shortest_paths_in, DijkstraConfig, DijkstraRun, DijkstraWorkspace, EdgeRef,
+    Graph, NegLog, NodeId, Path, UnionFind,
 };
 
 /// A random undirected weighted graph: `n` nodes, edge list with weights.
@@ -43,7 +43,7 @@ where
     FC: Fn(EdgeRef<'_, f64>) -> f64,
     FR: Fn(NodeId) -> bool,
 {
-    dijkstra_into(&mut DijkstraWorkspace::new(), g, source, cfg, None).clone()
+    dijkstra_into(&mut DijkstraWorkspace::new(), g, source, cfg).clone()
 }
 
 /// One Yen query on a brand-new workspace.
@@ -261,7 +261,7 @@ proptest! {
                 let forbidden = NodeId::new((forbid + round) % g.node_count());
                 let cfg = DijkstraConfig { edge_cost: w, can_relay: |n: NodeId| n != forbidden };
                 let fresh = dijkstra(g, source, &cfg);
-                let view = dijkstra_into(&mut ws, g, source, &cfg, None);
+                let view = dijkstra_into(&mut ws, g, source, &cfg);
                 for v in g.node_ids() {
                     prop_assert_eq!(view.distance(v), fresh.distance(v));
                     let (a, b) = (view.path_to(v), fresh.path_to(v));
@@ -289,7 +289,7 @@ proptest! {
         let cfg = DijkstraConfig::all_nodes(w);
         // Dirty the workspace on an unrelated, larger graph first.
         let mut ws = DijkstraWorkspace::new();
-        let _ = dijkstra_into(&mut ws, &warmup, NodeId::new(0), &cfg, None);
+        let _ = dijkstra_into(&mut ws, &warmup, NodeId::new(0), &cfg);
         let reused = k_shortest_paths_in(&mut ws, &g, s, t, k, &cfg);
         let fresh = k_shortest_paths(&g, s, t, k, &cfg);
         prop_assert_eq!(reused.len(), fresh.len());
@@ -298,39 +298,6 @@ proptest! {
             prop_assert_eq!(&a.edges, &b.edges);
             prop_assert_eq!(a.cost, b.cost);
         }
-    }
-
-    #[test]
-    fn masked_dijkstra_matches_the_mask_folded_into_the_config(
-        g in arb_graph(12, 40),
-        src in 0usize..12,
-        dead_edges in proptest::collection::vec(0usize..40, 0..6),
-        dead_node in 0usize..12,
-        forbid in 0usize..12,
-    ) {
-        // The kernel's one mask rule (skip dead edges and every edge of a
-        // dead vertex) must equal the mask spelled out in the config: dead
-        // edges cost +inf and dead vertices never relay. Bitwise, so the
-        // predecessor choices agree too.
-        let source = NodeId::new(src % g.node_count());
-        let mut mask = SearchMask::new();
-        for e in dead_edges {
-            if e < g.edge_count() {
-                mask.kill_edge(EdgeId::new(e));
-            }
-        }
-        mask.kill_node(NodeId::new(dead_node % g.node_count()));
-        let forbidden = NodeId::new(forbid % g.node_count());
-        let cfg = DijkstraConfig { edge_cost: w, can_relay: |n: NodeId| n != forbidden };
-        let folded = DijkstraConfig {
-            edge_cost: |e: EdgeRef<'_, f64>| {
-                if mask.blocks(e.id, e.a, e.b) { f64::INFINITY } else { w(e) }
-            },
-            can_relay: |n: NodeId| !mask.node_dead(n) && n != forbidden,
-        };
-        let mut ws = DijkstraWorkspace::new();
-        let masked = dijkstra_into(&mut ws, &g, source, &cfg, Some(&mask)).clone();
-        prop_assert_eq!(masked, dijkstra(&g, source, &folded));
     }
 
     #[test]

@@ -42,7 +42,7 @@ impl<'n> ChannelSource<'n> for ColdFinder<'n> {
     where
         T: Iterator<Item = NodeId> + Clone,
     {
-        let run = ChannelFinder::from_source_in(&mut self.ws, self.net, capacity, source, None);
+        let run = ChannelFinder::from_source_in(&mut self.ws, self.net, capacity, source);
         self.run.insert(run).scoped(targets)
     }
 }

@@ -254,8 +254,8 @@ impl Textbook {
 }
 
 /// The kernel's configuration for `relays`: the payload as the cost
-/// (`INFINITY` on the edges `cuts` kills), and a relay filter that
-/// counts its calls in `asked`.
+/// (`INFINITY` on every edge `cuts` blocks: a dead edge, or any edge of a
+/// dead vertex), and a relay filter that counts its calls in `asked`.
 fn config<'a>(
     relays: &'a [bool],
     cuts: &'a SearchMask,
@@ -263,7 +263,7 @@ fn config<'a>(
 ) -> DijkstraConfig<impl Fn(EdgeRef<'_, f64>) -> f64 + 'a, impl Fn(NodeId) -> bool + 'a> {
     DijkstraConfig {
         edge_cost: |e: EdgeRef<'_, f64>| {
-            if cuts.edge_dead(e.id) {
+            if cuts.blocks(e.id, e.a, e.b) {
                 f64::INFINITY
             } else {
                 *e.payload
@@ -332,7 +332,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Search ≡ textbook, with and without a failure mask, on one reused
-    /// (so generation-stamped) workspace.
+    /// (so generation-stamped) workspace. The kernel sees the mask only
+    /// folded into its edge costs; the textbook applies its own mask rule
+    /// (skip a dead edge and every edge of a dead vertex).
     #[test]
     fn search_matches_the_textbook_loop(
         case in arb_case(),
@@ -352,11 +354,11 @@ proptest! {
         }
         let mut ws = DijkstraWorkspace::new();
         let no_cuts = SearchMask::new();
-        for (mask, what) in [(None, "unmasked"), (Some(&mask), "masked")] {
-            let want = Textbook::search(&g, source, &relays, mask);
+        for (cuts, what) in [(&no_cuts, "unmasked"), (&mask, "masked")] {
+            let want = Textbook::search(&g, source, &relays, Some(cuts));
             let asked = Cell::new(0);
-            let cfg = config(&relays, &no_cuts, &asked);
-            let run = dijkstra_into(&mut ws, &g, NodeId::new(source), &cfg, mask);
+            let cfg = config(&relays, cuts, &asked);
+            let run = dijkstra_into(&mut ws, &g, NodeId::new(source), &cfg);
             want.check(run, what)?;
             // One filter call per reached non-source vertex: the contract
             // the Algorithm-1 rejection tally counts on.
@@ -413,7 +415,6 @@ proptest! {
             &g,
             NodeId::new(source),
             &config(&relays, &no_cuts, &asked),
-            None,
         )
         .clone();
         for (ws, what) in [(&mut used, "used"), (&mut DijkstraWorkspace::new(), "fresh")] {
@@ -462,7 +463,6 @@ proptest! {
             &g,
             NodeId::new(source),
             &config(&relays, &no_cuts, &asked),
-            None,
         )
         .clone();
         for (ws, what) in [(&mut used, "used"), (&mut DijkstraWorkspace::new(), "fresh")] {
@@ -507,7 +507,6 @@ proptest! {
             &g,
             NodeId::new(source),
             &config(&relays, &no_cuts, &asked),
-            None,
         )
         .clone();
         check_spared(&g, source, &stored, &relays, &relays_after, &sets)?;
