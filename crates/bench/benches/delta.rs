@@ -32,43 +32,27 @@
 //! Each tier also records the vertices one repair and one restore op
 //! resettle (`finder_delta_{repair,restore}_resettled`, summed
 //! `RepairStats::resettled` over the sources, taken outside timing) and
-//! each row's ns per resettled vertex net of the copies
-//! (`{repair,restore}_ns_per_resettled` = (row − copy) / resettled), so
-//! the cost of a unit of change can be compared across tiers: a repair
-//! that works only in the changed region costs about the same per
-//! vertex on waxman_240 and on waxman_2400.
+//! prints each op's ns per resettled vertex net of the copies
+//! ((row − copy) / resettled), so the cost of a unit of change can be
+//! compared across tiers: a repair that works only in the changed
+//! region costs about the same per vertex on waxman_240 and on
+//! waxman_2400.
 //!
 //! Run with `cargo bench -p muerp-bench --bench delta`. Writes the
-//! tracked baseline `BENCH_pr9.json` at the repo root (ns/op; each op
-//! covers *all* user sources). `MUERP_BENCH_QUICK=1` shrinks the
-//! measurement windows for CI smoke runs — the file is still produced
-//! and shape-validated, but the ≤ 0.5× repair gate only arms on full
-//! runs (CI holds the committed full run's repair and restore rows on
-//! both Waxman tiers to it).
+//! tracked baseline `BENCH_pr9.json` at the repo root
+//! ([`muerp_bench::ledger`]; ns per op, each op covering *all* user
+//! sources). `MUERP_BENCH_QUICK=1` shrinks the measurement windows for
+//! CI smoke runs — the file is still produced and shape-checked, but
+//! the ≤ 0.5× gates only arm on full runs (the ledger holds a full
+//! run's repair and restore rows on both Waxman tiers to them).
 
-use muerp_bench::{measure_ns_median, quick_mode, scaled_network, write_bench_report};
+use muerp_bench::ledger::{Ledger, Unit};
+use muerp_bench::{measure_ns_median, muerp_config, quick_mode, scaled_network};
 use muerp_core::algorithms::ChannelFinderCache;
 use muerp_core::prelude::*;
-use qnet_graph::paths::{dijkstra_into, DijkstraConfig, DijkstraRun, DijkstraWorkspace};
-use qnet_graph::{dijkstra_repair_into, EdgeRef, NodeId, SsspDelta};
-use serde_json::Value;
-use std::collections::BTreeMap;
+use qnet_graph::paths::{dijkstra_into, DijkstraRun, DijkstraWorkspace};
+use qnet_graph::{dijkstra_repair_into, NodeId, SsspDelta};
 use std::hint::black_box;
-
-/// The MUERP edge cost and relay filter at the graph layer (mirrors
-/// `ChannelFinder::from_source_in`, like `search_core`'s rows do), so the
-/// repair and wholesale rows measure the same search the finder runs.
-fn muerp_config<'a>(
-    net: &'a QuantumNetwork,
-    capacity: &'a CapacityMap,
-) -> DijkstraConfig<impl Fn(EdgeRef<'_, f64>) -> f64 + 'a, impl Fn(NodeId) -> bool + 'a> {
-    let alpha = net.physics().attenuation;
-    let neg_ln_q = -(net.physics().swap_success.ln());
-    DijkstraConfig {
-        edge_cost: move |e: EdgeRef<'_, f64>| alpha * *e.payload + neg_ln_q,
-        can_relay: move |v: NodeId| net.kind(v).is_switch() && capacity.can_relay(v),
-    }
-}
 
 /// A switch the first user's shortest-path tree relays through — the
 /// victim whose kill makes the repair rows do real work.
@@ -83,7 +67,7 @@ fn relay_victim(net: &QuantumNetwork, run: &DijkstraRun, source: NodeId, target:
     panic!("users must be connected through at least one relay switch");
 }
 
-fn bench_topology(label: &str, switches: usize, seed: u64) -> Value {
+fn bench_topology(ledger: &mut Ledger, label: &str, switches: usize, seed: u64) {
     let net = scaled_network(switches, seed);
     let capacity = CapacityMap::new(&net);
     let users = net.users().to_vec();
@@ -204,84 +188,39 @@ fn bench_topology(label: &str, switches: usize, seed: u64) -> Value {
         ("finder_delta_roundtrip_ns", finder_delta_roundtrip),
     ];
     let net_of_copy = |ns: f64, resettled: u64| (ns - finder_delta_copy) / resettled as f64;
-    let per_resettled = [
-        (
-            "repair_ns_per_resettled",
-            net_of_copy(finder_delta_repair, repair_resettled),
-        ),
-        (
-            "restore_ns_per_resettled",
-            net_of_copy(finder_delta_restore, restore_resettled),
-        ),
-    ];
-    println!("delta/{label} ({switches} switches, victim {victim}):");
-    for (name, ns) in rows {
-        println!("  {name:<26} {ns:>14.1} ns/op");
-    }
-    println!("  resettled per op: repair {repair_resettled}, restore {restore_resettled}");
-    for (name, ns) in per_resettled {
-        println!("  {name:<26} {ns:>14.1} ns");
-    }
+    println!(
+        "delta/{label}: victim {victim}; ns per resettled vertex net of the copies: \
+         repair {:.1}, restore {:.1}",
+        net_of_copy(finder_delta_repair, repair_resettled),
+        net_of_copy(finder_delta_restore, restore_resettled),
+    );
 
-    let mut obj: BTreeMap<String, Value> = BTreeMap::new();
-    obj.insert("switches".into(), Value::from(switches as u64));
-    obj.insert("users".into(), Value::from(users.len() as u64));
-    obj.insert("repaired_sources".into(), Value::from(repaired as u64));
-    obj.insert(
-        "finder_delta_repair_resettled".into(),
-        Value::from(repair_resettled),
-    );
-    obj.insert(
-        "finder_delta_restore_resettled".into(),
-        Value::from(restore_resettled),
-    );
-    for (name, ns) in rows.into_iter().chain(per_resettled) {
-        obj.insert(name.into(), Value::from(ns));
+    let counts = [
+        ("switches", switches as f64),
+        ("users", users.len() as f64),
+        ("repaired_sources", repaired as f64),
+        ("finder_delta_repair_resettled", repair_resettled as f64),
+        ("finder_delta_restore_resettled", restore_resettled as f64),
+    ];
+    for (name, n) in counts {
+        ledger.push(format!("{label}/{name}"), n, Unit::Count);
     }
-    obj.insert(
-        "repair_vs_wholesale_ratio".into(),
-        Value::from(finder_delta_repair / finder_delta_wholesale),
-    );
-    obj.insert(
-        "restore_vs_wholesale_ratio".into(),
-        Value::from(finder_delta_restore / finder_delta_wholesale),
-    );
-    obj.insert(
-        "speedup_repair_vs_wholesale".into(),
-        Value::from(finder_delta_wholesale / finder_delta_repair),
-    );
-    Value::Object(obj)
+    for (name, ns) in rows {
+        ledger.push(format!("{label}/{name}"), ns, Unit::Ns);
+    }
 }
 
 fn main() {
     // Deterministic numbers need a stable instrumentation level.
     qnet_obs::set_level(qnet_obs::ObsLevel::Off);
 
-    let mut topologies: BTreeMap<String, Value> = BTreeMap::new();
-    topologies.insert(
-        "paper_default".into(),
-        bench_topology("paper_default", 50, 42),
-    );
-    topologies.insert("waxman_240".into(), bench_topology("waxman_240", 240, 42));
-    topologies.insert(
-        "waxman_2400".into(),
-        bench_topology("waxman_2400", 2400, 42),
-    );
-
-    let mut host: BTreeMap<String, Value> = BTreeMap::new();
-    host.insert(
-        "available_parallelism".into(),
-        Value::from(std::thread::available_parallelism().map_or(1, |n| n.get()) as u64),
-    );
-
-    let mut report: BTreeMap<String, Value> = BTreeMap::new();
-    report.insert("bench".into(), Value::from("delta"));
-    report.insert("pr".into(), Value::from(9u64));
-    report.insert("quick".into(), Value::from(quick_mode()));
-    report.insert("unit".into(), Value::from("ns per all-user-sources op"));
-    report.insert("host".into(), Value::Object(host));
-    report.insert("topologies".into(), Value::Object(topologies));
-
-    let path = write_bench_report("BENCH_pr9.json", &Value::Object(report));
-    println!("wrote {}", path.display());
+    let mut ledger = Ledger::new("delta");
+    for (label, switches) in [
+        ("paper_default", 50),
+        ("waxman_240", 240),
+        ("waxman_2400", 2400),
+    ] {
+        bench_topology(&mut ledger, label, switches, 42);
+    }
+    ledger.write("BENCH_pr9.json");
 }

@@ -20,16 +20,16 @@
 //!    `enabled(Counters)`, plus the on-path ns-per-op cost of
 //!    `rate_add`/`gauge`/`latency`/`advance_to`. The off-path ratio is
 //!    asserted under the same 5% noise budget and the numbers are
-//!    tracked in `BENCH_pr8.json` at the repo root.
+//!    tracked in `BENCH_pr8.json` at the repo root
+//!    ([`muerp_bench::ledger`]).
 
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use muerp_bench::{measure_ns_median, quick_mode, scaled_network, write_bench_report};
+use muerp_bench::ledger::{Ledger, Unit};
+use muerp_bench::{measure_ns_median, quick_mode, scaled_network};
 use muerp_core::prelude::*;
 use qnet_obs::{ObsLevel, TimeSeries, TimeSeriesConfig};
-use serde_json::Value;
 
 fn bench_solve_per_level(c: &mut Criterion) {
     let net = scaled_network(50, 42);
@@ -212,31 +212,15 @@ fn windowed_series_costs(_c: &mut Criterion) {
     });
     std::hint::black_box(series.finish());
 
-    let mut on_path: BTreeMap<String, Value> = BTreeMap::new();
-    on_path.insert("rate_add".into(), Value::from(rate_ns));
-    on_path.insert("gauge".into(), Value::from(gauge_ns));
-    on_path.insert("latency".into(), Value::from(latency_ns));
-    on_path.insert("advance_to".into(), Value::from(advance_ns));
-
-    let mut off_path: BTreeMap<String, Value> = BTreeMap::new();
-    off_path.insert("median_paired_ratio".into(), Value::from(off_ratio));
-    off_path.insert("budget_ratio".into(), Value::from(1.05));
-    off_path.insert("rounds".into(), Value::from(rounds as u64));
-    off_path.insert("iters_per_round".into(), Value::from(ITERS));
-
-    let mut report: BTreeMap<String, Value> = BTreeMap::new();
-    report.insert("bench".into(), Value::from("obs_overhead/windowed_series"));
-    report.insert("pr".into(), Value::from(8u64));
-    report.insert("quick".into(), Value::from(quick_mode()));
-    report.insert(
-        "unit".into(),
-        Value::from("off_path: paired time ratio; on_path_ns: ns per op at counters level"),
-    );
-    report.insert("off_path".into(), Value::Object(off_path));
-    report.insert("on_path_ns".into(), Value::Object(on_path));
-
-    let path = write_bench_report("BENCH_pr8.json", &Value::Object(report));
-    println!("wrote {}", path.display());
+    let mut ledger = Ledger::new("obs_overhead");
+    ledger.push("off_path/median_paired_ratio", off_ratio, Unit::Ratio);
+    ledger.push("off_path/rounds", rounds as f64, Unit::Count);
+    ledger.push("off_path/iters_per_round", ITERS as f64, Unit::Count);
+    ledger.push("on_path/rate_add_ns", rate_ns, Unit::Ns);
+    ledger.push("on_path/gauge_ns", gauge_ns, Unit::Ns);
+    ledger.push("on_path/latency_ns", latency_ns, Unit::Ns);
+    ledger.push("on_path/advance_to_ns", advance_ns, Unit::Ns);
+    ledger.write("BENCH_pr8.json");
 }
 
 criterion_group!(

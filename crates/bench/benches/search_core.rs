@@ -15,41 +15,24 @@
 //!   freshly allocated entries.
 //!
 //! Run with `cargo bench -p muerp-bench --bench search_core`. Writes the
-//! tracked baseline `BENCH_pr7.json` at the repo root (all numbers in
-//! ns/op; each op covers *all* user sources, so per-search cost is
-//! op / 10), with a `host` block naming the CPU it ran on.
+//! tracked baseline `BENCH_pr7.json` at the repo root
+//! ([`muerp_bench::ledger`]; every `_ns` row is ns per op, and each op
+//! covers *all* user sources, so per-search cost is op / 10).
 //! `MUERP_BENCH_QUICK=1` shrinks the measurement window for CI smoke
 //! runs — the file is still produced, the numbers are only good for
 //! "did it run".
 
-use muerp_bench::{measure_ns_median, quick_mode, scaled_network, write_bench_report};
+use muerp_bench::ledger::{Ledger, Unit};
+use muerp_bench::{measure_ns_median, muerp_config, scaled_network};
 use muerp_core::algorithms::{ChannelFinder, ChannelFinderCache};
 use muerp_core::prelude::*;
 use qnet_graph::ksp::k_shortest_paths_in;
-use qnet_graph::paths::{dijkstra_into, DijkstraConfig, DijkstraWorkspace};
-use qnet_graph::{EdgeRef, NodeId};
-use serde_json::Value;
-use std::collections::BTreeMap;
+use qnet_graph::paths::{dijkstra_into, DijkstraWorkspace};
 use std::hint::black_box;
 
 const KSP_K: usize = 5;
 
-/// The MUERP edge cost and relay filter, spelled out at the graph layer
-/// (mirrors `ChannelFinder::from_source_in`) so the raw-Dijkstra rows
-/// measure the same search the finder performs.
-fn muerp_config<'a>(
-    net: &'a QuantumNetwork,
-    capacity: &'a CapacityMap,
-) -> DijkstraConfig<impl Fn(EdgeRef<'_, f64>) -> f64 + 'a, impl Fn(NodeId) -> bool + 'a> {
-    let alpha = net.physics().attenuation;
-    let neg_ln_q = -(net.physics().swap_success.ln());
-    DijkstraConfig {
-        edge_cost: move |e: EdgeRef<'_, f64>| alpha * *e.payload + neg_ln_q,
-        can_relay: move |v: NodeId| net.kind(v).is_switch() && capacity.can_relay(v),
-    }
-}
-
-fn bench_topology(label: &str, switches: usize, seed: u64) -> Value {
+fn bench_topology(ledger: &mut Ledger, label: &str, switches: usize, seed: u64) {
     let net = scaled_network(switches, seed);
     let capacity = CapacityMap::new(&net);
     let users = net.users().to_vec();
@@ -138,34 +121,18 @@ fn bench_topology(label: &str, switches: usize, seed: u64) -> Value {
         ("ksp_fresh_ns", ksp_fresh),
         ("ksp_workspace_ns", ksp_workspace),
     ];
-    println!("search_core/{label} ({switches} switches):");
+    ledger.push(format!("{label}/switches"), switches as f64, Unit::Count);
+    ledger.push(format!("{label}/users"), users.len() as f64, Unit::Count);
     for (name, ns) in rows {
-        println!("  {name:<24} {ns:>14.1} ns/op");
+        ledger.push(format!("{label}/{name}"), ns, Unit::Ns);
     }
-
-    let mut obj: BTreeMap<String, Value> = BTreeMap::new();
-    obj.insert("switches".into(), Value::from(switches as u64));
-    obj.insert("users".into(), Value::from(users.len() as u64));
-    for (name, ns) in rows {
-        obj.insert(name.into(), Value::from(ns));
-    }
-    obj.insert(
-        "speedup_workspace_vs_fresh".into(),
-        Value::from(dijkstra_fresh / dijkstra_workspace),
-    );
-    obj.insert(
-        "speedup_cached_vs_fresh".into(),
-        Value::from(finder_fresh / finder_cached),
-    );
-
-    Value::Object(obj)
 }
 
 fn main() {
     // Deterministic numbers need a stable instrumentation level.
     qnet_obs::set_level(qnet_obs::ObsLevel::Off);
 
-    let mut topologies: BTreeMap<String, Value> = BTreeMap::new();
+    let mut ledger = Ledger::new("search_core");
     // The quick (CI smoke) run keeps every tier; it only shrinks the
     // measurement windows.
     for (label, switches) in [
@@ -173,34 +140,7 @@ fn main() {
         ("waxman_240", 240),
         ("waxman_2400", 2400),
     ] {
-        topologies.insert(label.into(), bench_topology(label, switches, 42));
+        bench_topology(&mut ledger, label, switches, 42);
     }
-
-    let mut host: BTreeMap<String, Value> = BTreeMap::new();
-    host.insert(
-        "available_parallelism".into(),
-        Value::from(std::thread::available_parallelism().map_or(1, |n| n.get()) as u64),
-    );
-    // The first `model name` line of /proc/cpuinfo; "unknown" elsewhere.
-    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|info| {
-            info.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split_once(':'))
-                .map(|(_, model)| model.trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown".into());
-    host.insert("cpu_model".into(), Value::from(cpu_model));
-
-    let mut report: BTreeMap<String, Value> = BTreeMap::new();
-    report.insert("bench".into(), Value::from("search_core"));
-    report.insert("pr".into(), Value::from(7u64));
-    report.insert("quick".into(), Value::from(quick_mode()));
-    report.insert("unit".into(), Value::from("ns per all-user-sources op"));
-    report.insert("host".into(), Value::Object(host));
-    report.insert("topologies".into(), Value::Object(topologies));
-
-    let path = write_bench_report("BENCH_pr7.json", &Value::Object(report));
-    println!("wrote {}", path.display());
+    ledger.write("BENCH_pr7.json");
 }

@@ -10,17 +10,26 @@
 //!   generation, union-find, Monte-Carlo slot throughput.
 //! * `ablations` — design-choice sensitivity: Algorithm 4 seed policy,
 //!   Algorithm 3 retention policy, fidelity hop bounds, fusion models.
+//! * `obs_overhead` — the cost of the instrumentation layer; writes
+//!   `BENCH_pr8.json`.
 //! * `search_core` — fresh-alloc vs reusable-workspace vs epoch-cached
-//!   search paths; writes the tracked `BENCH_pr7.json` baseline at the
-//!   repo root.
+//!   search paths; writes `BENCH_pr7.json`.
+//! * `delta` — in-place delta repair vs wholesale recompute; writes
+//!   `BENCH_pr9.json`.
 //!
 //! This crate's library hosts shared helpers for those benches: network
-//! builders, a self-calibrating timing loop, and the `BENCH_*.json`
-//! report writer.
+//! builders, a self-calibrating timing loop, and [`ledger`], which owns
+//! the one format of the tracked `BENCH_*.json` files at the repo root:
+//! it writes them and checks them.
 
 use std::time::{Duration, Instant};
 
+pub mod ledger;
+
+use muerp_core::channel::CapacityMap;
 use muerp_core::model::{NetworkSpec, QuantumNetwork};
+use qnet_graph::paths::DijkstraConfig;
+use qnet_graph::{EdgeRef, NodeId};
 
 /// Builds the paper-default network family scaled to `switches` switches
 /// (10 users, degree 6), used by the scaling benches.
@@ -28,6 +37,21 @@ pub fn scaled_network(switches: usize, seed: u64) -> QuantumNetwork {
     let mut spec = NetworkSpec::paper_default();
     spec.topology.nodes = switches + spec.users;
     spec.build(seed)
+}
+
+/// Algorithm 1's edge cost and relay filter spelled out at the graph
+/// layer (mirrors `ChannelFinder::from_source_in`), so the raw-search
+/// and repair rows measure the same search the finder runs.
+pub fn muerp_config<'a>(
+    net: &'a QuantumNetwork,
+    capacity: &'a CapacityMap,
+) -> DijkstraConfig<impl Fn(EdgeRef<'_, f64>) -> f64 + 'a, impl Fn(NodeId) -> bool + 'a> {
+    let alpha = net.physics().attenuation;
+    let neg_ln_q = -(net.physics().swap_success.ln());
+    DijkstraConfig {
+        edge_cost: move |e: EdgeRef<'_, f64>| alpha * *e.payload + neg_ln_q,
+        can_relay: move |v: NodeId| net.kind(v).is_switch() && capacity.can_relay(v),
+    }
 }
 
 /// `true` when `MUERP_BENCH_QUICK=1`: CI smoke mode — tiny measurement
@@ -86,20 +110,6 @@ pub fn measure_ns_median(mut op: impl FnMut()) -> f64 {
 fn median(rounds: &mut [f64]) -> f64 {
     rounds.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
     rounds[rounds.len() / 2]
-}
-
-/// Writes a `BENCH_*.json` report at the repo root (pretty-printed,
-/// trailing newline) and returns the path written.
-///
-/// The repo root is resolved relative to this crate's manifest so the
-/// result is independent of the bench runner's working directory.
-pub fn write_bench_report(file_name: &str, report: &serde_json::Value) -> std::path::PathBuf {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(file_name);
-    let body = serde_json::to_string_pretty(report).expect("report serializes");
-    std::fs::write(&path, body + "\n").expect("bench report is writable");
-    path.canonicalize().unwrap_or(path)
 }
 
 #[cfg(test)]

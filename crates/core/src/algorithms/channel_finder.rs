@@ -38,9 +38,10 @@ fn ones(words: impl Iterator<Item = u64>) -> impl Iterator<Item = NodeId> {
 
 /// Algorithm 1's edge cost and relay predicate, defined once for the
 /// search, the in-place repair, the cache's relay bits, its restore
-/// filter and its scoped answers.
+/// filter, its scoped answers, the k-best channels and the hop-bounded
+/// channel.
 #[derive(Clone, Copy)]
-struct Algorithm1<'n> {
+pub(crate) struct Algorithm1<'n> {
     net: &'n QuantumNetwork,
     /// The dead fibers and switches of a degraded network; `None` when
     /// the network is intact.
@@ -51,7 +52,7 @@ struct Algorithm1<'n> {
 }
 
 impl<'n> Algorithm1<'n> {
-    fn new(net: &'n QuantumNetwork, dead: Option<&'n SearchMask>) -> Self {
+    pub(crate) fn new(net: &'n QuantumNetwork, dead: Option<&'n SearchMask>) -> Self {
         let q = net.physics().swap_success;
         // Edge cost α·L − ln q (non-negative since q ≤ 1). A degenerate
         // q = 0 makes every swap impossible; only direct user-user fibers
@@ -69,7 +70,7 @@ impl<'n> Algorithm1<'n> {
     /// The cost `α·L(e) − ln q` of traversing `e`, or `+∞` when `e` is
     /// dead or touches a dead switch, so no channel uses it and a dead
     /// switch is never reached.
-    fn edge_cost(&self, e: EdgeRef<'_, f64>) -> f64 {
+    pub(crate) fn edge_cost(&self, e: EdgeRef<'_, f64>) -> f64 {
         if self.dead.is_some_and(|m| m.blocks(e.id, e.a, e.b)) {
             return f64::INFINITY;
         }
@@ -84,7 +85,7 @@ impl<'n> Algorithm1<'n> {
 
     /// The relay predicate: `v` may relay and has at least 2 free qubits
     /// under `capacity`.
-    fn relays(&self, capacity: &CapacityMap, v: NodeId) -> bool {
+    pub(crate) fn relays(&self, capacity: &CapacityMap, v: NodeId) -> bool {
         self.may_relay(v) && capacity.can_relay(v)
     }
 

@@ -9,6 +9,7 @@ use qnet_graph::ksp::k_shortest_paths_in;
 use qnet_graph::paths::{DijkstraConfig, DijkstraWorkspace};
 use qnet_graph::{EdgeRef, NodeId};
 
+use super::Algorithm1;
 use crate::channel::{CapacityMap, Channel};
 use crate::model::QuantumNetwork;
 
@@ -24,19 +25,17 @@ pub fn k_best_channels_in(
     b: NodeId,
     k: usize,
 ) -> Vec<Channel> {
-    let q = net.physics().swap_success;
-    if q <= 0.0 {
+    if net.physics().swap_success <= 0.0 {
         // Only a direct fiber can work; delegate to the single-channel
         // finder which handles this degenerate case.
         return super::channel_finder::max_rate_channel(net, capacity, a, b)
             .into_iter()
             .collect();
     }
-    let alpha = net.physics().attenuation;
-    let neg_ln_q = -(q.ln());
+    let a1 = Algorithm1::new(net, None);
     let cfg = DijkstraConfig {
-        edge_cost: move |e: EdgeRef<'_, f64>| alpha * *e.payload + neg_ln_q,
-        can_relay: |v: NodeId| net.kind(v).is_switch() && capacity.can_relay(v),
+        edge_cost: |e: EdgeRef<'_, f64>| a1.edge_cost(e),
+        can_relay: |v: NodeId| a1.relays(capacity, v),
     };
     let channels: Vec<Channel> = k_shortest_paths_in(ws, net.graph(), a, b, k, &cfg)
         .into_iter()

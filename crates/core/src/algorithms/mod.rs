@@ -19,6 +19,7 @@ mod optimal;
 mod prim_based;
 
 pub use beam::BeamSearch;
+pub(crate) use channel_finder::Algorithm1;
 pub use channel_finder::{
     max_rate_channel, CacheEfficiency, ChannelFinder, ChannelFinderCache, ChannelSource,
     ScopedFinder,

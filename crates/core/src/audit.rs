@@ -1,7 +1,7 @@
 //! Independent solution audit — the conformance harness's ground truth.
 //!
 //! [`crate::solver::validate_solution`] checks a solution using the same
-//! building blocks the algorithms themselves use ([`Channel::from_path`],
+//! building blocks the algorithms themselves use ([`crate::channel::Channel::from_path`],
 //! [`crate::rate::Rate`] products), so a bug in those shared layers could
 //! make an invalid solution *and* its validation agree. This module
 //! re-derives every MUERP invariant from first principles — raw fiber

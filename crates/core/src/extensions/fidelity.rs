@@ -20,6 +20,7 @@
 use qnet_graph::paths::Path;
 use qnet_graph::{EdgeId, NodeId};
 
+use crate::algorithms::Algorithm1;
 use crate::channel::{CapacityMap, Channel};
 use crate::error::RoutingError;
 use crate::model::QuantumNetwork;
@@ -98,13 +99,10 @@ pub fn max_rate_channel_bounded(
     max_links: usize,
 ) -> Option<Channel> {
     let n = net.graph().node_count();
-    let q = net.physics().swap_success;
-    let alpha = net.physics().attenuation;
-    if q <= 0.0 || a == b {
+    if net.physics().swap_success <= 0.0 || a == b {
         return None;
     }
-    let neg_ln_q = -(q.ln());
-    let edge_cost = |e: EdgeId| alpha * net.length(e) + neg_ln_q;
+    let a1 = Algorithm1::new(net, None);
 
     const INF: f64 = f64::INFINITY;
     // cost[h][v], prev[h][v] = (prev_node, edge)
@@ -119,11 +117,11 @@ pub fn max_rate_channel_bounded(
                 continue;
             }
             // Extend only from the source or a capable switch.
-            if v != a && !(net.kind(v).is_switch() && capacity.can_relay(v)) {
+            if v != a && !a1.relays(capacity, v) {
                 continue;
             }
             for (next, eid) in net.graph().neighbors(v) {
-                let cand = c + edge_cost(eid);
+                let cand = c + a1.edge_cost(net.graph().edge(eid));
                 if cand < cost[h + 1][next.index()] {
                     cost[h + 1][next.index()] = cand;
                     prev[h + 1][next.index()] = Some((v, eid));

@@ -8,8 +8,8 @@
 //! repro fuzz --budget <n> [--seed S] [--churn] [--delta] [--serve] [--out FILE]
 //! repro churn [--trials N] [--failures F] [--seed S] [--slots N] \
 //!       [--out DIR] [--obs-report]
-//! repro profile <paper-default|waxman-240> [--seed S] [--out DIR] \
-//!       [--top N] [--bench-out FILE]
+//! repro profile <paper-default|waxman-240|waxman-2400> [--seed S] \
+//!       [--out DIR] [--top N]
 //! repro stream [--slots N] [--window W] [--seed S] [--arrival P] \
 //!       [--sample-every N] [--churn-every N] [--out DIR]
 //! repro serve [--slots N] [--round R] [--queue Q] [--policy P] \

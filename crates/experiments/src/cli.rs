@@ -155,9 +155,6 @@ pub struct ProfileArgs {
     pub out: PathBuf,
     /// Rows shown in the top-by-self-time table.
     pub top: usize,
-    /// Optional path for the tracked attribution-numbers JSON
-    /// (`BENCH_pr6.json` shape).
-    pub bench_out: Option<PathBuf>,
 }
 
 /// Arguments of the `fuzz` subcommand.
@@ -298,7 +295,7 @@ impl<I: Iterator<Item = String>> Flags<I> {
     ///
     /// # Errors
     ///
-    /// As [`Flags::value`], plus "<flag> must be positive" for zero.
+    /// As [`Flags::value`], plus `"<flag> must be positive"` for zero.
     pub fn positive<T>(&mut self, flag: &str) -> Result<T, String>
     where
         T: std::str::FromStr + Default + PartialEq,
@@ -316,7 +313,7 @@ impl<I: Iterator<Item = String>> Flags<I> {
     ///
     /// # Errors
     ///
-    /// Returns "<flag> needs a <what>" when the value is missing.
+    /// Returns `"<flag> needs a <what>"` when the value is missing.
     pub fn path(&mut self, flag: &str, what: &str) -> Result<PathBuf, String> {
         self.argv
             .next()
@@ -436,7 +433,7 @@ where
 {
     let usage = || {
         format!(
-            "usage: repro profile <{}> [--seed S] [--out DIR] [--top N] [--bench-out FILE]",
+            "usage: repro profile <{}> [--seed S] [--out DIR] [--top N]",
             PROFILE_SCENARIOS.join("|")
         )
     };
@@ -444,14 +441,12 @@ where
     let mut seed = 2024u64;
     let mut out = PathBuf::from("results/profile");
     let mut top = 15usize;
-    let mut bench_out = None;
     let mut argv = Flags::new(argv);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
             "--seed" => seed = argv.value(&arg)?,
             "--out" => out = argv.path(&arg, "directory")?,
             "--top" => top = argv.positive(&arg)?,
-            "--bench-out" => bench_out = Some(argv.path(&arg, "file path")?),
             id if PROFILE_SCENARIOS.contains(&id) => {
                 if scenario.is_some() {
                     return Err("profile takes exactly one scenario".into());
@@ -467,7 +462,6 @@ where
         seed,
         out,
         top,
-        bench_out,
     })
 }
 
@@ -952,7 +946,6 @@ mod tests {
         assert_eq!(p.seed, 2024);
         assert_eq!(p.out, PathBuf::from("results/profile"));
         assert_eq!(p.top, 15);
-        assert_eq!(p.bench_out, None);
 
         let c = parse_command(s(&[
             "profile",
@@ -963,8 +956,6 @@ mod tests {
             "/tmp/prof",
             "--top",
             "5",
-            "--bench-out",
-            "BENCH_pr6.json",
         ]))
         .unwrap();
         let Command::Profile(p) = c else {
@@ -974,7 +965,6 @@ mod tests {
         assert_eq!(p.seed, 7);
         assert_eq!(p.out, PathBuf::from("/tmp/prof"));
         assert_eq!(p.top, 5);
-        assert_eq!(p.bench_out, Some(PathBuf::from("BENCH_pr6.json")));
     }
 
     #[test]

@@ -14,13 +14,13 @@
 //!   attribution table (self vs. total per phase, top-N by self time,
 //!   coverage). Timing jitters between runs, so it stays out of the
 //!   deterministic artifacts.
-//! * **`profile-<scenario>.json`** — a schema-3 [`qnet_obs::RunReport`]
+//! * **`profile-<scenario>.json`** — a [`qnet_obs::RunReport`]
 //!   with the [`qnet_obs::ProfileSection`] attached.
 //! * **`profile-<scenario>.trace.json`** — the Chrome/Perfetto trace
 //!   (open in `ui.perfetto.dev` or `chrome://tracing`).
 
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use muerp_core::model::NetworkSpec;
 
@@ -68,7 +68,7 @@ pub struct ProfileRun {
     pub seed: u64,
     /// `(legend name, rate)` per algorithm, suite order.
     pub rates: Vec<(&'static str, f64)>,
-    /// The captured schema-3 report, profile section attached.
+    /// The captured report, profile section attached.
     pub report: qnet_obs::RunReport,
     /// Flight-recorder contents at capture time, oldest first.
     pub events: Vec<qnet_obs::Stamped>,
@@ -134,16 +134,12 @@ type Fact = (&'static str, String, String);
 
 impl ProfileRun {
     /// Cache-efficiency tallies derived from the global counters:
-    /// `(hits, misses, refreshes, workspace runs, workspace grown)`.
-    /// No cache emits `core.channel.cache_refreshes` any more (a stale
-    /// entry is repaired in place), so refreshes read 0; the fact stays
-    /// so profile artifacts keep their rows.
-    fn cache_tallies(&self) -> (u64, u64, u64, u64, u64) {
+    /// `(hits, misses, workspace runs, workspace grown)`.
+    fn cache_tallies(&self) -> (u64, u64, u64, u64) {
         let c = |name: &str| self.report.counter_total(name);
         (
             c("core.channel.cache_hits"),
             c("core.channel.cache_misses"),
-            c("core.channel.cache_refreshes"),
             c("graph.workspace.runs"),
             c("graph.workspace.grown"),
         )
@@ -167,11 +163,10 @@ impl ProfileRun {
         for row in &profile.rows {
             facts.push(("span_count", row.name.clone(), row.count.to_string()));
         }
-        let (hits, misses, refreshes, ws_runs, ws_grown) = self.cache_tallies();
+        let (hits, misses, ws_runs, ws_grown) = self.cache_tallies();
         let lookups = hits + misses;
         facts.push(("cache", "channel_hits".into(), hits.to_string()));
         facts.push(("cache", "channel_misses".into(), misses.to_string()));
-        facts.push(("cache", "channel_refreshes".into(), refreshes.to_string()));
         facts.push((
             "cache",
             "channel_hit_rate".into(),
@@ -323,99 +318,11 @@ impl ProfileRun {
         }
         out
     }
-
-    /// This run's entry for the tracked attribution-numbers JSON.
-    fn bench_entry(&self) -> serde_json::Value {
-        use serde_json::Value;
-        let profile = self
-            .report
-            .profile
-            .as_ref()
-            .expect("attached by run_scenario");
-        let (hits, misses, refreshes, ws_runs, ws_grown) = self.cache_tallies();
-        let mut phases = serde_json::Map::new();
-        for row in &profile.rows {
-            let mut p = serde_json::Map::new();
-            p.insert("count".into(), Value::from(row.count));
-            p.insert("total_us".into(), Value::from(row.total_us));
-            p.insert("self_us".into(), Value::from(row.self_us));
-            phases.insert(row.name.clone(), Value::Object(p));
-        }
-        let mut rates = serde_json::Map::new();
-        for (name, rate) in &self.rates {
-            rates.insert((*name).into(), Value::from(*rate));
-        }
-        let mut cache = serde_json::Map::new();
-        cache.insert("channel_hits".into(), Value::from(hits));
-        cache.insert("channel_misses".into(), Value::from(misses));
-        cache.insert("channel_refreshes".into(), Value::from(refreshes));
-        cache.insert("workspace_runs".into(), Value::from(ws_runs));
-        cache.insert("workspace_grown".into(), Value::from(ws_grown));
-        let mut m = serde_json::Map::new();
-        m.insert("seed".into(), Value::from(self.seed));
-        m.insert("rates".into(), Value::Object(rates));
-        m.insert("root_total_us".into(), Value::from(profile.root_total_us));
-        m.insert("attributed_us".into(), Value::from(profile.attributed_us));
-        m.insert("coverage".into(), Value::from(profile.coverage()));
-        m.insert("spans".into(), Value::from(self.report.spans.len() as u64));
-        m.insert("trace_events".into(), Value::from(self.events.len() as u64));
-        m.insert("trace_dropped".into(), Value::from(self.trace_dropped));
-        m.insert("phases".into(), Value::Object(phases));
-        m.insert("cache".into(), Value::Object(cache));
-        m.insert(
-            "alloc".into(),
-            profile.alloc.map_or(Value::Null, |a| {
-                let mut alloc = serde_json::Map::new();
-                alloc.insert("allocs".into(), Value::from(a.allocs));
-                alloc.insert("bytes".into(), Value::from(a.bytes));
-                alloc.insert("peak_bytes".into(), Value::from(a.peak_bytes));
-                Value::Object(alloc)
-            }),
-        );
-        Value::Object(m)
-    }
-
-    /// Merges this run into the tracked bench JSON at `path` (shape of
-    /// the repo's `BENCH_pr*.json` files): existing entries for *other*
-    /// scenarios survive, this scenario's entry is replaced.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors reading or writing `path`.
-    pub fn write_bench(&self, path: &Path) -> std::io::Result<()> {
-        let mut root = std::fs::read_to_string(path)
-            .ok()
-            .and_then(|text| serde_json::from_str(&text).ok())
-            .and_then(|v| match v {
-                serde_json::Value::Object(m) => Some(m),
-                _ => None,
-            })
-            .unwrap_or_default();
-        root.insert(
-            "bench".into(),
-            serde_json::Value::from("profile_attribution"),
-        );
-        root.insert("pr".into(), serde_json::Value::from(6u64));
-        root.insert(
-            "unit".into(),
-            serde_json::Value::from("µs of self time per phase"),
-        );
-        let scenarios = root
-            .entry("scenarios".to_string())
-            .or_insert_with(|| serde_json::Value::Object(Default::default()));
-        if let serde_json::Value::Object(m) = scenarios {
-            m.insert(self.scenario.clone(), self.bench_entry());
-        }
-        let text = serde_json::to_string_pretty(&serde_json::Value::Object(root))
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        std::fs::write(path, text + "\n")
-    }
 }
 
 /// Runs the scenario and writes every artifact under `args.out`:
-/// primary CSV, times CSV, schema-3 report, Chrome trace, and (with
-/// `--bench-out`) the tracked attribution numbers. Returns the run plus
-/// the written paths for the caller to print.
+/// primary CSV, times CSV, run report and Chrome trace. Returns the
+/// run plus the written paths for the caller to print.
 ///
 /// # Errors
 ///
@@ -448,12 +355,6 @@ pub fn run_profile(args: &ProfileArgs) -> Result<(ProfileRun, Vec<PathBuf>), Str
     )
     .map_err(|e| format!("cannot write chrome trace: {e}"))?;
     written.push(trace_path);
-
-    if let Some(bench) = &args.bench_out {
-        run.write_bench(bench)
-            .map_err(|e| format!("cannot write {}: {e}", bench.display()))?;
-        written.push(bench.clone());
-    }
     Ok((run, written))
 }
 

@@ -176,7 +176,7 @@ pub fn serve_tables(cfg: &ServeConfig, seed: u64, outcome: &ServeOutcome) -> Vec
 }
 
 /// Runs the admission service in memory: resets the process-global
-/// observability state ([`reset_obs`]), serves, and captures the
+/// observability state (`reset_obs`), serves, and captures the
 /// schema-4 report with the round series attached.
 pub fn run_workload(cfg: ServeConfig, seed: u64) -> ServeRun {
     reset_obs();

@@ -186,7 +186,7 @@ pub(crate) fn reset_obs() {
 }
 
 /// Runs the streaming workload in memory: resets the process-global
-/// observability state ([`reset_obs`]), simulates, and captures the
+/// observability state (`reset_obs`), simulates, and captures the
 /// schema-4 report with the time-series section attached.
 pub fn run_workload(cfg: StreamConfig, seed: u64) -> StreamRun {
     reset_obs();

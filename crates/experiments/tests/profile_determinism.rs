@@ -8,7 +8,8 @@
 //! and resets the global registry — it must not race the crate's unit
 //! tests.
 
-use muerp_experiments::profile::{run_scenario, ProfileRun};
+use muerp_experiments::cli::ProfileArgs;
+use muerp_experiments::profile::{run_profile, run_scenario, ProfileRun};
 use muerp_experiments::AlgoKind;
 
 /// Serializes the tests in this binary; each one resets global state.
@@ -136,25 +137,38 @@ fn chrome_trace_is_well_formed_json() {
 }
 
 #[test]
-fn bench_merge_keeps_other_scenarios() {
+fn written_report_and_trace_carry_the_profile() {
     let _serial = serial();
-    let run = paper_run(3);
-    let dir = std::env::temp_dir().join("muerp_profile_bench_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("bench.json");
-    std::fs::write(
-        &path,
-        r#"{"scenarios": {"waxman-240": {"seed": 1, "spans": 9}}}"#,
-    )
-    .unwrap();
-    run.write_bench(&path).expect("merge succeeds");
-    let v: serde_json::Value =
-        serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-    let scenarios = v.get("scenarios").unwrap();
-    assert!(scenarios.get("waxman-240").is_some(), "other entry kept");
-    assert!(scenarios.get("paper-default").is_some(), "this run added");
-    assert_eq!(v.get("pr").and_then(|p| p.as_u64()), Some(6));
-    let _ = std::fs::remove_file(&path);
+    let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("profile_determinism");
+    let args = ProfileArgs {
+        scenario: "paper-default".into(),
+        seed: 2024,
+        out: out.clone(),
+        top: 15,
+    };
+    run_profile(&args).expect("profile runs");
+    let read = |name: &str| -> serde_json::Value {
+        let text = std::fs::read_to_string(out.join(name)).expect("artifact written");
+        serde_json::from_str(&text).expect("artifact is JSON")
+    };
+    // Written at the current report schema; the profile section dates
+    // from schema 3.
+    let report = read("profile-paper-default.json");
+    assert_eq!(
+        report["schema_version"].as_u64(),
+        Some(u64::from(qnet_obs::SCHEMA_VERSION))
+    );
+    let back = qnet_obs::RunReport::from_json(&report).expect("report parses");
+    assert!(
+        back.profile.is_some_and(|p| !p.rows.is_empty()),
+        "no attribution rows"
+    );
+    let trace = read("profile-paper-default.trace.json");
+    let events = trace["traceEvents"].as_array().expect("traceEvents array");
+    assert!(
+        events.iter().any(|ev| ev["ph"].as_str() == Some("B")),
+        "no duration events"
+    );
 }
 
 #[test]

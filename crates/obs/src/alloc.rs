@@ -87,7 +87,7 @@ pub use counting::CountingAllocator;
 
 /// `true` when this build carries the counting allocator hooks (the
 /// `alloc-profile` feature). Note the *binary* must also install
-/// [`CountingAllocator`] for the tallies to move.
+/// `CountingAllocator` for the tallies to move.
 pub const fn alloc_profiling_compiled() -> bool {
     cfg!(feature = "alloc-profile")
 }

@@ -269,15 +269,14 @@ impl WindowSnapshot {
     }
 }
 
-/// A live windowed time-series recorder (see the [module docs]).
+/// A live windowed time-series recorder over a slot-indexed virtual
+/// clock.
 ///
 /// Instance-based, single-owner, no interior locking: the recorder
 /// belongs to the loop that drives the virtual clock. Series names are
 /// `&'static str` so recording never allocates on the per-event path
 /// (the per-window snapshot at each boundary is where strings are
 /// materialized).
-///
-/// [module docs]: crate::timeseries
 #[derive(Debug)]
 pub struct TimeSeries {
     window_slots: u64,

@@ -1,5 +1,5 @@
 //! Admission-order policies: FCFS, smallest-group-first, and
-//! deficit-weighted fairness over [`SloClass`] tiers.
+//! deficit-weighted fairness over [`SloClass`](muerp_core::extensions::SloClass) tiers.
 //!
 //! A policy decides only the *order* in which one round's queued
 //! requests are tried against shared capacity — every queued request
@@ -18,7 +18,8 @@
 
 use muerp_core::extensions::Request;
 
-/// Per-class scheduling weights, indexed by [`SloClass::index`]
+/// Per-class scheduling weights, indexed by
+/// [`SloClass::index`](muerp_core::extensions::SloClass::index)
 /// (Gold, Silver, Bronze).
 pub const CLASS_WEIGHTS: [u64; 3] = [4, 2, 1];
 
@@ -71,7 +72,8 @@ impl DeficitState {
         DeficitState::default()
     }
 
-    /// Current per-class balances, indexed by [`SloClass::index`].
+    /// Current per-class balances, indexed by
+    /// [`SloClass::index`](muerp_core::extensions::SloClass::index).
     /// Invariant (proptested): `deficits[c] ≤ CLASS_WEIGHTS[c]` between
     /// rounds, `≤ 2·CLASS_WEIGHTS[c]` at any instant inside a round.
     pub fn deficits(&self) -> [u64; 3] {
