@@ -41,14 +41,14 @@
 //! Run with `cargo bench -p muerp-bench --bench delta`. Writes the
 //! tracked baseline `BENCH_pr9.json` at the repo root
 //! ([`muerp_bench::ledger`]; ns per op, each op covering *all* user
-//! sources). `MUERP_BENCH_QUICK=1` shrinks the measurement windows for
-//! CI smoke runs — the file is still produced and shape-checked, but
-//! the ≤ 0.5× gates only arm on full runs (the ledger holds a full
-//! run's repair and restore rows on both Waxman tiers to them).
+//! sources); the ledger holds a full run's repair and restore rows on
+//! every tier to ≤ 0.5 × wholesale. `MUERP_BENCH_QUICK=1` shrinks the
+//! measurement windows for CI smoke runs; the report is still checked
+//! and written, under `target/bench/`.
 
 use muerp_bench::ledger::{Ledger, Unit};
-use muerp_bench::{measure_ns_median, muerp_config, quick_mode, scaled_network};
-use muerp_core::algorithms::ChannelFinderCache;
+use muerp_bench::{measure_ns_median, scaled_network};
+use muerp_core::algorithms::{algorithm1_config, ChannelFinderCache};
 use muerp_core::prelude::*;
 use qnet_graph::paths::{dijkstra_into, DijkstraRun, DijkstraWorkspace};
 use qnet_graph::{dijkstra_repair_into, NodeId, SsspDelta};
@@ -74,7 +74,7 @@ fn bench_topology(ledger: &mut Ledger, label: &str, switches: usize, seed: u64) 
     let mut ws = DijkstraWorkspace::with_capacity(net.graph().node_count());
 
     // Pre-delta baselines for every user source, full capacity.
-    let cfg = muerp_config(&net, &capacity);
+    let cfg = algorithm1_config(&net, &capacity);
     let baselines: Vec<DijkstraRun> = users
         .iter()
         .map(|&u| dijkstra_into(&mut ws, net.graph(), u, &cfg).clone())
@@ -84,7 +84,7 @@ fn bench_topology(ledger: &mut Ledger, label: &str, switches: usize, seed: u64) 
     // The worsening delta and its post-delta configuration.
     let mut degraded = capacity.clone();
     degraded.withdraw(victim, u32::MAX);
-    let cfg_post = muerp_config(&net, &degraded);
+    let cfg_post = algorithm1_config(&net, &degraded);
     let mut delta = SsspDelta::new();
     delta.block_node(victim);
 
@@ -145,18 +145,6 @@ fn bench_topology(ledger: &mut Ledger, label: &str, switches: usize, seed: u64) 
             black_box(run.distance(users[0]));
         }
     });
-    // Repairing after a localized kill resettles only the affected
-    // region; it must beat recomputing every tree by at least 2×. Quick
-    // mode's tiny windows are too noisy to gate on.
-    if !quick_mode() {
-        assert!(
-            finder_delta_repair <= finder_delta_wholesale * 0.5,
-            "{label}: finder_delta_repair_ns ({finder_delta_repair:.1}) exceeds half of \
-             finder_delta_wholesale_ns ({finder_delta_wholesale:.1}) — incremental repair \
-             lost its reason to exist"
-        );
-    }
-
     // --- Cache layer: the relay-bit rule end to end.
     let mut cache = ChannelFinderCache::new(&net);
     let mut cap = capacity.clone();
@@ -222,5 +210,5 @@ fn main() {
     ] {
         bench_topology(&mut ledger, label, switches, 42);
     }
-    ledger.write("BENCH_pr9.json");
+    ledger.write();
 }

@@ -11,23 +11,24 @@
 //! 2. **Micro-level:** what does a disabled instrumentation site cost?
 //!    An interleaved A/B measurement of the same synthetic kernel with
 //!    and without `counter!`/`histogram!`/`span!` sites, with the level
-//!    at `off`. The run *asserts* the overhead stays near the ~2%
-//!    design budget (5% allowed, absorbing scheduler noise); a
-//!    regression here means the off path stopped being a single
-//!    relaxed load.
+//!    at `off` (`off_path/obs_sites_median_paired_ratio`, near the ~2%
+//!    design budget); a regression here means the off path stopped
+//!    being a single relaxed load.
 //! 3. **Windowed series:** the same off-path question for
 //!    [`qnet_obs::TimeSeries`] recording sites gated behind
-//!    `enabled(Counters)`, plus the on-path ns-per-op cost of
-//!    `rate_add`/`gauge`/`latency`/`advance_to`. The off-path ratio is
-//!    asserted under the same 5% noise budget and the numbers are
-//!    tracked in `BENCH_pr8.json` at the repo root
-//!    ([`muerp_bench::ledger`]).
+//!    `enabled(Counters)` (`off_path/median_paired_ratio`), plus the
+//!    on-path ns-per-op cost of `rate_add`/`gauge`/`latency`/`advance_to`.
+//!
+//! The numbers of 2 and 3 are tracked in `BENCH_pr8.json` at the repo
+//! root, and the ledger ([`muerp_bench::ledger`]) holds both off-path
+//! ratios, quick run or full, under 1.05 (5% absorbs scheduler noise)
+//! before it writes the report.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use muerp_bench::ledger::{Ledger, Unit};
-use muerp_bench::{measure_ns_median, quick_mode, scaled_network};
+use muerp_bench::{measure_ns_median, scaled_network};
 use muerp_core::prelude::*;
 use qnet_obs::{ObsLevel, TimeSeries, TimeSeriesConfig};
 
@@ -74,7 +75,7 @@ fn kernel_step(x: u64) -> u64 {
 const ITERS: u64 = 50_000;
 const ROUNDS: usize = 21;
 
-fn run_plain() -> (u64, std::time::Duration) {
+fn run_plain() -> (u64, Duration) {
     let start = Instant::now();
     let mut acc = 0u64;
     for i in 0..ITERS {
@@ -83,7 +84,7 @@ fn run_plain() -> (u64, std::time::Duration) {
     (std::hint::black_box(acc), start.elapsed())
 }
 
-fn run_instrumented() -> (u64, std::time::Duration) {
+fn run_instrumented() -> (u64, Duration) {
     let start = Instant::now();
     let mut acc = 0u64;
     for i in 0..ITERS {
@@ -103,37 +104,23 @@ fn run_instrumented() -> (u64, std::time::Duration) {
     (std::hint::black_box(acc), start.elapsed())
 }
 
-fn assert_off_path_is_free(_c: &mut Criterion) {
-    qnet_obs::set_level(ObsLevel::Off);
-
-    // Interleave rounds so frequency scaling and noise hit both sides,
-    // then take the median of the paired per-round ratios — pairing
-    // cancels slow drift, the median discards scheduler spikes.
+/// The median over [`ROUNDS`] of the paired ratio `instrumented / plain`
+/// kernel time. Rounds interleave so frequency scaling and noise hit
+/// both sides; pairing cancels slow drift, the median discards
+/// scheduler spikes. Both sides must compute the same result.
+fn median_paired_ratio(mut instrumented: impl FnMut() -> (u64, Duration)) -> f64 {
     let mut ratios = Vec::with_capacity(ROUNDS);
     let mut checksum = 0u64;
     for _ in 0..ROUNDS {
         let (a, t_plain) = run_plain();
-        let (b, t_inst) = run_instrumented();
+        let (b, t_inst) = instrumented();
         assert_eq!(a, b, "instrumentation must not change results");
         checksum ^= a;
         ratios.push(t_inst.as_secs_f64() / t_plain.as_secs_f64());
     }
     std::hint::black_box(checksum);
     ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let ratio = ratios[ROUNDS / 2];
-
-    println!(
-        "obs_overhead/off_path: median paired ratio {ratio:.4} over {ROUNDS} rounds \
-         (expected ~1.01-1.02, budget 1.05)"
-    );
-    assert!(
-        ratio < 1.05,
-        "MUERP_OBS=off overhead {:.2}% blew the ~2% design budget (5% with noise allowance); \
-         the off path is no longer a single relaxed load",
-        (ratio - 1.0) * 100.0
-    );
-
-    qnet_obs::set_level(ObsLevel::Counters);
+    ratios[ROUNDS / 2]
 }
 
 /// The synthetic kernel with windowed-series recording sites, each
@@ -141,7 +128,7 @@ fn assert_off_path_is_free(_c: &mut Criterion) {
 /// behind [`qnet_obs::enabled`]. At `MUERP_OBS=off` every site must
 /// reduce to one relaxed load — the same contract the counter/span
 /// sites keep.
-fn run_windowed_instrumented(ts: &mut TimeSeries) -> (u64, std::time::Duration) {
+fn run_windowed_instrumented(ts: &mut TimeSeries) -> (u64, Duration) {
     let start = Instant::now();
     let mut acc = 0u64;
     for i in 0..ITERS {
@@ -166,34 +153,18 @@ fn bench_series() -> TimeSeries {
     })
 }
 
-fn windowed_series_costs(_c: &mut Criterion) {
-    // Off-path: paired A/B against the plain kernel, same protocol as
-    // `assert_off_path_is_free` — interleaved rounds, median ratio.
+fn tracked_costs(_c: &mut Criterion) {
+    // Off-path: paired A/B against the plain kernel, of the obs sites
+    // and of the gated series sites. A quick run takes every round too:
+    // the ledger gates both ratios on quick runs, and the rounds cost
+    // well under a second.
     qnet_obs::set_level(ObsLevel::Off);
-    let rounds = if quick_mode() { 7 } else { ROUNDS };
+    let sites_ratio = median_paired_ratio(run_instrumented);
     let mut series = bench_series();
-    let mut ratios = Vec::with_capacity(rounds);
-    let mut checksum = 0u64;
-    for _ in 0..rounds {
-        let (a, t_plain) = run_plain();
-        let (b, t_inst) = run_windowed_instrumented(&mut series);
-        assert_eq!(a, b, "gated series sites must not change results");
-        checksum ^= a;
-        ratios.push(t_inst.as_secs_f64() / t_plain.as_secs_f64());
-    }
-    std::hint::black_box(checksum);
-    ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let off_ratio = ratios[rounds / 2];
-
+    let off_ratio = median_paired_ratio(|| run_windowed_instrumented(&mut series));
     println!(
-        "obs_overhead/windowed_off_path: median paired ratio {off_ratio:.4} over {rounds} rounds \
-         (expected ~1.01, budget 1.05)"
-    );
-    assert!(
-        off_ratio < 1.05,
-        "gated TimeSeries sites cost {:.2}% at MUERP_OBS=off, blowing the ~1% design budget \
-         (5% with noise allowance); the enabled() gate stopped being a single relaxed load",
-        (off_ratio - 1.0) * 100.0
+        "obs_overhead/off_path: median paired ratio {sites_ratio:.4} over {ROUNDS} rounds \
+         (expected ~1.01-1.02); windowed series {off_ratio:.4} (expected ~1.01)"
     );
 
     // On-path: ns per recording op at the counters level. `advance_to`
@@ -213,20 +184,20 @@ fn windowed_series_costs(_c: &mut Criterion) {
     std::hint::black_box(series.finish());
 
     let mut ledger = Ledger::new("obs_overhead");
+    ledger.push(
+        "off_path/obs_sites_median_paired_ratio",
+        sites_ratio,
+        Unit::Ratio,
+    );
     ledger.push("off_path/median_paired_ratio", off_ratio, Unit::Ratio);
-    ledger.push("off_path/rounds", rounds as f64, Unit::Count);
+    ledger.push("off_path/rounds", ROUNDS as f64, Unit::Count);
     ledger.push("off_path/iters_per_round", ITERS as f64, Unit::Count);
     ledger.push("on_path/rate_add_ns", rate_ns, Unit::Ns);
     ledger.push("on_path/gauge_ns", gauge_ns, Unit::Ns);
     ledger.push("on_path/latency_ns", latency_ns, Unit::Ns);
     ledger.push("on_path/advance_to_ns", advance_ns, Unit::Ns);
-    ledger.write("BENCH_pr8.json");
+    ledger.write();
 }
 
-criterion_group!(
-    benches,
-    bench_solve_per_level,
-    assert_off_path_is_free,
-    windowed_series_costs
-);
+criterion_group!(benches, bench_solve_per_level, tracked_costs);
 criterion_main!(benches);

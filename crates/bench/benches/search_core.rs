@@ -19,12 +19,12 @@
 //! ([`muerp_bench::ledger`]; every `_ns` row is ns per op, and each op
 //! covers *all* user sources, so per-search cost is op / 10).
 //! `MUERP_BENCH_QUICK=1` shrinks the measurement window for CI smoke
-//! runs — the file is still produced, the numbers are only good for
-//! "did it run".
+//! runs — the report is still checked and written, under
+//! `target/bench/`, and its numbers are only good for "did it run".
 
 use muerp_bench::ledger::{Ledger, Unit};
-use muerp_bench::{measure_ns_median, muerp_config, scaled_network};
-use muerp_core::algorithms::{ChannelFinder, ChannelFinderCache};
+use muerp_bench::{measure_ns_median, scaled_network};
+use muerp_core::algorithms::{algorithm1_config, ChannelFinder, ChannelFinderCache};
 use muerp_core::prelude::*;
 use qnet_graph::ksp::k_shortest_paths_in;
 use qnet_graph::paths::{dijkstra_into, DijkstraWorkspace};
@@ -36,7 +36,7 @@ fn bench_topology(ledger: &mut Ledger, label: &str, switches: usize, seed: u64) 
     let net = scaled_network(switches, seed);
     let capacity = CapacityMap::new(&net);
     let users = net.users().to_vec();
-    let cfg = muerp_config(&net, &capacity);
+    let cfg = algorithm1_config(&net, &capacity);
 
     // --- Raw Dijkstra: one all-sources sweep per op. ---
     let dijkstra_fresh = measure_ns_median(|| {
@@ -142,5 +142,5 @@ fn main() {
     ] {
         bench_topology(&mut ledger, label, switches, 42);
     }
-    ledger.write("BENCH_pr7.json");
+    ledger.write();
 }

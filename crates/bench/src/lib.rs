@@ -20,16 +20,14 @@
 //! This crate's library hosts shared helpers for those benches: network
 //! builders, a self-calibrating timing loop, and [`ledger`], which owns
 //! the one format of the tracked `BENCH_*.json` files at the repo root:
-//! it writes them and checks them.
+//! it writes them (a `MUERP_BENCH_QUICK=1` smoke run under
+//! `target/bench/` instead), checks them and holds their gates.
 
 use std::time::{Duration, Instant};
 
 pub mod ledger;
 
-use muerp_core::channel::CapacityMap;
 use muerp_core::model::{NetworkSpec, QuantumNetwork};
-use qnet_graph::paths::DijkstraConfig;
-use qnet_graph::{EdgeRef, NodeId};
 
 /// Builds the paper-default network family scaled to `switches` switches
 /// (10 users, degree 6), used by the scaling benches.
@@ -37,21 +35,6 @@ pub fn scaled_network(switches: usize, seed: u64) -> QuantumNetwork {
     let mut spec = NetworkSpec::paper_default();
     spec.topology.nodes = switches + spec.users;
     spec.build(seed)
-}
-
-/// Algorithm 1's edge cost and relay filter spelled out at the graph
-/// layer (mirrors `ChannelFinder::from_source_in`), so the raw-search
-/// and repair rows measure the same search the finder runs.
-pub fn muerp_config<'a>(
-    net: &'a QuantumNetwork,
-    capacity: &'a CapacityMap,
-) -> DijkstraConfig<impl Fn(EdgeRef<'_, f64>) -> f64 + 'a, impl Fn(NodeId) -> bool + 'a> {
-    let alpha = net.physics().attenuation;
-    let neg_ln_q = -(net.physics().swap_success.ln());
-    DijkstraConfig {
-        edge_cost: move |e: EdgeRef<'_, f64>| alpha * *e.payload + neg_ln_q,
-        can_relay: move |v: NodeId| net.kind(v).is_switch() && capacity.can_relay(v),
-    }
 }
 
 /// `true` when `MUERP_BENCH_QUICK=1`: CI smoke mode — tiny measurement

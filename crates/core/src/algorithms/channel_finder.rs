@@ -38,8 +38,8 @@ fn ones(words: impl Iterator<Item = u64>) -> impl Iterator<Item = NodeId> {
 
 /// Algorithm 1's edge cost and relay predicate, defined once for the
 /// search, the in-place repair, the cache's relay bits, its restore
-/// filter, its scoped answers, the k-best channels and the hop-bounded
-/// channel.
+/// filter, its scoped answers, the k-best channels
+/// ([`algorithm1_config`]) and the hop-bounded channel.
 #[derive(Clone, Copy)]
 pub(crate) struct Algorithm1<'n> {
     net: &'n QuantumNetwork,
@@ -376,6 +376,20 @@ pub fn max_rate_channel(
     b: NodeId,
 ) -> Option<Channel> {
     ChannelFinder::from_source_in(&mut DijkstraWorkspace::new(), net, capacity, a).channel_to(b)
+}
+
+/// Algorithm 1's search configuration on the intact `net` under
+/// `capacity`: the finder's `α·L − ln q` edge cost and relay predicate,
+/// for a search or repair run at the graph layer (Yen, the benches).
+pub fn algorithm1_config<'n>(
+    net: &'n QuantumNetwork,
+    capacity: &'n CapacityMap,
+) -> DijkstraConfig<impl Fn(EdgeRef<'_, f64>) -> f64 + 'n, impl Fn(NodeId) -> bool + 'n> {
+    let a1 = Algorithm1::new(net, None);
+    DijkstraConfig {
+        edge_cost: move |e: EdgeRef<'_, f64>| a1.edge_cost(e),
+        can_relay: move |v: NodeId| a1.relays(capacity, v),
+    }
 }
 
 /// In-place delta repair of a memoized Algorithm-1 run: patches `run`

@@ -6,10 +6,10 @@
 //! This is Yen's algorithm under the MUERP edge cost and relay filter.
 
 use qnet_graph::ksp::k_shortest_paths_in;
-use qnet_graph::paths::{DijkstraConfig, DijkstraWorkspace};
-use qnet_graph::{EdgeRef, NodeId};
+use qnet_graph::paths::DijkstraWorkspace;
+use qnet_graph::NodeId;
 
-use super::Algorithm1;
+use super::algorithm1_config;
 use crate::channel::{CapacityMap, Channel};
 use crate::model::QuantumNetwork;
 
@@ -32,11 +32,7 @@ pub fn k_best_channels_in(
             .into_iter()
             .collect();
     }
-    let a1 = Algorithm1::new(net, None);
-    let cfg = DijkstraConfig {
-        edge_cost: |e: EdgeRef<'_, f64>| a1.edge_cost(e),
-        can_relay: |v: NodeId| a1.relays(capacity, v),
-    };
+    let cfg = algorithm1_config(net, capacity);
     let channels: Vec<Channel> = k_shortest_paths_in(ws, net.graph(), a, b, k, &cfg)
         .into_iter()
         .map(|p| Channel::from_path(net, p))

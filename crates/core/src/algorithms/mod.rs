@@ -21,8 +21,8 @@ mod prim_based;
 pub use beam::BeamSearch;
 pub(crate) use channel_finder::Algorithm1;
 pub use channel_finder::{
-    max_rate_channel, CacheEfficiency, ChannelFinder, ChannelFinderCache, ChannelSource,
-    ScopedFinder,
+    algorithm1_config, max_rate_channel, CacheEfficiency, ChannelFinder, ChannelFinderCache,
+    ChannelSource, ScopedFinder,
 };
 pub use conflict_free::{ConflictFree, RetentionPolicy};
 pub use k_channels::k_best_channels_in;

@@ -1,11 +1,12 @@
 //! The tracked `BENCH_*.json` files at the repo root: every one passes
 //! the one BENCH validator (`muerp_bench::ledger`), and the validator
-//! rejects each kind of bad file — a quick run, a missing host block,
-//! a bad or duplicate row, a broken gate — naming the file and the row.
+//! rejects each kind of bad file — a quick run, another bench's report,
+//! a missing host block, a bad, duplicate or missing row, a broken
+//! gate — naming the file and the row.
 
 use std::path::Path;
 
-use muerp_bench::ledger::{check_committed, Ledger};
+use muerp_bench::ledger::{check_committed, Ledger, REPORTS};
 use serde_json::Value;
 
 /// Every `BENCH_*.json` at the repo root, by file name, parsed.
@@ -56,7 +57,7 @@ fn rejects(file: &str, json: &Value, what: &str) {
 #[test]
 fn every_root_bench_file_passes_the_ledger() {
     let files = root_files();
-    for tracked in ["BENCH_pr7.json", "BENCH_pr8.json", "BENCH_pr9.json"] {
+    for (_, tracked) in REPORTS {
         assert!(
             files.iter().any(|(name, _)| name == tracked),
             "{tracked} is missing at the repo root"
@@ -75,6 +76,76 @@ fn a_quick_run_is_rejected() {
         let mut ledger = committed(&name);
         ledger.quick = true;
         rejects(&name, &ledger.to_json(), "quick");
+    }
+}
+
+#[test]
+fn a_quick_run_is_written_under_target_not_over_the_tracked_file() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .canonicalize()
+        .unwrap();
+    for (bench, file) in REPORTS {
+        let mut ledger = committed(file);
+        assert_eq!(ledger.bench, bench);
+        let full = ledger
+            .path()
+            .canonicalize()
+            .expect("the tracked file exists");
+        assert_eq!(full, root.join(file));
+        ledger.quick = true;
+        let quick = ledger.path();
+        assert!(
+            quick.ends_with(Path::new("target/bench").join(file)),
+            "{}",
+            quick.display()
+        );
+    }
+}
+
+#[test]
+fn the_writer_checks_before_it_writes() {
+    let row = "waxman_240/finder_delta_copy_ns";
+    let mut ledger = committed("BENCH_pr9.json");
+    ledger.quick = true;
+    ledger.rows.retain(|r| r.name != row);
+    let panic = std::panic::catch_unwind(|| ledger.write());
+    let panic = panic.expect_err("an incomplete report must not be written");
+    let msg = panic.downcast_ref::<String>().expect("a formatted panic");
+    assert!(
+        msg.starts_with(&format!("BENCH_pr9.json: {row}: ")),
+        "{msg}"
+    );
+}
+
+#[test]
+fn another_bench_or_an_untracked_file_is_rejected() {
+    let json = committed("BENCH_pr9.json").to_json();
+    rejects("BENCH_pr7.json", &json, "bench");
+    rejects("BENCH_pr10.json", &json, "bench");
+}
+
+#[test]
+fn a_missing_required_row_is_rejected() {
+    // A measured row of each file, and rows the gates read.
+    for (file, row) in [
+        ("BENCH_pr7.json", "waxman_2400/finder_cached_ns"),
+        ("BENCH_pr8.json", "on_path/advance_to_ns"),
+        ("BENCH_pr8.json", "off_path/median_paired_ratio"),
+        ("BENCH_pr8.json", "off_path/obs_sites_median_paired_ratio"),
+        ("BENCH_pr9.json", "paper_default/finder_delta_clean_ns"),
+        ("BENCH_pr9.json", "paper_default/finder_delta_restore_ns"),
+        ("BENCH_pr9.json", "waxman_2400/finder_delta_wholesale_ns"),
+    ] {
+        for quick in [false, true] {
+            let mut ledger = committed(file);
+            ledger.quick = quick;
+            ledger.rows.retain(|r| r.name != row);
+            rejects(file, &ledger.to_json(), row);
+        }
+        let mut empty = committed(file);
+        empty.rows.clear();
+        let err = check_committed(file, &empty.to_json()).expect_err("an empty report");
+        assert!(err.ends_with(": missing required row"), "{err}");
     }
 }
 
@@ -120,7 +191,7 @@ fn a_duplicate_row_name_is_rejected() {
 #[test]
 fn repair_or_restore_above_half_wholesale_is_rejected() {
     let file = "BENCH_pr9.json";
-    for tier in ["waxman_240", "waxman_2400"] {
+    for tier in ["paper_default", "waxman_240", "waxman_2400"] {
         let wholesale = committed(file)
             .value(&format!("{tier}/finder_delta_wholesale_ns"))
             .expect("wholesale row");
@@ -131,6 +202,9 @@ fn repair_or_restore_above_half_wholesale_is_rejected() {
             check_committed(file, &ledger.to_json()).expect("exactly 0.5 × wholesale passes");
             set(&mut ledger, &row, 0.51 * wholesale);
             rejects(file, &ledger.to_json(), &row);
+            // A quick run's windows are too short to gate on.
+            ledger.quick = true;
+            rejects(file, &ledger.to_json(), "quick");
         }
     }
 }
@@ -138,10 +212,17 @@ fn repair_or_restore_above_half_wholesale_is_rejected() {
 #[test]
 fn an_off_path_ratio_at_the_budget_is_rejected() {
     let file = "BENCH_pr8.json";
-    let row = "off_path/median_paired_ratio";
-    let mut ledger = committed(file);
-    set(&mut ledger, row, 1.049);
-    check_committed(file, &ledger.to_json()).expect("below the budget passes");
-    set(&mut ledger, row, 1.05);
-    rejects(file, &ledger.to_json(), row);
+    for row in [
+        "off_path/obs_sites_median_paired_ratio",
+        "off_path/median_paired_ratio",
+    ] {
+        let mut ledger = committed(file);
+        set(&mut ledger, row, 1.049);
+        check_committed(file, &ledger.to_json()).expect("below the budget passes");
+        set(&mut ledger, row, 1.05);
+        rejects(file, &ledger.to_json(), row);
+        // The off-path gates hold a quick run too.
+        ledger.quick = true;
+        rejects(file, &ledger.to_json(), row);
+    }
 }
