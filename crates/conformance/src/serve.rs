@@ -31,7 +31,6 @@ pub fn script_config(group_cap: usize) -> ServeConfig {
     ServeConfig {
         stream: StreamConfig {
             slots: 96,
-            window_slots: 16,
             base_arrival: 0.6,
             group_size: (2, group_cap.max(2)),
             hold_slots: (3, 10),

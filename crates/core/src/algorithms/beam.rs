@@ -18,6 +18,7 @@ use crate::solver::{RoutingAlgorithm, Solution};
 use crate::tree::EntanglementTree;
 
 use super::channel_finder::ChannelFinderCache;
+use super::prim_based::attach;
 
 /// Beam-search tree growth.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -122,15 +123,8 @@ impl BeamSearch {
                 candidates.truncate(self.branch);
                 for c in candidates {
                     let mut next = state.clone();
-                    next.capacity.reserve(&c);
-                    let newcomer = if next.in_tree[c.source().index()] {
-                        c.destination()
-                    } else {
-                        c.source()
-                    };
-                    next.in_tree[newcomer.index()] = true;
                     next.rate *= c.rate;
-                    next.tree.push(c);
+                    attach(c, &mut next.capacity, &mut next.in_tree, &mut next.tree);
                     expansions.push(next);
                 }
             }

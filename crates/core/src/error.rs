@@ -146,6 +146,79 @@ impl fmt::Display for ValidationError {
 
 impl std::error::Error for ValidationError {}
 
+/// A run setting outside the range its model defines: the field, the
+/// rule it breaks and the value it holds. Every config's `check`
+/// returns one, and its `Display` is the message callers print
+/// ("queue capacity must be positive, got 0").
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ConfigError {
+    /// The field, as spelled in its config struct (`"queue_capacity"`).
+    pub field: &'static str,
+    /// The rule the field breaks (`"must be positive"`).
+    pub rule: &'static str,
+    /// The value the field holds, as printed.
+    pub got: String,
+}
+
+impl ConfigError {
+    /// `Ok` when `holds`, else the error naming `field`, `rule` and `got`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`ConfigError`] when `holds` is false.
+    pub fn unless(
+        holds: bool,
+        field: &'static str,
+        rule: &'static str,
+        got: impl fmt::Display,
+    ) -> Result<(), ConfigError> {
+        if holds {
+            Ok(())
+        } else {
+            Err(ConfigError {
+                field,
+                rule,
+                got: got.to_string(),
+            })
+        }
+    }
+
+    /// `Ok` when the count `value` is at least 1.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`ConfigError`] naming `field` when `value` is 0.
+    pub fn positive<T>(field: &'static str, value: T) -> Result<(), ConfigError>
+    where
+        T: PartialOrd + From<u8> + fmt::Display,
+    {
+        Self::unless(value >= T::from(1), field, "must be positive", value)
+    }
+
+    /// `Ok` when the probability `value` lies in `[0, 1]` (so not NaN).
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`ConfigError`] naming `field` otherwise.
+    pub fn in_unit(field: &'static str, value: f64) -> Result<(), ConfigError> {
+        Self::unless(
+            (0.0..=1.0).contains(&value),
+            field,
+            "must be in [0, 1]",
+            value,
+        )
+    }
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let field = self.field.replace('_', " ");
+        write!(f, "{field} {}, got {}", self.rule, self.got)
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,5 +245,6 @@ mod tests {
         fn assert_err<E: std::error::Error + Send + Sync + 'static>() {}
         assert_err::<RoutingError>();
         assert_err::<ValidationError>();
+        assert_err::<ConfigError>();
     }
 }

@@ -20,7 +20,7 @@
 use qnet_graph::paths::Path;
 use qnet_graph::{EdgeId, NodeId};
 
-use crate::algorithms::Algorithm1;
+use crate::algorithms::{attach, Algorithm1};
 use crate::channel::{CapacityMap, Channel};
 use crate::error::RoutingError;
 use crate::model::QuantumNetwork;
@@ -216,14 +216,7 @@ impl RoutingAlgorithm for FidelityAwarePrim {
                     b: stranded,
                 });
             };
-            capacity.reserve(&c);
-            let newcomer = if in_tree[c.source().index()] {
-                c.destination()
-            } else {
-                c.source()
-            };
-            in_tree[newcomer.index()] = true;
-            tree.push(c);
+            attach(c, &mut capacity, &mut in_tree, &mut tree);
         }
         Ok(Solution::from_tree(tree))
     }

@@ -18,5 +18,6 @@ pub use fidelity::{werner_swap_fidelity, FidelityAwarePrim, FidelityModel};
 pub use multi_group::{route_groups, GroupOutcome, GroupStrategy};
 pub use purified::{purification_plan, PurificationPlan, PurifiedPrim};
 pub use stream::{
-    simulate_stream, Request, RequestStream, SloClass, StreamConfig, StreamOutcome, StreamStats,
+    simulate_stream, Request, RequestStream, SloClass, StreamConfig, StreamDriver, StreamOutcome,
+    StreamStats,
 };

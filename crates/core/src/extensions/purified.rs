@@ -30,7 +30,7 @@ use crate::solver::{RoutingAlgorithm, Solution};
 use crate::tree::EntanglementTree;
 
 use super::fidelity::{werner_swap_fidelity, FidelityModel};
-use crate::algorithms::ChannelFinderCache;
+use crate::algorithms::{attach, ChannelFinderCache};
 
 /// BBPSSW one-round statistics for two equal-fidelity Werner pairs
 /// (mirrors `qnet_sim::fidelity::purify`; duplicated arithmetic keeps
@@ -158,15 +158,8 @@ impl RoutingAlgorithm for PurifiedPrim {
                     b: stranded,
                 });
             };
-            capacity.reserve(&c);
-            let newcomer = if in_tree[c.source().index()] {
-                c.destination()
-            } else {
-                c.source()
-            };
-            in_tree[newcomer.index()] = true;
             effective *= plan.effective_rate;
-            tree.push(c);
+            attach(c, &mut capacity, &mut in_tree, &mut tree);
         }
 
         // Report the *effective* (purified) rate; the channel set itself

@@ -52,16 +52,16 @@ use qnet_obs::{TimeSeries, TimeSeriesConfig, TimeSeriesSection, TraceSampler};
 
 use crate::algorithms::{CacheEfficiency, ChannelFinderCache};
 use crate::channel::CapacityMap;
+use crate::error::ConfigError;
 use crate::extensions::admission::{free_qubit_total, route_group, Sessions};
 use crate::model::QuantumNetwork;
 
-/// Workload, service, and telemetry parameters of a streaming run.
+/// The offered load: everything [`RequestStream`] reads to draw a
+/// request script.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct StreamConfig {
     /// Total virtual-time slots to simulate.
     pub slots: u64,
-    /// Time-series window width in slots.
-    pub window_slots: u64,
     /// Mean per-slot arrival probability (the diurnal baseline).
     pub base_arrival: f64,
     /// Relative swing of the diurnal cycle, in `[0, 1]`.
@@ -80,6 +80,82 @@ pub struct StreamConfig {
     /// Sampling weight of a hot-region user relative to a cold one
     /// (≥ 1).
     pub hotspot_weight: f64,
+}
+
+impl Default for StreamConfig {
+    fn default() -> Self {
+        StreamConfig {
+            slots: 2048,
+            base_arrival: 0.35,
+            diurnal_amplitude: 0.6,
+            diurnal_period: 512,
+            group_size: (2, 5),
+            group_alpha: 1.8,
+            hold_slots: (5, 20),
+            hotspot_fraction: 0.3,
+            hotspot_weight: 4.0,
+        }
+    }
+}
+
+impl StreamConfig {
+    /// Checks every field against the range the draws are defined for;
+    /// every stream consumer ([`RequestStream`], so [`simulate_stream`]
+    /// and the serve engine) runs it before drawing anything.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`ConfigError`] naming the first field out of range.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        let ((lo, hi), (hold_lo, hold_hi)) = (self.group_size, self.hold_slots);
+        let (alpha, weight) = (self.group_alpha, self.hotspot_weight);
+        ConfigError::positive("slots", self.slots)?;
+        ConfigError::in_unit("base_arrival", self.base_arrival)?;
+        ConfigError::in_unit("diurnal_amplitude", self.diurnal_amplitude)?;
+        ConfigError::positive("diurnal_period", self.diurnal_period)?;
+        ConfigError::unless(
+            2 <= lo && lo <= hi,
+            "group_size",
+            "must satisfy 2 ≤ min ≤ max",
+            format_args!("{:?}", self.group_size),
+        )?;
+        ConfigError::unless(
+            alpha.is_finite() && alpha >= 0.0,
+            "group_alpha",
+            "must be finite and non-negative",
+            alpha,
+        )?;
+        ConfigError::unless(
+            1 <= hold_lo && hold_lo <= hold_hi,
+            "hold_slots",
+            "must satisfy 1 ≤ min ≤ max",
+            format_args!("{:?}", self.hold_slots),
+        )?;
+        ConfigError::in_unit("hotspot_fraction", self.hotspot_fraction)?;
+        ConfigError::unless(
+            weight.is_finite() && weight >= 1.0,
+            "hotspot_weight",
+            "must be finite and at least 1",
+            weight,
+        )
+    }
+
+    /// The diurnally modulated arrival probability at `slot`.
+    pub fn arrival_at(&self, slot: u64) -> f64 {
+        let phase = 2.0 * std::f64::consts::PI * (slot % self.diurnal_period) as f64
+            / self.diurnal_period as f64;
+        (self.base_arrival * (1.0 + self.diurnal_amplitude * phase.sin())).clamp(0.0, 1.0)
+    }
+}
+
+/// What [`simulate_stream`] runs: the offered load plus the driver's
+/// own telemetry and churn settings, which no other consumer reads.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct StreamDriver {
+    /// The offered load.
+    pub load: StreamConfig,
+    /// Time-series window width in slots.
+    pub window_slots: u64,
     /// Trace-sampling period: every N-th `Blocked` decision point is
     /// admitted to the flight recorder.
     pub sample_every: u64,
@@ -97,19 +173,11 @@ pub struct StreamConfig {
     pub churn_hold: u64,
 }
 
-impl Default for StreamConfig {
+impl Default for StreamDriver {
     fn default() -> Self {
-        StreamConfig {
-            slots: 2048,
+        StreamDriver {
+            load: StreamConfig::default(),
             window_slots: 64,
-            base_arrival: 0.35,
-            diurnal_amplitude: 0.6,
-            diurnal_period: 512,
-            group_size: (2, 5),
-            group_alpha: 1.8,
-            hold_slots: (5, 20),
-            hotspot_fraction: 0.3,
-            hotspot_weight: 4.0,
             sample_every: 8,
             churn_every: 0,
             churn_qubits: 2,
@@ -118,51 +186,22 @@ impl Default for StreamConfig {
     }
 }
 
-impl StreamConfig {
-    /// Panics on out-of-range parameters; every stream consumer
-    /// ([`simulate_stream`], [`RequestStream`], the serve engine) calls
-    /// this before drawing anything.
-    pub fn validate(&self) {
-        assert!(self.slots >= 1, "a stream needs at least one slot");
-        assert!(
-            self.window_slots >= 1,
-            "windows must span at least one slot"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.base_arrival),
-            "base arrival probability must be in [0, 1]"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.diurnal_amplitude),
-            "diurnal amplitude must be in [0, 1]"
-        );
-        assert!(self.diurnal_period >= 1, "diurnal period must be positive");
-        assert!(
-            2 <= self.group_size.0 && self.group_size.0 <= self.group_size.1,
-            "group sizes must satisfy 2 ≤ min ≤ max"
-        );
-        assert!(self.group_alpha >= 0.0, "group alpha must be non-negative");
-        assert!(
-            1 <= self.hold_slots.0 && self.hold_slots.0 <= self.hold_slots.1,
-            "hold durations must satisfy 1 ≤ min ≤ max"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.hotspot_fraction),
-            "hotspot fraction must be in [0, 1]"
-        );
-        assert!(self.hotspot_weight >= 1.0, "hotspot weight must be ≥ 1");
-        assert!(self.sample_every >= 1, "sampling period must be positive");
+impl StreamDriver {
+    /// Checks the load, then the driver's own settings; the churn
+    /// amounts only while churn is on.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`ConfigError`] naming the first field out of range.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        self.load.check()?;
+        ConfigError::positive("window_slots", self.window_slots)?;
+        ConfigError::positive("sample_every", self.sample_every)?;
         if self.churn_every > 0 {
-            assert!(self.churn_qubits >= 1, "churn must withdraw ≥ 1 qubit");
-            assert!(self.churn_hold >= 1, "churn hold must be ≥ 1 slot");
+            ConfigError::positive("churn_qubits", self.churn_qubits)?;
+            ConfigError::positive("churn_hold", self.churn_hold)?;
         }
-    }
-
-    /// The diurnally modulated arrival probability at `slot`.
-    pub fn arrival_at(&self, slot: u64) -> f64 {
-        let phase = 2.0 * std::f64::consts::PI * (slot % self.diurnal_period) as f64
-            / self.diurnal_period as f64;
-        (self.base_arrival * (1.0 + self.diurnal_amplitude * phase.sin())).clamp(0.0, 1.0)
+        Ok(())
     }
 }
 
@@ -257,10 +296,11 @@ impl RequestStream {
     ///
     /// # Panics
     ///
-    /// Panics on out-of-range configuration or when the network has
-    /// fewer users than the minimum group size.
+    /// Panics with [`StreamConfig::check`]'s message on out-of-range
+    /// configuration, or when the network has fewer users than the
+    /// minimum group size.
     pub fn new(net: &QuantumNetwork, cfg: StreamConfig, seed: u64) -> Self {
-        cfg.validate();
+        cfg.check().unwrap_or_else(|e| panic!("{e}"));
         assert!(
             net.user_count() >= cfg.group_size.0,
             "network has {} users, groups need at least {}",
@@ -379,13 +419,16 @@ pub struct StreamOutcome {
 ///
 /// # Panics
 ///
-/// Panics on out-of-range configuration or when the network has fewer
-/// users than the minimum group size.
-pub fn simulate_stream(net: &QuantumNetwork, cfg: StreamConfig, seed: u64) -> StreamOutcome {
-    // The offered load: a pure function of (net, cfg, seed), drawn
+/// Panics with [`StreamDriver::check`]'s message on out-of-range
+/// configuration, or when the network has fewer users than the minimum
+/// group size.
+pub fn simulate_stream(net: &QuantumNetwork, cfg: StreamDriver, seed: u64) -> StreamOutcome {
+    cfg.check().unwrap_or_else(|e| panic!("{e}"));
+    let slots = cfg.load.slots;
+    // The offered load: a pure function of (net, cfg.load, seed), drawn
     // entirely from its own RNG so admission outcomes can never feed
     // back into arrivals, sizes, members, holds, or classes.
-    let mut requests = RequestStream::new(net, cfg, seed).peekable();
+    let mut requests = RequestStream::new(net, cfg.load, seed).peekable();
     // Churn draws from its own stream so the base workload is
     // bit-identical with churn on or off.
     let mut churn_rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
@@ -396,7 +439,7 @@ pub fn simulate_stream(net: &QuantumNetwork, cfg: StreamConfig, seed: u64) -> St
         window_slots: cfg.window_slots,
         // Hold every window of the run: the section is the product
         // here, not a bounded diagnostic ring.
-        capacity: (cfg.slots / cfg.window_slots + 2) as usize,
+        capacity: (slots / cfg.window_slots + 2) as usize,
     });
     // Register the rate keys up front so every window — including
     // event-free ones before the first arrival — reports explicit
@@ -420,7 +463,7 @@ pub fn simulate_stream(net: &QuantumNetwork, cfg: StreamConfig, seed: u64) -> St
     let mut session_rate_sum = 0.0f64;
     let mut active_slot_sum = 0u64;
 
-    for now in 0..cfg.slots {
+    for now in 0..slots {
         series.advance_to(now);
 
         // Departures first: free the qubits of expired sessions. A
@@ -508,7 +551,7 @@ pub fn simulate_stream(net: &QuantumNetwork, cfg: StreamConfig, seed: u64) -> St
     } else {
         session_rate_sum / stats.admitted as f64
     };
-    stats.mean_active_sessions = active_slot_sum as f64 / cfg.slots as f64;
+    stats.mean_active_sessions = active_slot_sum as f64 / slots as f64;
     stats.total_searches = cache.search_count();
     stats.sampled_out = sampler.sampled_out();
     stats.cache = cache.efficiency();
@@ -591,11 +634,22 @@ mod tests {
         NetworkSpec::paper_default().build(52)
     }
 
-    fn short_cfg() -> StreamConfig {
-        StreamConfig {
-            slots: 512,
+    fn short_cfg() -> StreamDriver {
+        StreamDriver {
+            load: StreamConfig {
+                slots: 512,
+                ..StreamConfig::default()
+            },
             window_slots: 32,
-            ..StreamConfig::default()
+            ..StreamDriver::default()
+        }
+    }
+
+    /// A run of `load` with the default driver settings.
+    fn driven(load: StreamConfig) -> StreamDriver {
+        StreamDriver {
+            load,
+            ..StreamDriver::default()
         }
     }
 
@@ -716,8 +770,8 @@ mod tests {
         assert_eq!(out.stats.sampled_out, blocked - kept);
     }
 
-    fn churn_cfg() -> StreamConfig {
-        StreamConfig {
+    fn churn_cfg() -> StreamDriver {
+        StreamDriver {
             churn_every: 16,
             churn_qubits: 4,
             churn_hold: 48,
@@ -761,16 +815,16 @@ mod tests {
     #[test]
     fn request_stream_is_deterministic_and_open_loop() {
         let net = net();
-        let a: Vec<Request> = RequestStream::new(&net, short_cfg(), 33).collect();
-        let b: Vec<Request> = RequestStream::new(&net, short_cfg(), 33).collect();
+        let a: Vec<Request> = RequestStream::new(&net, short_cfg().load, 33).collect();
+        let b: Vec<Request> = RequestStream::new(&net, short_cfg().load, 33).collect();
         assert_eq!(a, b);
         assert!(!a.is_empty());
-        let (lo, hi) = short_cfg().group_size;
-        let (hlo, hhi) = short_cfg().hold_slots;
+        let (lo, hi) = short_cfg().load.group_size;
+        let (hlo, hhi) = short_cfg().load.hold_slots;
         let mut classes = HashSet::new();
         for (i, r) in a.iter().enumerate() {
             assert_eq!(r.id, i as u64, "ids are sequential in arrival order");
-            assert!(r.slot < short_cfg().slots);
+            assert!(r.slot < short_cfg().load.slots);
             assert!((lo..=hi).contains(&r.members.len()));
             let distinct: HashSet<_> = r.members.iter().collect();
             assert_eq!(distinct.len(), r.members.len(), "members are distinct");
@@ -787,7 +841,7 @@ mod tests {
     #[test]
     fn stream_consumes_the_request_iterator_verbatim() {
         let out = simulate_stream(&net(), short_cfg(), 14);
-        let script: Vec<Request> = RequestStream::new(&net(), short_cfg(), 14).collect();
+        let script: Vec<Request> = RequestStream::new(&net(), short_cfg().load, 14).collect();
         // Every scripted request arrives — admission outcomes cannot
         // feed back into the offered load.
         assert_eq!(out.stats.arrived, script.len() as u64);
@@ -842,14 +896,9 @@ mod tests {
 
     #[test]
     fn no_arrivals_no_sessions() {
-        let out = simulate_stream(
-            &net(),
-            StreamConfig {
-                base_arrival: 0.0,
-                ..short_cfg()
-            },
-            1,
-        );
+        let mut cfg = short_cfg();
+        cfg.load.base_arrival = 0.0;
+        let out = simulate_stream(&net(), cfg, 1);
         assert_eq!(out.stats.arrived, 0);
         assert_eq!(out.stats.blocking_ratio(), 0.0);
         assert_eq!(out.stats.peak_active_sessions, 0);
@@ -865,20 +914,20 @@ mod tests {
         };
         let light = simulate_stream(
             &net(),
-            StreamConfig {
+            driven(StreamConfig {
                 base_arrival: 0.05,
                 hold_slots: (2, 4),
                 ..flat
-            },
+            }),
             3,
         );
         let heavy = simulate_stream(
             &net(),
-            StreamConfig {
+            driven(StreamConfig {
                 base_arrival: 0.9,
                 hold_slots: (30, 60),
                 ..flat
-            },
+            }),
             3,
         );
         assert!(
@@ -896,14 +945,14 @@ mod tests {
         // admissions late in the run succeed as easily as early ones.
         let out = simulate_stream(
             &net(),
-            StreamConfig {
+            driven(StreamConfig {
                 slots: 8_000,
                 base_arrival: 0.02,
                 diurnal_amplitude: 0.0,
                 group_size: (2, 2),
                 hold_slots: (1, 2),
                 ..StreamConfig::default()
-            },
+            }),
             4,
         );
         assert!(out.stats.arrived > 50);
@@ -929,10 +978,10 @@ mod tests {
             at_slot: u64::MAX,
         });
         // Forty users on 2-qubit switches: both block reasons occur.
-        let cfg = StreamConfig {
+        let cfg = driven(StreamConfig {
             slots: 1_024,
             ..StreamConfig::default()
-        };
+        });
         let net = NetworkSpec::paper_default()
             .with_users(40)
             .build(52)
@@ -964,7 +1013,7 @@ mod tests {
                     "member-busy" | "capacity" => recorded += 1,
                     other => panic!("unexpected block reason {other}"),
                 }
-                assert!(at_slot < cfg.slots, "block stamped with its slot");
+                assert!(at_slot < cfg.load.slots, "block stamped with its slot");
                 assert!(group_size >= 2, "block carries the group size");
             }
         }
@@ -974,14 +1023,79 @@ mod tests {
     }
 
     #[test]
+    fn load_check_names_each_field_out_of_range() {
+        assert_eq!(StreamConfig::default().check(), Ok(()));
+        type Breaks = fn(&mut StreamConfig);
+        let cases: [(&str, Breaks); 19] = [
+            ("slots", |c| c.slots = 0),
+            ("base_arrival", |c| c.base_arrival = 1.5),
+            ("base_arrival", |c| c.base_arrival = -0.1),
+            ("base_arrival", |c| c.base_arrival = f64::NAN),
+            ("diurnal_amplitude", |c| c.diurnal_amplitude = 1.1),
+            ("diurnal_amplitude", |c| c.diurnal_amplitude = f64::NAN),
+            ("diurnal_period", |c| c.diurnal_period = 0),
+            ("group_size", |c| c.group_size = (1, 5)),
+            ("group_size", |c| c.group_size = (4, 3)),
+            ("group_alpha", |c| c.group_alpha = -1.0),
+            ("group_alpha", |c| c.group_alpha = f64::NAN),
+            ("group_alpha", |c| c.group_alpha = f64::INFINITY),
+            ("hold_slots", |c| c.hold_slots = (0, 5)),
+            ("hold_slots", |c| c.hold_slots = (6, 5)),
+            ("hotspot_fraction", |c| c.hotspot_fraction = 1.5),
+            ("hotspot_fraction", |c| c.hotspot_fraction = f64::NAN),
+            ("hotspot_weight", |c| c.hotspot_weight = 0.5),
+            ("hotspot_weight", |c| c.hotspot_weight = f64::NAN),
+            ("hotspot_weight", |c| c.hotspot_weight = f64::INFINITY),
+        ];
+        for (field, breaks) in cases {
+            let mut cfg = StreamConfig::default();
+            breaks(&mut cfg);
+            assert_eq!(cfg.check().map_err(|e| e.field), Err(field), "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn driver_check_names_each_field_out_of_range() {
+        assert_eq!(StreamDriver::default().check(), Ok(()));
+        let churning = StreamDriver {
+            churn_every: 16,
+            ..StreamDriver::default()
+        };
+        assert_eq!(churning.check(), Ok(()));
+        let idle_amounts = StreamDriver {
+            churn_qubits: 0,
+            churn_hold: 0,
+            ..StreamDriver::default()
+        };
+        assert_eq!(
+            idle_amounts.check(),
+            Ok(()),
+            "amounts matter only while churn is on"
+        );
+        type Breaks = fn(&mut StreamDriver);
+        let cases: [(&str, Breaks); 5] = [
+            ("base_arrival", |c| c.load.base_arrival = f64::NAN),
+            ("window_slots", |c| c.window_slots = 0),
+            ("sample_every", |c| c.sample_every = 0),
+            ("churn_qubits", |c| c.churn_qubits = 0),
+            ("churn_hold", |c| c.churn_hold = 0),
+        ];
+        for (field, breaks) in cases {
+            let mut cfg = churning;
+            breaks(&mut cfg);
+            assert_eq!(cfg.check().map_err(|e| e.field), Err(field), "{cfg:?}");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "hotspot weight")]
     fn bad_config_rejected() {
         simulate_stream(
             &net(),
-            StreamConfig {
+            driven(StreamConfig {
                 hotspot_weight: 0.5,
                 ..StreamConfig::default()
-            },
+            }),
             13,
         );
     }

@@ -8,6 +8,7 @@
 use qnet_graph::{EdgeId, Graph, NodeId};
 use qnet_topology::{SpatialGraph, TopologyKind, TopologySpec};
 
+use crate::error::ConfigError;
 use crate::rate::Rate;
 
 /// The role of a node in the quantum internet.
@@ -76,22 +77,21 @@ impl PhysicsParams {
         Rate::from_prob(self.swap_success)
     }
 
-    /// Validates parameter ranges.
+    /// Checks the ranges Eq. 1 is defined for: `q ∈ [0, 1]` and a
+    /// finite `α ≥ 0`, so every link and swap factor is a probability.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when `swap_success ∉ [0, 1]` or `attenuation < 0`.
-    pub fn validate(&self) {
-        assert!(
-            (0.0..=1.0).contains(&self.swap_success),
-            "swap success rate must be in [0, 1], got {}",
-            self.swap_success
-        );
-        assert!(
-            self.attenuation >= 0.0,
-            "attenuation must be non-negative, got {}",
-            self.attenuation
-        );
+    /// Returns the [`ConfigError`] naming the first field out of range.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        let alpha = self.attenuation;
+        ConfigError::in_unit("swap_success", self.swap_success)?;
+        ConfigError::unless(
+            alpha.is_finite() && alpha >= 0.0,
+            "attenuation",
+            "must be finite and non-negative",
+            alpha,
+        )
     }
 }
 
@@ -122,7 +122,7 @@ impl QuantumNetwork {
         qubits_per_switch: u32,
         physics: PhysicsParams,
     ) -> Self {
-        physics.validate();
+        physics.check().unwrap_or_else(|e| panic!("{e}"));
         let n = spatial.node_count();
         let mut is_user = vec![false; n];
         for &u in users {
@@ -159,7 +159,7 @@ impl QuantumNetwork {
     ///
     /// Panics if `physics` is out of range.
     pub fn from_graph(graph: Graph<NodeKind, f64>, physics: PhysicsParams) -> Self {
-        physics.validate();
+        physics.check().unwrap_or_else(|e| panic!("{e}"));
         let users = graph
             .node_ids()
             .filter(|&v| graph.node(v).is_user())
@@ -187,7 +187,7 @@ impl QuantumNetwork {
         users: Vec<NodeId>,
         physics: PhysicsParams,
     ) -> Self {
-        physics.validate();
+        physics.check().unwrap_or_else(|e| panic!("{e}"));
         let mut listed = vec![false; graph.node_count()];
         for &u in &users {
             assert!(
@@ -268,7 +268,7 @@ impl QuantumNetwork {
 
     /// Returns a copy with different physics (used by parameter sweeps).
     pub fn with_physics(&self, physics: PhysicsParams) -> Self {
-        physics.validate();
+        physics.check().unwrap_or_else(|e| panic!("{e}"));
         QuantumNetwork {
             graph: self.graph.clone(),
             users: self.users.clone(),
@@ -459,6 +459,31 @@ mod tests {
     }
 
     #[test]
+    fn physics_check_names_each_field_out_of_range() {
+        let base = PhysicsParams::paper_default();
+        assert_eq!(base.check(), Ok(()));
+        let edges = PhysicsParams {
+            swap_success: 1.0,
+            attenuation: 0.0,
+        };
+        assert_eq!(edges.check(), Ok(()), "the closed ends are in range");
+        type Breaks = fn(&mut PhysicsParams);
+        let cases: [(&str, Breaks); 6] = [
+            ("swap_success", |p| p.swap_success = 1.5),
+            ("swap_success", |p| p.swap_success = -0.1),
+            ("swap_success", |p| p.swap_success = f64::NAN),
+            ("attenuation", |p| p.attenuation = -1e-4),
+            ("attenuation", |p| p.attenuation = f64::NAN),
+            ("attenuation", |p| p.attenuation = f64::INFINITY),
+        ];
+        for (field, breaks) in cases {
+            let mut p = base;
+            breaks(&mut p);
+            assert_eq!(p.check().map_err(|e| e.field), Err(field), "{p:?}");
+        }
+    }
+
+    #[test]
     fn node_kind_capacity_semantics() {
         assert!(NodeKind::User.is_user());
         assert!(!NodeKind::User.is_switch());
@@ -477,7 +502,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "swap success rate")]
+    #[should_panic(expected = "swap success must be in [0, 1], got 1.5")]
     fn bad_physics_rejected() {
         let physics = PhysicsParams {
             swap_success: 1.5,

@@ -10,9 +10,9 @@
 //!    pair*, keeping all surviving channels (and therefore the tree
 //!    topology) intact.
 //! 2. **Subtree re-attachment** — the surviving channels form a forest;
-//!    conflict-aware Prim-style rounds greedily merge its components
-//!    with the best cross-component channel until the user set is
-//!    spanned again.
+//!    Algorithm 3's phase-2 rule greedily merges its components with
+//!    the best cross-component channel until the user set is spanned
+//!    again.
 //! 3. **Full re-solve** — everything is released and the degraded
 //!    network is solved from scratch with the same greedy rounds.
 //!
@@ -207,7 +207,7 @@ pub fn repair(
 
     // Rung 2 — subtree re-attachment: keep the surviving forest and
     // greedily merge its components with the best cross-component
-    // channels (the conflict-aware Prim rounds).
+    // channels (Algorithm 3's phase-2 rule).
     if let Some(fixed) = reconnect(net, cap, &mut cache, kept.clone()) {
         return finish(
             net,
@@ -299,9 +299,10 @@ fn finish(
 /// Returns `None` when some component cannot be reached under the
 /// failures and residual capacity.
 ///
-/// With an empty starting forest this is exactly the Prim-based
-/// Algorithm-4 rounds on the degraded network; with a non-empty forest
-/// it is the re-attachment rung.
+/// This is Algorithm 3's phase-2 rule, not Algorithm 4's growth: each
+/// step takes the single best channel joining any two components, and
+/// nothing grows from a seed user. With a non-empty forest it is the
+/// re-attachment rung; with an empty one, the full re-solve.
 fn reconnect(
     net: &QuantumNetwork,
     mut cap: CapacityMap,

@@ -171,7 +171,7 @@ fn run_obs_diff(args: &ObsDiffArgs) -> ExitCode {
             qnet_obs::SCHEMA_VERSION
         );
     }
-    let diff = qnet_obs::diff_reports(&baseline, &candidate, &args.options());
+    let diff = qnet_obs::diff_reports(&baseline, &candidate, &args.options);
     print!("{}", diff.render_table());
     if diff.has_regressions() {
         let n = diff.regression_count();
@@ -189,11 +189,11 @@ fn run_obs_diff(args: &ObsDiffArgs) -> ExitCode {
 
 fn run_fuzz(args: &FuzzArgs) -> ExitCode {
     let started = std::time::Instant::now();
-    let outcome = qnet_conformance::run_fuzz(args.config());
+    let outcome = qnet_conformance::run_fuzz(args.cfg);
     println!(
         "fuzz: {} trial(s), base seed {}, {} failure(s) ({:.1?})",
         outcome.trials,
-        args.base_seed,
+        args.cfg.base_seed,
         outcome.failures.len(),
         started.elapsed()
     );

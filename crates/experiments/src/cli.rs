@@ -67,78 +67,25 @@ pub enum Command {
 /// Arguments of the `serve` subcommand.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServeArgs {
-    /// Virtual-time slots to serve.
-    pub slots: u64,
-    /// Slots per admission round.
-    pub round: u64,
-    /// Bounded-queue capacity per round.
-    pub queue: usize,
-    /// Admission policy name (`fcfs`, `smallest`, `weighted`).
-    pub policy: String,
+    /// The service configuration the flags select.
+    pub cfg: muerp_serve::ServeConfig,
     /// Seed for the network build and the request stream.
     pub seed: u64,
-    /// Baseline per-slot arrival probability (diurnally modulated).
-    pub arrival: f64,
     /// Output directory for the CSVs, metrics stream, report, and
     /// Prometheus exposition.
     pub out: PathBuf,
-}
-
-impl ServeArgs {
-    /// The serve configuration these arguments select.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the policy when it is unknown.
-    pub fn config(&self) -> Result<muerp_serve::ServeConfig, String> {
-        let policy = muerp_serve::PolicyKind::parse(&self.policy)
-            .ok_or_else(|| format!("unknown policy: {} (fcfs|smallest|weighted)", self.policy))?;
-        Ok(muerp_serve::ServeConfig {
-            stream: muerp_core::extensions::StreamConfig {
-                slots: self.slots,
-                base_arrival: self.arrival,
-                ..muerp_core::extensions::StreamConfig::default()
-            },
-            round_slots: self.round,
-            queue_capacity: self.queue,
-            policy,
-        })
-    }
 }
 
 /// Arguments of the `stream` subcommand.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StreamArgs {
-    /// Virtual-time slots to simulate.
-    pub slots: u64,
-    /// Time-series window width in slots.
-    pub window: u64,
+    /// The streaming run the flags select.
+    pub cfg: muerp_core::extensions::StreamDriver,
     /// Seed for the network build and the workload RNG.
     pub seed: u64,
-    /// Baseline per-slot arrival probability (diurnally modulated).
-    pub arrival: f64,
-    /// Trace-sampling period for `Blocked` decision points.
-    pub sample_every: u64,
-    /// Capacity-churn period in slots (`0` disables the churn arm).
-    pub churn_every: u64,
     /// Output directory for the CSVs, metrics stream, report, and
     /// Prometheus exposition.
     pub out: PathBuf,
-}
-
-impl StreamArgs {
-    /// The streaming workload configuration these arguments select
-    /// (everything not flag-settable keeps the core defaults).
-    pub fn config(&self) -> muerp_core::extensions::StreamConfig {
-        muerp_core::extensions::StreamConfig {
-            slots: self.slots,
-            window_slots: self.window,
-            base_arrival: self.arrival,
-            sample_every: self.sample_every,
-            churn_every: self.churn_every,
-            ..muerp_core::extensions::StreamConfig::default()
-        }
-    }
 }
 
 /// Scenarios the `profile` subcommand accepts.
@@ -160,33 +107,10 @@ pub struct ProfileArgs {
 /// Arguments of the `fuzz` subcommand.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FuzzArgs {
-    /// Number of seeded trials to run.
-    pub budget: usize,
-    /// Base seed; trial `i` uses `base_seed + i`.
-    pub base_seed: u64,
-    /// Also run the churn oracle (failure + repair) per trial.
-    pub churn: bool,
-    /// Also run the delta oracle (capacity deltas through the
-    /// channel-finder cache vs. cold recomputation) per trial.
-    pub delta: bool,
-    /// Also run the serve oracle (batched admission vs. the sequential
-    /// FCFS reference on a seeded request script) per trial.
-    pub serve: bool,
+    /// The sweep the flags select.
+    pub cfg: qnet_conformance::FuzzConfig,
     /// Where to write the JSON counterexample report on failure.
     pub out: PathBuf,
-}
-
-impl FuzzArgs {
-    /// The fuzz configuration these arguments select.
-    pub fn config(&self) -> qnet_conformance::FuzzConfig {
-        qnet_conformance::FuzzConfig {
-            budget: self.budget,
-            base_seed: self.base_seed,
-            churn: self.churn,
-            delta: self.delta,
-            serve: self.serve,
-        }
-    }
 }
 
 /// Arguments of the `churn` subcommand.
@@ -208,30 +132,10 @@ pub struct ObsDiffArgs {
     pub baseline: PathBuf,
     /// The freshly produced report to judge.
     pub candidate: PathBuf,
-    /// Span slowdown ratio flagged as a regression.
-    pub span_ratio: f64,
-    /// Counter drift ratio flagged as a regression.
-    pub counter_ratio: f64,
-    /// Spans whose larger side is below this many µs are never flagged.
-    pub min_span_us: u64,
+    /// The diff thresholds the flags select.
+    pub options: qnet_obs::DiffOptions,
     /// Print the table but always exit 0 (CI advisory mode).
     pub warn_only: bool,
-    /// Opt-in gate: fail on histogram p50/p90/p99 drift beyond this
-    /// ratio (`None` keeps quantile movement informational).
-    pub hist_ratio: Option<f64>,
-}
-
-impl ObsDiffArgs {
-    /// The diff thresholds these arguments select.
-    pub fn options(&self) -> qnet_obs::DiffOptions {
-        qnet_obs::DiffOptions {
-            span_ratio: self.span_ratio,
-            counter_ratio: self.counter_ratio,
-            min_span_us: self.min_span_us,
-            hist_ratio: self.hist_ratio,
-            ..qnet_obs::DiffOptions::default()
-        }
-    }
 }
 
 /// Parses a full command line (without the program name), dispatching on
@@ -334,32 +238,22 @@ fn parse_serve<I>(argv: I) -> Result<ServeArgs, String>
 where
     I: IntoIterator<Item = String>,
 {
-    let mut slots = 2048u64;
-    let mut round = 32u64;
-    let mut queue = 16usize;
-    let mut policy = "fcfs".to_string();
+    let mut cfg = muerp_serve::ServeConfig::default();
     let mut seed = 7u64;
-    let mut arrival = 0.35f64;
     let mut out = PathBuf::from("results/serve");
     let mut argv = Flags::new(argv);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--slots" => slots = argv.positive(&arg)?,
-            "--round" => round = argv.positive(&arg)?,
-            "--queue" => queue = argv.positive(&arg)?,
+            "--slots" => cfg.stream.slots = argv.value(&arg)?,
+            "--round" => cfg.round_slots = argv.value(&arg)?,
+            "--queue" => cfg.queue_capacity = argv.value(&arg)?,
             "--policy" => {
-                policy = argv.value(&arg)?;
-                if muerp_serve::PolicyKind::parse(&policy).is_none() {
-                    return Err(format!("unknown policy: {policy} (fcfs|smallest|weighted)"));
-                }
+                let name: String = argv.value(&arg)?;
+                cfg.policy = muerp_serve::PolicyKind::parse(&name)
+                    .ok_or(format!("unknown policy: {name} (fcfs|smallest|weighted)"))?;
             }
             "--seed" => seed = argv.value(&arg)?,
-            "--arrival" => {
-                arrival = argv.value(&arg)?;
-                if !(0.0..=1.0).contains(&arrival) {
-                    return Err("--arrival must be in [0, 1]".into());
-                }
-            }
+            "--arrival" => cfg.stream.base_arrival = argv.value(&arg)?,
             "--out" => out = argv.path(&arg, "directory")?,
             other => {
                 return Err(format!(
@@ -370,42 +264,26 @@ where
             }
         }
     }
-    Ok(ServeArgs {
-        slots,
-        round,
-        queue,
-        policy,
-        seed,
-        arrival,
-        out,
-    })
+    cfg.check().map_err(|e| e.to_string())?;
+    Ok(ServeArgs { cfg, seed, out })
 }
 
 fn parse_stream<I>(argv: I) -> Result<StreamArgs, String>
 where
     I: IntoIterator<Item = String>,
 {
-    let mut slots = 2048u64;
-    let mut window = 64u64;
+    let mut cfg = muerp_core::extensions::StreamDriver::default();
     let mut seed = 2024u64;
-    let mut arrival = 0.35f64;
-    let mut sample_every = 8u64;
-    let mut churn_every = 0u64;
     let mut out = PathBuf::from("results/stream");
     let mut argv = Flags::new(argv);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--slots" => slots = argv.positive(&arg)?,
-            "--window" => window = argv.positive(&arg)?,
+            "--slots" => cfg.load.slots = argv.value(&arg)?,
+            "--window" => cfg.window_slots = argv.value(&arg)?,
             "--seed" => seed = argv.value(&arg)?,
-            "--arrival" => {
-                arrival = argv.value(&arg)?;
-                if !(0.0..=1.0).contains(&arrival) {
-                    return Err("--arrival must be in [0, 1]".into());
-                }
-            }
-            "--sample-every" => sample_every = argv.positive(&arg)?,
-            "--churn-every" => churn_every = argv.value(&arg)?,
+            "--arrival" => cfg.load.base_arrival = argv.value(&arg)?,
+            "--sample-every" => cfg.sample_every = argv.value(&arg)?,
+            "--churn-every" => cfg.churn_every = argv.value(&arg)?,
             "--out" => out = argv.path(&arg, "directory")?,
             other => {
                 return Err(format!(
@@ -416,15 +294,8 @@ where
             }
         }
     }
-    Ok(StreamArgs {
-        slots,
-        window,
-        seed,
-        arrival,
-        sample_every,
-        churn_every,
-        out,
-    })
+    cfg.check().map_err(|e| e.to_string())?;
+    Ok(StreamArgs { cfg, seed, out })
 }
 
 fn parse_profile<I>(argv: I) -> Result<ProfileArgs, String>
@@ -495,72 +366,41 @@ fn parse_fuzz<I>(argv: I) -> Result<FuzzArgs, String>
 where
     I: IntoIterator<Item = String>,
 {
-    let mut budget: Option<usize> = None;
-    let mut base_seed = 0u64;
-    let mut churn = false;
-    let mut delta = false;
-    let mut serve = false;
+    let mut cfg = qnet_conformance::FuzzConfig::default();
+    let mut budget = None;
     let mut out = PathBuf::from("fuzz-counterexample.json");
     let mut argv = Flags::new(argv);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--churn" => churn = true,
-            "--delta" => delta = true,
-            "--serve" => serve = true,
+            "--churn" => cfg.churn = true,
+            "--delta" => cfg.delta = true,
+            "--serve" => cfg.serve = true,
             "--budget" => budget = Some(argv.positive(&arg)?),
-            "--seed" => base_seed = argv.value(&arg)?,
+            "--seed" => cfg.base_seed = argv.value(&arg)?,
             "--out" => out = argv.path(&arg, "file path")?,
             other => return Err(format!("unknown fuzz argument: {other}")),
         }
     }
-    let budget = budget.ok_or(
-        "usage: repro fuzz --budget <n> [--seed S] [--churn] [--delta] [--serve] [--out FILE]"
-            .to_string(),
+    cfg.budget = budget.ok_or(
+        "usage: repro fuzz --budget <n> [--seed S] [--churn] [--delta] [--serve] [--out FILE]",
     )?;
-    Ok(FuzzArgs {
-        budget,
-        base_seed,
-        churn,
-        delta,
-        serve,
-        out,
-    })
+    Ok(FuzzArgs { cfg, out })
 }
 
 fn parse_obs_diff<I>(argv: I) -> Result<ObsDiffArgs, String>
 where
     I: IntoIterator<Item = String>,
 {
-    let defaults = qnet_obs::DiffOptions::default();
+    let mut options = qnet_obs::DiffOptions::default();
     let mut paths: Vec<PathBuf> = Vec::new();
-    let mut span_ratio = defaults.span_ratio;
-    let mut counter_ratio = defaults.counter_ratio;
-    let mut min_span_us = defaults.min_span_us;
     let mut warn_only = false;
-    let mut hist_ratio = None;
     let mut argv = Flags::new(argv);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--span-ratio" => {
-                span_ratio = argv.value(&arg)?;
-                if !span_ratio.is_finite() || span_ratio <= 1.0 {
-                    return Err("--span-ratio must be greater than 1".into());
-                }
-            }
-            "--counter-ratio" => {
-                counter_ratio = argv.value(&arg)?;
-                if !counter_ratio.is_finite() || counter_ratio <= 1.0 {
-                    return Err("--counter-ratio must be greater than 1".into());
-                }
-            }
-            "--min-span-us" => min_span_us = argv.value(&arg)?,
-            "--hist-ratio" => {
-                let r: f64 = argv.value(&arg)?;
-                if !r.is_finite() || r <= 1.0 {
-                    return Err("--hist-ratio must be greater than 1".into());
-                }
-                hist_ratio = Some(r);
-            }
+            "--span-ratio" => options.span_ratio = ratio(&mut argv, &arg)?,
+            "--counter-ratio" => options.counter_ratio = ratio(&mut argv, &arg)?,
+            "--min-span-us" => options.min_span_us = argv.value(&arg)?,
+            "--hist-ratio" => options.hist_ratio = Some(ratio(&mut argv, &arg)?),
             "--warn-only" => warn_only = true,
             flag if flag.starts_with('-') => {
                 return Err(format!("unknown obs-diff flag: {flag}"));
@@ -579,12 +419,18 @@ where
     Ok(ObsDiffArgs {
         baseline,
         candidate,
-        span_ratio,
-        counter_ratio,
-        min_span_us,
+        options,
         warn_only,
-        hist_ratio,
     })
+}
+
+/// The finite ratio above 1 after `flag` (an obs-diff threshold).
+fn ratio<I: Iterator<Item = String>>(argv: &mut Flags<I>, flag: &str) -> Result<f64, String> {
+    let r: f64 = argv.value(flag)?;
+    if !r.is_finite() || r <= 1.0 {
+        return Err(format!("{flag} must be greater than 1"));
+    }
+    Ok(r)
 }
 
 /// Parses the runner arguments (without the program name).
@@ -738,12 +584,8 @@ mod tests {
         };
         assert_eq!(d.baseline, PathBuf::from("a.json"));
         assert_eq!(d.candidate, PathBuf::from("b.json"));
-        let defaults = qnet_obs::DiffOptions::default();
-        assert_eq!(d.span_ratio, defaults.span_ratio);
-        assert_eq!(d.counter_ratio, defaults.counter_ratio);
-        assert_eq!(d.min_span_us, defaults.min_span_us);
+        assert_eq!(d.options, qnet_obs::DiffOptions::default());
         assert!(!d.warn_only);
-        assert!(d.options().fail_on_missing);
     }
 
     #[test]
@@ -764,11 +606,10 @@ mod tests {
         let Command::ObsDiff(d) = c else {
             panic!("expected ObsDiff, got {c:?}");
         };
-        assert_eq!(d.span_ratio, 3.5);
-        assert_eq!(d.counter_ratio, 4.0);
-        assert_eq!(d.min_span_us, 500);
+        assert_eq!(d.options.span_ratio, 3.5);
+        assert_eq!(d.options.counter_ratio, 4.0);
+        assert_eq!(d.options.min_span_us, 500);
         assert!(d.warn_only);
-        assert_eq!(d.options().span_ratio, 3.5);
     }
 
     #[test]
@@ -777,37 +618,34 @@ mod tests {
         let Command::Fuzz(f) = c else {
             panic!("expected Fuzz, got {c:?}");
         };
-        assert_eq!(f.budget, 500);
-        assert_eq!(f.base_seed, 0);
-        assert!(!f.churn);
-        assert!(!f.delta);
+        assert_eq!(
+            f.cfg,
+            qnet_conformance::FuzzConfig {
+                budget: 500,
+                ..qnet_conformance::FuzzConfig::default()
+            }
+        );
         assert_eq!(f.out, PathBuf::from("fuzz-counterexample.json"));
-        assert_eq!(f.config().budget, 500);
-        assert!(!f.config().churn);
-        assert!(!f.config().delta);
 
         let c = parse_command(s(&["fuzz", "--budget", "9", "--churn"])).unwrap();
         let Command::Fuzz(f) = c else {
             panic!("expected Fuzz, got {c:?}");
         };
-        assert!(f.churn);
-        assert!(f.config().churn);
+        assert!(f.cfg.churn);
 
         let c = parse_command(s(&["fuzz", "--budget", "9", "--delta"])).unwrap();
         let Command::Fuzz(f) = c else {
             panic!("expected Fuzz, got {c:?}");
         };
-        assert!(f.delta);
-        assert!(!f.churn);
-        assert!(f.config().delta);
+        assert!(f.cfg.delta);
+        assert!(!f.cfg.churn);
 
         let c = parse_command(s(&["fuzz", "--budget", "9", "--serve"])).unwrap();
         let Command::Fuzz(f) = c else {
             panic!("expected Fuzz, got {c:?}");
         };
-        assert!(f.serve);
-        assert!(!f.delta);
-        assert!(f.config().serve);
+        assert!(f.cfg.serve);
+        assert!(!f.cfg.delta);
 
         let c = parse_command(s(&[
             "fuzz",
@@ -822,8 +660,8 @@ mod tests {
         let Command::Fuzz(f) = c else {
             panic!("expected Fuzz, got {c:?}");
         };
-        assert_eq!(f.base_seed, 7);
-        assert_eq!(f.budget, 20);
+        assert_eq!(f.cfg.base_seed, 7);
+        assert_eq!(f.cfg.budget, 20);
         assert_eq!(f.out, PathBuf::from("/tmp/ce.json"));
     }
 
@@ -916,15 +754,13 @@ mod tests {
         let Command::ObsDiff(d) = c else {
             panic!("expected ObsDiff, got {c:?}");
         };
-        assert_eq!(d.hist_ratio, None);
-        assert_eq!(d.options().hist_ratio, None);
+        assert_eq!(d.options.hist_ratio, None);
 
         let c = parse_command(s(&["obs-diff", "a.json", "b.json", "--hist-ratio", "2.5"])).unwrap();
         let Command::ObsDiff(d) = c else {
             panic!("expected ObsDiff, got {c:?}");
         };
-        assert_eq!(d.hist_ratio, Some(2.5));
-        assert_eq!(d.options().hist_ratio, Some(2.5));
+        assert_eq!(d.options.hist_ratio, Some(2.5));
 
         assert!(
             parse_command(s(&["obs-diff", "a", "b", "--hist-ratio", "1.0"]))
@@ -973,18 +809,14 @@ mod tests {
         let Command::Stream(a) = c else {
             panic!("expected Stream, got {c:?}");
         };
-        assert_eq!(a.slots, 2048);
-        assert_eq!(a.window, 64);
+        assert_eq!(a.cfg, muerp_core::extensions::StreamDriver::default());
+        assert_eq!(a.cfg.load.slots, 2048);
+        assert_eq!(a.cfg.window_slots, 64);
+        assert_eq!(a.cfg.load.base_arrival, 0.35);
+        assert_eq!(a.cfg.sample_every, 8);
+        assert_eq!(a.cfg.churn_every, 0);
         assert_eq!(a.seed, 2024);
-        assert_eq!(a.arrival, 0.35);
-        assert_eq!(a.sample_every, 8);
-        assert_eq!(a.churn_every, 0);
         assert_eq!(a.out, PathBuf::from("results/stream"));
-        let cfg = a.config();
-        assert_eq!(cfg.slots, 2048);
-        assert_eq!(cfg.window_slots, 64);
-        assert_eq!(cfg.base_arrival, 0.35);
-        assert_eq!(cfg.churn_every, 0);
 
         let c = parse_command(s(&[
             "stream",
@@ -1007,15 +839,13 @@ mod tests {
         let Command::Stream(a) = c else {
             panic!("expected Stream, got {c:?}");
         };
-        assert_eq!(a.slots, 1024);
-        assert_eq!(a.window, 32);
+        assert_eq!(a.cfg.load.slots, 1024);
+        assert_eq!(a.cfg.window_slots, 32);
         assert_eq!(a.seed, 7);
-        assert_eq!(a.arrival, 0.5);
-        assert_eq!(a.sample_every, 4);
-        assert_eq!(a.churn_every, 16);
+        assert_eq!(a.cfg.load.base_arrival, 0.5);
+        assert_eq!(a.cfg.sample_every, 4);
+        assert_eq!(a.cfg.churn_every, 16);
         assert_eq!(a.out, PathBuf::from("/tmp/stream"));
-        assert_eq!(a.config().sample_every, 4);
-        assert_eq!(a.config().churn_every, 16);
     }
 
     #[test]
@@ -1049,18 +879,14 @@ mod tests {
         let Command::Serve(a) = c else {
             panic!("expected Serve, got {c:?}");
         };
-        assert_eq!(a.slots, 2048);
-        assert_eq!(a.round, 32);
-        assert_eq!(a.queue, 16);
-        assert_eq!(a.policy, "fcfs");
+        assert_eq!(a.cfg, muerp_serve::ServeConfig::default());
+        assert_eq!(a.cfg.stream.slots, 2048);
+        assert_eq!(a.cfg.round_slots, 32);
+        assert_eq!(a.cfg.queue_capacity, 16);
+        assert_eq!(a.cfg.policy, muerp_serve::PolicyKind::Fcfs);
+        assert_eq!(a.cfg.stream.base_arrival, 0.35);
         assert_eq!(a.seed, 7);
-        assert_eq!(a.arrival, 0.35);
         assert_eq!(a.out, PathBuf::from("results/serve"));
-        let cfg = a.config().unwrap();
-        assert_eq!(cfg.stream.slots, 2048);
-        assert_eq!(cfg.round_slots, 32);
-        assert_eq!(cfg.queue_capacity, 16);
-        assert_eq!(cfg.policy, muerp_serve::PolicyKind::Fcfs);
 
         let c = parse_command(s(&[
             "serve",
@@ -1083,17 +909,13 @@ mod tests {
         let Command::Serve(a) = c else {
             panic!("expected Serve, got {c:?}");
         };
-        assert_eq!(a.slots, 512);
-        assert_eq!(a.round, 16);
-        assert_eq!(a.queue, 8);
-        assert_eq!(a.policy, "weighted");
+        assert_eq!(a.cfg.stream.slots, 512);
+        assert_eq!(a.cfg.round_slots, 16);
+        assert_eq!(a.cfg.queue_capacity, 8);
+        assert_eq!(a.cfg.policy, muerp_serve::PolicyKind::WeightedFair);
         assert_eq!(a.seed, 3);
-        assert_eq!(a.arrival, 0.5);
+        assert_eq!(a.cfg.stream.base_arrival, 0.5);
         assert_eq!(a.out, PathBuf::from("/tmp/serve"));
-        assert_eq!(
-            a.config().unwrap().policy,
-            muerp_serve::PolicyKind::WeightedFair
-        );
     }
 
     #[test]

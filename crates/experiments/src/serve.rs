@@ -202,10 +202,10 @@ pub fn run_workload(cfg: ServeConfig, seed: u64) -> ServeRun {
 ///
 /// # Errors
 ///
-/// Returns a message on an unknown policy or when the output directory
-/// or any artifact cannot be written.
+/// Returns a message when the output directory or any artifact cannot
+/// be written.
 pub fn run_serve(args: &ServeArgs) -> Result<(ServeRun, Vec<PathBuf>), String> {
-    let run = run_workload(args.config()?, args.seed);
+    let run = run_workload(args.cfg, args.seed);
     let written = write_artifacts(&args.out, &run.tables, &run.outcome.series, &run.report)?;
     Ok((run, written))
 }
@@ -220,7 +220,6 @@ mod tests {
         ServeConfig {
             stream: StreamConfig {
                 slots: 256,
-                window_slots: 32,
                 ..StreamConfig::default()
             },
             round_slots: 16,

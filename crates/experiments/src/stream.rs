@@ -25,7 +25,7 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use muerp_core::extensions::{simulate_stream, StreamConfig, StreamOutcome};
+use muerp_core::extensions::{simulate_stream, StreamDriver, StreamOutcome};
 use muerp_core::model::NetworkSpec;
 
 use crate::cli::StreamArgs;
@@ -34,8 +34,8 @@ use crate::table::FigureTable;
 /// Everything one streaming run produces in memory.
 #[derive(Clone, Debug)]
 pub struct StreamRun {
-    /// The workload configuration that ran.
-    pub cfg: StreamConfig,
+    /// The run configuration that ran.
+    pub cfg: StreamDriver,
     /// Seed of the network build and the workload RNG.
     pub seed: u64,
     /// Stats and windowed series from the core driver.
@@ -64,16 +64,16 @@ impl StreamRun {
         let secs = self.wall.as_secs_f64().max(1e-9);
         format!(
             "sustained load: {} slot(s) in {:.1?} — {:.0} slots/sec, {:.0} admissions/sec\n",
-            self.cfg.slots,
+            self.cfg.load.slots,
             self.wall,
-            self.cfg.slots as f64 / secs,
+            self.cfg.load.slots as f64 / secs,
             self.outcome.stats.admitted as f64 / secs,
         )
     }
 }
 
 /// Builds the per-window and summary tables for `outcome`.
-pub fn stream_tables(cfg: &StreamConfig, seed: u64, outcome: &StreamOutcome) -> Vec<FigureTable> {
+pub fn stream_tables(cfg: &StreamDriver, seed: u64, outcome: &StreamOutcome) -> Vec<FigureTable> {
     let stats = &outcome.stats;
     let window_rows: Vec<(String, Vec<f64>)> = outcome
         .series
@@ -145,7 +145,7 @@ pub fn stream_tables(cfg: &StreamConfig, seed: u64, outcome: &StreamOutcome) -> 
             id: "stream-windows",
             title: format!(
                 "Sustained load over {} slots ({}-slot windows, seed {seed})",
-                cfg.slots, cfg.window_slots
+                cfg.load.slots, cfg.window_slots
             ),
             x_label: "window",
             algos: vec![
@@ -188,7 +188,7 @@ pub(crate) fn reset_obs() {
 /// Runs the streaming workload in memory: resets the process-global
 /// observability state (`reset_obs`), simulates, and captures the
 /// schema-4 report with the time-series section attached.
-pub fn run_workload(cfg: StreamConfig, seed: u64) -> StreamRun {
+pub fn run_workload(cfg: StreamDriver, seed: u64) -> StreamRun {
     reset_obs();
 
     let net = NetworkSpec::paper_default().build(seed);
@@ -215,7 +215,7 @@ pub fn run_workload(cfg: StreamConfig, seed: u64) -> StreamRun {
 /// Returns a message when the output directory or any artifact cannot
 /// be written.
 pub fn run_stream(args: &StreamArgs) -> Result<(StreamRun, Vec<PathBuf>), String> {
-    let run = run_workload(args.config(), args.seed);
+    let run = run_workload(args.cfg, args.seed);
     let written = write_artifacts(&args.out, &run.tables, &run.outcome.series, &run.report)?;
     Ok((run, written))
 }
@@ -256,11 +256,14 @@ pub(crate) fn write_artifacts(
 mod tests {
     use super::*;
 
-    fn small_cfg() -> StreamConfig {
-        StreamConfig {
-            slots: 256,
+    fn small_cfg() -> StreamDriver {
+        StreamDriver {
+            load: muerp_core::extensions::StreamConfig {
+                slots: 256,
+                ..Default::default()
+            },
             window_slots: 32,
-            ..StreamConfig::default()
+            ..StreamDriver::default()
         }
     }
 

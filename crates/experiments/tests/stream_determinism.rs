@@ -8,7 +8,7 @@
 //! resets the global registry — it must not race the crate's unit
 //! tests.
 
-use muerp_core::extensions::StreamConfig;
+use muerp_core::extensions::{StreamConfig, StreamDriver};
 use muerp_experiments::cli::StreamArgs;
 use muerp_experiments::stream::{run_stream, run_workload, StreamRun};
 
@@ -18,19 +18,22 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn small_cfg() -> StreamConfig {
-    StreamConfig {
-        slots: 512,
+fn small_cfg() -> StreamDriver {
+    StreamDriver {
+        load: StreamConfig {
+            slots: 512,
+            ..StreamConfig::default()
+        },
         window_slots: 32,
-        ..StreamConfig::default()
+        ..StreamDriver::default()
     }
 }
 
 /// The small workload with the capacity-churn arm engaged: every 16
 /// slots a switch loses 4 qubits for 48 slots, exercising the delta
 /// engine's repair/revalidate/recompute paths mid-run.
-fn churn_cfg() -> StreamConfig {
-    StreamConfig {
+fn churn_cfg() -> StreamDriver {
+    StreamDriver {
         churn_every: 16,
         churn_qubits: 4,
         churn_hold: 48,
@@ -106,12 +109,15 @@ fn written_artifacts_match_between_two_output_dirs() {
     let _serial = serial();
     let base = std::env::temp_dir().join("muerp_stream_determinism_test");
     let args = |dir: &str| StreamArgs {
-        slots: 256,
-        window: 32,
+        cfg: StreamDriver {
+            load: StreamConfig {
+                slots: 256,
+                ..StreamConfig::default()
+            },
+            window_slots: 32,
+            ..StreamDriver::default()
+        },
         seed: 11,
-        arrival: 0.35,
-        sample_every: 8,
-        churn_every: 0,
         out: base.join(dir),
     };
     let (_, written_a) = run_stream(&args("a")).expect("run a");

@@ -26,6 +26,7 @@ use qnet_obs::{TimeSeries, TimeSeriesConfig, TimeSeriesSection};
 
 use muerp_core::algorithms::{CacheEfficiency, ChannelFinderCache};
 use muerp_core::channel::CapacityMap;
+use muerp_core::error::ConfigError;
 use muerp_core::extensions::{
     free_qubit_total, route_group, Request, RequestStream, Sessions, SloClass, StreamConfig,
 };
@@ -38,9 +39,8 @@ use crate::queue::BoundedQueue;
 /// Configuration of a batched admission run.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ServeConfig {
-    /// Workload shape and total slot count (the request stream's
-    /// parameters; churn fields are ignored — the service owns all
-    /// capacity changes through admissions and departures).
+    /// The offered load: the request stream's shape and total slot
+    /// count.
     pub stream: StreamConfig,
     /// Slots per admission round; decisions happen at round ends.
     pub round_slots: u64,
@@ -63,11 +63,24 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Panics on out-of-range parameters.
+    /// Checks the stream, then the round width and the queue capacity.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`ConfigError`] naming the first field out of range.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        self.stream.check()?;
+        ConfigError::positive("round_slots", self.round_slots)?;
+        ConfigError::positive("queue_capacity", self.queue_capacity)
+    }
+
+    /// [`ServeConfig::check`] for callers that cannot take an error.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the check's message on out-of-range parameters.
     pub fn validate(&self) {
-        self.stream.validate();
-        assert!(self.round_slots >= 1, "rounds must span at least one slot");
-        assert!(self.queue_capacity >= 1, "queue capacity must be ≥ 1");
+        self.check().unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Number of rounds a run of this configuration executes.
@@ -245,6 +258,11 @@ pub fn serve(net: &QuantumNetwork, cfg: &ServeConfig, seed: u64) -> ServeOutcome
 }
 
 /// [`serve`] over an explicit request script.
+///
+/// # Panics
+///
+/// Panics with [`ServeConfig::check`]'s message on out-of-range
+/// configuration.
 pub fn serve_requests(
     net: &QuantumNetwork,
     cfg: &ServeConfig,
@@ -450,7 +468,6 @@ mod tests {
         ServeConfig {
             stream: StreamConfig {
                 slots: 256,
-                window_slots: 32,
                 ..StreamConfig::default()
             },
             round_slots: 16,
@@ -554,6 +571,23 @@ mod tests {
         // Non-FCFS policies must leave no deficit trace unless weighted.
         assert_eq!(per_policy[0].deficits, [0, 0, 0]);
         assert_eq!(per_policy[1].deficits, [0, 0, 0]);
+    }
+
+    #[test]
+    fn check_names_each_field_out_of_range() {
+        assert_eq!(ServeConfig::default().check(), Ok(()));
+        type Breaks = fn(&mut ServeConfig);
+        let cases: [(&str, Breaks); 4] = [
+            ("slots", |c| c.stream.slots = 0),
+            ("base_arrival", |c| c.stream.base_arrival = f64::NAN),
+            ("round_slots", |c| c.round_slots = 0),
+            ("queue_capacity", |c| c.queue_capacity = 0),
+        ];
+        for (field, breaks) in cases {
+            let mut cfg = ServeConfig::default();
+            breaks(&mut cfg);
+            assert_eq!(cfg.check().map_err(|e| e.field), Err(field), "{cfg:?}");
+        }
     }
 
     #[test]

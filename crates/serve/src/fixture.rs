@@ -235,7 +235,6 @@ mod tests {
         let cfg = ServeConfig {
             stream: StreamConfig {
                 slots: 64,
-                window_slots: 16,
                 ..StreamConfig::default()
             },
             round_slots: 16,

@@ -107,7 +107,6 @@ mod tests {
         let cfg = ServeConfig {
             stream: StreamConfig {
                 slots: 128,
-                window_slots: 16,
                 ..StreamConfig::default()
             },
             round_slots: 8,

@@ -15,7 +15,6 @@ fn battery_cfg() -> ServeConfig {
     ServeConfig {
         stream: StreamConfig {
             slots: 256,
-            window_slots: 32,
             ..StreamConfig::default()
         },
         round_slots: 16,

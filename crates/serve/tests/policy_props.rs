@@ -149,7 +149,6 @@ proptest! {
         let cfg = ServeConfig {
             stream: StreamConfig {
                 slots: 128,
-                window_slots: 16,
                 ..StreamConfig::default()
             },
             round_slots,

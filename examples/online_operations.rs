@@ -12,7 +12,7 @@
 //! cargo run --example online_operations --release
 //! ```
 
-use muerp::core::extensions::{simulate_stream, StreamConfig};
+use muerp::core::extensions::{simulate_stream, StreamConfig, StreamDriver};
 use muerp::core::prelude::*;
 
 fn main() {
@@ -28,14 +28,17 @@ fn main() {
     );
 
     // A flat load: no diurnal swing, uniform group sizes and members.
-    let flat = StreamConfig {
-        slots: 20_000,
-        diurnal_amplitude: 0.0,
-        group_size: (2, 4),
-        group_alpha: 0.0,
-        hold_slots: (10, 40),
-        hotspot_fraction: 0.0,
-        ..StreamConfig::default()
+    let flat = StreamDriver {
+        load: StreamConfig {
+            slots: 20_000,
+            diurnal_amplitude: 0.0,
+            group_size: (2, 4),
+            group_alpha: 0.0,
+            hold_slots: (10, 40),
+            hotspot_fraction: 0.0,
+            ..StreamConfig::default()
+        },
+        ..StreamDriver::default()
     };
 
     println!(
@@ -43,10 +46,8 @@ fn main() {
         "arrival", "arrived", "busy", "capacity", "block %", "mean active", "session rate"
     );
     for arrival in [0.05, 0.1, 0.2, 0.4, 0.7, 1.0] {
-        let cfg = StreamConfig {
-            base_arrival: arrival,
-            ..flat
-        };
+        let mut cfg = flat;
+        cfg.load.base_arrival = arrival;
         let stats = simulate_stream(&net, cfg, 7).stats;
         println!(
             "{arrival:<10} {:>10} {:>10} {:>10} {:>9.1}% {:>12.2} {:>14.4e}",
@@ -66,10 +67,8 @@ fn main() {
     );
     for qubits in [2u32, 4, 8, 16] {
         let granted = net.with_uniform_switch_qubits(qubits);
-        let cfg = StreamConfig {
-            base_arrival: 0.7,
-            ..flat
-        };
+        let mut cfg = flat;
+        cfg.load.base_arrival = 0.7;
         let stats = simulate_stream(&granted, cfg, 7).stats;
         println!(
             "{qubits:<10} {:>12} {:>16} {:>12.2}",

@@ -67,6 +67,7 @@ fn parse() -> Result<Args, String> {
     spec.topology.nodes = switches + users;
     spec.users = users;
     spec.topology.check()?;
+    spec.physics.check().map_err(|e| e.to_string())?;
     Ok(Args {
         spec,
         seed,

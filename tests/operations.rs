@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 
 use muerp::bridge::solution_to_plan;
-use muerp::core::extensions::{simulate_stream, StreamConfig};
+use muerp::core::extensions::{simulate_stream, StreamConfig, StreamDriver};
 use muerp::core::prelude::*;
 use muerp::sim::buffered::{BufferedChannel, BufferedTree};
 use muerp::sim::qubit::{assign, SlotUse};
@@ -60,15 +60,19 @@ fn online_model_runs_on_the_nsfnet_backbone() {
         4,
         muerp::core::model::PhysicsParams::paper_default(),
     );
+    let load = StreamConfig {
+        slots: 5_000,
+        base_arrival: 0.5,
+        diurnal_amplitude: 0.0,
+        group_size: (2, 3),
+        hold_slots: (5, 15),
+        ..StreamConfig::default()
+    };
     let stats = simulate_stream(
         &net,
-        StreamConfig {
-            slots: 5_000,
-            base_arrival: 0.5,
-            diurnal_amplitude: 0.0,
-            group_size: (2, 3),
-            hold_slots: (5, 15),
-            ..StreamConfig::default()
+        StreamDriver {
+            load,
+            ..StreamDriver::default()
         },
         9,
     )

@@ -42,7 +42,6 @@ fn fixture_cfg() -> ServeConfig {
     ServeConfig {
         stream: StreamConfig {
             slots: 64,
-            window_slots: 16,
             base_arrival: 0.8,
             group_size: (2, 4),
             hold_slots: (4, 12),
