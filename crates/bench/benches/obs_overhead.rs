@@ -30,7 +30,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use muerp_bench::ledger::{Ledger, Unit};
 use muerp_bench::{measure_ns_median, scaled_network};
 use muerp_core::prelude::*;
-use qnet_obs::{ObsLevel, TimeSeries, TimeSeriesConfig};
+use qnet_obs::{Capture, ObsLevel, TimeSeries, TimeSeriesConfig};
 
 fn bench_solve_per_level(c: &mut Criterion) {
     let net = scaled_network(50, 42);
@@ -41,16 +41,13 @@ fn bench_solve_per_level(c: &mut Criterion) {
         ("full", ObsLevel::Full),
         ("trace", ObsLevel::Trace),
     ] {
-        qnet_obs::set_level(level);
+        // Each level starts from empty sinks, so the span store and the
+        // ring stay bounded across levels.
+        let _capture = Capture::begin(level);
         group.bench_function(label, |b| {
             b.iter(|| std::hint::black_box(PrimBased::with_seed(1).solve(&net)))
         });
-        // Keep the span store and ring bounded across iterations.
-        qnet_obs::reset_spans();
-        qnet_obs::reset_trace();
-        qnet_obs::global().reset();
     }
-    qnet_obs::set_level(ObsLevel::Counters);
     group.finish();
 }
 

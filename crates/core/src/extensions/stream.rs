@@ -967,11 +967,10 @@ mod tests {
 
     #[test]
     fn sampled_blocks_land_in_the_flight_recorder() {
-        qnet_obs::set_level(qnet_obs::ObsLevel::Trace);
-        qnet_obs::reset_trace();
-        // Tag this thread with a sentinel so the assertion stays exact
-        // even if a concurrent test emits trace events into the shared
-        // ring.
+        let _capture = qnet_obs::Capture::begin(qnet_obs::ObsLevel::Trace);
+        // Tag this thread with a sentinel so the assertion stays exact:
+        // the other tests in this binary hold no capture, and may emit
+        // trace events into the shared ring while the level is `trace`.
         qnet_obs::record_event(qnet_obs::TraceEvent::Blocked {
             reason: "sentinel",
             group_size: 0,
@@ -988,8 +987,6 @@ mod tests {
             .with_uniform_switch_qubits(2);
         let out = simulate_stream(&net, cfg, 7);
         let events = qnet_obs::trace_snapshot();
-        qnet_obs::set_level(qnet_obs::ObsLevel::Counters);
-        qnet_obs::reset_trace();
 
         let me = events
             .iter()

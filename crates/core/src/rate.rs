@@ -49,11 +49,6 @@ impl Rate {
         Rate(NegLog::from_prob(p))
     }
 
-    /// Builds a rate from a negative-log cost.
-    pub fn from_neg_log(cost: NegLog) -> Self {
-        Rate(cost)
-    }
-
     /// The probability value in `[0, 1]`.
     pub fn value(self) -> f64 {
         self.0.prob()

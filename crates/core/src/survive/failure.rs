@@ -174,11 +174,6 @@ impl<'n> NetworkState<'n> {
         &self.mask
     }
 
-    /// Qubits lost at `v` to capacity degradation.
-    pub fn lost_qubits(&self, v: NodeId) -> u32 {
-        self.lost[v.index()]
-    }
-
     /// `true` when no applied fault had any effect.
     pub fn is_intact(&self) -> bool {
         self.mask.is_empty() && self.lost.iter().all(|&l| l == 0)

@@ -394,11 +394,8 @@ fn scoped_answers_match_cold_channels() {
     // and every channel must equal the cold `max_rate_channel` bit for
     // bit. Every fifth op a whole-run lookup, which nets every flip the
     // scoped answers left standing, must equal a cold run.
-    if !qnet_obs::enabled(ObsLevel::Counters) {
-        qnet_obs::set_level(ObsLevel::Counters);
-    }
+    let _capture = qnet_obs::Capture::begin(ObsLevel::Counters);
     let scoped = || qnet_obs::global().counter_total("core.channel.cache_scoped");
-    let before = scoped();
     let specs = [
         ("paper-default", NetworkSpec::paper_default()),
         (
@@ -443,7 +440,7 @@ fn scoped_answers_match_cold_channels() {
             }
         }
     }
-    assert!(scoped() > before, "no lookup was answered scoped");
+    assert!(scoped() > 0, "no lookup was answered scoped");
 }
 
 #[test]

@@ -21,7 +21,9 @@
 //! snapshots the observability state (span tree, counters, histograms)
 //! into one `results/obs/<id>.json` per suite — plus, at
 //! `MUERP_OBS=trace`, the flight-recorder contents as
-//! `results/obs/<id>.trace.jsonl`.
+//! `results/obs/<id>.trace.jsonl`. `MUERP_OBS` is read once: a value
+//! that names no level exits 1; a level wins over a command's default,
+//! but `profile` always runs at `trace`.
 //!
 //! `obs-diff` compares two such reports and exits non-zero when the
 //! candidate regresses past the thresholds (the CI gate).
@@ -79,6 +81,8 @@ static ALLOC: qnet_obs::CountingAllocator = qnet_obs::CountingAllocator;
 
 use std::path::Path;
 use std::process::ExitCode;
+
+use qnet_obs::{Capture, ObsLevel};
 
 use muerp_experiments::cli::{
     self, Command, FuzzArgs, ObsDiffArgs, ProfileArgs, ServeArgs, StreamArgs,
@@ -222,34 +226,40 @@ fn run_fuzz(args: &FuzzArgs) -> ExitCode {
     ExitCode::from(2)
 }
 
+/// `MUERP_OBS`, read once: `None` when unset, an error naming a value
+/// that is no level.
+fn obs_env() -> Result<Option<ObsLevel>, String> {
+    let Some(raw) = std::env::var_os("MUERP_OBS") else {
+        return Ok(None);
+    };
+    raw.to_str()
+        .and_then(ObsLevel::parse)
+        .map(Some)
+        .ok_or_else(|| {
+            format!("MUERP_OBS={raw:?} is not a level (expected off, counters, full or trace)")
+        })
+}
+
 /// The flow shared by the experiment runner and `churn`: print
-/// `header`, then per suite reset obs (with `--obs-report`), run it,
-/// print each table and write its CSV into `out`, and write the suite's
-/// obs report (plus the trace at `MUERP_OBS=trace`) into `results/obs/`.
+/// `header`, then per suite take a [`Capture`] at `obs` (set by
+/// `--obs-report`), run it, print each table and write its CSV into
+/// `out`, and write the suite's obs report (plus the trace at `trace`)
+/// into `results/obs/`.
 fn run_suites<S: AsRef<str>>(
     header: &str,
     ids: &[S],
     run: impl Fn(&str) -> Vec<FigureTable>,
     out: Option<&Path>,
-    obs_report: bool,
+    obs: Option<ObsLevel>,
 ) -> Result<(), String> {
     if let Some(dir) = out {
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     }
-    if obs_report && std::env::var_os("MUERP_OBS").is_none() {
-        // Reports want the span tree; respect an explicit MUERP_OBS.
-        qnet_obs::set_level(qnet_obs::ObsLevel::Full);
-    }
     println!("{header}\n");
     for id in ids.iter().map(AsRef::as_ref) {
         let started = std::time::Instant::now();
-        if obs_report {
-            // Per-suite deltas: zero everything before each suite runs.
-            qnet_obs::global().reset();
-            qnet_obs::reset_spans();
-            qnet_obs::reset_trace();
-        }
+        let capture = obs.map(Capture::begin);
         for table in run(id) {
             println!("{}", table.render_text());
             if let Some(dir) = out {
@@ -259,8 +269,8 @@ fn run_suites<S: AsRef<str>>(
                 println!("wrote {}", path.display());
             }
         }
-        if obs_report {
-            let report = qnet_obs::RunReport::capture(id);
+        if let Some(capture) = &capture {
+            let report = capture.finish(id);
             warn_on_trace_drops(&report, id);
             let path = qnet_obs::write_report(Path::new("results/obs"), &report)
                 .map_err(|e| format!("cannot write obs report for {id}: {e}"))?;
@@ -297,8 +307,8 @@ fn run_profile_cmd(args: &ProfileArgs) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn run_stream_cmd(args: &StreamArgs) -> ExitCode {
-    let (run, written) = match stream::run_stream(args) {
+fn run_stream_cmd(args: &StreamArgs, level: ObsLevel) -> ExitCode {
+    let (run, written) = match stream::run_stream(args, level) {
         Ok(out) => out,
         Err(e) => {
             eprintln!("{e}");
@@ -316,8 +326,8 @@ fn run_stream_cmd(args: &StreamArgs) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn run_serve_cmd(args: &ServeArgs) -> ExitCode {
-    let (run, written) = match serve::run_serve(args) {
+fn run_serve_cmd(args: &ServeArgs, level: ObsLevel) -> ExitCode {
+    let (run, written) = match serve::run_serve(args, level) {
         Ok(out) => out,
         Err(e) => {
             eprintln!("{e}");
@@ -336,8 +346,11 @@ fn run_serve_cmd(args: &ServeArgs) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let outcome = match cli::parse_command(std::env::args().skip(1)) {
-        Ok(Command::Run(a)) => run_suites(
+    // Reports want the span tree (`full`); pipelines stay at `counters`
+    // so their artifacts carry no wall-clock. `MUERP_OBS` wins over both.
+    let parsed = obs_env().and_then(|env| Ok((env, cli::parse_command(std::env::args().skip(1))?)));
+    let outcome = match parsed {
+        Ok((env, Command::Run(a))) => run_suites(
             &format!(
                 "MUERP reproduction — {} trial(s) per cell, base seed {}",
                 a.cfg.trials, a.cfg.base_seed
@@ -345,9 +358,9 @@ fn main() -> ExitCode {
             &a.which,
             |id| run_one(id, a.cfg),
             a.out.as_deref(),
-            a.obs_report,
+            a.obs_report.then_some(env.unwrap_or(ObsLevel::Full)),
         ),
-        Ok(Command::Churn(c)) => run_suites(
+        Ok((env, Command::Churn(c))) => run_suites(
             &format!(
                 "MUERP survivability — {} trial(s), {} failure(s) each, base seed {}",
                 c.cfg.trials, c.cfg.failures, c.cfg.base_seed
@@ -355,13 +368,17 @@ fn main() -> ExitCode {
             &["churn"],
             |_| churn::churn_tables(c.cfg),
             c.out.as_deref(),
-            c.obs_report,
+            c.obs_report.then_some(env.unwrap_or(ObsLevel::Full)),
         ),
-        Ok(Command::ObsDiff(d)) => return run_obs_diff(&d),
-        Ok(Command::Fuzz(f)) => return run_fuzz(&f),
-        Ok(Command::Profile(p)) => return run_profile_cmd(&p),
-        Ok(Command::Stream(st)) => return run_stream_cmd(&st),
-        Ok(Command::Serve(sv)) => return run_serve_cmd(&sv),
+        Ok((_, Command::ObsDiff(d))) => return run_obs_diff(&d),
+        Ok((_, Command::Fuzz(f))) => return run_fuzz(&f),
+        Ok((_, Command::Profile(p))) => return run_profile_cmd(&p),
+        Ok((env, Command::Stream(st))) => {
+            return run_stream_cmd(&st, env.unwrap_or(ObsLevel::Counters))
+        }
+        Ok((env, Command::Serve(sv))) => {
+            return run_serve_cmd(&sv, env.unwrap_or(ObsLevel::Counters))
+        }
         Err(e) => Err(e),
     };
     match outcome {

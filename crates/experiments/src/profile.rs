@@ -80,20 +80,17 @@ pub struct ProfileRun {
 
 /// Runs `scenario` once under full instrumentation.
 ///
-/// Forces [`qnet_obs::ObsLevel::Trace`] and resets the global registry,
-/// span store, and flight recorder first, so the report is a pure
-/// per-run delta. Every algorithm runs on the caller's thread, so the
-/// allocation facts stay byte-deterministic.
+/// Holds a [`qnet_obs::Capture`] at [`qnet_obs::ObsLevel::Trace`],
+/// whatever `MUERP_OBS` says, so the report is a pure per-run delta.
+/// Every algorithm runs on the caller's thread, so the allocation facts
+/// stay byte-deterministic.
 ///
 /// # Errors
 ///
 /// Returns a message for unknown scenario ids.
 pub fn run_scenario(scenario: &str, seed: u64) -> Result<ProfileRun, String> {
     let spec = scenario_spec(scenario).ok_or_else(|| format!("unknown scenario: {scenario}"))?;
-    qnet_obs::set_level(qnet_obs::ObsLevel::Trace);
-    qnet_obs::global().reset();
-    qnet_obs::reset_spans();
-    qnet_obs::reset_trace();
+    let capture = qnet_obs::Capture::begin(qnet_obs::ObsLevel::Trace);
 
     let alloc_scope = qnet_obs::AllocScope::begin();
     let mut rates = Vec::with_capacity(AlgoKind::ALL.len());
@@ -110,7 +107,9 @@ pub fn run_scenario(scenario: &str, seed: u64) -> Result<ProfileRun, String> {
     }
     let alloc = alloc_scope.end();
 
-    let mut report = qnet_obs::RunReport::capture(&format!("profile-{scenario}")).with_profile();
+    let mut report = capture
+        .finish(&format!("profile-{scenario}"))
+        .with_profile();
     if let Some(section) = report.profile.as_mut() {
         section.alloc = alloc;
         section.peak_rss_bytes = qnet_obs::peak_rss_bytes();
@@ -361,10 +360,9 @@ pub fn run_profile(args: &ProfileArgs) -> Result<(ProfileRun, Vec<PathBuf>), Str
 #[cfg(test)]
 mod tests {
     // Tests that actually *run* a scenario live in
-    // `tests/profile_determinism.rs`: `run_scenario` mutates the
-    // process-global obs state, so they need their own process, away
-    // from the rest of this crate's parallel unit tests. Only the pure
-    // helpers are covered here.
+    // `tests/profile_determinism.rs`: the crate's other unit tests hold
+    // no capture and count into the global sinks beside a run, which
+    // would move its counters. Only the pure helpers are covered here.
     use super::*;
 
     #[test]

@@ -28,9 +28,10 @@ use std::time::Duration;
 use muerp_core::extensions::SloClass;
 use muerp_core::model::NetworkSpec;
 use muerp_serve::{serve, ServeConfig, ServeOutcome};
+use qnet_obs::{Capture, ObsLevel};
 
 use crate::cli::ServeArgs;
-use crate::stream::{reset_obs, write_artifacts};
+use crate::stream::write_artifacts;
 use crate::table::FigureTable;
 
 /// Everything one serve run produces in memory.
@@ -175,17 +176,19 @@ pub fn serve_tables(cfg: &ServeConfig, seed: u64, outcome: &ServeOutcome) -> Vec
     ]
 }
 
-/// Runs the admission service in memory: resets the process-global
-/// observability state (`reset_obs`), serves, and captures the
-/// schema-4 report with the round series attached.
-pub fn run_workload(cfg: ServeConfig, seed: u64) -> ServeRun {
-    reset_obs();
-
+/// Runs the admission service in memory under a [`Capture`] at obs
+/// `level`, and captures the schema-4 report with the round series
+/// attached. `repro serve` runs at `counters` unless `MUERP_OBS` names
+/// a level.
+pub fn run_workload(cfg: ServeConfig, seed: u64, level: ObsLevel) -> ServeRun {
+    let capture = Capture::begin(level);
     let net = NetworkSpec::paper_default().build(seed);
     let started = std::time::Instant::now();
     let outcome = serve(&net, &cfg, seed);
     let wall = started.elapsed();
-    let report = qnet_obs::RunReport::capture("serve").with_timeseries(outcome.series.clone());
+    let report = capture
+        .finish("serve")
+        .with_timeseries(outcome.series.clone());
     let tables = serve_tables(&cfg, seed, &outcome);
     ServeRun {
         cfg,
@@ -197,15 +200,15 @@ pub fn run_workload(cfg: ServeConfig, seed: u64) -> ServeRun {
     }
 }
 
-/// Runs `repro serve` end to end and writes every artifact into
-/// `args.out`. Returns the run and the written paths.
+/// Runs `repro serve` end to end at obs `level` and writes every
+/// artifact into `args.out`. Returns the run and the written paths.
 ///
 /// # Errors
 ///
 /// Returns a message when the output directory or any artifact cannot
 /// be written.
-pub fn run_serve(args: &ServeArgs) -> Result<(ServeRun, Vec<PathBuf>), String> {
-    let run = run_workload(args.cfg, args.seed);
+pub fn run_serve(args: &ServeArgs, level: ObsLevel) -> Result<(ServeRun, Vec<PathBuf>), String> {
+    let run = run_workload(args.cfg, args.seed, level);
     let written = write_artifacts(&args.out, &run.tables, &run.outcome.series, &run.report)?;
     Ok((run, written))
 }

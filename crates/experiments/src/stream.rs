@@ -27,6 +27,7 @@ use std::time::Duration;
 
 use muerp_core::extensions::{simulate_stream, StreamDriver, StreamOutcome};
 use muerp_core::model::NetworkSpec;
+use qnet_obs::{Capture, ObsLevel};
 
 use crate::cli::StreamArgs;
 use crate::table::FigureTable;
@@ -170,32 +171,22 @@ pub fn stream_tables(cfg: &StreamDriver, seed: u64, outcome: &StreamOutcome) -> 
     ]
 }
 
-/// Resets the process-global observability state before a pipeline
-/// run (`repro stream` and `repro serve`).
+/// Runs the streaming workload in memory under a [`Capture`] at obs
+/// `level`, and captures the schema-4 report with the time-series
+/// section attached.
 ///
-/// Unless `MUERP_OBS` pins a level, runs at `counters` — the report
-/// then carries no spans (and thus no wall-clock), keeping every
-/// artifact byte-deterministic.
-pub(crate) fn reset_obs() {
-    if std::env::var_os("MUERP_OBS").is_none() {
-        qnet_obs::set_level(qnet_obs::ObsLevel::Counters);
-    }
-    qnet_obs::global().reset();
-    qnet_obs::reset_spans();
-    qnet_obs::reset_trace();
-}
-
-/// Runs the streaming workload in memory: resets the process-global
-/// observability state (`reset_obs`), simulates, and captures the
-/// schema-4 report with the time-series section attached.
-pub fn run_workload(cfg: StreamDriver, seed: u64) -> StreamRun {
-    reset_obs();
-
+/// `repro stream` runs at `counters` unless `MUERP_OBS` names a level:
+/// the report then carries no spans (and thus no wall-clock), keeping
+/// every artifact byte-deterministic.
+pub fn run_workload(cfg: StreamDriver, seed: u64, level: ObsLevel) -> StreamRun {
+    let capture = Capture::begin(level);
     let net = NetworkSpec::paper_default().build(seed);
     let started = std::time::Instant::now();
     let outcome = simulate_stream(&net, cfg, seed);
     let wall = started.elapsed();
-    let report = qnet_obs::RunReport::capture("stream").with_timeseries(outcome.series.clone());
+    let report = capture
+        .finish("stream")
+        .with_timeseries(outcome.series.clone());
     let tables = stream_tables(&cfg, seed, &outcome);
     StreamRun {
         cfg,
@@ -207,15 +198,15 @@ pub fn run_workload(cfg: StreamDriver, seed: u64) -> StreamRun {
     }
 }
 
-/// Runs `repro stream` end to end and writes every artifact into
-/// `args.out`. Returns the run and the written paths.
+/// Runs `repro stream` end to end at obs `level` and writes every
+/// artifact into `args.out`. Returns the run and the written paths.
 ///
 /// # Errors
 ///
 /// Returns a message when the output directory or any artifact cannot
 /// be written.
-pub fn run_stream(args: &StreamArgs) -> Result<(StreamRun, Vec<PathBuf>), String> {
-    let run = run_workload(args.cfg, args.seed);
+pub fn run_stream(args: &StreamArgs, level: ObsLevel) -> Result<(StreamRun, Vec<PathBuf>), String> {
+    let run = run_workload(args.cfg, args.seed, level);
     let written = write_artifacts(&args.out, &run.tables, &run.outcome.series, &run.report)?;
     Ok((run, written))
 }

@@ -3,20 +3,15 @@
 //! attribution must cover the root span's wall time, and the Chrome
 //! trace must be well-formed.
 //!
-//! These live in their own integration binary (own process) because
-//! [`muerp_experiments::profile::run_scenario`] forces the obs level
-//! and resets the global registry — it must not race the crate's unit
-//! tests.
+//! Each run holds a [`qnet_obs::Capture`] (taken by
+//! [`muerp_experiments::profile::run_scenario`]), so runs take turns on
+//! the global sinks. They live in their own integration binary because
+//! the crate's unit tests hold no capture and would count into a run's
+//! report.
 
 use muerp_experiments::cli::ProfileArgs;
 use muerp_experiments::profile::{run_profile, run_scenario, ProfileRun};
 use muerp_experiments::AlgoKind;
-
-/// Serializes the tests in this binary; each one resets global state.
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn paper_run(seed: u64) -> ProfileRun {
     run_scenario("paper-default", seed).expect("known scenario")
@@ -24,7 +19,6 @@ fn paper_run(seed: u64) -> ProfileRun {
 
 #[test]
 fn deterministic_artifacts_are_bitwise_stable() {
-    let _serial = serial();
     let a = paper_run(2024);
     let b = paper_run(2024);
     assert_eq!(a.to_csv(), b.to_csv(), "primary CSV must be bitwise stable");
@@ -35,7 +29,6 @@ fn deterministic_artifacts_are_bitwise_stable() {
 
 #[test]
 fn different_seeds_change_the_network_not_the_shape() {
-    let _serial = serial();
     let a = paper_run(1);
     let b = paper_run(2);
     assert_eq!(a.rates.len(), b.rates.len());
@@ -51,7 +44,6 @@ fn different_seeds_change_the_network_not_the_shape() {
 
 #[test]
 fn attribution_covers_the_root_span() {
-    let _serial = serial();
     let run = paper_run(2024);
     let profile = run.report.profile.as_ref().expect("profile attached");
     assert!(
@@ -84,7 +76,6 @@ fn attribution_covers_the_root_span() {
 
 #[test]
 fn csv_shapes_match_fact_and_row_counts() {
-    let _serial = serial();
     let run = paper_run(1);
     let facts = run.deterministic_facts();
     let csv = run.to_csv();
@@ -102,7 +93,6 @@ fn csv_shapes_match_fact_and_row_counts() {
 
 #[test]
 fn chrome_trace_is_well_formed_json() {
-    let _serial = serial();
     let run = paper_run(2024);
     let trace = qnet_obs::chrome_trace_value(&run.report, &run.events);
     let events = trace
@@ -138,7 +128,6 @@ fn chrome_trace_is_well_formed_json() {
 
 #[test]
 fn written_report_and_trace_carry_the_profile() {
-    let _serial = serial();
     let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("profile_determinism");
     let args = ProfileArgs {
         scenario: "paper-default".into(),
@@ -173,6 +162,5 @@ fn written_report_and_trace_carry_the_profile() {
 
 #[test]
 fn unknown_scenarios_error_before_touching_globals() {
-    let _serial = serial();
     assert!(run_scenario("nonsense", 0).is_err());
 }

@@ -3,20 +3,16 @@
 //! must be bitwise stable for a fixed seed, and the windowed series
 //! must account for every run-level total.
 //!
-//! These live in their own integration binary (own process) because
-//! [`muerp_experiments::stream::run_workload`] forces the obs level and
-//! resets the global registry — it must not race the crate's unit
-//! tests.
+//! Each run holds a [`qnet_obs::Capture`] (taken by
+//! [`muerp_experiments::stream::run_workload`]), so runs take turns on
+//! the global sinks. They live in their own integration binary because
+//! the crate's unit tests hold no capture and would count into a run's
+//! report.
 
 use muerp_core::extensions::{StreamConfig, StreamDriver};
 use muerp_experiments::cli::StreamArgs;
 use muerp_experiments::stream::{run_stream, run_workload, StreamRun};
-
-/// Serializes the tests in this binary; each one resets global state.
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
+use qnet_obs::ObsLevel;
 
 fn small_cfg() -> StreamDriver {
     StreamDriver {
@@ -42,7 +38,7 @@ fn churn_cfg() -> StreamDriver {
 }
 
 fn run(seed: u64) -> StreamRun {
-    run_workload(small_cfg(), seed)
+    run_workload(small_cfg(), seed, ObsLevel::Counters)
 }
 
 fn render_report(run: &StreamRun) -> String {
@@ -51,7 +47,6 @@ fn render_report(run: &StreamRun) -> String {
 
 #[test]
 fn every_artifact_is_bitwise_stable_across_runs() {
-    let _serial = serial();
     let a = run(2024);
     let b = run(2024);
     assert_eq!(a.render_text(), b.render_text(), "stdout tables");
@@ -70,7 +65,6 @@ fn every_artifact_is_bitwise_stable_across_runs() {
 
 #[test]
 fn windows_account_for_every_run_level_total() {
-    let _serial = serial();
     let run = run(7);
     let stats = &run.outcome.stats;
     let series = &run.outcome.series;
@@ -90,7 +84,6 @@ fn windows_account_for_every_run_level_total() {
 
 #[test]
 fn report_is_schema_four_and_round_trips_with_the_series() {
-    let _serial = serial();
     let run = run(3);
     assert_eq!(run.report.schema_version, qnet_obs::SCHEMA_VERSION);
     let value = serde_json::from_str(&render_report(&run)).expect("valid JSON");
@@ -106,7 +99,6 @@ fn report_is_schema_four_and_round_trips_with_the_series() {
 
 #[test]
 fn written_artifacts_match_between_two_output_dirs() {
-    let _serial = serial();
     let base = std::env::temp_dir().join("muerp_stream_determinism_test");
     let args = |dir: &str| StreamArgs {
         cfg: StreamDriver {
@@ -120,8 +112,8 @@ fn written_artifacts_match_between_two_output_dirs() {
         seed: 11,
         out: base.join(dir),
     };
-    let (_, written_a) = run_stream(&args("a")).expect("run a");
-    let (_, written_b) = run_stream(&args("b")).expect("run b");
+    let (_, written_a) = run_stream(&args("a"), ObsLevel::Counters).expect("run a");
+    let (_, written_b) = run_stream(&args("b"), ObsLevel::Counters).expect("run b");
     assert_eq!(written_a.len(), 5, "two CSVs, JSONL, report, prom");
     assert_eq!(written_a.len(), written_b.len());
     for (pa, pb) in written_a.iter().zip(&written_b) {
@@ -154,17 +146,16 @@ fn written_artifacts_match_between_two_output_dirs() {
 
 #[test]
 fn churned_run_is_bitwise_stable() {
-    let _serial = serial();
     // Double run: every artifact byte-identical under mid-run deltas.
-    let a = run_workload(churn_cfg(), 2024);
-    let b = run_workload(churn_cfg(), 2024);
+    let a = run_workload(churn_cfg(), 2024, ObsLevel::Counters);
+    let b = run_workload(churn_cfg(), 2024, ObsLevel::Counters);
     assert_eq!(a.render_text(), b.render_text(), "churned stdout tables");
     assert_eq!(a.outcome, b.outcome, "churned stats and series");
     assert_eq!(render_report(&a), render_report(&b), "churned report");
 
     // And the churn arm actually ran and actually perturbed the run.
     assert_eq!(a.outcome.stats.churn_events, (512 - 1) / 16);
-    let calm = run_workload(small_cfg(), 2024);
+    let calm = run_workload(small_cfg(), 2024, ObsLevel::Counters);
     assert_ne!(
         a.outcome.stats, calm.outcome.stats,
         "deltas must perturb the run"
@@ -174,8 +165,7 @@ fn churned_run_is_bitwise_stable() {
 
 #[test]
 fn churned_report_carries_the_delta_counters() {
-    let _serial = serial();
-    let run = run_workload(churn_cfg(), 5);
+    let run = run_workload(churn_cfg(), 5, ObsLevel::Counters);
     let stats = &run.outcome.stats;
     assert!(stats.churn_events > 0, "churn must fire");
     assert!(stats.cache.repairs > 0, "deltas must exercise SSSP repair");
@@ -208,7 +198,6 @@ fn churned_report_carries_the_delta_counters() {
 
 #[test]
 fn different_seeds_change_the_workload_not_the_shape() {
-    let _serial = serial();
     let a = run(1);
     let b = run(2);
     assert_ne!(

@@ -4,29 +4,18 @@
 //! tree-growth round for the tree builders, plus candidate/finder events
 //! from the shared Algorithm-1 searches.
 
-use std::sync::Mutex;
-
 use muerp_core::algorithms::{refine, BeamSearch, LocalSearchOptions};
 use muerp_core::prelude::*;
 use muerp_experiments::AlgoKind;
-use qnet_obs::TraceEvent;
-
-/// Both tests mutate the process-global level and recorder; run them one
-/// at a time even under the default parallel harness.
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
+use qnet_obs::{Capture, ObsLevel, TraceEvent};
 
 #[test]
 fn every_suite_algorithm_records_decision_events_at_trace_level() {
-    let _serial = serial();
-    qnet_obs::set_level(qnet_obs::ObsLevel::Trace);
     let net = NetworkSpec::paper_default().build(0);
     let rounds_expected = net.user_count() - 1;
 
     for algo in AlgoKind::ALL {
-        qnet_obs::reset_trace();
+        let _capture = Capture::begin(ObsLevel::Trace);
         let rate = algo.rate_on(&net, 0);
         assert!((0.0..=1.0).contains(&rate), "{}: {rate}", algo.name());
         let events: Vec<TraceEvent> = qnet_obs::trace_snapshot()
@@ -76,18 +65,13 @@ fn every_suite_algorithm_records_decision_events_at_trace_level() {
             }
         }
     }
-
-    qnet_obs::reset_trace();
-    qnet_obs::set_level(qnet_obs::ObsLevel::Counters);
 }
 
 #[test]
 fn beam_and_local_search_extensions_record_their_rounds() {
-    let _serial = serial();
-    qnet_obs::set_level(qnet_obs::ObsLevel::Trace);
     let net = NetworkSpec::paper_default().build(1);
 
-    qnet_obs::reset_trace();
+    let capture = Capture::begin(ObsLevel::Trace);
     BeamSearch::default().solve(&net).ok();
     let beam_rounds = qnet_obs::trace_snapshot()
         .iter()
@@ -97,8 +81,9 @@ fn beam_and_local_search_extensions_record_their_rounds() {
         beam_rounds >= net.user_count() - 1,
         "beam search recorded {beam_rounds} rounds"
     );
+    drop(capture);
 
-    qnet_obs::reset_trace();
+    let _capture = Capture::begin(ObsLevel::Trace);
     if let Ok(base) = ConflictFree::default().solve(&net) {
         let refined = refine(&net, base.clone(), LocalSearchOptions::default());
         let moves = qnet_obs::trace_snapshot()
@@ -111,7 +96,4 @@ fn beam_and_local_search_extensions_record_their_rounds() {
             assert!(moves > 0, "improved tree without recorded moves");
         }
     }
-
-    qnet_obs::reset_trace();
-    qnet_obs::set_level(qnet_obs::ObsLevel::Counters);
 }

@@ -280,16 +280,6 @@ impl<N, E> Graph<N, E> {
         }
     }
 
-    /// Mutable payload of edge `e`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e` is out of range.
-    #[inline]
-    pub fn edge_payload_mut(&mut self, e: EdgeId) -> &mut E {
-        &mut self.edges[e.index()].payload
-    }
-
     /// Endpoints `(a, b)` of edge `e`.
     #[inline]
     pub fn endpoints(&self, e: EdgeId) -> (NodeId, NodeId) {

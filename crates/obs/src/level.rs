@@ -104,14 +104,11 @@ mod tests {
 
     #[test]
     fn set_level_round_trips() {
-        let _serial = crate::serial_guard();
-        let before = level();
-        set_level(ObsLevel::Full);
+        let _capture = crate::Capture::begin(ObsLevel::Full);
         assert!(enabled(ObsLevel::Counters));
         assert!(enabled(ObsLevel::Full));
         set_level(ObsLevel::Off);
         assert!(!enabled(ObsLevel::Counters));
-        set_level(before);
     }
 
     #[test]

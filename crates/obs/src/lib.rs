@@ -20,7 +20,9 @@
 //! | `trace`    | yes   | yes                 | yes          | + one mutex op per event |
 //!
 //! Unset defaults to `counters`. [`set_level`] overrides the variable at
-//! runtime (used by benches, tests, and `repro --obs-report`).
+//! runtime. A [`Capture`] sets the level for one run, zeroes the global
+//! sinks and hands back the run's [`RunReport`]; `repro`, the
+//! `obs_overhead` bench and every test that reads the sinks take one.
 //!
 //! At `trace`, every solver decision (channel candidates, tree-growth
 //! rounds, beam prunes, local-search moves) and every bridged protocol
@@ -45,16 +47,16 @@
 //! ## Quick tour
 //!
 //! ```
-//! use qnet_obs::{span, counter, histogram, ObsLevel, RunReport};
+//! use qnet_obs::{span, counter, histogram, Capture, ObsLevel};
 //!
-//! qnet_obs::set_level(ObsLevel::Full);
+//! let capture = Capture::begin(ObsLevel::Full);
 //! {
 //!     let _solve = span!("docs.example.solve");
 //!     counter!("docs.example.calls");
 //!     counter!("docs.channel.rejected", reason = "qubit_capacity");
 //!     histogram!("docs.slot.duration_us", 17);
 //! }
-//! let report = RunReport::capture("doctest");
+//! let report = capture.finish("doctest");
 //! assert_eq!(report.counter_total("docs.example.calls"), 1);
 //! let json = report.to_json();
 //! assert!(serde_json::to_string(&json).unwrap().contains("docs.example.solve"));
@@ -67,6 +69,7 @@
 #![warn(missing_docs)]
 
 mod alloc;
+mod capture;
 mod chrome_trace;
 mod diff;
 mod level;
@@ -81,6 +84,7 @@ mod trace;
 #[cfg(feature = "alloc-profile")]
 pub use alloc::CountingAllocator;
 pub use alloc::{alloc_profiling_compiled, peak_rss_bytes, AllocScope};
+pub use capture::Capture;
 pub use chrome_trace::{chrome_trace_value, write_chrome_trace};
 pub use diff::{diff_reports, DiffEntry, DiffKind, DiffOptions, ReportDiff, Severity};
 pub use level::{enabled, level, set_level, ObsLevel};
@@ -97,17 +101,9 @@ pub use timeseries::{
     TimeSeriesSection, WindowHistogram, WindowSnapshot,
 };
 pub use trace::{
-    record_event, recorder, reset_trace, set_trace_capacity, trace_enabled, trace_snapshot,
-    write_trace_jsonl, FlightRecorder, Stamped, TraceEvent, DEFAULT_TRACE_CAPACITY,
+    record_event, recorder, set_trace_capacity, trace_enabled, trace_snapshot, write_trace_jsonl,
+    FlightRecorder, Stamped, TraceEvent, DEFAULT_TRACE_CAPACITY,
 };
-
-/// Serializes unit tests that mutate the process-global level or span
-/// store, since the default test harness runs them in parallel.
-#[cfg(test)]
-pub(crate) fn serial_guard() -> parking_lot::MutexGuard<'static, ()> {
-    static LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
-    LOCK.lock()
-}
 
 /// Increments a named counter when the level admits counters.
 ///

@@ -37,12 +37,6 @@ pub struct Counter {
 }
 
 impl Counter {
-    /// Increments by one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
     /// Increments by `n`.
     #[inline]
     pub fn add(&self, n: u64) {
@@ -219,8 +213,8 @@ impl Registry {
 
     /// The counter registered under `key`, creating it on first use.
     /// The returned handle stays valid (and keeps counting into this
-    /// registry) for the registry's lifetime; [`Registry::reset`] zeroes
-    /// values without invalidating handles.
+    /// registry) for the registry's lifetime; a [`crate::Capture`]
+    /// zeroes values without invalidating handles.
     pub fn counter(&self, key: MetricKey) -> Arc<Counter> {
         if let Some(c) = self.counters.read().get(&key) {
             return Arc::clone(c);
@@ -300,7 +294,7 @@ impl Registry {
 
     /// Zeroes all metrics **in place**: cached handles (e.g. the
     /// per-call-site `OnceLock`s behind `counter!`) remain valid.
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         for c in self.counters.read().values() {
             c.reset();
         }
@@ -331,12 +325,12 @@ mod tests {
         let reg = Registry::new();
         let a = reg.counter(KEY);
         let b = reg.counter(KEY);
-        a.inc();
+        a.add(1);
         b.add(4);
         assert_eq!(reg.counter(KEY).get(), 5);
         reg.reset();
         assert_eq!(a.get(), 0);
-        a.inc();
+        a.add(1);
         assert_eq!(b.get(), 1, "handles stay live across reset");
     }
 

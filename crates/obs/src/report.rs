@@ -78,9 +78,8 @@ pub struct RunReport {
 
 impl RunReport {
     /// Snapshots the global registry and span store under the name
-    /// `run`. Does not reset anything; pair with
-    /// [`crate::global()`]`.reset()` / [`crate::reset_spans`] between
-    /// runs if per-run deltas are wanted.
+    /// `run`. Does not reset anything; a [`crate::Capture`] takes
+    /// per-run deltas.
     pub fn capture(run: &str) -> RunReport {
         let reg = global();
         RunReport {

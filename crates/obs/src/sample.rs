@@ -65,9 +65,12 @@ impl TraceSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Capture, ObsLevel};
 
     #[test]
     fn one_in_n_is_deterministic_and_exact() {
+        // Rejections count into the global registry.
+        let _capture = Capture::begin(ObsLevel::Counters);
         let mut s = TraceSampler::every(4);
         let decisions: Vec<bool> = (0..10).map(|_| s.admit()).collect();
         assert_eq!(
@@ -81,6 +84,7 @@ mod tests {
 
     #[test]
     fn every_one_admits_everything_and_zero_is_clamped() {
+        let _capture = Capture::begin(ObsLevel::Counters);
         for n in [0, 1] {
             let mut s = TraceSampler::every(n);
             assert!((0..5).all(|_| s.admit()), "every({n}) must admit all");
@@ -90,15 +94,13 @@ mod tests {
 
     #[test]
     fn rejections_land_in_the_global_counter() {
-        let _serial = crate::serial_guard();
-        crate::set_level(crate::ObsLevel::Counters);
-        crate::global().reset();
+        let capture = Capture::begin(ObsLevel::Counters);
         let mut s = TraceSampler::every(3);
         for _ in 0..9 {
             s.admit();
         }
         assert_eq!(s.sampled_out(), 6);
-        assert_eq!(crate::global().counter_total("obs.trace.sampled_out"), 6);
-        crate::global().reset();
+        let report = capture.finish("sampler");
+        assert_eq!(report.counter_total("obs.trace.sampled_out"), 6);
     }
 }

@@ -187,7 +187,8 @@ pub(crate) fn snapshot_spans() -> Vec<SpanRecord> {
 
 /// Clears the span store. Open guards from before the reset will write
 /// their duration into whatever record now occupies their index, so only
-/// reset between runs, not mid-span.
+/// reset between runs, not mid-span ([`crate::Capture::begin`] does; the
+/// servebench harness clears spans alone between its traced replays).
 pub fn reset_spans() {
     store().spans.lock().clear();
     CURRENT.with(|c| c.set(None));
@@ -196,13 +197,11 @@ pub fn reset_spans() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::level::set_level;
+    use crate::Capture;
 
     #[test]
     fn spans_nest_and_record_parents() {
-        let _serial = crate::serial_guard();
-        set_level(ObsLevel::Full);
-        reset_spans();
+        let _capture = Capture::begin(ObsLevel::Full);
         {
             let _outer = enter("test.span.outer");
             {
@@ -211,7 +210,6 @@ mod tests {
             let _sibling = enter("test.span.sibling");
         }
         let spans = snapshot_spans();
-        set_level(ObsLevel::Counters);
         assert_eq!(spans.len(), 3);
         let outer = spans
             .iter()
@@ -237,9 +235,7 @@ mod tests {
 
     #[test]
     fn below_full_no_spans_are_recorded() {
-        let _serial = crate::serial_guard();
-        set_level(ObsLevel::Counters);
-        reset_spans();
+        let _capture = Capture::begin(ObsLevel::Counters);
         {
             let _g = enter("test.span.suppressed");
         }
@@ -248,9 +244,7 @@ mod tests {
 
     #[test]
     fn guard_dropped_on_another_thread_never_links_stacks() {
-        let _serial = crate::serial_guard();
-        set_level(ObsLevel::Full);
-        reset_spans();
+        let _capture = Capture::begin(ObsLevel::Full);
         {
             let _outer = enter("test.span.migrating_outer");
             let inner = enter("test.span.migrated");
@@ -266,7 +260,6 @@ mod tests {
             .unwrap();
         }
         let spans = snapshot_spans();
-        set_level(ObsLevel::Counters);
         let migrated = spans
             .iter()
             .find(|s| s.name == "test.span.migrated")

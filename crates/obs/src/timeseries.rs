@@ -312,11 +312,6 @@ impl TimeSeries {
         self.window_slots
     }
 
-    /// Windows closed so far (including evicted ones).
-    pub fn closed_windows(&self) -> u64 {
-        self.closed
-    }
-
     /// Windows evicted from the ring so far.
     pub fn evicted(&self) -> u64 {
         self.evicted

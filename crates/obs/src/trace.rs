@@ -421,6 +421,11 @@ impl FlightRecorder {
         self.dropped.store(0, std::sync::atomic::Ordering::Relaxed);
     }
 
+    /// The most events the ring holds.
+    pub fn capacity(&self) -> usize {
+        self.ring.lock().capacity
+    }
+
     /// Clears the ring and re-targets its capacity (storage for the new
     /// capacity is re-filled lazily by subsequent records).
     pub fn set_capacity(&self, capacity: usize) {
@@ -481,13 +486,6 @@ pub fn record_event(event: TraceEvent) {
 /// Copies out the global recorder's live events, oldest first.
 pub fn trace_snapshot() -> Vec<Stamped> {
     recorder().snapshot()
-}
-
-/// Clears the global recorder (ring, sequence counter, dropped tally).
-/// Pair with [`crate::global()`]`.reset()` / [`crate::reset_spans`]
-/// between runs.
-pub fn reset_trace() {
-    recorder().reset();
 }
 
 /// Re-targets the global recorder's capacity, clearing it.
@@ -575,16 +573,12 @@ mod tests {
 
     #[test]
     fn below_trace_level_records_nothing_globally() {
-        let _serial = crate::serial_guard();
-        crate::set_level(ObsLevel::Full);
-        reset_trace();
+        let _capture = crate::Capture::begin(ObsLevel::Full);
         record_event(candidate(1));
         assert!(trace_snapshot().is_empty());
         crate::set_level(ObsLevel::Trace);
         record_event(candidate(1));
         assert_eq!(trace_snapshot().len(), 1);
-        reset_trace();
-        crate::set_level(ObsLevel::Counters);
     }
 
     #[test]
@@ -652,9 +646,7 @@ mod tests {
 
     #[test]
     fn jsonl_export_writes_one_line_per_event() {
-        let _serial = crate::serial_guard();
-        crate::set_level(ObsLevel::Trace);
-        reset_trace();
+        let _capture = crate::Capture::begin(ObsLevel::Trace);
         record_event(candidate(1));
         record_event(TraceEvent::Protocol {
             kind: "link",
@@ -664,7 +656,6 @@ mod tests {
         });
         let dir = std::env::temp_dir().join("qnet_obs_trace_test");
         let path = write_trace_jsonl(&dir, "unit run").expect("write succeeds");
-        crate::set_level(ObsLevel::Counters);
         assert_eq!(
             path.file_name().unwrap().to_str().unwrap(),
             "unit_run.trace.jsonl"
@@ -676,7 +667,6 @@ mod tests {
             let v: Value = serde_json::from_str(line).expect("line parses");
             assert_eq!(v.get("seq").and_then(|s| s.as_u64()), Some(i as u64));
         }
-        reset_trace();
         let _ = std::fs::remove_file(&path);
     }
 }

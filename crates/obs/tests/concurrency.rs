@@ -1,28 +1,17 @@
 //! Concurrency guarantees: counters and histograms accept increments
 //! from many threads without losing a single event.
 //!
-//! Lives in its own integration-test binary so the global registry and
-//! level it mutates are isolated from the unit tests' process.
+//! Each test holds a [`Capture`] for its run, so the tests in this
+//! binary take turns on the global registry and level.
 
-use std::sync::Mutex;
-
-use qnet_obs::{global, MetricKey, ObsLevel};
-
-/// Tests in this file share process-global obs state; run them one at
-/// a time even under the default parallel harness.
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
+use qnet_obs::{global, Capture, MetricKey, ObsLevel};
 
 const THREADS: usize = 8;
 const INCREMENTS: u64 = 25_000;
 
 #[test]
 fn concurrent_counter_increments_are_exact() {
-    let _serial = serial();
-    qnet_obs::set_level(ObsLevel::Counters);
-    global().reset();
+    let capture = Capture::begin(ObsLevel::Counters);
 
     std::thread::scope(|scope| {
         for _ in 0..THREADS {
@@ -34,7 +23,7 @@ fn concurrent_counter_increments_are_exact() {
         }
     });
 
-    let report = qnet_obs::RunReport::capture("concurrency");
+    let report = capture.finish("concurrency");
     assert_eq!(
         report.counter_total("test.concurrency.hits"),
         THREADS as u64 * INCREMENTS,
@@ -44,9 +33,7 @@ fn concurrent_counter_increments_are_exact() {
 
 #[test]
 fn concurrent_labeled_counters_stay_separate() {
-    let _serial = serial();
-    qnet_obs::set_level(ObsLevel::Counters);
-    global().reset();
+    let capture = Capture::begin(ObsLevel::Counters);
 
     std::thread::scope(|scope| {
         for t in 0..THREADS {
@@ -77,7 +64,7 @@ fn concurrent_labeled_counters_stay_separate() {
         .get();
     assert_eq!(even, per_label);
     assert_eq!(odd, per_label);
-    let report = qnet_obs::RunReport::capture("concurrency-labels");
+    let report = capture.finish("concurrency-labels");
     assert_eq!(
         report.counter_total("test.concurrency.rejected"),
         THREADS as u64 * INCREMENTS,
@@ -87,9 +74,7 @@ fn concurrent_labeled_counters_stay_separate() {
 
 #[test]
 fn concurrent_histogram_records_are_exact() {
-    let _serial = serial();
-    qnet_obs::set_level(ObsLevel::Counters);
-    global().reset();
+    let _capture = Capture::begin(ObsLevel::Counters);
 
     std::thread::scope(|scope| {
         for _ in 0..THREADS {
@@ -114,9 +99,7 @@ fn concurrent_histogram_records_are_exact() {
 
 #[test]
 fn off_level_records_nothing() {
-    let _serial = serial();
-    qnet_obs::set_level(ObsLevel::Off);
-    global().reset();
+    let capture = Capture::begin(ObsLevel::Off);
 
     std::thread::scope(|scope| {
         for _ in 0..THREADS {
@@ -129,8 +112,7 @@ fn off_level_records_nothing() {
         }
     });
 
-    let report = qnet_obs::RunReport::capture("off");
+    let report = capture.finish("off");
     assert_eq!(report.counter_total("test.concurrency.dark"), 0);
     assert!(report.histograms.is_empty());
-    qnet_obs::set_level(ObsLevel::Counters);
 }

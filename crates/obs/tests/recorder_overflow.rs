@@ -3,20 +3,12 @@
 //! tally (and the `obs.trace.dropped` counter on the global path)
 //! accounts for every eviction exactly.
 //!
-//! Lives in its own integration-test binary so the global level and
-//! recorder it mutates are isolated from the unit tests' process.
-
-use std::sync::Mutex;
+//! Only the global-path test touches the process-wide recorder; it
+//! holds a [`Capture`], which puts the recorder's capacity back when it
+//! drops. The rest drive private `FlightRecorder`s.
 
 use proptest::prelude::*;
-use qnet_obs::{FlightRecorder, ObsLevel, TraceEvent};
-
-/// Tests in this file share process-global obs state; run them one at
-/// a time even under the default parallel harness.
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
+use qnet_obs::{Capture, FlightRecorder, ObsLevel, TraceEvent};
 
 fn event(i: u64) -> TraceEvent {
     TraceEvent::Candidate {
@@ -80,31 +72,23 @@ proptest! {
 /// counter exactly.
 #[test]
 fn global_dropped_counter_matches_evictions() {
-    let _serial = serial();
-    qnet_obs::set_level(ObsLevel::Trace);
-    qnet_obs::global().reset();
+    let capture = Capture::begin(ObsLevel::Trace);
     qnet_obs::set_trace_capacity(16);
 
     const PUSHED: u64 = 100;
     for i in 0..PUSHED {
         qnet_obs::record_event(event(i));
     }
-    let report = qnet_obs::RunReport::capture("overflow");
+    let report = capture.finish("overflow");
     assert_eq!(report.counter_total("obs.trace.dropped"), PUSHED - 16);
     assert_eq!(qnet_obs::recorder().dropped(), PUSHED - 16);
     assert_eq!(qnet_obs::trace_snapshot().len(), 16);
-
-    // Back to defaults for any test that follows in this binary.
-    qnet_obs::set_trace_capacity(qnet_obs::DEFAULT_TRACE_CAPACITY);
-    qnet_obs::global().reset();
-    qnet_obs::set_level(ObsLevel::Counters);
 }
 
 /// Concurrent recording never loses an event silently: every record
 /// either survives in the ring or is tallied as dropped.
 #[test]
 fn concurrent_records_are_all_accounted_for() {
-    let _serial = serial();
     const THREADS: u64 = 8;
     const PER_THREAD: u64 = 5_000;
     let rec = FlightRecorder::with_capacity(1024);

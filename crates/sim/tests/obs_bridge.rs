@@ -6,14 +6,8 @@
 //! given bridge coverage, keeping the counter vocabulary and the event
 //! vocabulary in lockstep.
 
-use std::sync::Mutex;
-
+use qnet_obs::{Capture, ObsLevel};
 use qnet_sim::trace::{obs_bridge, Event};
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 /// Every [`Event`] variant (both outcomes), paired with the counter
 /// family `obs_bridge` must route it to.
@@ -62,13 +56,10 @@ const ALL_FAMILIES: [&str; 4] = [
 
 #[test]
 fn every_event_variant_maps_to_exactly_one_counter_family() {
-    let _serial = serial();
-    qnet_obs::set_level(qnet_obs::ObsLevel::Counters);
-
     for (event, family) in all_variants() {
-        qnet_obs::global().reset();
+        let capture = Capture::begin(ObsLevel::Counters);
         obs_bridge(event);
-        let report = qnet_obs::RunReport::capture("bridge");
+        let report = capture.finish("bridge");
 
         // Exactly one family incremented, by exactly one, ...
         for candidate in ALL_FAMILIES {
@@ -104,10 +95,7 @@ fn event_success(event: Event) -> bool {
 
 #[test]
 fn trace_level_mirrors_events_into_the_flight_recorder() {
-    let _serial = serial();
-    qnet_obs::set_level(qnet_obs::ObsLevel::Trace);
-    qnet_obs::global().reset();
-    qnet_obs::reset_trace();
+    let capture = Capture::begin(ObsLevel::Trace);
 
     obs_bridge(Event::Swap {
         channel: 2,
@@ -137,11 +125,7 @@ fn trace_level_mirrors_events_into_the_flight_recorder() {
         }
     );
     // Counters keep flowing at trace level too.
-    let report = qnet_obs::RunReport::capture("bridge-trace");
+    let report = capture.finish("bridge-trace");
     assert_eq!(report.counter_total("sim.swap.attempts"), 1);
     assert_eq!(report.counter_total("sim.slot.outcomes"), 1);
-
-    qnet_obs::reset_trace();
-    qnet_obs::global().reset();
-    qnet_obs::set_level(qnet_obs::ObsLevel::Counters);
 }

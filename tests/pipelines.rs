@@ -5,8 +5,9 @@
 //! accounting must close against its summary, and the churned stream
 //! must exercise the delta engine with every cache repair doing work.
 //!
-//! Both pipelines reset the process-global obs registry, so the tests
-//! in this binary run one at a time.
+//! Each pipeline run holds a `qnet_obs::Capture` at `counters`, the
+//! level `repro` runs them at, so the runs take turns on the global
+//! sinks.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -14,13 +15,8 @@ use std::path::{Path, PathBuf};
 use muerp::experiments::cli::{parse_command, Command};
 use muerp::experiments::serve::run_serve;
 use muerp::experiments::stream::run_stream;
+use muerp::obs::ObsLevel;
 use serde_json::Value;
-
-/// Serializes the tests in this binary; each one resets global state.
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Parses `argv` plus `--out <fresh dir under cargo's test scratch
 /// space>` the way `repro` does; returns the command and the directory.
@@ -52,12 +48,11 @@ fn width(w: &Value) -> u64 {
 
 #[test]
 fn stream_metrics_stream_is_schema_valid_jsonl() {
-    let _serial = serial();
     let (cmd, dir) = command(&["stream", "--slots", "1024", "--seed", "2024"], "stream");
     let Command::Stream(args) = cmd else {
         panic!("stream subcommand")
     };
-    run_stream(&args).expect("stream pipeline writes its artifacts");
+    run_stream(&args, ObsLevel::Counters).expect("stream pipeline writes its artifacts");
 
     let lines = json_lines(&dir, "stream.metrics.jsonl");
     assert_eq!(lines.len(), 1024 / 64, "one line per window");
@@ -120,7 +115,6 @@ fn counter_totals(report: &Value) -> BTreeMap<String, u64> {
 
 #[test]
 fn churned_stream_exercises_the_delta_engine() {
-    let _serial = serial();
     let (cmd, dir) = command(
         &[
             "stream",
@@ -136,7 +130,7 @@ fn churned_stream_exercises_the_delta_engine() {
     let Command::Stream(args) = cmd else {
         panic!("stream subcommand")
     };
-    run_stream(&args).expect("stream pipeline writes its artifacts");
+    run_stream(&args, ObsLevel::Counters).expect("stream pipeline writes its artifacts");
 
     let report = json(&read(&dir, "stream.json"));
     assert_eq!(report["schema_version"].as_u64(), Some(4));
@@ -163,7 +157,6 @@ fn churned_stream_exercises_the_delta_engine() {
 
 #[test]
 fn serve_round_stream_is_schema_valid_and_accounting_closes() {
-    let _serial = serial();
     let (cmd, dir) = command(
         &[
             "serve", "--slots", "1024", "--round", "32", "--seed", "2024",
@@ -173,7 +166,7 @@ fn serve_round_stream_is_schema_valid_and_accounting_closes() {
     let Command::Serve(args) = cmd else {
         panic!("serve subcommand")
     };
-    run_serve(&args).expect("serve pipeline writes its artifacts");
+    run_serve(&args, ObsLevel::Counters).expect("serve pipeline writes its artifacts");
 
     let lines = json_lines(&dir, "serve.metrics.jsonl");
     assert_eq!(lines.len(), 1024 / 32, "one line per round");
