@@ -38,13 +38,15 @@
 //!   re-audited, failing scripts shrunk to a minimal admission script.
 //! * [`shrink`] — the generic greedy sequence shrinker the delta and
 //!   serve oracles share.
-//! * [`simcheck`] — closes the loop against the Monte-Carlo simulator:
-//!   the measured slot success rate of an executed solution must fall
-//!   inside the Wilson interval around the analytic Eq. 2 rate.
+//! * [`bridge`] — the one routing→simulator conversion
+//!   ([`bridge::solution_to_plan`], [`bridge::physics_of`]) that lets the
+//!   Monte-Carlo simulator execute a solution; `muerp::bridge` re-exports
+//!   it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod bridge;
 pub mod churn;
 pub mod delta;
 pub mod differential;
@@ -53,7 +55,6 @@ pub mod fuzz;
 pub mod metamorphic;
 pub mod serve;
 pub mod shrink;
-pub mod simcheck;
 
 pub use churn::{churn_check, derive_failure, failure_from_json, failure_to_json, ChurnReport};
 pub use delta::{delta_check, delta_check_ops, derive_delta_ops, shrink_ops, DeltaOp};
@@ -66,4 +67,3 @@ pub use metamorphic::{
 };
 pub use serve::{derive_requests, serve_check, serve_check_requests, shrink_requests};
 pub use shrink::greedy_shrink;
-pub use simcheck::{monte_carlo_agreement, AgreementReport, SimDisagreement};

@@ -85,22 +85,10 @@ pub fn solution_stats(net: &QuantumNetwork, solution: &Solution) -> SolutionStat
     }
 }
 
-/// Histogram of channel lengths: `hist[l]` = channels with `l` links.
-pub fn channel_length_histogram(solution: &Solution) -> Vec<usize> {
-    let Some(max) = solution.channels.iter().map(|c| c.link_count()).max() else {
-        return Vec::new();
-    };
-    let mut hist = vec![0usize; max + 1];
-    for c in &solution.channels {
-        hist[c.link_count()] += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{ConflictFree, PrimBased};
+    use crate::algorithms::ConflictFree;
     use crate::model::NetworkSpec;
     use crate::solver::RoutingAlgorithm;
 
@@ -132,15 +120,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_sums_to_channel_count() {
-        let net = NetworkSpec::paper_default().build(41);
-        let sol = PrimBased::default().solve(&net).unwrap();
-        let hist = channel_length_histogram(&sol);
-        assert_eq!(hist.iter().sum::<usize>(), sol.channels.len());
-        assert_eq!(hist[0], 0, "no zero-link channels");
-    }
-
-    #[test]
     fn empty_solution_stats() {
         let net = NetworkSpec::paper_default().build(42);
         let sol = crate::solver::Solution::from_tree(crate::tree::EntanglementTree::new());
@@ -149,6 +128,5 @@ mod tests {
         assert_eq!(stats.bottleneck_pair, None);
         assert_eq!(stats.hottest_switch, None);
         assert_eq!(stats.utilization, 0.0);
-        assert!(channel_length_histogram(&sol).is_empty());
     }
 }

@@ -298,14 +298,14 @@ impl RequestStream {
     ///
     /// Panics with [`StreamConfig::check`]'s message on out-of-range
     /// configuration, or when the network has fewer users than the
-    /// minimum group size.
+    /// maximum group size (a drawn group never repeats a member).
     pub fn new(net: &QuantumNetwork, cfg: StreamConfig, seed: u64) -> Self {
         cfg.check().unwrap_or_else(|e| panic!("{e}"));
         assert!(
-            net.user_count() >= cfg.group_size.0,
-            "network has {} users, groups need at least {}",
+            net.user_count() >= cfg.group_size.1,
+            "network has {} users, groups draw up to {}",
             net.user_count(),
-            cfg.group_size.0
+            cfg.group_size.1
         );
         let users: Vec<(usize, NodeId)> = net.users().iter().copied().enumerate().collect();
         let hot_count = (cfg.hotspot_fraction * users.len() as f64).ceil() as usize;
@@ -420,7 +420,7 @@ pub struct StreamOutcome {
 /// # Panics
 ///
 /// Panics with [`StreamDriver::check`]'s message on out-of-range
-/// configuration, or when the network has fewer users than the minimum
+/// configuration, or when the network has fewer users than the maximum
 /// group size.
 pub fn simulate_stream(net: &QuantumNetwork, cfg: StreamDriver, seed: u64) -> StreamOutcome {
     cfg.check().unwrap_or_else(|e| panic!("{e}"));
@@ -1082,6 +1082,22 @@ mod tests {
             breaks(&mut cfg);
             assert_eq!(cfg.check().map_err(|e| e.field), Err(field), "{cfg:?}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "network has 3 users, groups draw up to 5")]
+    fn fewer_users_than_the_largest_group_rejected() {
+        let net = NetworkSpec::paper_default().with_users(3).build(1);
+        RequestStream::new(
+            &net,
+            StreamConfig {
+                slots: 4096,
+                base_arrival: 0.9,
+                group_size: (2, 5),
+                ..StreamConfig::default()
+            },
+            1,
+        );
     }
 
     #[test]

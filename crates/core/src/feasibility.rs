@@ -4,8 +4,6 @@
 //! and Theorem 2 shows optimizing it is NP-hard, so no general
 //! polynomial-time oracle exists. This module provides:
 //!
-//! * [`satisfies_sufficient_condition`] — the `Q_r ≥ 2·|U|` condition of
-//!   Theorem 3 under which Algorithm 2 is provably optimal;
 //! * [`exhaustive_optimal`] — branch-and-bound exact search over
 //!   (spanning tree shape × channel realization) for *tiny* instances,
 //!   used by tests to certify Algorithm 2's optimality claim and to
@@ -20,14 +18,6 @@ use crate::channel::{CapacityMap, Channel};
 use crate::model::QuantumNetwork;
 use crate::rate::Rate;
 use crate::tree::EntanglementTree;
-
-/// Theorem 3's sufficient condition: every switch has at least `2·|U|`
-/// qubits, guaranteeing a feasible solution exists (given connectivity)
-/// and that Algorithm 2's output is optimal.
-pub fn satisfies_sufficient_condition(net: &QuantumNetwork) -> bool {
-    let bound = 2 * net.user_count() as u32;
-    net.switches().all(|s| net.kind(s).qubits() >= bound)
-}
 
 /// Enumerates every simple path between users `a` and `b` whose interior
 /// vertices are switches with ≥ 2 qubits, up to `max_links` links, as
@@ -281,12 +271,6 @@ mod tests {
         }
         g.add_edge(s[0], s[2], 900.0);
         QuantumNetwork::from_graph(g, PhysicsParams::paper_default())
-    }
-
-    #[test]
-    fn sufficient_condition_detection() {
-        assert!(satisfies_sufficient_condition(&tiny_net(8))); // 2·|U| = 8
-        assert!(!satisfies_sufficient_condition(&tiny_net(7)));
     }
 
     #[test]

@@ -33,15 +33,13 @@
 //! * [`audit`] — the independent [`audit::SolutionAudit`]: every MUERP
 //!   invariant re-derived from raw fiber lengths, with named-invariant
 //!   violations (the conformance harness's ground truth).
-//! * [`feasibility`] — the sufficient condition of Theorem 3 and an
-//!   exhaustive optimal oracle for tiny instances (the NP-hardness means
-//!   no general polynomial oracle exists).
+//! * [`feasibility`] — an exhaustive optimal oracle for tiny instances
+//!   (the NP-hardness means no general polynomial oracle exists).
 //! * [`extensions`] — the paper's two named extensions: fidelity-aware
 //!   routing and concurrent multi-group routing.
 //! * [`survive`] — survivability: seeded fault injection
-//!   ([`survive::FailurePlan`]), the incremental repair ladder
-//!   ([`survive::repair`]), and the edge-criticality report behind the
-//!   paper's Fig. 7(b) "critical edges" observation.
+//!   ([`survive::FailurePlan`]) and the incremental repair ladder
+//!   ([`survive::repair`]).
 //!
 //! ## Quickstart
 //!
@@ -84,8 +82,8 @@ pub mod prelude {
     pub use crate::rate::Rate;
     pub use crate::solver::{validate_solution, RoutingAlgorithm, Solution, SolutionStyle};
     pub use crate::survive::{
-        criticality_report, full_resolve, repair, CriticalityReport, Failure, FailureKind,
-        FailurePlan, NetworkState, RepairMethod, RepairOutcome,
+        full_resolve, repair, Failure, FailureKind, FailurePlan, NetworkState, RepairMethod,
+        RepairOutcome,
     };
     pub use crate::tree::EntanglementTree;
 }

@@ -363,20 +363,6 @@ impl NetworkSpec {
         self
     }
 
-    /// Builder-style: sets the topology generator kind.
-    #[must_use]
-    pub fn with_topology(mut self, kind: qnet_topology::TopologyKind) -> Self {
-        self.topology.kind = kind;
-        self
-    }
-
-    /// Builder-style: sets the swap success rate `q`.
-    #[must_use]
-    pub fn with_swap_success(mut self, q: f64) -> Self {
-        self.physics.swap_success = q;
-        self
-    }
-
     /// Generates the instance deterministically from `seed`: node
     /// placement, wiring, and the random choice of which nodes are users
     /// all derive from it.
@@ -514,15 +500,10 @@ mod tests {
 
     #[test]
     fn builder_methods_compose() {
-        let spec = NetworkSpec::paper_default()
-            .with_users(6)
-            .with_qubits(8)
-            .with_topology(qnet_topology::TopologyKind::Volchenkov)
-            .with_swap_success(0.8);
+        let spec = NetworkSpec::paper_default().with_users(6).with_qubits(8);
         assert_eq!(spec.users, 6);
         assert_eq!(spec.topology.nodes, 56, "switch count preserved");
         assert_eq!(spec.qubits_per_switch, 8);
-        assert_eq!(spec.physics.swap_success, 0.8);
         let net = spec.build(1);
         assert_eq!(net.user_count(), 6);
         assert_eq!(net.switch_count(), 50);

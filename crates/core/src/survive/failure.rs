@@ -174,11 +174,6 @@ impl<'n> NetworkState<'n> {
         &self.mask
     }
 
-    /// `true` when no applied fault had any effect.
-    pub fn is_intact(&self) -> bool {
-        self.mask.is_empty() && self.lost.iter().all(|&l| l == 0)
-    }
-
     /// Qubits still installed at `v`: the original capacity minus
     /// degradation losses (dead switches keep their nominal capacity
     /// here — the mask already makes them unusable).
@@ -297,7 +292,11 @@ mod tests {
     fn state_accumulates_and_materializes() {
         let net = NetworkSpec::paper_default().build(3);
         let mut state = NetworkState::new(&net);
-        assert!(state.is_intact());
+        assert!(state.mask().is_empty());
+        assert!(net
+            .graph()
+            .node_ids()
+            .all(|v| state.effective_qubits(v) == net.kind(v).qubits()));
         let switch = net
             .graph()
             .node_ids()
@@ -312,7 +311,7 @@ mod tests {
         state.apply(&FailureKind::LinkCut {
             edge: EdgeId::new(0),
         });
-        assert!(!state.is_intact());
+        assert!(!state.mask().is_empty());
         assert!(state.mask().edge_dead(EdgeId::new(0)));
 
         let degraded = state.materialize();

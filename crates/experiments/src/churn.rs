@@ -25,9 +25,9 @@
 
 use muerp_core::model::{NetworkSpec, QuantumNetwork};
 use muerp_core::prelude::*;
-use qnet_conformance::simcheck::solution_to_plan;
+use qnet_conformance::bridge::{physics_of, solution_to_plan};
 use qnet_sim::churn::{FailureEvent, PlanFix};
-use qnet_sim::engine::{SimPhysics, Simulator};
+use qnet_sim::engine::Simulator;
 
 use crate::table::FigureTable;
 
@@ -170,11 +170,7 @@ pub fn churn_tables(cfg: ChurnConfig) -> Vec<FigureTable> {
             .iter()
             .map(|f| to_sim_event(&net, f))
             .collect();
-        let physics = SimPhysics {
-            swap_success: net.physics().swap_success,
-            attenuation: net.physics().attenuation,
-            fusion_success: None,
-        };
+        let physics = physics_of(&net);
         let mut sim = Simulator::new(solution_to_plan(&net, &base), physics, seed);
         let mut cb_state = NetworkState::new(&net);
         let mut cb_solution = Some(base.clone());

@@ -1,4 +1,4 @@
-//! Connectivity analysis: components, bridges, articulation points.
+//! Connectivity analysis: components and bridges.
 //!
 //! The paper's Fig. 7(b) removes optical fibers uniformly at random and
 //! observes that performance "is mainly affected by some critical edges in
@@ -55,15 +55,6 @@ pub fn nodes_connected<N, E>(g: &Graph<N, E>, nodes: &[NodeId]) -> bool {
         .all(|n| labels[n.index()] == labels[first.index()])
 }
 
-/// Iterative Tarjan bridge/articulation computation state.
-struct LowLink {
-    disc: Vec<u32>,
-    low: Vec<u32>,
-    timer: u32,
-    bridges: Vec<EdgeId>,
-    articulation: Vec<bool>,
-}
-
 /// Finds all bridges (cut edges) of the graph.
 ///
 /// A bridge is an edge whose removal increases the number of connected
@@ -89,128 +80,23 @@ struct LowLink {
 /// assert_eq!(bridges(&g), vec![cd]);
 /// ```
 pub fn bridges<N, E>(g: &Graph<N, E>) -> Vec<EdgeId> {
-    low_link(g).bridges
-}
-
-/// Finds all articulation points (cut vertices) of the graph.
-pub fn articulation_points<N, E>(g: &Graph<N, E>) -> Vec<NodeId> {
-    low_link(g)
-        .articulation
-        .iter()
-        .enumerate()
-        .filter(|(_, &is_ap)| is_ap)
-        .map(|(i, _)| NodeId::new(i))
-        .collect()
-}
-
-/// One entry of a [`criticality`] report: a bridge edge and the number
-/// of terminal pairs its failure severs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EdgeCriticality {
-    /// The bridge edge.
-    pub edge: EdgeId,
-    /// Terminal pairs that end up in different components when the edge
-    /// is removed (`terminals on side A × terminals on side B`).
-    pub severed_pairs: u64,
-    /// Terminal counts on the two sides of the cut, larger side first.
-    pub split: (usize, usize),
-}
-
-/// Ranks edges by survivability impact on a terminal set.
-///
-/// Only bridges can disconnect anything, so the report contains only
-/// bridges — and only those whose removal actually separates at least
-/// one pair of `terminals` (a bridge dangling away from every terminal
-/// has no impact and is omitted). Entries are sorted by
-/// `severed_pairs` descending, ties broken by edge id ascending, so the
-/// ranking is deterministic.
-///
-/// Duplicate entries in `terminals` are counted once.
-pub fn criticality<N, E>(g: &Graph<N, E>, terminals: &[NodeId]) -> Vec<EdgeCriticality> {
-    let mut is_terminal = vec![false; g.node_count()];
-    for &t in terminals {
-        is_terminal[t.index()] = true;
-    }
-    let terminal_total = is_terminal.iter().filter(|&&t| t).count();
-    if terminal_total < 2 {
-        return Vec::new();
-    }
-    // Terminals per component: a bridge only severs pairs within its
-    // own component.
-    let (labels, component_count) = connected_components(g);
-    let mut per_component = vec![0usize; component_count];
-    for (i, &t) in is_terminal.iter().enumerate() {
-        if t {
-            per_component[labels[i]] += 1;
-        }
-    }
-
-    let mut out = Vec::new();
-    let mut stack = Vec::new();
-    let mut visited = vec![false; g.node_count()];
-    for bridge in bridges(g) {
-        let (a, _) = g.endpoints(bridge);
-        let in_component = per_component[labels[a.index()]];
-        if in_component < 2 {
-            continue;
-        }
-        // Count terminals reachable from `a` without crossing the
-        // bridge; the rest of the component sits on b's side.
-        visited.iter_mut().for_each(|v| *v = false);
-        visited[a.index()] = true;
-        stack.clear();
-        stack.push(a);
-        let mut side_a = 0usize;
-        while let Some(v) = stack.pop() {
-            if is_terminal[v.index()] {
-                side_a += 1;
-            }
-            for (u, eid) in g.neighbors(v) {
-                if eid != bridge && !visited[u.index()] {
-                    visited[u.index()] = true;
-                    stack.push(u);
-                }
-            }
-        }
-        let side_b = in_component - side_a;
-        let severed = (side_a as u64) * (side_b as u64);
-        if severed > 0 {
-            out.push(EdgeCriticality {
-                edge: bridge,
-                severed_pairs: severed,
-                split: (side_a.max(side_b), side_a.min(side_b)),
-            });
-        }
-    }
-    out.sort_by(|x, y| {
-        y.severed_pairs
-            .cmp(&x.severed_pairs)
-            .then(x.edge.cmp(&y.edge))
-    });
-    out
-}
-
-fn low_link<N, E>(g: &Graph<N, E>) -> LowLink {
+    // Iterative Tarjan low-link state.
     const UNVISITED: u32 = u32::MAX;
     let n = g.node_count();
-    let mut st = LowLink {
-        disc: vec![UNVISITED; n],
-        low: vec![UNVISITED; n],
-        timer: 0,
-        bridges: Vec::new(),
-        articulation: vec![false; n],
-    };
+    let mut disc = vec![UNVISITED; n];
+    let mut low = vec![UNVISITED; n];
+    let mut timer = 0;
+    let mut bridges = Vec::new();
 
     // Iterative DFS: each frame is (node, parent_edge, neighbor cursor).
     for root in g.node_ids() {
-        if st.disc[root.index()] != UNVISITED {
+        if disc[root.index()] != UNVISITED {
             continue;
         }
-        let mut root_children = 0usize;
         let mut stack: Vec<(NodeId, Option<EdgeId>, usize)> = Vec::new();
-        st.disc[root.index()] = st.timer;
-        st.low[root.index()] = st.timer;
-        st.timer += 1;
+        disc[root.index()] = timer;
+        low[root.index()] = timer;
+        timer += 1;
         stack.push((root, None, 0));
 
         while let Some(top) = stack.last_mut() {
@@ -225,44 +111,34 @@ fn low_link<N, E>(g: &Graph<N, E>) -> LowLink {
                 if Some(eid) == parent_edge {
                     continue; // skip the tree edge back; parallel edges have different ids
                 }
-                if st.disc[u.index()] == UNVISITED {
-                    st.disc[u.index()] = st.timer;
-                    st.low[u.index()] = st.timer;
-                    st.timer += 1;
-                    if v == root {
-                        root_children += 1;
-                    }
+                if disc[u.index()] == UNVISITED {
+                    disc[u.index()] = timer;
+                    low[u.index()] = timer;
+                    timer += 1;
                     stack.push((u, Some(eid), 0));
                 } else {
                     // Back edge.
-                    let du = st.disc[u.index()];
-                    if du < st.low[v.index()] {
-                        st.low[v.index()] = du;
+                    let du = disc[u.index()];
+                    if du < low[v.index()] {
+                        low[v.index()] = du;
                     }
                 }
             } else {
                 // Finished v: propagate low-link to parent.
                 stack.pop();
                 if let Some(&(p, _, _)) = stack.last() {
-                    let lv = st.low[v.index()];
-                    if lv < st.low[p.index()] {
-                        st.low[p.index()] = lv;
+                    let lv = low[v.index()];
+                    if lv < low[p.index()] {
+                        low[p.index()] = lv;
                     }
-                    if lv > st.disc[p.index()] {
-                        st.bridges
-                            .push(parent_edge.expect("non-root has a parent edge"));
-                    }
-                    if p != root && lv >= st.disc[p.index()] {
-                        st.articulation[p.index()] = true;
+                    if lv > disc[p.index()] {
+                        bridges.push(parent_edge.expect("non-root has a parent edge"));
                     }
                 }
             }
         }
-        if root_children > 1 {
-            st.articulation[root.index()] = true;
-        }
     }
-    st
+    bridges
 }
 
 #[cfg(test)]
@@ -326,7 +202,6 @@ mod tests {
     fn cycle_has_no_bridges() {
         let g = cycle_graph(5);
         assert!(bridges(&g).is_empty());
-        assert!(articulation_points(&g).is_empty());
     }
 
     #[test]
@@ -335,7 +210,6 @@ mod tests {
         let d = g.add_node(());
         let pendant = g.add_edge(NodeId::new(0), d, ());
         assert_eq!(bridges(&g), vec![pendant]);
-        assert_eq!(articulation_points(&g), vec![NodeId::new(0)]);
     }
 
     #[test]
@@ -349,8 +223,7 @@ mod tests {
     }
 
     #[test]
-    fn barbell_articulation() {
-        // Two triangles joined at one shared vertex -> that vertex cuts.
+    fn triangles_sharing_a_vertex_have_no_bridges() {
         let mut g: Graph<(), ()> = Graph::new();
         let ids: Vec<_> = (0..5).map(|_| g.add_node(())).collect();
         g.add_edge(ids[0], ids[1], ());
@@ -359,103 +232,7 @@ mod tests {
         g.add_edge(ids[2], ids[3], ());
         g.add_edge(ids[3], ids[4], ());
         g.add_edge(ids[4], ids[2], ());
-        assert_eq!(articulation_points(&g), vec![ids[2]]);
         assert!(bridges(&g).is_empty());
-    }
-
-    /// Brute-force criticality: remove each edge in turn and count the
-    /// terminal pairs that land in different components.
-    fn bruteforce_criticality(g: &Graph<(), ()>, terminals: &[NodeId]) -> Vec<(EdgeId, u64)> {
-        let (base, _) = connected_components(g);
-        let mut out = Vec::new();
-        for e in g.edge_ids() {
-            let without = g.filter_edges(|er| er.id != e);
-            let (labels, _) = connected_components(&without);
-            // Count pairs the removal *newly* severs: connected before,
-            // disconnected after.
-            let mut severed = 0u64;
-            for (i, &a) in terminals.iter().enumerate() {
-                for &b in &terminals[i + 1..] {
-                    if a != b
-                        && base[a.index()] == base[b.index()]
-                        && labels[a.index()] != labels[b.index()]
-                    {
-                        severed += 1;
-                    }
-                }
-            }
-            if severed > 0 {
-                out.push((e, severed));
-            }
-        }
-        out.sort_by(|x, y| y.1.cmp(&x.1).then(x.0.cmp(&y.0)));
-        out
-    }
-
-    #[test]
-    fn criticality_matches_bruteforce_on_small_graphs() {
-        // Several deterministic <=10-node graphs with varied structure:
-        // chains, cycles with pendants, and disconnected pieces.
-        let mut cases: Vec<(Graph<(), ()>, Vec<NodeId>)> = Vec::new();
-        cases.push((path_graph(6), vec![NodeId::new(0), NodeId::new(5)]));
-        cases.push((
-            path_graph(6),
-            vec![NodeId::new(0), NodeId::new(2), NodeId::new(5)],
-        ));
-        {
-            // Cycle with two pendant chains hanging off it.
-            let mut g = cycle_graph(4);
-            let p1 = g.add_node(());
-            let p2 = g.add_node(());
-            let p3 = g.add_node(());
-            g.add_edge(NodeId::new(0), p1, ());
-            g.add_edge(p1, p2, ());
-            g.add_edge(NodeId::new(2), p3, ());
-            cases.push((g, vec![p2, p3, NodeId::new(1), NodeId::new(3)]));
-        }
-        {
-            // Two components, terminals in both: cross-component pairs
-            // are already severed and must not be attributed to edges.
-            let mut g = path_graph(4);
-            let a = g.add_node(());
-            let b = g.add_node(());
-            g.add_edge(a, b, ());
-            cases.push((g, vec![NodeId::new(0), NodeId::new(3), a, b]));
-        }
-        {
-            // Barbell: two triangles joined by one bridge.
-            let mut g: Graph<(), ()> = Graph::new();
-            let ids: Vec<_> = (0..6).map(|_| g.add_node(())).collect();
-            for (x, y) in [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)] {
-                g.add_edge(ids[x], ids[y], ());
-            }
-            g.add_edge(ids[2], ids[3], ());
-            cases.push((g, ids));
-        }
-        for (g, terminals) in &cases {
-            assert!(g.node_count() <= 10);
-            let fast: Vec<(EdgeId, u64)> = criticality(g, terminals)
-                .iter()
-                .map(|c| (c.edge, c.severed_pairs))
-                .collect();
-            let brute = bruteforce_criticality(g, terminals);
-            assert_eq!(fast, brute, "criticality mismatch on {terminals:?}");
-        }
-    }
-
-    #[test]
-    fn criticality_split_and_duplicates() {
-        // Path 0-1-2-3 with terminals {0, 3, 3}: duplicate counted once.
-        let g = path_graph(4);
-        let report = criticality(&g, &[NodeId::new(0), NodeId::new(3), NodeId::new(3)]);
-        assert_eq!(report.len(), 3);
-        for c in &report {
-            assert_eq!(c.severed_pairs, 1);
-            assert_eq!(c.split, (1, 1));
-        }
-        // Fewer than two terminals: nothing to sever.
-        assert!(criticality(&g, &[NodeId::new(0)]).is_empty());
-        assert!(criticality(&g, &[]).is_empty());
     }
 
     #[test]

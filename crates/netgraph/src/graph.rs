@@ -170,35 +170,6 @@ impl<N, E> Graph<N, E> {
         }
     }
 
-    /// Builds a graph with `nodes` default-payload nodes and the given
-    /// `(a, b, payload)` edges — the common test/bench constructor.
-    ///
-    /// # Panics
-    ///
-    /// Panics on self-loops or out-of-range endpoints.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use qnet_graph::Graph;
-    /// let g: Graph<(), f64> = Graph::from_edges(3, [(0, 1, 1.0), (1, 2, 2.0)]);
-    /// assert_eq!(g.edge_count(), 2);
-    /// ```
-    pub fn from_edges<I>(nodes: usize, edges: I) -> Self
-    where
-        N: Default,
-        I: IntoIterator<Item = (usize, usize, E)>,
-    {
-        let mut g = Graph::with_capacity(nodes, 0);
-        for _ in 0..nodes {
-            g.add_node(N::default());
-        }
-        for (a, b, payload) in edges {
-            g.add_edge(NodeId::new(a), NodeId::new(b), payload);
-        }
-        g
-    }
-
     /// Adds a node with the given payload and returns its id.
     pub fn add_node(&mut self, payload: N) -> NodeId {
         let id = NodeId::new(self.nodes.len());
@@ -346,11 +317,6 @@ impl<N, E> Graph<N, E> {
             .map(|(_, e)| *e)
     }
 
-    /// Returns `true` when at least one edge connects `a` and `b`.
-    pub fn contains_edge(&self, a: NodeId, b: NodeId) -> bool {
-        self.find_edge(a, b).is_some()
-    }
-
     /// Builds a copy of this graph keeping only edges for which `keep`
     /// returns `true`. Node ids are preserved; edge ids are re-assigned
     /// densely in the original insertion order.
@@ -474,7 +440,7 @@ mod tests {
         let (g, [a, b, c], [ab, _, _]) = triangle();
         assert_eq!(g.find_edge(a, b), Some(ab));
         assert_eq!(g.find_edge(b, a), Some(ab));
-        assert!(g.contains_edge(c, a));
+        assert!(g.find_edge(c, a).is_some());
         let mut g2: Graph<(), ()> = Graph::new();
         let x = g2.add_node(());
         let y = g2.add_node(());
@@ -487,9 +453,9 @@ mod tests {
         let filtered = g.filter_edges(|e| *e.payload < 2.5);
         assert_eq!(filtered.node_count(), 3);
         assert_eq!(filtered.edge_count(), 2);
-        assert!(filtered.contains_edge(a, b));
-        assert!(filtered.contains_edge(b, c));
-        assert!(!filtered.contains_edge(c, a));
+        assert!(filtered.find_edge(a, b).is_some());
+        assert!(filtered.find_edge(b, c).is_some());
+        assert!(filtered.find_edge(c, a).is_none());
         assert_eq!(filtered.node(a), &"a");
     }
 
@@ -511,18 +477,12 @@ mod tests {
     }
 
     #[test]
-    fn from_edges_constructor() {
-        let g: Graph<(), f64> = Graph::from_edges(4, [(0, 1, 1.0), (2, 3, 2.0)]);
-        assert_eq!(g.node_count(), 4);
-        assert_eq!(g.edge_count(), 2);
-        assert!(g.contains_edge(NodeId::new(0), NodeId::new(1)));
-        assert!(!g.contains_edge(NodeId::new(1), NodeId::new(2)));
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
-    fn from_edges_rejects_bad_endpoint() {
-        let _: Graph<(), ()> = Graph::from_edges(2, [(0, 5, ())]);
+    fn add_edge_rejects_bad_endpoint() {
+        let mut g: Graph<(), ()> = Graph::new();
+        let a = g.add_node(());
+        g.add_node(());
+        g.add_edge(a, NodeId::new(5), ());
     }
 
     #[test]

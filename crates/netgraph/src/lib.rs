@@ -20,12 +20,10 @@
 //!   reads.
 //! * [`NegLog`]: the product→sum transform that turns the paper's
 //!   non-additive rate objective (Eq. 1/2) into additive path weights.
-//! * [`mst`], [`dcmst`], [`steiner`]: classic-graph comparison algorithms
-//!   referenced in §III-A of the paper (Steiner minimal tree,
-//!   degree-constrained spanning trees used in the NP-hardness reductions).
-//! * [`connectivity`]: components, bridges and articulation points; bridges
-//!   are the "critical edges" the paper's Fig. 7(b) edge-removal experiment
-//!   surfaces.
+//! * [`mst`], [`steiner`]: classic-graph comparison algorithms referenced
+//!   in §III-A of the paper (minimum spanning tree, Steiner minimal tree).
+//! * [`connectivity`]: components and bridges; bridges are the "critical
+//!   edges" the paper's Fig. 7(b) edge-removal experiment surfaces.
 //! * [`mask`]: failure masks ([`SearchMask`]) that mark dead edges and
 //!   vertices without re-densifying ids; a search excludes them through
 //!   its edge costs — the substrate for the survivability layer's
@@ -56,7 +54,6 @@
 
 pub mod centrality;
 pub mod connectivity;
-pub mod dcmst;
 pub mod delta;
 pub mod dot;
 pub mod graph;

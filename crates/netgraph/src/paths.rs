@@ -337,15 +337,6 @@ impl DijkstraRun {
         Some(Path { nodes, edges, cost })
     }
 
-    /// Iterates over all reachable targets and their distances.
-    pub fn reachable(&self) -> impl Iterator<Item = (NodeId, f64)> + '_ {
-        self.dist
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.is_finite())
-            .map(|(i, d)| (NodeId::new(i), *d))
-    }
-
     /// The predecessor hop of `target` in the shortest-path tree, or
     /// `None` for the source and unreachable nodes.
     pub fn prev_hop(&self, target: NodeId) -> Option<(NodeId, EdgeId)> {
@@ -693,13 +684,6 @@ mod tests {
         let p = run.path_to(a).unwrap();
         assert!(p.is_empty());
         assert_eq!(p.interior(), &[] as &[NodeId]);
-    }
-
-    #[test]
-    fn reachable_lists_everything_connected() {
-        let (g, [a, ..]) = diamond();
-        let run = dijkstra(&g, a, &DijkstraConfig::all_nodes(cost));
-        assert_eq!(run.reachable().count(), 3);
     }
 
     #[test]

@@ -6,7 +6,6 @@
 
 use proptest::prelude::*;
 use qnet_graph::connectivity::{bridges, connected_components, is_connected, nodes_connected};
-use qnet_graph::dcmst::{degree_constrained_kruskal, exact_dcmst};
 use qnet_graph::mst::{kruskal, prim};
 use qnet_graph::steiner::steiner_approximation;
 use qnet_graph::{
@@ -336,28 +335,6 @@ proptest! {
         for &e in &t.edges {
             let (a, b) = g.endpoints(e);
             prop_assert!(uf.union_nodes(a, b), "cycle in Steiner tree");
-        }
-    }
-
-    #[test]
-    fn dcmst_greedy_never_beats_exact(g in arb_graph(7, 15), bound in 2usize..4) {
-        let greedy = degree_constrained_kruskal(&g, bound, w);
-        let exact = exact_dcmst(&g, bound, w);
-        if greedy.spans(g.node_count()) {
-            // Greedy found a tree, so one exists; exact must find one too
-            // and be at least as good.
-            let exact = exact.as_ref().expect("greedy tree implies feasibility");
-            prop_assert!(exact.total_weight <= greedy.total_weight + 1e-9);
-        }
-        // Any exact tree respects the degree bound.
-        if let Some(t) = exact {
-            let mut deg = vec![0usize; g.node_count()];
-            for &e in &t.edges {
-                let (a, b) = g.endpoints(e);
-                deg[a.index()] += 1;
-                deg[b.index()] += 1;
-            }
-            prop_assert!(deg.iter().all(|&d| d <= bound));
         }
     }
 }

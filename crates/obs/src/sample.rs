@@ -46,11 +46,6 @@ impl TraceSampler {
         admitted
     }
 
-    /// The sampling period `n` of this 1-in-N sampler.
-    pub fn period(&self) -> u64 {
-        self.every
-    }
-
     /// Units decided so far.
     pub fn seen(&self) -> u64 {
         self.seen
@@ -79,7 +74,7 @@ mod tests {
         );
         assert_eq!(s.seen(), 10);
         assert_eq!(s.sampled_out(), 7);
-        assert_eq!(s.sampled_out(), s.seen() - s.seen().div_ceil(s.period()));
+        assert_eq!(s.sampled_out(), s.seen() - s.seen().div_ceil(4));
     }
 
     #[test]

@@ -66,11 +66,6 @@ impl Registry {
         self.node_of[q.0]
     }
 
-    /// Number of allocated qubits.
-    pub fn allocated(&self) -> usize {
-        self.node_of.len()
-    }
-
     /// Records a fresh Bell pair between `a` and `b` (link-level heralded
     /// entanglement succeeded).
     ///

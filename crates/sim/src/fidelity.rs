@@ -33,26 +33,6 @@ pub fn chain_fidelity(link_fidelity: f64, links: usize) -> f64 {
     from_w(to_w(link_fidelity).powi(links as i32))
 }
 
-/// A per-link fidelity annotation for fidelity-tracked simulations.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct FidelityParams {
-    /// Fidelity of every fresh link-level Werner pair.
-    pub link_fidelity: f64,
-}
-
-impl FidelityParams {
-    /// End-to-end fidelity of each channel of the given link counts, and
-    /// the minimum across channels (the weakest edge of the tree).
-    pub fn tree_fidelities(&self, link_counts: &[usize]) -> (Vec<f64>, f64) {
-        let per: Vec<f64> = link_counts
-            .iter()
-            .map(|&l| chain_fidelity(self.link_fidelity, l))
-            .collect();
-        let min = per.iter().copied().fold(1.0, f64::min);
-        (per, min)
-    }
-}
-
 /// Outcome of one BBPSSW purification round on two equal-fidelity
 /// Werner pairs.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -203,16 +183,5 @@ mod tests {
     #[test]
     fn perfect_links_never_decay() {
         assert_eq!(chain_fidelity(1.0, 10), 1.0);
-    }
-
-    #[test]
-    fn tree_fidelities_track_the_weakest_channel() {
-        let p = FidelityParams {
-            link_fidelity: 0.95,
-        };
-        let (per, min) = p.tree_fidelities(&[1, 3, 5]);
-        assert_eq!(per.len(), 3);
-        assert!((min - per[2]).abs() < 1e-12, "longest channel is weakest");
-        assert!(per[0] > per[1] && per[1] > per[2]);
     }
 }

@@ -20,8 +20,8 @@
 //!    shows all users in one entangled group ([`engine`]).
 //!
 //! [`metrics`] provides Wilson confidence intervals so tests can assert
-//! `MC estimate ≈ Eq. 2` rigorously; [`fidelity`] threads Werner-state
-//! fidelities through the same merge tree.
+//! `MC estimate ≈ Eq. 2` rigorously; [`fidelity`] gives the Werner-state
+//! fidelity of swap chains and purification rounds.
 //!
 //! # Example
 //!

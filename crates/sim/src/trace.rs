@@ -131,13 +131,6 @@ impl Recorder {
         self.events.is_empty()
     }
 
-    /// Events of a given slot outcome kind, e.g. all failed swaps.
-    pub fn failed_swaps(&self) -> impl Iterator<Item = &Event> {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, Event::Swap { success: false, .. }))
-    }
-
     /// The first cause of failure in the record: the earliest
     /// unsuccessful link/swap/fusion event.
     pub fn first_failure(&self) -> Option<&Event> {
@@ -215,7 +208,11 @@ mod tests {
             rec.first_failure(),
             Some(Event::Swap { success: false, .. })
         ));
-        assert_eq!(rec.failed_swaps().count(), 1);
+        let swap_failures = rec
+            .events
+            .iter()
+            .filter(|e| matches!(e, Event::Swap { success: false, .. }));
+        assert_eq!(swap_failures.count(), 1);
         assert_eq!(
             rec.events.last(),
             Some(&Event::SlotOutcome { success: false })

@@ -62,20 +62,10 @@ pub fn critical_edge_ratio(g: &SpatialGraph) -> f64 {
     bridges(g).len() as f64 / g.edge_count() as f64
 }
 
-/// Degree histogram: `hist[d]` = number of nodes with degree `d`.
-pub fn degree_histogram(g: &SpatialGraph) -> Vec<usize> {
-    let max = g.node_ids().map(|v| g.degree(v)).max().unwrap_or(0);
-    let mut hist = vec![0usize; max + 1];
-    for v in g.node_ids() {
-        hist[g.degree(v)] += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{TopologyKind, TopologySpec};
+    use crate::spec::TopologySpec;
 
     #[test]
     fn stats_consistency() {
@@ -88,24 +78,6 @@ mod tests {
         assert!(s.mean_edge_length > 0.0);
         assert!(s.max_edge_length >= s.mean_edge_length);
         assert!((0.0..=1.0).contains(&s.bridge_ratio));
-    }
-
-    #[test]
-    fn degree_histogram_sums_to_node_count() {
-        let g = TopologySpec {
-            kind: TopologyKind::Volchenkov,
-            ..TopologySpec::paper_default()
-        }
-        .generate(3);
-        let hist = degree_histogram(&g);
-        assert_eq!(hist.iter().sum::<usize>(), g.node_count());
-        let mean: f64 = hist
-            .iter()
-            .enumerate()
-            .map(|(d, &c)| d as f64 * c as f64)
-            .sum::<f64>()
-            / g.node_count() as f64;
-        assert!((mean - g.average_degree()).abs() < 1e-9);
     }
 
     #[test]

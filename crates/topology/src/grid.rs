@@ -4,8 +4,7 @@
 //! \[15\]) evaluates on 2-D lattices; a regular grid is also the standard
 //! worst case for the "average degree" knob (every interior node has
 //! degree 4, no shortcuts). This module builds `rows × cols` grids with
-//! uniform spacing — deterministic, no RNG — plus an optional diagonal
-//! variant.
+//! uniform spacing — deterministic, no RNG.
 
 use qnet_graph::{Graph, NodeId};
 
@@ -45,21 +44,6 @@ pub fn grid(rows: usize, cols: usize, spacing: f64) -> SpatialGraph {
             if r + 1 < rows {
                 g.add_edge(id(r, c), id(r + 1, c), spacing);
             }
-        }
-    }
-    g
-}
-
-/// Like [`grid`], additionally wiring both diagonals of every cell
-/// (length `spacing·√2`), giving interior nodes degree 8.
-pub fn grid_with_diagonals(rows: usize, cols: usize, spacing: f64) -> SpatialGraph {
-    let mut g = grid(rows, cols, spacing);
-    let id = |r: usize, c: usize| NodeId::new(r * cols + c);
-    let diag = spacing * std::f64::consts::SQRT_2;
-    for r in 0..rows.saturating_sub(1) {
-        for c in 0..cols.saturating_sub(1) {
-            g.add_edge(id(r, c), id(r + 1, c + 1), diag);
-            g.add_edge(id(r, c + 1), id(r + 1, c), diag);
         }
     }
     g
@@ -106,16 +90,6 @@ mod tests {
         for e in g.edge_refs() {
             assert!((e.payload - 250.0).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn diagonals_add_shortcuts() {
-        let plain = grid(4, 4, 100.0);
-        let diag = grid_with_diagonals(4, 4, 100.0);
-        assert_eq!(diag.edge_count(), plain.edge_count() + 2 * 9);
-        let p = bfs_path(&diag, grid_node(0, 0, 4), grid_node(3, 3, 4)).unwrap();
-        assert_eq!(p.len(), 3, "diagonals cut hop distance");
-        assert_eq!(diag.degree(grid_node(1, 1, 4)), 8);
     }
 
     #[test]

@@ -4,27 +4,33 @@
 
 use muerp::bridge::{physics_of, solution_to_plan};
 use muerp::core::prelude::*;
-use muerp::sim::Simulator;
+use muerp::sim::{RateEstimate, Simulator};
 use muerp::topology::TopologyKind;
 
 const SLOTS: u64 = 60_000;
 const Z: f64 = 4.4; // ~1e-5 two-sided: negligible flake risk across many checks
 
-fn check(net: &QuantumNetwork, sol: &Solution, name: &str, seed: u64) {
+/// Executes `sol` for `SLOTS` slots; returns the plan's analytic rate
+/// and the measured success estimate.
+fn simulate(net: &QuantumNetwork, sol: &Solution, seed: u64) -> (f64, RateEstimate) {
     let plan = solution_to_plan(net, sol);
     let mut sim = Simulator::new(plan, physics_of(net), 7_000 + seed);
     let analytic = sim.analytic_rate();
+    (analytic, sim.run_slots(SLOTS).estimate())
+}
+
+fn check(net: &QuantumNetwork, sol: &Solution, name: &str, seed: u64) {
+    let (analytic, estimate) = simulate(net, sol, seed);
     assert!(
         (analytic - sol.rate.value()).abs() <= 1e-9 * analytic.max(1e-300),
         "{name}: plan rate {analytic} disagrees with solution rate {}",
         sol.rate.value()
     );
-    let stats = sim.run_slots(SLOTS);
-    let iv = stats.estimate().wilson_interval(Z);
+    let iv = estimate.wilson_interval(Z);
     assert!(
         iv.contains(analytic),
         "{name} seed {seed}: Monte-Carlo {} rejects analytic {analytic} (interval [{}, {}])",
-        stats.estimate().point(),
+        estimate.point(),
         iv.lo,
         iv.hi
     );
@@ -75,6 +81,24 @@ fn swap_rate_sweep_matches_monte_carlo() {
             check(&net, &sol, &format!("Alg-4 q={q}"), 31);
         }
     }
+}
+
+#[test]
+fn corrupted_rate_is_detected_by_the_simulator() {
+    // The check above can fail: claim three times an Alg-4 tree's true
+    // rate and the Monte-Carlo interval must exclude the claim.
+    let net = NetworkSpec::paper_default().with_users(5).build(43);
+    let mut sol = PrimBased::with_seed(43).solve(&net).expect("feasible");
+    sol.rate = Rate::from_prob((sol.rate.value() * 3.0).min(0.999));
+    let (analytic, estimate) = simulate(&net, &sol, 43);
+    let iv = estimate.wilson_interval(Z);
+    assert!(
+        !iv.contains(sol.rate.value()),
+        "tripled claim {} inside interval [{}, {}] (true rate {analytic})",
+        sol.rate.value(),
+        iv.lo,
+        iv.hi
+    );
 }
 
 #[test]
