@@ -17,17 +17,20 @@
 //!    so the walk needs no child lists and costs `O(Σ deg)` over the
 //!    vertices it marks. A vertex is *affected* iff its predecessor
 //!    chain crosses a blocked edge or relays through a blocked vertex.
-//! 2. **Clear** — affected slots are reset to the unreached state
-//!    (`∞` distance, no predecessor); unaffected slots keep their
-//!    distances and predecessors bitwise intact.
-//! 3. **Re-run** — reached, unaffected neighbors of the affected
-//!    vertices are re-seeded at their exact final distances, and the
-//!    relaxation loop of [`dijkstra_into`](crate::paths::dijkstra_into)
-//!    — the same crate-private function, confined to the affected
-//!    vertices and the seeds — runs to
-//!    completion. A boundary node that does not relay would pop and
-//!    expand nothing, so, as in a fresh search, it stays off the heap
-//!    and is counted as resettled when seeded.
+//! 2. **Clear and offer** — affected slots are reset to the unreached
+//!    state (`∞` distance, no predecessor); unaffected slots keep their
+//!    distances and predecessors bitwise intact. Each affected vertex
+//!    then takes the best offer of its reached, unaffected neighbors
+//!    that relay (or are the source), equal offers broken in a fresh
+//!    search's pop order. Those neighbors keep their exact final labels
+//!    and never enter the heap. An affected vertex that got a finite
+//!    label goes on the heap if it relays; one that does not would pop
+//!    and expand nothing, so, as in a fresh search, it is counted as
+//!    resettled right there.
+//! 3. **Re-run** — the relaxation loop of
+//!    [`dijkstra_into`](crate::paths::dijkstra_into), the same
+//!    crate-private function confined to the affected vertices, runs to
+//!    completion.
 //! 4. **Decrease** — every reached restored relay is pushed at its
 //!    label and the same loop runs again, unconfined, in a new pass:
 //!    "settled" means popped in this pass, and the source counts as
@@ -50,16 +53,18 @@
 //! search pops in the heap order of [`crate::paths`] — minimum cost
 //! first, larger index first on a tie — and its predecessor of a vertex
 //! is the first offer, in that order, that reaches the final label. In
-//! phase 3 (a) the heap order is a pure function of `(cost, node
-//! index)`, (b) every neighbor that offers a relaxation into the
-//! affected region in the fresh run either is affected itself or is a
-//! boundary seed popping at the same final distance, and (c) offers
-//! therefore arrive with identical values in an identical relative
-//! order. In phase 4 the vertices that pop in the fresh run but not in
-//! the pass keep their labels, so the loop's tie rule compares an equal
-//! offer against the stored predecessor by `(label, index)` — and by
-//! adjacency position for an offer from the predecessor itself — and
-//! keeps whichever pops first (DESIGN.md §15 has the argument).
+//! phases 2–3 (a) the heap order is a pure function of `(cost, node
+//! index)`, so the affected vertices pop in the fresh run's relative
+//! order, and (b) every neighbor that offers into the affected region
+//! in the fresh run is affected itself or an unaffected relay at its
+//! exact final label, which makes its offer in phase 2 with the fresh
+//! run's value. Such a neighbor never pops in the pass, so the one
+//! offer rule (`paths::offer`, shared with the loop) compares an equal
+//! offer against it by `(label, index)`, and by adjacency position for
+//! a second offer from the same neighbor, and keeps whichever pops
+//! first; a predecessor that popped in the pass came first. Phase 4
+//! rests on the same rule: the vertices that pop in the fresh run but
+//! not in the pass keep their labels (DESIGN.md §15 has the argument).
 //! `tests/delta_equivalence.rs` and `tests/kernel_reference.rs` pit the
 //! repair against fresh runs over arbitrary topologies, delta
 //! sequences, failure masks folded into the edge costs (`+∞` on every
@@ -74,7 +79,7 @@
 //! stored run answers for those targets as it is.
 
 use crate::graph::{EdgeId, EdgeRef, Graph, NodeId};
-use crate::paths::{relax, DijkstraConfig, DijkstraRun, DijkstraWorkspace, HeapEntry, Pass};
+use crate::paths::{offer, relax, DijkstraConfig, DijkstraRun, DijkstraWorkspace, HeapEntry, Pass};
 
 /// The net changes to apply against a completed run: edges that became
 /// unusable, vertices that lost relay permission and vertices that got
@@ -159,11 +164,12 @@ pub struct RepairStats {
     /// Restored relays the decrease pass was seeded at (those the run
     /// reaches).
     pub restored: usize,
-    /// Vertices the repair loop settled: the re-run's seeds and
-    /// re-reached region, and what the decrease pass popped or first
-    /// reached.
+    /// Vertices the repair settled: the affected vertices it reached
+    /// again (their unaffected neighbors only offer, so they are not
+    /// counted), and what the decrease pass popped or first reached.
     pub resettled: u64,
-    /// Successful relaxations during the repair.
+    /// Successful relaxations of the repair loop. The unaffected
+    /// neighbors' offers are made before the loop and are not counted.
     pub relaxations: u64,
 }
 
@@ -313,8 +319,9 @@ fn mark_children<N, E>(pass: &mut Pass, run: &DijkstraRun, g: &Graph<N, E>, x: N
     }
 }
 
-/// Phases 1–3 (mark, clear, re-run) for the blocked elements, with the
-/// restored vertices still treated as non-relays, as in the stored run.
+/// Phases 1–3 (mark, clear and offer, re-run) for the blocked elements,
+/// with the restored vertices still treated as non-relays, as in the
+/// stored run.
 fn repair_blocks<N, E, FC, FR>(
     pass: &mut Pass,
     run: &mut DijkstraRun,
@@ -357,40 +364,46 @@ fn repair_blocks<N, E, FC, FR>(
         return;
     }
 
-    // Phase 2 — clear the affected slots and seed the boundary: every
-    // reached, kept neighbor of an affected vertex re-enters the loop at
-    // its exact final distance. A seed that relays goes on the heap and
-    // is opened, so the loop re-relaxes out of it verbatim; a seed that
-    // does not relay would pop and expand nothing, so it is counted here
-    // and marked popped. Restored vertices read as non-relays for the
-    // whole pass.
-    for &v in &pass.affected {
-        run.dist[v.index()] = f64::INFINITY;
-        run.prev[v.index()] = None;
-    }
+    // Phase 2 — clear each affected slot, then give it the best offer of
+    // its reached, kept neighbors that relay (an affected neighbor is
+    // told by its stamp, cleared or not). Kept vertices keep their exact
+    // final labels and never pop in this pass, so they offer here, once,
+    // and `offer` breaks equal offers in a fresh search's pop order. An
+    // affected vertex with a finite label goes on the heap if it relays;
+    // one that does not would pop and expand nothing, so it is counted
+    // here. Restored vertices read as non-relays for the whole pass.
     for &r in delta.restored_nodes() {
         pass.set_relays(r, false);
     }
     for k in 0..pass.affected.len() {
-        for &(p, _) in g.neighbor_slice(pass.affected[k]) {
-            let pi = p.index();
-            let kept = run.dist[pi].is_finite();
-            if !kept || pass.open[pi] == pass.generation || pass.popped(p) {
-                continue;
+        let v = pass.affected[k];
+        run.dist[v.index()] = f64::INFINITY;
+        run.prev[v.index()] = None;
+        for &(p, e) in g.neighbor_slice(v) {
+            let d = run.dist[p.index()];
+            let kept = d.is_finite() && pass.open[p.index()] != pass.generation;
+            if kept && (p == source || pass.relays(p, &config.can_relay)) {
+                let w = (config.edge_cost)(g.edge(e));
+                assert!(
+                    w >= 0.0,
+                    "edge cost must be non-negative and not NaN, got {w} for {e}"
+                );
+                offer(run, pass, v, p, d, e, d + w);
             }
-            if p == source || pass.relays(p, &config.can_relay) {
-                pass.open[pi] = pass.generation;
-                pass.heap.push(HeapEntry::new(run.dist[pi], p));
+        }
+        let d = run.dist[v.index()];
+        if d.is_finite() {
+            if pass.relays(v, &config.can_relay) {
+                pass.heap.push(HeapEntry::new(d, v));
             } else {
-                pass.pop(p);
                 stats.resettled += 1;
             }
         }
     }
 
-    // Phase 3 — the search's own relaxation loop over the seeded
-    // frontier, confined to the open vertices: every other vertex keeps
-    // its stored label and refuses offers, as a settled one would.
+    // Phase 3 — the search's own relaxation loop, confined to the
+    // affected vertices: every other vertex keeps its stored label and
+    // refuses offers, as a settled one would.
     let tally = relax::<true, _, _, _, _>(run, pass, g, config);
     stats.resettled += tally.settled;
     stats.relaxations += tally.relaxations;
@@ -688,6 +701,98 @@ mod tests {
     }
 
     #[test]
+    fn an_affected_offer_beats_an_equal_kept_one_that_pops_later() {
+        // Before the delta v hangs off x (2 + 2). Blocking b clears x and
+        // v: v is offered 5 both by kept p (label 4) and by x, re-reached
+        // at 3 over c. A fresh search pops x first, so x keeps v, though
+        // p never pops in the repair to be compared with.
+        let mut g: Graph<(), f64> = Graph::new();
+        let [s, b, c, x, v, p] = [(); 6].map(|_| g.add_node(()));
+        g.add_edge(s, b, 1.0);
+        g.add_edge(b, x, 1.0);
+        g.add_edge(s, c, 2.0);
+        g.add_edge(c, x, 1.0);
+        let xv = g.add_edge(x, v, 2.0);
+        g.add_edge(s, p, 4.0);
+        g.add_edge(p, v, 1.0);
+        let mut run = fresh(&g, s, None, None);
+        assert_eq!(run.prev_hop(v), Some((x, xv)));
+        let mut delta = SsspDelta::new();
+        delta.block_node(b);
+        let cfg = DijkstraConfig {
+            edge_cost: cost,
+            can_relay: |u: NodeId| u != b,
+        };
+        let mut ws = DijkstraWorkspace::new();
+        let stats = dijkstra_repair_into(&mut ws, &mut run, &g, &cfg, &delta);
+        assert_eq!(
+            (stats.affected, stats.resettled),
+            (2, 2),
+            "only the cleared vertices settle, not the kept boundary"
+        );
+        assert_eq!(run.prev_hop(v), Some((x, xv)));
+        assert_eq!(run, fresh(&g, s, Some(b), None));
+    }
+
+    #[test]
+    fn equal_kept_offers_go_to_the_first_in_pop_order() {
+        // Blocking x clears v; kept a and b (a < b) then both offer v 4,
+        // the loser's edge first in v's adjacency. At equal labels b pops
+        // first (larger index); at a's smaller label a does.
+        for (da, db) in [(2.0, 2.0), (1.0, 2.0)] {
+            let mut g: Graph<(), f64> = Graph::new();
+            let [s, x, v, a, b] = [(); 5].map(|_| g.add_node(()));
+            g.add_edge(s, x, 1.0);
+            g.add_edge(x, v, 1.0);
+            g.add_edge(s, a, da);
+            g.add_edge(s, b, db);
+            let (won, lost) = if da < db {
+                ((a, da), (b, db))
+            } else {
+                ((b, db), (a, da))
+            };
+            g.add_edge(lost.0, v, 4.0 - lost.1);
+            let e = g.add_edge(won.0, v, 4.0 - won.1);
+            let mut run = fresh(&g, s, None, None);
+            let mut delta = SsspDelta::new();
+            delta.block_node(x);
+            let cfg = DijkstraConfig {
+                edge_cost: cost,
+                can_relay: |u: NodeId| u != x,
+            };
+            dijkstra_repair_into(&mut DijkstraWorkspace::new(), &mut run, &g, &cfg, &delta);
+            assert_eq!(run.prev_hop(v), Some((won.0, e)), "labels {da} and {db}");
+            assert_eq!(run, fresh(&g, s, Some(x), None));
+        }
+    }
+
+    #[test]
+    fn parallel_kept_offers_that_round_equal_take_the_earlier_edge() {
+        // Blocking x clears v; kept p (label 1) then offers v over two
+        // parallel edges whose sums both round to 4: 1 + (3 + 2⁻⁵¹) and
+        // 1 + 3. A fresh search keeps the earlier edge, though the later
+        // one costs less.
+        let mut g: Graph<(), f64> = Graph::new();
+        let [s, x, v, p] = [(); 4].map(|_| g.add_node(()));
+        g.add_edge(s, x, 1.0);
+        g.add_edge(x, v, 1.0);
+        g.add_edge(s, p, 1.0);
+        let early = g.add_edge(p, v, 3.0 + 2.0 * f64::EPSILON);
+        g.add_edge(p, v, 3.0);
+        let mut run = fresh(&g, s, None, None);
+        let mut delta = SsspDelta::new();
+        delta.block_node(x);
+        let cfg = DijkstraConfig {
+            edge_cost: cost,
+            can_relay: |u: NodeId| u != x,
+        };
+        dijkstra_repair_into(&mut DijkstraWorkspace::new(), &mut run, &g, &cfg, &delta);
+        assert_eq!(run.distance(v), Some(4.0));
+        assert_eq!(run.prev_hop(v), Some((p, early)));
+        assert_eq!(run, fresh(&g, s, Some(x), None));
+    }
+
+    #[test]
     fn restoring_a_relay_repairs_in_place() {
         let (g, [a, b, c], _) = diamond();
         let mut ws = DijkstraWorkspace::new();
@@ -922,6 +1027,24 @@ mod tests {
         delta.block_node(a).restore_node(c).block_edge(ab);
         assert!(delta.blocked_nodes().is_empty() && delta.restored_nodes().is_empty());
         assert_eq!(delta.blocked_edges(), &[ab]);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative")]
+    fn a_negative_offer_into_the_cleared_region_panics() {
+        // Blocking b clears c, which only the source then offers, over an
+        // edge whose post-delta cost is negative: the offer step, not the
+        // loop, reads that cost.
+        let (g, [a, b, _c], [_, _, ac]) = diamond();
+        let mut ws = DijkstraWorkspace::new();
+        let mut run = dijkstra_into(&mut ws, &g, a, &DijkstraConfig::all_nodes(cost)).clone();
+        let mut delta = SsspDelta::new();
+        delta.block_node(b);
+        let cfg = DijkstraConfig {
+            edge_cost: |e: EdgeRef<'_, f64>| if e.id == ac { -1.0 } else { *e.payload },
+            can_relay: |v: NodeId| v != b,
+        };
+        dijkstra_repair_into(&mut ws, &mut run, &g, &cfg, &delta);
     }
 
     #[test]

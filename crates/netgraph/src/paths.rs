@@ -171,8 +171,7 @@ impl Default for DijkstraRun {
 /// binary heap and per-vertex *generation stamps*. Each pass bumps a
 /// generation counter, and a stamp equal to it records a fact about the
 /// current pass only — the vertex popped, its relay flag was read, or
-/// (in a repair) it is open to offers: affected, or a boundary seed.
-/// Starting a pass is
+/// (in a repair) it is affected, so open to offers. Starting a pass is
 /// therefore O(1): nothing is cleared. A fresh search resets its labels
 /// with one fill (`dist = ∞`, `prev = None`); a repair patches the
 /// caller's stored run and never touches those labels.
@@ -203,8 +202,8 @@ pub(crate) struct Pass {
     /// answer for `v` in this pass.
     read: Vec<u32>,
     relays: Vec<bool>,
-    /// `open[v] == generation`: in a confined repair pass, `v` may take
-    /// offers — it is affected, or a boundary seed on the heap.
+    /// `open[v] == generation`: in a confined repair pass, `v` is
+    /// affected, so it may take offers.
     pub(crate) open: Vec<u32>,
     /// The affected vertices of the current repair, in walk order.
     pub(crate) affected: Vec<NodeId>,
@@ -439,6 +438,53 @@ pub(crate) struct RelaxTally {
     pub(crate) relaxations: u64,
 }
 
+/// The offer rule of every pass, search and repair alike: `node`, at
+/// label `cost`, offers `v` the label `cand` over the edge `eid`.
+///
+/// A smaller offer takes `v`'s label and predecessor, and the call
+/// returns `true`. An offer equal to a finite label moves only the
+/// predecessor, and only when `node` pops before the stored predecessor
+/// `p` in a fresh search: never when `p` popped in this pass; otherwise
+/// when `cost` is below `p`'s label, or equal with a larger vertex
+/// index; and, when the offer comes from `p` itself, when `eid` comes
+/// earlier in `p`'s adjacency (adjacency lists are in edge-id order).
+/// In a fresh search the stored predecessor always popped first, so the
+/// rule never fires there. It decides ties in a repair, where a vertex
+/// that pops before `node` in a fresh search may never pop in the pass:
+/// the kept boundary of the re-run, which offers once before the loop,
+/// and the vertices whose labels do not fall in the decrease pass.
+#[inline]
+pub(crate) fn offer(
+    run: &mut DijkstraRun,
+    pass: &Pass,
+    v: NodeId,
+    node: NodeId,
+    cost: f64,
+    eid: EdgeId,
+    cand: f64,
+) -> bool {
+    let i = v.index();
+    if cand < run.dist[i] {
+        run.dist[i] = cand;
+        run.prev[i] = Some((node, eid));
+        return true;
+    }
+    if cand == run.dist[i] {
+        if let Some((p, pe)) = run.prev[i] {
+            let first = if p == node {
+                eid < pe
+            } else {
+                let pd = run.dist[p.index()];
+                !pass.popped(p) && (cost < pd || (cost == pd && node > p))
+            };
+            if first {
+                run.prev[i] = Some((node, eid));
+            }
+        }
+    }
+    false
+}
+
 /// The relaxation loop shared by [`dijkstra_into`] and
 /// [`crate::delta::dijkstra_repair_into`]: pops `pass.heap` until it is
 /// empty, expanding every popped vertex into `run`'s labels.
@@ -451,19 +497,8 @@ pub(crate) struct RelaxTally {
 /// (the module docs give the argument why its label is already final).
 /// An improved vertex is pushed only if it relays. A `CONFINED` pass (the
 /// repair's re-run) offers only into the pass's open vertices; every
-/// other vertex keeps its stored label.
-///
-/// **Tie rule.** An offer equal to a finite label moves the predecessor
-/// only when the offering vertex pops before the stored predecessor `p`:
-/// never when `p` takes no more offers in this pass (it popped, or a
-/// confined pass keeps it); otherwise when the offer's cost is smaller
-/// than `p`'s label, or equal with a larger vertex index; and, when the
-/// offer comes from `p` itself, when its edge comes earlier in `p`'s
-/// adjacency (adjacency lists are in edge-id order). In a fresh search
-/// and in the repair's re-run the stored predecessor always popped
-/// first, so the rule never fires there; it matters only to the
-/// repair's decrease pass, where the labels of vertices that pop before
-/// the offering vertex in a fresh search may never pop at all.
+/// other vertex keeps its stored label. Every offer goes through
+/// [`offer`], which holds the tie rule.
 ///
 /// # Panics
 ///
@@ -513,31 +548,15 @@ where
             if w.is_infinite() {
                 continue;
             }
-            let i = next.index();
-            let cand = cost + w;
-            let label = run.dist[i];
-            if cand < label {
+            let (cand, label) = (cost + w, run.dist[next.index()]);
+            if offer(run, pass, next, node, cost, eid, cand) {
                 let relays = pass.relays(next, &config.can_relay);
                 if label == f64::INFINITY && !relays {
                     tally.settled += 1;
                 }
-                run.dist[i] = cand;
-                run.prev[i] = Some((node, eid));
                 tally.relaxations += 1;
                 if relays {
                     pass.heap.push(HeapEntry::new(cand, next));
-                }
-            } else if cand == label {
-                if let Some((p, pe)) = run.prev[i] {
-                    let first = if p == node {
-                        eid < pe
-                    } else {
-                        let pd = run.dist[p.index()];
-                        !pass.closed::<CONFINED>(p) && (cost < pd || (cost == pd && node > p))
-                    };
-                    if first {
-                        run.prev[i] = Some((node, eid));
-                    }
                 }
             }
         }

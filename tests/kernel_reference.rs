@@ -12,14 +12,18 @@
 //! Distances are compared as bit patterns and predecessors exactly. The
 //! kernel must also ask the relay filter exactly once per reached
 //! non-source vertex. The worsening arm blocks relays and edges, over
-//! graphs with extra parallel edges, and a repair must report the same
+//! graphs with extra parallel edges, in half its cases every interior
+//! relay of one stored path at once, and a repair must report the same
 //! `RepairStats` as the textbook repair (mark every vertex whose chain
 //! crosses a blocked edge or relays through a blocked vertex, clear,
-//! seed every boundary vertex, re-run). The improving arm restores
+//! let the kept relays offer into the cleared region in pop order,
+//! re-run over the cleared vertices alone). The improving arm restores
 //! relays — alone, or mixed with blocks, over the same kind of graphs —
 //! and checks the repair's decrease pass against a fresh textbook
 //! search under the new relay flags; on these graphs it fails without
-//! the loop's tie rule. Every repair runs on a fresh workspace and on
+//! the loop's tie rule. Both repair arms run 4 096 cases: a tie rule
+//! that never moves a kept predecessor passes the first 256 of each.
+//! Every repair runs on a fresh workspace and on
 //! the one that ran the stored search. The scoped arm draws relay
 //! losses, gains or both and target sets: whenever `serves_targets`
 //! spares a set, a textbook search under the new flags must give every
@@ -170,10 +174,12 @@ impl Textbook {
     /// The textbook repair of this (completed, unmasked) search after
     /// the vertices in `blocked` stop relaying and the edges `cuts`
     /// kills go away: mark every vertex whose predecessor chain crosses
-    /// a cut edge or relays through a blocked vertex, clear it, push
-    /// every kept neighbor of the cleared region at its label, and run
-    /// the loop under `relays_after` without the cut edges. Returns the
-    /// repair's tallies.
+    /// a cut edge or relays through a blocked vertex, and clear it. Every
+    /// kept vertex that relays under `relays_after` then pops in order,
+    /// uncounted, and offers into the cleared region alone; only the
+    /// cleared vertices it reached enter the heap, and the loop runs
+    /// under `relays_after` without the cut edges. Returns the repair's
+    /// tallies.
     fn repair(
         &mut self,
         g: &Graph<(), f64>,
@@ -207,19 +213,31 @@ impl Textbook {
             self.prev[i] = None;
             self.settled[i] = false;
         }
-        let mut heap = BinaryHeap::new();
-        for i in (0..n).filter(|&i| affected[i]) {
-            for &(p, _) in g.neighbor_slice(NodeId::new(i)) {
-                let p = p.index();
-                if !affected[p] && self.settled[p] {
-                    self.settled[p] = false;
-                    heap.push(Entry {
-                        cost: self.dist[p],
-                        node: p,
-                    });
+        let mut kept: BinaryHeap<Entry> = (0..n)
+            .filter(|&p| self.settled[p] && (p == source || relays_after[p]))
+            .map(|p| Entry {
+                cost: self.dist[p],
+                node: p,
+            })
+            .collect();
+        while let Some(Entry { cost, node }) = kept.pop() {
+            for &(next, eid) in g.neighbor_slice(NodeId::new(node)) {
+                let i = next.index();
+                let cand = cost + *g.edge(eid).payload;
+                if affected[i] && !cuts.blocks(eid, NodeId::new(node), next) && cand < self.dist[i]
+                {
+                    self.dist[i] = cand;
+                    self.prev[i] = Some((NodeId::new(node), eid));
                 }
             }
         }
+        let heap = (0..n)
+            .filter(|&i| affected[i] && self.dist[i].is_finite())
+            .map(|i| Entry {
+                cost: self.dist[i],
+                node: i,
+            })
+            .collect();
         self.settled_n = 0;
         self.relaxed_n = 0;
         self.run(g, source, relays_after, Some(cuts), heap);
@@ -365,16 +383,25 @@ proptest! {
             prop_assert_eq!(asked.get(), want.settled_n - 1, "{}: relay filter calls", what);
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
 
     /// Repair ≡ textbook after a random delta of blocked relays and
     /// blocked edges, on graphs with extra parallel edges — results
     /// against a fresh textbook search, tallies against the textbook
     /// repair — on a fresh workspace and on the one that ran the search.
+    /// Half the cases also block every interior relay of the stored path
+    /// to one target at once, as a 2-qubit reservation does; that clears
+    /// far more of a tree than a few random victims.
     #[test]
     fn repair_matches_the_textbook_loop(
         case in arb_case(),
         src in 0usize..24,
         victims in proptest::collection::vec(0usize..24, 0..4),
+        serve in 0u8..2,
+        target in 0usize..24,
         cut in proptest::collection::vec((0usize..3, 0usize..96), 0..4),
         doubled in proptest::collection::vec((0usize..72, 1u32..=3), 0..6),
     ) {
@@ -382,10 +409,19 @@ proptest! {
         let pairs = double_edges(&mut g, doubled);
         let n = g.node_count();
         let source = src % n;
+        let mut textbook = Textbook::search(&g, source, &relays, None);
+        let mut interior = Vec::new();
+        let mut cur = target % n;
+        while let Some((p, _)) = textbook.prev[cur] {
+            cur = p.index();
+            if serve == 1 && cur != source {
+                interior.push(cur);
+            }
+        }
         let mut blocked = vec![false; n];
         let mut cuts = SearchMask::new();
         let mut delta = SsspDelta::new();
-        for v in victims.into_iter().map(|v| v % n).filter(|&v| relays[v]) {
+        for v in victims.into_iter().map(|v| v % n).chain(interior).filter(|&v| relays[v]) {
             blocked[v] = true;
             delta.block_node(NodeId::new(v));
         }
@@ -404,7 +440,6 @@ proptest! {
         }
         let relays_after: Vec<bool> = (0..n).map(|i| relays[i] && !blocked[i]).collect();
         let want = Textbook::search(&g, source, &relays_after, Some(&cuts));
-        let mut textbook = Textbook::search(&g, source, &relays, None);
         let want_stats = textbook.repair(&g, source, &blocked, &cuts, &relays_after);
 
         let asked = Cell::new(0);
@@ -472,6 +507,10 @@ proptest! {
             want.check(&run, what)?;
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Scoped answers ≡ textbook: after random relay losses (kind 0),
     /// gains (kind 1) or both (kind 2), and after each single flip
