@@ -26,8 +26,9 @@
 //!   entry revalidated in O(1) by comparing its relay-bit words — zero
 //!   searches.
 //! * **finder_delta_roundtrip** — the cache serving a kill-then-restore
-//!   cycle end to end: in-place repairs on the down edge and in-place
-//!   restore repairs on the up edge, no full search.
+//!   cycle end to end: in-place repairs on the down edge; the restore
+//!   puts every entry's relay bits back at its fill's, so the up edge
+//!   copies each fill run back. No full search.
 //!
 //! Each tier also records the vertices one repair and one restore op
 //! resettle (`finder_delta_{repair,restore}_resettled`, summed

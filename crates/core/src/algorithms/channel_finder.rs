@@ -13,6 +13,9 @@
 //! Failures: on a degraded network a cut fiber, and every fiber of a dead
 //! switch, costs `+∞`, which the search never traverses
 //! ([`ChannelFinderCache::degraded`]).
+//! A [`ChannelFinderCache`] keeps one run per source and brings it up to
+//! date from the relay bits alone: a revalidation, a copy of its fill's
+//! run, or an in-place repair (DESIGN.md §15).
 
 use std::cell::Cell;
 
@@ -417,11 +420,15 @@ fn repair_algorithm1(
 
 /// One memoized single-source run and the relay bits it is exact for;
 /// its finder's epoch is the capacity epoch it was last validated at,
-/// the entry's one key.
+/// the entry's one key. The fill's run and relay bits stay beside them,
+/// fixed, for a lookup back at those bits to copy.
 struct Entry<'n> {
     /// The relay bits of the capacity map at that epoch.
     bits: Vec<u64>,
     finder: ChannelFinder<'n>,
+    /// The relay bits the fill searched under; `fill` is its run.
+    fill_bits: Vec<u64>,
+    fill: DijkstraRun,
 }
 
 /// Memoizes single-source Algorithm-1 runs across solver rounds.
@@ -439,11 +446,13 @@ struct Entry<'n> {
 /// bits it is exact for, and the cache reads the current map's bits once
 /// per epoch: the map's own `free ≥ 2` words ANDed with the network's
 /// static may-relay mask. A lookup at a new epoch applies one rule
-/// (DESIGN.md §15): the entry's bits XOR the current bits, turned into
-/// one net [`SsspDelta`] — a lost relay is blocked only where it is some
-/// vertex's stored predecessor, a regained relay is restored where it
-/// could improve the run (every restore is kept when the delta also
-/// blocks). Then:
+/// (DESIGN.md §15). Bits equal to the entry's are an O(1) revalidation;
+/// bits equal to its fill's copy the fill's run, a fresh search at these
+/// very bits (`core.channel.cache_copies`). Otherwise the entry's bits
+/// XOR the current bits become one net [`SsspDelta`] — a lost relay is
+/// blocked only where it is some vertex's stored predecessor, a regained
+/// relay is restored where it could improve the run (every restore is
+/// kept when the delta also blocks). Then:
 ///
 /// * an empty delta is an O(1) revalidation — `graph.delta.clean`;
 /// * otherwise the entry is repaired in place by [`dijkstra_repair_into`]
@@ -473,8 +482,8 @@ struct Entry<'n> {
 /// Hits and misses are observable as `core.channel.cache_hits` /
 /// `core.channel.cache_misses`; [`search_count`] tallies the full
 /// searches this cache actually executed (the repair engine's latency
-/// metric — in-place repairs are tallied separately in
-/// [`CacheEfficiency::repairs`]).
+/// metric — in-place repairs and copies are tallied separately in
+/// [`CacheEfficiency::repairs`] and [`CacheEfficiency::copies`]).
 ///
 /// [`new`]: ChannelFinderCache::new
 /// [`degraded`]: ChannelFinderCache::degraded
@@ -500,10 +509,10 @@ pub struct ChannelFinderCache<'n> {
 }
 
 /// Deterministic per-cache lookup tallies, split by how each miss was
-/// served. Unlike the global `core.channel.cache_*` counters these are
-/// scoped to one cache instance, so a profile run can report the exact
-/// efficiency of the solver under measurement even while other threads
-/// run their own caches.
+/// served (fill, copy or repair). Unlike the global
+/// `core.channel.cache_*` counters these are scoped to one cache
+/// instance, so a profile run can report the exact efficiency of the
+/// solver under measurement even while other threads run their own caches.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheEfficiency {
     /// Lookups answered from a memoized run with no search and no
@@ -525,12 +534,15 @@ pub struct CacheEfficiency {
     /// The repairs that ran the decrease pass for restored relays (a
     /// subset of [`repairs`](Self::repairs), not a separate lookup).
     pub restores: u64,
+    /// Misses at the relay bits of the entry's fill, served by copying
+    /// the fill's run back: neither a hit nor a repair.
+    pub copies: u64,
 }
 
 impl CacheEfficiency {
     /// Total lookups observed.
     pub fn lookups(&self) -> u64 {
-        self.hits + self.refreshes + self.fills + self.repairs
+        self.hits + self.refreshes + self.fills + self.repairs + self.copies
     }
 
     /// Hits over lookups, 1.0 when no lookups happened.
@@ -602,7 +614,8 @@ impl<'n> ChannelFinderCache<'n> {
     /// when no work was needed — the stored epoch matched, or the net
     /// relay delta was empty (an O(1) revalidation) — which lookups
     /// tally as a hit and warm batches do not tally at all. Otherwise the
-    /// entry is repaired in place or filled for the first time, with the
+    /// entry is filled for the first time, copied back to its fill run
+    /// (relay bits back at the fill's) or repaired in place, with the
     /// matching tallies.
     fn update(&mut self, capacity: &CapacityMap, source: NodeId) -> bool {
         self.refresh_bits(capacity);
@@ -613,19 +626,30 @@ impl<'n> ChannelFinderCache<'n> {
             slot @ None => {
                 qnet_obs::counter!("core.channel.cache_misses");
                 self.efficiency.fills += 1;
-                let run = run_algorithm1(&mut self.ws, &self.a1, capacity, source).clone();
+                let run = run_algorithm1(&mut self.ws, &self.a1, capacity, source);
                 *slot = Some(Entry {
                     bits: self.bits.clone(),
                     finder: ChannelFinder {
                         net: self.a1.net,
-                        run,
+                        run: run.clone(),
                         epoch,
                     },
+                    fill_bits: self.bits.clone(),
+                    fill: run.clone(),
                 });
                 self.searches += 1;
                 return false;
             }
         };
+        // Back at the fill's relay bits: the fill's run is the exact run.
+        if entry.bits != self.bits && entry.fill_bits == self.bits {
+            entry.finder.run.clone_from(&entry.fill);
+            entry.bits.copy_from_slice(&self.bits);
+            entry.finder.epoch = epoch;
+            qnet_obs::counter!("core.channel.cache_copies");
+            self.efficiency.copies += 1;
+            return false;
+        }
         // The net relay flips since the run was validated.
         let delta = if entry.bits != self.bits {
             self.a1
@@ -651,12 +675,13 @@ impl<'n> ChannelFinderCache<'n> {
 
     /// Brings the entries for `sources` up to date under `capacity` —
     /// **Algorithm 1 as a multi-source batch**. Sources whose entry is
-    /// already fresh are skipped; the rest are repaired or searched in
-    /// `sources` order on the cache's workspace. Subsequent
+    /// already fresh are skipped; the rest are searched, copied back or
+    /// repaired in `sources` order on the cache's workspace (a serve round
+    /// that meets the idle map copies each stale fill run back). Subsequent
     /// [`finder`](ChannelFinderCache::finder) calls for these sources at
-    /// the same epoch are then cache hits. Warm searches and repairs
-    /// tally exactly like the lazy path's; fresh entries are not tallied
-    /// as hits.
+    /// the same epoch are then cache hits. Warm searches, copies and
+    /// repairs tally exactly like the lazy path's; fresh entries are not
+    /// tallied as hits.
     pub fn warm(&mut self, capacity: &CapacityMap, sources: &[NodeId]) {
         for &src in sources {
             self.update(capacity, src);
@@ -941,11 +966,12 @@ mod tests {
         let detour = cache.channel(&cap, a, b).unwrap();
         assert_eq!(detour.link_count(), 1, "repair must route around s1");
 
-        // Releasing restores the relay (0 → 2): the run repaired without
-        // s1 gets a second in-place repair, the decrease pass.
+        // Releasing restores the relay (0 → 2), which puts the relay bits
+        // back at the fill's: the entry copies its fill run, a miss that
+        // is neither a hit nor a repair.
         cap.release(&ch);
         let back = cache.channel(&cap, a, b).unwrap();
-        assert_eq!(back.interior_switches(), &[s1], "repair sees s1 again");
+        assert_eq!(back.interior_switches(), &[s1], "the copy sees s1 again");
 
         let eff = cache.efficiency();
         assert_eq!(
@@ -954,8 +980,9 @@ mod tests {
                 hits: 3,
                 refreshes: 0,
                 fills: 2,
-                repairs: 2,
-                restores: 1,
+                repairs: 1,
+                restores: 0,
+                copies: 1,
             }
         );
         assert_eq!(eff.lookups(), 7);
@@ -963,7 +990,7 @@ mod tests {
         assert_eq!(
             cache.search_count(),
             eff.fills,
-            "searches are the fills; repairs are not searches"
+            "searches are the fills; repairs and copies are not searches"
         );
 
         // clear() drops the entries but keeps the tallies: the next
@@ -972,6 +999,58 @@ mod tests {
         let ch2 = cache.channel(&cap, a, b).unwrap();
         assert_eq!(ch2, back, "clear must not change results, only reuse");
         assert_eq!(cache.efficiency().fills, 3, "post-clear lookup is a fill");
+
+        // Refilled while s1 is exhausted, the entry meets s1's return at
+        // relay bits other than its fill's: the decrease pass runs.
+        cap.reserve(&ch);
+        cache.clear();
+        assert_eq!(cache.channel(&cap, a, b).unwrap().link_count(), 1);
+        cap.release(&ch);
+        assert_eq!(cache.channel(&cap, a, b), Some(back));
+        let eff = cache.efficiency();
+        assert_eq!(
+            (eff.fills, eff.repairs, eff.restores, eff.copies),
+            (4, 2, 1, 1)
+        );
+    }
+
+    #[test]
+    fn a_lookup_back_at_the_fill_bits_copies_the_fill_run() {
+        // Fill a's entry with s1 relaying, exhaust s1 (a repair), then
+        // release both reservations: the relay bits are the fill's again,
+        // so the lookup copies the fill run, with no decrease pass.
+        let (net, [a, s1, b]) = two_route_net(0.99);
+        let mut cap = CapacityMap::new(&net);
+        let mut cache = ChannelFinderCache::new(&net);
+        let cold = |cap: &CapacityMap| {
+            ChannelFinder::from_source_in(&mut DijkstraWorkspace::new(), &net, cap, a)
+        };
+        let ch = cache.channel(&cap, a, b).unwrap();
+        assert_eq!(ch.interior_switches(), &[s1]);
+        cap.reserve(&ch);
+        cap.reserve(&ch);
+        assert_eq!(cache.finder(&cap, a).run(), cold(&cap).run());
+        let eff = cache.efficiency();
+        assert_eq!((eff.repairs, eff.copies), (1, 0), "exhausting s1 repairs");
+
+        cap.release(&ch);
+        cap.release(&ch);
+        assert_eq!(cache.finder(&cap, a).run(), cold(&cap).run());
+        let eff = cache.efficiency();
+        assert_eq!(
+            (eff.repairs, eff.restores, eff.copies),
+            (1, 0, 1),
+            "back at the fill's bits: a copy, no decrease pass"
+        );
+
+        // The copy leaves the entry exact for the bits it now holds: the
+        // next exhaustion repairs the copied run again.
+        cap.reserve(&ch);
+        cap.reserve(&ch);
+        assert_eq!(cache.finder(&cap, a).run(), cold(&cap).run());
+        let eff = cache.efficiency();
+        assert_eq!((eff.repairs, eff.copies), (2, 1));
+        assert_eq!(cache.search_count(), 1, "one fill, no search since");
     }
 
     #[test]

@@ -500,6 +500,7 @@ fn degraded_lookups_match_cold_channels_on_the_materialized_network() {
         total.fills += eff.fills;
         total.repairs += eff.repairs;
         total.restores += eff.restores;
+        total.copies += eff.copies;
     }
     assert_eq!(total.lookups(), 24 * 60);
     assert_eq!(
@@ -507,4 +508,86 @@ fn degraded_lookups_match_cold_channels_on_the_materialized_network() {
         "a degraded entry is repaired, never searched again"
     );
     assert!(total.repairs > 0 && total.restores > 0, "{total:?}");
+}
+
+#[test]
+fn serve_rounds_on_multi_word_relay_bits_copy_fill_runs_exactly() {
+    // 2-qubit Waxman networks of 160 nodes, whose relay bits span three
+    // words. Each round is a serve round whose sessions all depart before
+    // the next: warm every user, reserve 2–5 cold channels, look every
+    // user up scoped and whole, release them all. The next warm meets the
+    // fill's relay bits again and copies the fill runs. Every run must
+    // equal a cold search bit for bit.
+    let mut spec = NetworkSpec::paper_default().with_qubits(2);
+    spec.topology.nodes = 160;
+    let (mut copies, mut repairs) = (0, 0);
+    for seed in 0..6u64 {
+        let net = spec.build(seed);
+        assert!(net.graph().node_count() > 128, "three words of relay bits");
+        let users = net.users().to_vec();
+        let mut capacity = CapacityMap::new(&net);
+        let mut cache = ChannelFinderCache::new(&net);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5e_4e5);
+        for round in 0..8usize {
+            let context = format!("seed {seed} round {round}");
+            cache.warm(&capacity, &users);
+            assert_matches_cold(&net, &mut cache, &capacity, &users, &context);
+            let mut reserved = Vec::new();
+            for _ in 0..rng.random_range(2..=5u8) {
+                let a = users[rng.random_range(0..users.len())];
+                let b = users[rng.random_range(0..users.len())];
+                if let Some(c) = max_rate_channel(&net, &capacity, a, b) {
+                    capacity.reserve(&c);
+                    reserved.push(c);
+                }
+            }
+            for &src in &users {
+                let targets = users.iter().copied().filter(move |&t| t != src);
+                let finder = cache.finder_for(&capacity, src, targets.clone());
+                for t in targets {
+                    let want = max_rate_channel(&net, &capacity, src, t);
+                    assert!(
+                        same_channel(&finder.channel_to(t), &want),
+                        "{context}: {src} → {t}"
+                    );
+                }
+            }
+            assert_matches_cold(&net, &mut cache, &capacity, &users, &context);
+            for c in &reserved {
+                capacity.release(c);
+            }
+        }
+        cache.warm(&capacity, &users);
+        assert_matches_cold(&net, &mut cache, &capacity, &users, "last warm");
+
+        // Near miss: withdraw one relay in a word past the first that some
+        // stored path relays through. The bits differ from the fill's only
+        // in that word, so the lookup must repair, not copy.
+        let (src, relay) = users
+            .iter()
+            .find_map(|&src| {
+                let run = cache.finder(&capacity, src).run().clone();
+                net.graph().node_ids().find_map(|v| {
+                    let (p, _) = run.prev_hop(v)?;
+                    (p.index() >= 64 && p != src).then_some((src, p))
+                })
+            })
+            .expect("some stored path relays past node 63");
+        let before = cache.efficiency();
+        capacity.withdraw(relay, 2);
+        let context = format!("seed {seed}: withdrew {relay}");
+        assert_matches_cold(&net, &mut cache, &capacity, &[src], &context);
+        let after = cache.efficiency();
+        assert_eq!(
+            (after.repairs, after.copies),
+            (before.repairs + 1, before.copies),
+            "{context}"
+        );
+        copies += after.copies;
+        repairs += after.repairs;
+    }
+    assert!(
+        copies > 0 && repairs > 0,
+        "copies {copies}, repairs {repairs}"
+    );
 }

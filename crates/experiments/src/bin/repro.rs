@@ -14,7 +14,10 @@
 //!       [--sample-every N] [--churn-every N] [--out DIR]
 //! repro serve [--slots N] [--round R] [--queue Q] [--policy P] \
 //!       [--seed S] [--arrival P] [--out DIR]
+//! repro --help
 //! ```
+//!
+//! `--help` (or `-h`) prints these forms; a bare `repro` fails with them.
 //!
 //! Prints each figure as an aligned text table and, with `--out`, writes
 //! one CSV per table into the directory. `--obs-report` additionally
@@ -60,8 +63,8 @@
 //! `serve` runs the batched streaming admission service: the seeded
 //! request stream consumed in fixed-width admission rounds through a
 //! bounded queue, a pluggable admission policy
-//! (`fcfs|smallest|weighted`), one warm-batch cache pass per round,
-//! and delta-engine departure restores. Artifacts mirror `stream`:
+//! (`fcfs|smallest|weighted`), and one warm-batch cache pass per round
+//! that copies or repairs each stale run. Artifacts mirror `stream`:
 //! `serve-rounds.csv`, `serve-summary.csv`, `serve.metrics.jsonl`, a
 //! schema-4 `serve.json` report, and `serve.prom` — all
 //! byte-deterministic for a fixed seed.
@@ -378,6 +381,10 @@ fn main() -> ExitCode {
         }
         Ok((env, Command::Serve(sv))) => {
             return run_serve_cmd(&sv, env.unwrap_or(ObsLevel::Counters))
+        }
+        Ok((_, Command::Help)) => {
+            println!("{}", cli::usage());
+            return ExitCode::SUCCESS;
         }
         Err(e) => Err(e),
     };

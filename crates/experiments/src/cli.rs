@@ -62,6 +62,36 @@ pub enum Command {
     /// shedding, round-level telemetry, and byte-deterministic
     /// artifacts.
     Serve(ServeArgs),
+    /// `repro --help` or `repro -h`: print [`usage`] and succeed.
+    Help,
+}
+
+const SERVE_USAGE: &str = "repro serve [--slots N] [--round R] [--queue Q] \
+                           [--policy fcfs|smallest|weighted] [--seed S] [--arrival P] [--out DIR]";
+const STREAM_USAGE: &str = "repro stream [--slots N] [--window W] [--seed S] [--arrival P] \
+                            [--sample-every N] [--churn-every N] [--out DIR]";
+const CHURN_USAGE: &str = "repro churn [--trials N] [--failures F] [--seed S] [--slots N] \
+                           [--out DIR] [--obs-report]";
+const FUZZ_USAGE: &str =
+    "repro fuzz --budget <n> [--seed S] [--churn] [--delta] [--serve] [--out FILE]";
+const OBS_DIFF_USAGE: &str = "repro obs-diff <baseline.json> <candidate.json> \
+                              [--span-ratio R] [--counter-ratio R] [--min-span-us N] \
+                              [--hist-ratio R] [--warn-only]";
+
+fn profile_usage() -> String {
+    let scenarios = PROFILE_SCENARIOS.join("|");
+    format!("repro profile <{scenarios}> [--seed S] [--out DIR] [--top N]")
+}
+
+/// Every form of the `repro` command line, one per line: what `repro
+/// --help` prints and a bare `repro` fails with.
+pub fn usage() -> String {
+    let (ids, profile) = (ALL_IDS.join("|"), profile_usage());
+    format!(
+        "usage: repro <{ids}|all> [--trials N] [--seed S] [--out DIR] [--obs-report]\n       \
+         {SERVE_USAGE}\n       {STREAM_USAGE}\n       {CHURN_USAGE}\n       {profile}\n       \
+         {FUZZ_USAGE}\n       {OBS_DIFF_USAGE}\n       repro --help"
+    )
 }
 
 /// Arguments of the `serve` subcommand.
@@ -158,6 +188,7 @@ where
         Some("profile") => parse_profile(argv.skip(1)).map(Command::Profile),
         Some("stream") => parse_stream(argv.skip(1)).map(Command::Stream),
         Some("serve") => parse_serve(argv.skip(1)).map(Command::Serve),
+        Some("--help" | "-h") => Ok(Command::Help),
         _ => parse(argv).map(Command::Run),
     }
 }
@@ -257,9 +288,7 @@ where
             "--out" => out = argv.path(&arg, "directory")?,
             other => {
                 return Err(format!(
-                    "unknown serve argument: {other}\nusage: repro serve [--slots N] \
-                 [--round R] [--queue Q] [--policy fcfs|smallest|weighted] [--seed S] \
-                 [--arrival P] [--out DIR]"
+                    "unknown serve argument: {other}\nusage: {SERVE_USAGE}"
                 ))
             }
         }
@@ -287,9 +316,7 @@ where
             "--out" => out = argv.path(&arg, "directory")?,
             other => {
                 return Err(format!(
-                    "unknown stream argument: {other}\nusage: repro stream [--slots N] \
-                 [--window W] [--seed S] [--arrival P] [--sample-every N] \
-                 [--churn-every N] [--out DIR]"
+                    "unknown stream argument: {other}\nusage: {STREAM_USAGE}"
                 ))
             }
         }
@@ -302,12 +329,7 @@ fn parse_profile<I>(argv: I) -> Result<ProfileArgs, String>
 where
     I: IntoIterator<Item = String>,
 {
-    let usage = || {
-        format!(
-            "usage: repro profile <{}> [--seed S] [--out DIR] [--top N]",
-            PROFILE_SCENARIOS.join("|")
-        )
-    };
+    let usage = || format!("usage: {}", profile_usage());
     let mut scenario: Option<String> = None;
     let mut seed = 2024u64;
     let mut out = PathBuf::from("results/profile");
@@ -381,9 +403,7 @@ where
             other => return Err(format!("unknown fuzz argument: {other}")),
         }
     }
-    cfg.budget = budget.ok_or(
-        "usage: repro fuzz --budget <n> [--seed S] [--churn] [--delta] [--serve] [--out FILE]",
-    )?;
+    cfg.budget = budget.ok_or(format!("usage: {FUZZ_USAGE}"))?;
     Ok(FuzzArgs { cfg, out })
 }
 
@@ -408,14 +428,8 @@ where
             path => paths.push(PathBuf::from(path)),
         }
     }
-    let [baseline, candidate] = <[PathBuf; 2]>::try_from(paths).map_err(|got| {
-        format!(
-            "usage: repro obs-diff <baseline.json> <candidate.json> \
-             [--span-ratio R] [--counter-ratio R] [--min-span-us N] [--hist-ratio R] \
-             [--warn-only] (got {} path(s))",
-            got.len()
-        )
-    })?;
+    let [baseline, candidate] = <[PathBuf; 2]>::try_from(paths)
+        .map_err(|got| format!("usage: {OBS_DIFF_USAGE} (got {} path(s))", got.len()))?;
     Ok(ObsDiffArgs {
         baseline,
         candidate,
@@ -460,10 +474,7 @@ where
         }
     }
     if which.is_empty() {
-        return Err(format!(
-            "usage: repro <{}|all> [--trials N] [--seed S] [--out DIR] [--obs-report]",
-            ALL_IDS.join("|")
-        ));
+        return Err(usage());
     }
     which.dedup();
     Ok(Args {
@@ -564,6 +575,22 @@ mod tests {
         for id in ALL_IDS {
             assert!(e.contains(id), "usage must list {id}");
         }
+    }
+
+    #[test]
+    fn help_is_a_command_and_the_usage_names_every_subcommand() {
+        for flag in ["--help", "-h"] {
+            assert_eq!(parse_command(s(&[flag])), Ok(Command::Help));
+        }
+        let usage = usage();
+        for sub in ["serve", "stream", "churn", "profile", "fuzz", "obs-diff"] {
+            assert!(
+                usage.contains(&format!("repro {sub} ")),
+                "usage must name {sub}: {usage}"
+            );
+        }
+        assert!(usage.contains("--help"));
+        assert_eq!(parse_command(s(&[])), Err(usage));
     }
 
     #[test]

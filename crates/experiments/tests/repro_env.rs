@@ -1,4 +1,4 @@
-//! `repro`'s observability outputs, driven through the binary.
+//! `repro`'s observability outputs and usage, driven through the binary.
 //!
 //! `repro` reads `MUERP_OBS` once, at start-up, and a value that names
 //! no level is an error: exit 1 with the value on stderr, before any
@@ -74,4 +74,33 @@ fn a_traced_run_writes_a_current_report_and_well_formed_events() {
             .any(|e| e.get("type").and_then(Value::as_str) == Some("candidate")),
         "no channel decisions traced"
     );
+}
+
+#[test]
+fn help_prints_every_form_to_stdout_and_a_bare_repro_fails_with_it() {
+    let repro = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .env_remove("MUERP_OBS")
+            .output()
+            .expect("repro runs")
+    };
+    let help = repro(&["--help"]);
+    let usage = String::from_utf8_lossy(&help.stdout).into_owned();
+    assert_eq!(help.status.code(), Some(0), "stderr: {:?}", help.stderr);
+    assert!(usage.starts_with("usage: repro <fig5|"), "stdout: {usage}");
+    for sub in ["serve", "stream", "churn", "profile", "fuzz", "obs-diff"] {
+        assert!(
+            usage.contains(&format!("repro {sub} ")),
+            "no {sub}: {usage}"
+        );
+    }
+    let short = repro(&["-h"]);
+    assert_eq!(short.status.code(), Some(0));
+    assert_eq!(String::from_utf8_lossy(&short.stdout), usage);
+
+    let bare = repro(&[]);
+    assert_eq!(bare.status.code(), Some(1));
+    assert!(bare.stdout.is_empty(), "the usage goes to stderr");
+    assert_eq!(String::from_utf8_lossy(&bare.stderr), usage);
 }

@@ -144,9 +144,10 @@ impl Clone for DijkstraRun {
     }
 
     /// Copies `other` into `self`'s buffers (no allocation once they have
-    /// reached the graph's size). The finder cache never copies a search
-    /// into an existing entry; the delta bench's copy row and the
-    /// equivalence tests, which reset stored runs, do.
+    /// reached the graph's size). The finder cache copies an entry's
+    /// fill run back this way when the relay bits return to the fill's;
+    /// the delta bench's copy row and the equivalence tests, which reset
+    /// stored runs, copy too.
     fn clone_from(&mut self, other: &Self) {
         self.source = other.source;
         self.dist.clone_from(&other.dist);

@@ -2,8 +2,9 @@
 //! smoke-run arguments (`--slots 1024 --seed 2024`, plus `--round 32`
 //! for serve and `--churn-every 16` for the churned stream): every
 //! artifact they write must be schema-valid, the serve round stream's
-//! accounting must close against its summary, and the churned stream
-//! must exercise the delta engine with every cache repair doing work.
+//! accounting must close against its summary and copy fill runs back,
+//! and the churned stream must exercise the delta engine with every
+//! cache repair doing work.
 //!
 //! Each pipeline run holds a `qnet_obs::Capture` at `counters`, the
 //! level `repro` runs them at, so the runs take turns on the global
@@ -226,4 +227,16 @@ fn serve_round_stream_is_schema_valid_and_accounting_closes() {
     let ts = &report["timeseries"];
     assert_eq!(ts["evicted"].as_u64(), Some(0));
     assert_eq!(ts["windows"].as_array().map(Vec::len), Some(lines.len()));
+
+    // Sessions hold 5–20 slots, less than a 32-slot round, so every one
+    // departs by the next round: a warm meets the relay bits the entries
+    // were filled at and copies fill runs back instead of repairing.
+    let totals = counter_totals(&report);
+    let total = |name: &str| totals.get(name).copied().unwrap_or(0);
+    assert!(total("core.channel.cache_copies") > 0, "no warm copied");
+    assert_eq!(
+        total("core.channel.cache_repairs"),
+        total("graph.delta.repaired"),
+        "a cache repair came back clean"
+    );
 }
